@@ -5,7 +5,6 @@ from .engine import (
     Simulation,
     derive_utilization,
     route_demand,
-    run_simulation,
     synthesize_response,
 )
 from .model import (
@@ -72,7 +71,6 @@ __all__ = [
     "otr",
     "predict_rate",
     "route_demand",
-    "run_simulation",
     "select_lucf",
     "select_mncf",
     "select_rsc",

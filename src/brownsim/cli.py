@@ -125,6 +125,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     base = _read_config(args.config)
     _apply_overrides(base, args)
+    _validate_or_exit(base)  # the sweep below does arithmetic on its values
     policies = _split(args.policy, str) or [base.policy_name]
     thresholds = _split(args.u_threshold, float) or [base.policy.overloaded_threshold_u_t]
     shares = _split(args.optional_pct, float) or [base.policy.optional_util_pct]

@@ -24,7 +24,7 @@ from .model import (
     scaled_services,
     validate_config,
 )
-from .policies import SELECTORS, autoscale, brownout_step, select_rsc
+from .policies import SELECTORS, autoscale, brownout_step
 from .power import EnergyAccumulator, accumulate_energy, hum
 from .qos import nearest_rank_percentile, overload_ratios, slavr
 from .workload import Trace, predict_rate, predict_rate_weighted
@@ -335,7 +335,3 @@ class Simulation:
             total_requests=total_requests,
             total_errors=total_errors,
         )
-
-
-def run_simulation(cfg: SimConfig, trace: Trace) -> RunResult:
-    return Simulation(cfg, trace).run()

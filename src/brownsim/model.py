@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -43,6 +43,42 @@ DEFAULT_BREAKPOINTS = (
 DEFAULT_SLEEP_POWER_W = 10.0
 
 
+# ---------------------------------------------------------------------------
+# Config schema: the scalar fields of SimConfig, PolicyConfig and
+# ContainerSpec.  The annotation is the JSON type; metadata may give the JSON
+# key (default: the name, under "policy." for PolicyConfig) and the allowed
+# range in interval notation.  Load, dump and validation iterate the fields.
+
+_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
+def _knob(default=MISSING, within: str | None = None, key: str | None = None):
+    """A schema field with a range, a JSON key other than the default, or both."""
+    return field(default=default, metadata={"within": within, "key": key})
+
+
+def _in_range(value, within: str) -> bool:
+    lo, hi = (float(bound) for bound in within[1:-1].split(","))
+    above = lo < value if within[0] == "(" else lo <= value
+    below = value < hi if within[-1] == ")" else value <= hi
+    return above and below
+
+
+def _field_problem(f, value) -> str | None:
+    """What is wrong with a schema field's value: type, finiteness, range."""
+    kind, _, nullable = f.type.partition(" | ")
+    if value is None and nullable:
+        return None
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _TYPES[kind]):
+        return f"expected {kind}, got {type(value).__name__} {value!r}"
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"must be finite (got {value})"
+    within = f.metadata.get("within")
+    if within and not _in_range(value, within):
+        return f"must be within {within} (got {value})"
+    return None
+
+
 @dataclass(frozen=True)
 class PowerProfile:
     """Piecewise-linear utilization->power curve plus the sleep draw."""
@@ -58,12 +94,14 @@ class PowerProfile:
     def max_power_w(self) -> float:
         return self.breakpoints[-1][1]
 
-    def violations(self, prefix: str = "hosts.power_profile") -> list:
-        out = []
+    def violations(self) -> list:
+        prefix = "hosts.power_breakpoints"
         bps = self.breakpoints
         if len(bps) < 2:
-            out.append(f"{prefix}: needs at least two breakpoints")
-            return out
+            return [f"{prefix}: needs at least two breakpoints"]
+        if not all(math.isfinite(x) for bp in bps for x in bp):
+            return [f"{prefix}: every coordinate must be finite"]
+        out = []
         if bps[0][0] != 0.0:
             out.append(f"{prefix}: first breakpoint must be at utilization 0.0")
         if bps[-1][0] != 1.0:
@@ -76,10 +114,10 @@ class PowerProfile:
             if bps[i][1] < bps[i - 1][1]:
                 out.append(f"{prefix}: power must be non-decreasing")
                 break
-        if self.sleep_power_w < 0:
-            out.append(f"{prefix}.sleep_power_w: must be >= 0")
+        if not (0.0 <= self.sleep_power_w < math.inf):
+            out.append(f"hosts.sleep_power_w: must be finite and >= 0 (got {self.sleep_power_w})")
         elif not out and self.sleep_power_w >= self.idle_power_w:
-            out.append(f"{prefix}.sleep_power_w: must be below idle power ({self.idle_power_w} W)")
+            out.append(f"hosts.sleep_power_w: must be below idle power ({self.idle_power_w} W)")
         return out
 
 
@@ -101,10 +139,10 @@ class ContainerSpec:
 
     id: str
     service: str
-    weight: float
+    weight: float = _knob(within="(0, 1]")
     optional: bool = False
     connection_tag: str | None = None
-    replicas: int = 1
+    replicas: int = _knob(1, "[1, inf)")
 
 
 @dataclass
@@ -136,47 +174,48 @@ class HostState:
     def optional_instances(self, specs_by_id: dict) -> list:
         return [i for i in self.instances if specs_by_id[i.spec_id].optional]
 
-    def deactivated_instances(self) -> list:
-        return [i for i in self.instances if not i.active]
-
 
 @dataclass
 class PolicyConfig:
     """Knobs shared by every policy run."""
 
-    overloaded_threshold_u_t: float = 0.8
-    optional_util_pct: float = 0.0  # 0 keeps the configured weights untouched
-    window_size_L_w: int = 5
-    capacity_n_o: float = 25.0  # requests per interval one host absorbs before overload
-    min_active_hosts: int = 1
-    boot_delay: int = 1
-    sla_alpha: float = 0.1
-    sla_beta: float = 1000.0
-    sla_phi: float = 2000.0
-    sla_gamma: float = 0.02
-    percentile_k: int = 95
+    overloaded_threshold_u_t: float = _knob(0.8, "[0.5, 1]")
+    optional_util_pct: float = _knob(0.0, "[0, 0.5]")  # 0 keeps the configured weights untouched
+    window_size_L_w: int = _knob(5, "[1, inf)")
+    capacity_n_o: float = _knob(25.0, "(0, inf)")  # requests per interval one host absorbs before overload
+    min_active_hosts: int = _knob(1, "[1, inf)")  # and at most hosts.count
+    boot_delay: int = _knob(1, "[1, inf)", key="hosts.boot_delay")
+    sla_alpha: float = _knob(0.1, "[0, 1]")
+    sla_beta: float = _knob(1000.0, "(0, inf)")
+    sla_phi: float = _knob(2000.0, "(0, inf)")
+    sla_gamma: float = _knob(0.02, "[0, 1]")
+    percentile_k: int = _knob(95, "[1, 100]")
     seed: int = 42
     # Fraction of the capacity freed by deactivated containers that the
     # auto-scaler is allowed to bank on.  0 sizes for the full stack at all
     # times, 1 trusts the shed state completely.
-    capacity_credit: float = 0.35
+    capacity_credit: float = _knob(0.35, "[0, 1]")
     weighted_prediction: bool = False
 
 
 @dataclass
 class SimConfig:
     policy_name: str = "AUTOS"
-    host_count: int = 10
+    host_count: int = _knob(10, "[1, inf)", key="hosts.count")
     power_profile: PowerProfile = field(default_factory=PowerProfile)
     services: list = field(default_factory=list)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
-    trace_path: str = ""
-    trace_scale: float = 1.0
-    interval_seconds: float = 60.0
-    base_response_ms: float = 100.0
+    trace_path: str = _knob("", key="trace.path")
+    trace_scale: float = _knob(1.0, "(0, inf)", key="trace.scale")
+    interval_seconds: float = _knob(60.0, "(0, inf)", key="trace.interval_seconds")
+    base_response_ms: float = _knob(100.0, "(0, inf)")
 
-    def specs_by_id(self) -> dict:
-        return {s.id: s for s in self.services}
+
+# (section, field, JSON key) per scalar knob; section "" holds SimConfig's
+# own fields, "policy." PolicyConfig's.
+SCHEMA = tuple((section, f, f.metadata.get("key") or section + f.name)
+               for cls, section in ((SimConfig, ""), (PolicyConfig, "policy."))
+               for f in fields(cls) if f.type.partition(" | ")[0] in _TYPES)
 
 
 @dataclass
@@ -221,67 +260,46 @@ class RunResult:
 def validate_config(cfg: SimConfig) -> list:
     """Collect config violations as strings; an empty list means valid.
 
-    Violations are data for the caller to report, not exceptions.
+    Checks each schema field's type, finiteness and range, then the checks
+    that span fields.  Violations are data for the caller, not exceptions.
     """
+    v = [f"{key}: {problem}" for section, f, key in SCHEMA
+         if (problem := _field_problem(f, getattr(cfg.policy if section else cfg, f.name)))]
+    return v + _spanning_violations(cfg)
+
+
+def _spanning_violations(cfg: SimConfig) -> list:
     v = []
     if cfg.policy_name not in POLICY_NAMES:
         v.append(f"policy_name: unknown policy {cfg.policy_name!r}, expected one of {'/'.join(POLICY_NAMES)}")
-    if cfg.host_count < 1:
-        v.append(f"host_count: must be >= 1 (got {cfg.host_count})")
-    v.extend(cfg.power_profile.violations())
+    floor, fleet = cfg.policy.min_active_hosts, cfg.host_count
+    if type(floor) is int and type(fleet) is int and floor > fleet:
+        v.append(f"policy.min_active_hosts: must be at most hosts.count {fleet} (got {floor})")
+    return v + cfg.power_profile.violations() + _services_violations(cfg.services)
 
-    if not cfg.services:
-        v.append("services: at least one container spec is required")
+
+def _services_violations(specs: list) -> list:
+    if not specs:
+        return ["services: at least one container spec is required"]
+    v = [f"services[{i}].{f.name}: {problem}" for i, s in enumerate(specs)
+         for f in fields(ContainerSpec) if (problem := _field_problem(f, getattr(s, f.name)))]
+    if v:  # the checks below compare and add values of well-typed fields
+        return v
     seen = set()
     services = {}
-    for i, s in enumerate(cfg.services):
-        where = f"services[{i}] ({s.id})"
+    for i, s in enumerate(specs):
         if s.id in seen:
-            v.append(f"{where}: duplicate container id")
+            v.append(f"services[{i}].id: duplicate container id {s.id!r}")
         seen.add(s.id)
-        if not (0.0 < s.weight <= 1.0):
-            v.append(f"{where}.weight: must be in (0, 1] (got {s.weight})")
-        if s.replicas < 1:
-            v.append(f"{where}.replicas: must be >= 1 (got {s.replicas})")
         if s.connection_tag is not None and not s.optional:
-            v.append(f"{where}: connection_tag only applies to optional containers")
+            v.append(f"services[{i}].connection_tag: only applies to optional containers")
         services.setdefault(s.service, []).append(s)
-    for name, specs in services.items():
-        total = sum(s.weight for s in specs)
+    for name, group in services.items():
+        total = sum(s.weight for s in group)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             v.append(f"services ({name}): container weights must sum to 1 (got {total!r})")
-        if all(s.optional for s in specs):
+        if all(s.optional for s in group):
             v.append(f"services ({name}): needs at least one mandatory container")
-
-    p = cfg.policy
-    if not (0.5 <= p.overloaded_threshold_u_t <= 1.0):
-        v.append(f"policy.overloaded_threshold_u_t: must be within [0.5, 1.0] (got {p.overloaded_threshold_u_t})")
-    if not (0.0 <= p.optional_util_pct <= 0.5):
-        v.append(f"policy.optional_util_pct: must be within [0, 0.5] (got {p.optional_util_pct})")
-    if p.window_size_L_w < 1:
-        v.append(f"policy.window_size_L_w: must be >= 1 (got {p.window_size_L_w})")
-    if p.capacity_n_o <= 0:
-        v.append(f"policy.capacity_n_o: must be > 0 (got {p.capacity_n_o})")
-    if not (1 <= p.min_active_hosts <= cfg.host_count):
-        v.append(f"policy.min_active_hosts: must be within [1, host_count] (got {p.min_active_hosts})")
-    if p.boot_delay < 1:
-        v.append(f"policy.boot_delay: must be >= 1 (got {p.boot_delay})")
-    for bound, name in ((p.sla_alpha, "sla_alpha"), (p.sla_gamma, "sla_gamma")):
-        if not (0.0 <= bound <= 1.0):
-            v.append(f"policy.{name}: must be within [0, 1] (got {bound})")
-    for bound, name in ((p.sla_beta, "sla_beta"), (p.sla_phi, "sla_phi")):
-        if bound <= 0:
-            v.append(f"policy.{name}: must be > 0 (got {bound})")
-    if not (1 <= p.percentile_k <= 100):
-        v.append(f"policy.percentile_k: must be within [1, 100] (got {p.percentile_k})")
-    if not (0.0 <= p.capacity_credit <= 1.0):
-        v.append(f"policy.capacity_credit: must be within [0, 1] (got {p.capacity_credit})")
-    if cfg.trace_scale <= 0:
-        v.append(f"trace.scale: must be > 0 (got {cfg.trace_scale})")
-    if cfg.interval_seconds <= 0:
-        v.append(f"trace.interval_seconds: must be > 0 (got {cfg.interval_seconds})")
-    if cfg.base_response_ms <= 0:
-        v.append(f"base_response_ms: must be > 0 (got {cfg.base_response_ms})")
     return v
 
 
@@ -302,9 +320,7 @@ def scaled_services(services: list, optional_util_pct: float) -> list:
             continue
         for s in specs:
             f = optional_util_pct / opt if s.optional else (1.0 - optional_util_pct) / mand
-            out.append(ContainerSpec(id=s.id, service=s.service, weight=s.weight * f,
-                                     optional=s.optional, connection_tag=s.connection_tag,
-                                     replicas=s.replicas))
+            out.append(replace(s, weight=s.weight * f))
     return out
 
 
@@ -330,11 +346,8 @@ def host_id(index: int) -> str:
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
-    return {
-        "policy_name": cfg.policy_name,
+    out = {
         "hosts": {
-            "count": cfg.host_count,
-            "boot_delay": cfg.policy.boot_delay,
             "power_breakpoints": [list(bp) for bp in cfg.power_profile.breakpoints],
             "sleep_power_w": cfg.power_profile.sleep_power_w,
         },
@@ -342,85 +355,71 @@ def config_to_dict(cfg: SimConfig) -> dict:
             {k: v for k, v in asdict(s).items() if not (k == "connection_tag" and v is None)}
             for s in cfg.services
         ],
-        "policy": {
-            "overloaded_threshold_u_t": cfg.policy.overloaded_threshold_u_t,
-            "optional_util_pct": cfg.policy.optional_util_pct,
-            "window_size_L_w": cfg.policy.window_size_L_w,
-            "capacity_n_o": cfg.policy.capacity_n_o,
-            "min_active_hosts": cfg.policy.min_active_hosts,
-            "sla_alpha": cfg.policy.sla_alpha,
-            "sla_beta": cfg.policy.sla_beta,
-            "sla_phi": cfg.policy.sla_phi,
-            "sla_gamma": cfg.policy.sla_gamma,
-            "percentile_k": cfg.policy.percentile_k,
-            "seed": cfg.policy.seed,
-            "capacity_credit": cfg.policy.capacity_credit,
-            "weighted_prediction": cfg.policy.weighted_prediction,
-        },
-        "trace": {
-            "path": cfg.trace_path,
-            "scale": cfg.trace_scale,
-            "interval_seconds": cfg.interval_seconds,
-        },
-        "base_response_ms": cfg.base_response_ms,
     }
+    for section, f, key in SCHEMA:
+        *parent, name = key.split(".")
+        target = out.setdefault(parent[0], {}) if parent else out
+        target[name] = getattr(cfg.policy if section else cfg, f.name)
+    return out
+
+
+_KNOWN_KEYS = frozenset([key for _, _, key in SCHEMA] + [
+    "hosts.power_breakpoints", "hosts.sleep_power_w", "hosts.linear_power"])
 
 
 def config_from_dict(raw: dict, base_dir: str | None = None) -> SimConfig:
-    """Build a SimConfig from parsed JSON.  Keys starting with '_' are
-    treated as annotations and skipped.  Relative trace paths resolve
-    against base_dir (normally the config file's directory)."""
+    """Build a SimConfig from parsed JSON, values as given for validate_config.
 
-    def clean(d):
-        return {k: v for k, v in d.items() if not k.startswith("_")}
+    Keys starting with '_' are comments.  Unknown keys and services missing
+    a required field raise one ValueError naming them all.  Relative trace
+    paths resolve against base_dir (normally the config file's directory).
+    """
+    flat = {}
+    for key, value in _clean(raw, "config").items():
+        if key in ("hosts", "policy", "trace"):
+            flat.update((f"{key}.{k}", v) for k, v in _clean(value, key).items())
+        else:
+            flat[key] = value
+    specs = [{"service": "app", **_clean(s, f"services[{i}]")}
+             for i, s in enumerate(flat.pop("services", []))]
+    # a dotted top-level key such as "policy.seed" must not alias a section key
+    problems = [f"{key}: unknown key" for key in flat
+                if key not in _KNOWN_KEYS or ("." in key and key in raw)]
+    for i, s in enumerate(specs):
+        problems += [f"services[{i}].{k}: unknown key" for k in s
+                     if k not in ContainerSpec.__dataclass_fields__]
+        problems += [f"services[{i}].{f.name}: required" for f in fields(ContainerSpec)
+                     if f.default is MISSING and f.name not in s]
+    if problems:
+        raise ValueError("; ".join(problems))
 
-    raw = clean(raw)
-    hosts = clean(raw.get("hosts", {}))
-    policy_raw = clean(raw.get("policy", {}))
-    trace = clean(raw.get("trace", {}))
+    given = [(section, f.name, flat[key]) for section, f, key in SCHEMA if key in flat]
+    cfg = SimConfig(**{name: v for section, name, v in given if not section},
+                    power_profile=_power_profile(flat),
+                    services=[ContainerSpec(**s) for s in specs],
+                    policy=PolicyConfig(**{name: v for section, name, v in given if section}))
+    path = cfg.trace_path
+    if base_dir and isinstance(path, str) and path and not Path(path).is_absolute():
+        cfg.trace_path = str((Path(base_dir) / path).resolve())
+    return cfg
 
-    if hosts.get("linear_power"):
-        profile = linear_profile(sleep_w=float(hosts.get("sleep_power_w", DEFAULT_SLEEP_POWER_W)))
-    else:
-        bps = hosts.get("power_breakpoints")
-        profile = PowerProfile(
-            breakpoints=tuple((float(u), float(w)) for u, w in bps) if bps else DEFAULT_BREAKPOINTS,
-            sleep_power_w=float(hosts.get("sleep_power_w", DEFAULT_SLEEP_POWER_W)),
-        )
 
-    services = []
-    for s in raw.get("services", []):
-        s = clean(s)
-        services.append(ContainerSpec(
-            id=str(s["id"]),
-            service=str(s.get("service", "app")),
-            weight=float(s["weight"]),
-            optional=bool(s.get("optional", False)),
-            connection_tag=s.get("connection_tag"),
-            replicas=int(s.get("replicas", 1)),
-        ))
+def _clean(d, where: str) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: expected an object, got {type(d).__name__}")
+    return {k: v for k, v in d.items() if not k.startswith("_")}
 
-    policy_fields = {f for f in PolicyConfig.__dataclass_fields__}
-    policy_kwargs = {k: v for k, v in policy_raw.items() if k in policy_fields}
-    policy = PolicyConfig(**policy_kwargs)
-    if "boot_delay" in hosts:
-        policy.boot_delay = int(hosts["boot_delay"])
 
-    trace_path = str(trace.get("path", ""))
-    if base_dir and trace_path and not Path(trace_path).is_absolute():
-        trace_path = str((Path(base_dir) / trace_path).resolve())
-
-    return SimConfig(
-        policy_name=str(raw.get("policy_name", "AUTOS")),
-        host_count=int(hosts.get("count", 10)),
-        power_profile=profile,
-        services=services,
-        policy=policy,
-        trace_path=trace_path,
-        trace_scale=float(trace.get("scale", 1.0)),
-        interval_seconds=float(trace.get("interval_seconds", 60.0)),
-        base_response_ms=float(raw.get("base_response_ms", 100.0)),
-    )
+def _power_profile(flat: dict) -> PowerProfile:
+    linear = flat.get("hosts.linear_power", False)
+    if type(linear) is not bool:
+        raise ValueError(f"hosts.linear_power: expected bool, got {type(linear).__name__}")
+    sleep_w = float(flat.get("hosts.sleep_power_w", DEFAULT_SLEEP_POWER_W))
+    if linear:
+        return linear_profile(sleep_w=sleep_w)
+    bps = flat.get("hosts.power_breakpoints")
+    bps = tuple((float(u), float(w)) for u, w in bps) if bps else DEFAULT_BREAKPOINTS
+    return PowerProfile(breakpoints=bps, sleep_power_w=sleep_w)
 
 
 def load_config(path: str) -> SimConfig:

@@ -10,6 +10,7 @@ containers to deactivate to meet it.  Three selectors are provided:
   MNCF  fewest containers whose combined utilization covers the target,
   RSC   random picks until the target is covered.
 
+Every selector is called as (items, target, rng); only RSC uses the rng.
 Optional containers sharing a connection tag on one host only work as a
 group, so they are bundled into single units before selection.
 """
@@ -126,11 +127,7 @@ def _mask_ids(mask: int, units: list) -> tuple:
     return tuple(sorted(ids))
 
 
-def _expand(mask: int, units: list) -> list:
-    return list(_mask_ids(mask, units))
-
-
-def select_lucf(items: list, target: float) -> list:
+def select_lucf(items: list, target: float, rng: random.Random | None = None) -> list:
     """Deactivation set whose utilization lands closest under the target.
 
     If even the smallest unit meets the target it alone is taken; otherwise
@@ -153,7 +150,7 @@ def select_lucf(items: list, target: float) -> list:
             if best_key is None or key < best_key or (
                     key == best_key and _mask_ids(mask, units) < _mask_ids(best, units)):
                 best, best_key = mask, key
-        return _expand(best, units)
+        return list(_mask_ids(best, units))
     # greedy from the largest units down
     chosen, total = [], 0.0
     for u in sorted(units, key=lambda u: (-u.utilization, u.ids)):
@@ -163,7 +160,7 @@ def select_lucf(items: list, target: float) -> list:
     return sorted(i for u in chosen for i in u.ids)
 
 
-def select_mncf(items: list, target: float) -> list:
+def select_mncf(items: list, target: float, rng: random.Random | None = None) -> list:
     """Fewest units whose combined utilization covers the target.
 
     Equal cardinality prefers the larger total; if everything together still
@@ -185,7 +182,7 @@ def select_mncf(items: list, target: float) -> list:
                 best, best_key = mask, key
         if best is None:
             return sorted(i for u in units for i in u.ids)
-        return _expand(best, units)
+        return list(_mask_ids(best, units))
     chosen, total = [], 0.0
     for u in sorted(units, key=lambda u: (-u.utilization, u.ids)):
         chosen.append(u)
@@ -259,7 +256,7 @@ def brownout_step(hosts: list, specs_by_id: dict, u_t: float, fleet_size: int,
         ]
         if not items:
             continue
-        picked = selector(items, target, rng) if selector is select_rsc else selector(items, target)
+        picked = selector(items, target, rng)
         picked = _close_tags(picked, items)
         if picked:
             decision.per_host[h.id] = picked

@@ -233,9 +233,9 @@ def test_criterion_8_byte_determinism(tmp_path):
 
 
 def _spying(inner, calls):
-    def spy(items, target):
+    def spy(items, target, rng=None):
         calls.append((items, target))
-        return inner(items, target)
+        return inner(items, target, rng)
     return spy
 
 

@@ -28,6 +28,50 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def _put(path, value):
+    def edit(raw):
+        *parents, last = path.split(".")
+        node = raw
+        for key in parents:
+            node = node[int(key)] if key.isdigit() else node[key]
+        node[last] = value
+    return edit
+
+
+def _drop_weight(raw):
+    del raw["services"][0]["weight"]
+
+
+@pytest.mark.parametrize("edit, key", [
+    pytest.param(_put("policy.overload_threshold", 0.5), "policy.overload_threshold", id="typo key"),
+    pytest.param(_put("policy.boot_delay", 2), "policy.boot_delay", id="policy.boot_delay"),
+    pytest.param(lambda raw: raw.update({"policy.seed": 7}), "policy.seed", id="dotted top-level key"),
+    pytest.param(_put("policy.window_size_L_w", "5"), "policy.window_size_L_w", id="string number"),
+    pytest.param(_put("policy.seed", True), "policy.seed", id="bool seed"),
+    pytest.param(_put("policy.capacity_n_o", float("nan")), "policy.capacity_n_o", id="nan"),
+    pytest.param(_put("trace.scale", float("inf")), "trace.scale", id="+inf"),
+    pytest.param(_put("base_response_ms", float("-inf")), "base_response_ms", id="-inf"),
+    pytest.param(_put("services.0.optional", "false"), "services[0].optional", id="string bool"),
+    pytest.param(_put("services.0.replicas", 2.7), "services[0].replicas", id="fractional replicas"),
+    pytest.param(_put("services.0.colour", "red"), "services[0].colour", id="unknown service key"),
+    pytest.param(_drop_weight, "services[0].weight", id="missing weight"),
+    pytest.param(_put("hosts.sleep_power_w", float("nan")), "hosts.sleep_power_w", id="nan sleep power"),
+    pytest.param(_put("hosts.linear_power", "false"), "hosts.linear_power", id="string linear_power"),
+])
+def test_bad_input_exits_two_naming_the_key(workdir, capsys, edit, key):
+    raw = json.loads((workdir / "config.json").read_text())
+    edit(raw)
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(raw))
+    for command in ("validate", "run", "compare"):
+        extra = [] if command == "validate" else ["--out", str(workdir / command)]
+        assert main([command, "--config", str(bad)] + extra) == 2, command
+        captured = capsys.readouterr()
+        output = captured.out + captured.err
+        assert key in output, (command, output)
+        assert "Traceback" not in output
+
+
 def test_validate_ok(workdir, capsys):
     assert main(["validate", "--config", str(workdir / "config.json")]) == 0
     assert "config ok" in capsys.readouterr().out

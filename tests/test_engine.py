@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from brownsim import policies
 from brownsim.engine import (
     ConfigError,
     Simulation,
@@ -292,6 +293,21 @@ def test_spike_sheds_then_restores():
     calm_after = next(t for t in range(120, len(deact)) if overload[t] == 0)
     assert deact[calm_after] == 0, "first calm evaluation restores everything"
     assert all(d == 0 for d in deact[calm_after:])
+
+
+def test_wrapped_rsc_selector_runs_identically(monkeypatch):
+    plain = Simulation(make_cfg(policy="RSC"), spike_trace()).run()
+    inner, calls = policies.SELECTORS["RSC"], []
+
+    def passthrough(items, target, rng=None):
+        calls.append(target)
+        return inner(items, target, rng)
+
+    monkeypatch.setitem(policies.SELECTORS, "RSC", passthrough)
+    wrapped = Simulation(make_cfg(policy="RSC"), spike_trace()).run()
+    assert calls, "the spike must reach the selector"
+    assert wrapped.interval_records == plain.interval_records
+    assert wrapped.energy_kwh == plain.energy_kwh
 
 
 def test_capacity_credit_saves_energy():

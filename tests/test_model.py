@@ -1,8 +1,11 @@
 import copy
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brownsim.model import (
+    SCHEMA,
     ContainerSpec,
     PolicyConfig,
     PowerProfile,
@@ -201,3 +204,38 @@ def test_linear_power_flag():
     assert len(cfg.power_profile.breakpoints) == 2
     assert cfg.power_profile.idle_power_w == 201.0
     assert cfg.power_profile.max_power_w == 237.0
+
+
+def _drawn(f):
+    """Values of one schema field, drawn from its declared type and range."""
+    kind = f.type.partition(" | ")[0]
+    if kind == "bool":
+        return st.booleans()
+    if kind == "str":
+        return st.text(max_size=12)
+    within = f.metadata.get("within")
+    if within is None:
+        return st.integers() if kind == "int" else st.floats(allow_nan=False, allow_infinity=False)
+    lo, hi = (float(bound) for bound in within[1:-1].split(","))
+    lo_open, hi_open = within[0] == "(", within[-1] == ")"
+    if kind == "int":
+        return st.integers(min_value=int(lo) + lo_open, max_value=int(min(hi, 1e6)) - (hi_open and hi < 1e6))
+    return st.floats(min_value=lo, max_value=min(hi, 1e12), exclude_min=lo_open,
+                     exclude_max=hi_open and hi < 1e12)
+
+
+def _section(section):
+    return st.fixed_dictionaries({f.name: _drawn(f) for s, f, _ in SCHEMA if s == section})
+
+
+@settings(max_examples=150, deadline=None)
+@given(own=_section(""), policy=_section("policy."))
+def test_schema_round_trip(own, policy):
+    cfg = SimConfig(**own, services=sample_services(), policy=PolicyConfig(**policy))
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
+    again = config_from_dict(json.loads(text))
+    assert json.dumps(config_to_dict(again), indent=2, sort_keys=True) == text
+    # every value inside the declared ranges passes the per-field checks
+    flagged = {v.split(":")[0] for v in validate_config(cfg)}
+    assert flagged <= {"policy_name", "policy.min_active_hosts"}
