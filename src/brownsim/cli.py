@@ -9,15 +9,15 @@ success, 2 for config problems, 3 for trace/result file problems.
 from __future__ import annotations
 
 import argparse
-import copy
 import io
 import json
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 from .engine import Simulation
-from .model import SimConfig, load_config, validate_config
+from .model import SimConfig, load_config, validate_config, with_values
 from .qos import check_constraints
 from .workload import load_trace
 
@@ -27,8 +27,38 @@ EXIT_TRACE = 3
 
 INTERVALS_HEADER = ["t", "requests", "active_hosts", "total_power_w",
                     "overloaded_hosts", "errors", "deactivated"]
-SUMMARY_HEADER = ["run", "policy", "u_threshold", "optional_pct", "rep", "seed",
-                  "energy_kwh", "avg_response_ms", "p_kth_response_ms", "slavr", "otr_mean"]
+
+# Each override flag (by its argparse dest) and the config key it sets.
+OVERRIDES = {
+    "policy": "policy_name",
+    "trace": "trace.path",
+    "scale": "trace.scale",
+    "seed": "policy.seed",
+    "u_threshold": "policy.overloaded_threshold_u_t",
+    "optional_pct": "policy.optional_util_pct",
+}
+
+# One summary column: its summary.csv name, the result.json key it reads, its
+# summary.csv format, and its summary.txt header and format.
+Column = namedtuple("Column", "name key csv header text")
+# Summary columns after "run" (the cell directory).  A None value prints as
+# "" in summary.csv and "-" in summary.txt.
+COLUMNS = (
+    Column("policy", "policy", str, "policy", str),
+    Column("u_threshold", "overloaded_threshold_u_t", "{:g}".format, "u_t", "{:.2f}".format),
+    Column("optional_pct", "optional_util_pct", "{:g}".format, "opt", "{:.2f}".format),
+    Column("rep", "rep", str, "rep", str),
+    Column("seed", "seed", str, "seed", str),
+    Column("energy_kwh", "energy_kwh", repr, "energy kWh", "{:.3f}".format),
+    Column("avg_response_ms", "avg_response_ms", repr, "avg ms", "{:.1f}".format),
+    Column("p_kth_response_ms", "p_kth_response_ms", repr, "pctl ms", "{:.1f}".format),
+    Column("slavr", "slavr", repr, "SLAVR %", lambda v: f"{v * 100:.3f}"),
+    Column("otr_mean", "otr_mean", repr, "mean OTR", "{:.4f}".format),
+)
+# result.json holds the columns' keys, these, and the constraint checks.  Each
+# key names a RunResult attribute, a PolicyConfig field, "policy" or "rep".
+RESULT_KEYS = tuple(c.key for c in COLUMNS) + (
+    "percentile_k", "total_requests", "total_errors", "per_host_otr", "active_host_series")
 SUMMARY_NOTE = ("# energy in kWh, responses in ms; slavr and otr_mean are fractions"
                 " (empty slavr = no requests)")
 
@@ -38,7 +68,7 @@ def main(argv: list | None = None) -> int:
     try:
         return args.func(args)
     except _CliExit as stop:
-        print(stop.message, file=sys.stderr)
+        print(stop, file=sys.stderr)
         return stop.code
 
 
@@ -46,7 +76,6 @@ class _CliExit(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,14 +137,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _read_config(args.config)
-    _apply_overrides(cfg, args, policy=args.policy,
-                     u_threshold=args.u_threshold, optional_pct=args.optional_pct)
-    _validate_or_exit(cfg)
+    cfg = _configured(_read_config(args.config),
+                      _values(**{flag: getattr(args, flag) for flag in OVERRIDES}))
     trace = _read_trace(cfg)
     result = Simulation(cfg, trace).run()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_result_files(out, cfg, result, rep=0)
     print(_one_liner(cfg, result))
     print(f"wrote {out / 'result.json'} and {out / 'intervals.csv'}")
@@ -123,35 +149,25 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    base = _read_config(args.config)
-    _apply_overrides(base, args)
-    _validate_or_exit(base)  # the sweep below does arithmetic on its values
+    """Build and validate every cell, read the trace once, then run the cells."""
+    base = _configured(_read_config(args.config),
+                       _values(trace=args.trace, scale=args.scale, seed=args.seed))
+    # the sweep does arithmetic on the base values, so they were validated first
     policies = _split(args.policy, str) or [base.policy_name]
     thresholds = _split(args.u_threshold, float) or [base.policy.overloaded_threshold_u_t]
     shares = _split(args.optional_pct, float) or [base.policy.optional_util_pct]
     if args.reps < 1:
         raise _CliExit(EXIT_CONFIG, f"--reps must be >= 1 (got {args.reps})")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    base_seed = base.policy.seed
-    for policy in policies:
-        for u_t in thresholds:
-            for pct in shares:
-                for rep in range(args.reps):
-                    cfg = copy.deepcopy(base)
-                    cfg.policy_name = policy
-                    cfg.policy.overloaded_threshold_u_t = u_t
-                    cfg.policy.optional_util_pct = pct
-                    cfg.policy.seed = base_seed + rep
-                    _validate_or_exit(cfg)
-                    trace = _read_trace(cfg)
-                    result = Simulation(cfg, trace).run()
-                    cell = out / f"{policy}_u{u_t:g}_p{pct:g}_r{rep}"
-                    cell.mkdir(parents=True, exist_ok=True)
-                    _write_result_files(cell, cfg, result, rep=rep)
-    table = _summarize(out)
-    print(table, end="")
-    return EXIT_OK
+    cells = [(f"{policy}_u{u_t:g}_p{pct:g}_r{rep}", rep,
+              _configured(base, _values(policy=policy, u_threshold=u_t, optional_pct=pct,
+                                        seed=base.policy.seed + rep)))
+             for policy in policies for u_t in thresholds for pct in shares
+             for rep in range(args.reps)]
+    trace = _read_trace(base)  # no sweep axis touches the trace path, scale or interval
+    for name, rep, cfg in cells:
+        result = Simulation(cfg, trace).run()
+        _write_result_files(Path(args.out) / name, cfg, result, rep=rep)
+    return cmd_report(args)
 
 
 def cmd_report(args) -> int:
@@ -173,27 +189,18 @@ def _read_config(path: str) -> SimConfig:
         raise _CliExit(EXIT_CONFIG, f"bad config {path}: {err}")
 
 
-def _apply_overrides(cfg: SimConfig, args, policy: str | None = None,
-                     u_threshold: float | None = None,
-                     optional_pct: float | None = None) -> None:
-    if policy is not None:
-        cfg.policy_name = policy
-    if args.trace is not None:
-        cfg.trace_path = args.trace
-    if args.scale is not None:
-        cfg.trace_scale = args.scale
-    if args.seed is not None:
-        cfg.policy.seed = args.seed
-    if u_threshold is not None:
-        cfg.policy.overloaded_threshold_u_t = u_threshold
-    if optional_pct is not None:
-        cfg.policy.optional_util_pct = optional_pct
+def _values(**flags) -> dict:
+    """Config key -> value for each override flag that was given."""
+    return {OVERRIDES[flag]: value for flag, value in flags.items() if value is not None}
 
 
-def _validate_or_exit(cfg: SimConfig) -> None:
+def _configured(cfg: SimConfig, values: dict) -> SimConfig:
+    """A copy of cfg with values set; exits 2 unless the copy is valid."""
+    cfg = with_values(cfg, values)
     violations = validate_config(cfg)
     if violations:
         raise _CliExit(EXIT_CONFIG, "\n".join(violations))
+    return cfg
 
 
 def _read_trace(cfg: SimConfig):
@@ -217,6 +224,7 @@ def _split(raw: str | None, kind):
 
 
 def _write_result_files(out: Path, cfg: SimConfig, result, rep: int) -> None:
+    out.mkdir(parents=True, exist_ok=True)
     payload = _result_payload(cfg, result, rep)
     _atomic_write(out / "result.json",
                   json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -225,27 +233,13 @@ def _write_result_files(out: Path, cfg: SimConfig, result, rep: int) -> None:
 
 def _result_payload(cfg: SimConfig, result, rep: int) -> dict:
     report = check_constraints(result, cfg.policy)
-    return {
-        "policy": result.policy_name,
-        "seed": result.seed,
-        "rep": rep,
-        "overloaded_threshold_u_t": cfg.policy.overloaded_threshold_u_t,
-        "optional_util_pct": cfg.policy.optional_util_pct,
-        "percentile_k": cfg.policy.percentile_k,
-        "energy_kwh": result.energy_kwh,
-        "otr_mean": result.otr_mean,
-        "avg_response_ms": result.avg_response_ms,
-        "p_kth_response_ms": result.p_kth_response_ms,
-        "slavr": result.slavr,
-        "total_requests": result.total_requests,
-        "total_errors": result.total_errors,
-        "per_host_otr": result.per_host_otr,
-        "active_host_series": result.active_host_series,
-        "constraints": [
-            {"name": c.name, "bound": c.bound, "actual": c.actual, "pass": c.passed}
-            for c in report.constraints
-        ],
-    }
+    known = {**vars(cfg.policy), **vars(result), "policy": result.policy_name, "rep": rep}
+    payload = {key: known[key] for key in RESULT_KEYS}
+    payload["constraints"] = [
+        {"name": c.name, "bound": c.bound, "actual": c.actual, "pass": c.passed}
+        for c in report.constraints
+    ]
+    return payload
 
 
 def _intervals_csv(records: list) -> str:
@@ -277,66 +271,48 @@ def _one_liner(cfg: SimConfig, result) -> str:
 
 
 def _collect_rows(out: Path) -> list:
+    """(summary.csv cells, summary.txt cells) of each result.json under out."""
     paths = sorted(out.glob("*/result.json"))
     if not paths and (out / "result.json").exists():
         paths = [out / "result.json"]
     rows = []
     for path in paths:
+        run = path.parent.name if path.parent != out else "-"
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+            if not isinstance(data, dict):
+                raise ValueError(f"expected an object, got {type(data).__name__}")
+            missing = [c.key for c in COLUMNS if c.key not in data]
+            if missing:
+                raise ValueError(f"missing key {', '.join(missing)}")
+            rows.append(([run] + [_cell(c.csv, data, c.key, "") for c in COLUMNS],
+                         [run] + [_cell(c.text, data, c.key, "-") for c in COLUMNS]))
+        except (OSError, ValueError) as err:
             raise _CliExit(EXIT_TRACE, f"cannot read {path}: {err}")
-        rows.append({
-            "run": path.parent.name if path.parent != out else "-",
-            "policy": data["policy"],
-            "u_threshold": data["overloaded_threshold_u_t"],
-            "optional_pct": data["optional_util_pct"],
-            "rep": data.get("rep", 0),
-            "seed": data["seed"],
-            "energy_kwh": data["energy_kwh"],
-            "avg_response_ms": data["avg_response_ms"],
-            "p_kth_response_ms": data["p_kth_response_ms"],
-            "slavr": data["slavr"],
-            "otr_mean": data["otr_mean"],
-        })
     if not rows:
         raise _CliExit(EXIT_TRACE, f"no result.json files under {out}")
     return rows
 
 
+def _cell(fmt, data: dict, key: str, none: str) -> str:
+    try:
+        return none if data[key] is None else fmt(data[key])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{key}: {err}") from None
+
+
 def _summarize(out: Path) -> str:
     rows = _collect_rows(out)
-    _atomic_write(out / "summary.csv", _summary_csv(rows))
-    table = _summary_table(rows)
+    csv_lines = [SUMMARY_NOTE, ",".join(["run"] + [c.name for c in COLUMNS])]
+    csv_lines += [",".join(csv) for csv, _ in rows]
+    _atomic_write(out / "summary.csv", "\n".join(csv_lines) + "\n")
+    table = _summary_table(["run"] + [c.header for c in COLUMNS], [text for _, text in rows])
     _atomic_write(out / "summary.txt", table)
     return table
 
 
-def _summary_csv(rows: list) -> str:
-    buf = io.StringIO()
-    buf.write(SUMMARY_NOTE + "\n")
-    buf.write(",".join(SUMMARY_HEADER) + "\n")
-    for r in rows:
-        slavr_txt = "" if r["slavr"] is None else repr(r["slavr"])
-        buf.write(f"{r['run']},{r['policy']},{r['u_threshold']:g},{r['optional_pct']:g},"
-                  f"{r['rep']},{r['seed']},{r['energy_kwh']!r},{r['avg_response_ms']!r},"
-                  f"{r['p_kth_response_ms']!r},{slavr_txt},{r['otr_mean']!r}\n")
-    return buf.getvalue()
-
-
-def _summary_table(rows: list) -> str:
-    headers = ["run", "policy", "u_t", "opt", "rep", "seed",
-               "energy kWh", "avg ms", "pctl ms", "SLAVR %", "mean OTR"]
-    cells = []
-    for r in rows:
-        slavr_txt = "-" if r["slavr"] is None else f"{r['slavr'] * 100:.3f}"
-        cells.append([
-            r["run"], r["policy"], f"{r['u_threshold']:.2f}", f"{r['optional_pct']:.2f}",
-            str(r["rep"]), str(r["seed"]), f"{r['energy_kwh']:.3f}",
-            f"{r['avg_response_ms']:.1f}", f"{r['p_kth_response_ms']:.1f}",
-            slavr_txt, f"{r['otr_mean']:.4f}",
-        ])
+def _summary_table(headers: list, cells: list) -> str:
     widths = [max(len(headers[i]), max((len(row[i]) for row in cells), default=0))
               for i in range(len(headers))]
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),

@@ -218,6 +218,13 @@ SCHEMA = tuple((section, f, f.metadata.get("key") or section + f.name)
                for f in fields(cls) if f.type.partition(" | ")[0] in _TYPES)
 
 
+def with_values(cfg: SimConfig, values: dict) -> SimConfig:
+    """A shallow copy of cfg with the config keys in values (SCHEMA's JSON keys) set."""
+    given = [(section, f.name, values[key]) for section, f, key in SCHEMA if key in values]
+    policy = replace(cfg.policy, **{name: v for section, name, v in given if section})
+    return replace(cfg, policy=policy, **{name: v for section, name, v in given if not section})
+
+
 @dataclass
 class IntervalRecord:
     t: int
@@ -380,8 +387,10 @@ def config_from_dict(raw: dict, base_dir: str | None = None) -> SimConfig:
             flat.update((f"{key}.{k}", v) for k, v in _clean(value, key).items())
         else:
             flat[key] = value
-    specs = [{"service": "app", **_clean(s, f"services[{i}]")}
-             for i, s in enumerate(flat.pop("services", []))]
+    services = flat.pop("services", [])
+    if not isinstance(services, list):
+        raise ValueError(f"services: expected a list, got {type(services).__name__}")
+    specs = [{"service": "app", **_clean(s, f"services[{i}]")} for i, s in enumerate(services)]
     # a dotted top-level key such as "policy.seed" must not alias a section key
     problems = [f"{key}: unknown key" for key in flat
                 if key not in _KNOWN_KEYS or ("." in key and key in raw)]
@@ -393,11 +402,8 @@ def config_from_dict(raw: dict, base_dir: str | None = None) -> SimConfig:
     if problems:
         raise ValueError("; ".join(problems))
 
-    given = [(section, f.name, flat[key]) for section, f, key in SCHEMA if key in flat]
-    cfg = SimConfig(**{name: v for section, name, v in given if not section},
-                    power_profile=_power_profile(flat),
-                    services=[ContainerSpec(**s) for s in specs],
-                    policy=PolicyConfig(**{name: v for section, name, v in given if section}))
+    cfg = with_values(SimConfig(power_profile=_power_profile(flat),
+                                services=[ContainerSpec(**s) for s in specs]), flat)
     path = cfg.trace_path
     if base_dir and isinstance(path, str) and path and not Path(path).is_absolute():
         cfg.trace_path = str((Path(base_dir) / path).resolve())
@@ -414,12 +420,22 @@ def _power_profile(flat: dict) -> PowerProfile:
     linear = flat.get("hosts.linear_power", False)
     if type(linear) is not bool:
         raise ValueError(f"hosts.linear_power: expected bool, got {type(linear).__name__}")
-    sleep_w = float(flat.get("hosts.sleep_power_w", DEFAULT_SLEEP_POWER_W))
+    sleep_w = _number(flat.get("hosts.sleep_power_w", DEFAULT_SLEEP_POWER_W), "hosts.sleep_power_w")
     if linear:
         return linear_profile(sleep_w=sleep_w)
-    bps = flat.get("hosts.power_breakpoints")
-    bps = tuple((float(u), float(w)) for u, w in bps) if bps else DEFAULT_BREAKPOINTS
+    bps = flat.get("hosts.power_breakpoints") or DEFAULT_BREAKPOINTS
+    if not isinstance(bps, (list, tuple)) or not all(
+            isinstance(bp, (list, tuple)) and len(bp) == 2 for bp in bps):
+        raise ValueError(f"hosts.power_breakpoints: expected [utilization, watts] pairs, got {bps!r}")
+    bps = tuple(tuple(_number(x, "hosts.power_breakpoints") for x in bp) for bp in bps)
     return PowerProfile(breakpoints=bps, sleep_power_w=sleep_w)
+
+
+def _number(value, key: str) -> float:
+    """A JSON number as a float; anything else raises ValueError naming key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key}: expected float, got {type(value).__name__} {value!r}")
+    return float(value)
 
 
 def load_config(path: str) -> SimConfig:

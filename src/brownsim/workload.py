@@ -41,10 +41,13 @@ def load_trace(path: str, scale: float = 1.0, interval_seconds: float = 60.0) ->
                 continue  # header
             if not (_numeric(parts[0]) and _numeric(parts[1])):
                 raise ValueError(f"line {lineno}: non-numeric field in {line!r}")
-            t = int(float(parts[0]))
+            t = float(parts[0])
             r = float(parts[1])
             if r < 0:
                 raise ValueError(f"line {lineno}: negative request count {r}")
+            if not (math.isfinite(t) and math.isfinite(r * scale)):
+                raise ValueError(f"line {lineno}: {line!r} at scale {scale} is not finite")
+            t = int(t)
             if times and t <= times[-1]:
                 raise ValueError(f"line {lineno}: time {t} not strictly increasing")
             times.append(t)

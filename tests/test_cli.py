@@ -57,6 +57,14 @@ def _drop_weight(raw):
     pytest.param(_drop_weight, "services[0].weight", id="missing weight"),
     pytest.param(_put("hosts.sleep_power_w", float("nan")), "hosts.sleep_power_w", id="nan sleep power"),
     pytest.param(_put("hosts.linear_power", "false"), "hosts.linear_power", id="string linear_power"),
+    pytest.param(_put("services", 5), "services", id="services not a list"),
+    pytest.param(_put("hosts.power_breakpoints", 5), "hosts.power_breakpoints",
+                 id="breakpoints not a list"),
+    pytest.param(_put("hosts.power_breakpoints", [[0.0], [1.0, 237.0]]),
+                 "hosts.power_breakpoints", id="breakpoint not a pair"),
+    pytest.param(_put("hosts.power_breakpoints", [[0.0, "x"], [1.0, 237.0]]),
+                 "hosts.power_breakpoints", id="string in breakpoint"),
+    pytest.param(_put("hosts.sleep_power_w", "10"), "hosts.sleep_power_w", id="string sleep power"),
 ])
 def test_bad_input_exits_two_naming_the_key(workdir, capsys, edit, key):
     raw = json.loads((workdir / "config.json").read_text())
@@ -70,6 +78,31 @@ def test_bad_input_exits_two_naming_the_key(workdir, capsys, edit, key):
         output = captured.out + captured.err
         assert key in output, (command, output)
         assert "Traceback" not in output
+
+
+@pytest.mark.parametrize("flag, values, key", [
+    ("--policy", "AUTOS,BOGUS", "policy_name"),
+    ("--u-threshold", "0.8,0.3", "policy.overloaded_threshold_u_t"),
+    ("--optional-pct", "0,0.9", "policy.optional_util_pct"),
+])
+def test_bad_sweep_value_runs_no_cell(workdir, capsys, flag, values, key):
+    out = workdir / "cmp"
+    assert main(["compare", "--config", str(workdir / "config.json"),
+                 flag, values, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    output = captured.out + captured.err
+    assert key in output and "Traceback" not in output
+    assert not out.exists() or not any(p.is_dir() for p in out.iterdir())
+
+
+def test_overflowing_trace_scale_exits_three(workdir, capsys):
+    # the first data row already overflows, so no simulation starts
+    for command in ("run", "compare"):
+        assert main([command, "--config", str(workdir / "config.json"), "--scale", "1e308",
+                     "--out", str(workdir / command)]) == 3, command
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+        assert not (workdir / command).exists()
 
 
 def test_validate_ok(workdir, capsys):
@@ -174,6 +207,26 @@ def test_report_without_results_exits_three(workdir, capsys):
     empty.mkdir()
     assert main(["report", "--out", str(empty)]) == 3
     assert "no result" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda data: '{"policy": "LUCF"}', "missing key overloaded_threshold_u_t",
+                 id="missing keys"),
+    pytest.param(lambda data: "[1, 2]", "expected an object, got list", id="not an object"),
+    pytest.param(lambda data: json.dumps({**data, "energy_kwh": "lots"}),
+                 "energy_kwh: Unknown format", id="ill-typed value"),
+    pytest.param(lambda data: "{", "Expecting property name", id="not json"),
+])
+def test_report_on_malformed_result_exits_three(workdir, capsys, edit, message):
+    out = workdir / "cmp"
+    assert main(["compare", "--config", str(workdir / "config.json"),
+                 "--policy", "NPA,LUCF", "--out", str(out)]) == 0
+    capsys.readouterr()
+    bad = out / "NPA_u0.8_p0.4_r0" / "result.json"
+    bad.write_text(edit(json.loads(bad.read_text())))
+    assert main(["report", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err and "Traceback" not in err
 
 
 def test_compare_rejects_bad_reps(workdir, capsys):

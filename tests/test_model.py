@@ -18,6 +18,7 @@ from brownsim.model import (
     place_replicas,
     scaled_services,
     validate_config,
+    with_values,
 )
 
 
@@ -239,3 +240,16 @@ def test_schema_round_trip(own, policy):
     # every value inside the declared ranges passes the per-field checks
     flagged = {v.split(":")[0] for v in validate_config(cfg)}
     assert flagged <= {"policy_name", "policy.min_active_hosts"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(own=_section(""), policy=_section("policy."))
+def test_with_values_sets_every_key_and_leaves_the_original(own, policy):
+    base = sample_config()
+    before = copy.deepcopy(base)
+    values = {key: (policy if section else own)[f.name] for section, f, key in SCHEMA}
+    cfg = with_values(base, values)
+    assert base == before
+    assert cfg == SimConfig(**own, power_profile=base.power_profile, services=base.services,
+                            policy=PolicyConfig(**policy))
+    assert with_values(base, {}) == base and with_values(base, {}) is not base

@@ -55,6 +55,17 @@ def test_load_rejects_negative_rate(tmp_path):
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("rows, scale, line", [
+    pytest.param([(0, 10), (1, 20)], 1e308, "line 2", id="scaled count overflows"),
+    pytest.param([(0, 10), (1, "nan")], 1.0, "line 3", id="nan count"),
+    pytest.param([(0, 10), ("inf", 20)], 1.0, "line 3", id="infinite time"),
+])
+def test_load_rejects_non_finite_rows(tmp_path, rows, scale, line):
+    with pytest.raises(ValueError) as err:
+        load_trace(write_rows(tmp_path, rows), scale, 60.0)
+    assert line in str(err.value)
+
+
 def test_load_rejects_bad_columns(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("t,requests\n0,10\n1\n")
