@@ -13,7 +13,7 @@ import io
 import json
 import os
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from pathlib import Path
 
 from .engine import Simulation
@@ -163,6 +163,10 @@ def cmd_compare(args) -> int:
                                         seed=base.policy.seed + rep)))
              for policy in policies for u_t in thresholds for pct in shares
              for rep in range(args.reps)]
+    clash = sorted(name for name, n in Counter(name for name, _, _ in cells).items() if n > 1)
+    if clash:
+        raise _CliExit(EXIT_CONFIG,
+                       f"distinct sweep values share a cell directory: {', '.join(clash)}")
     trace = _read_trace(base)  # no sweep axis touches the trace path, scale or interval
     for name, rep, cfg in cells:
         result = Simulation(cfg, trace).run()
@@ -211,10 +215,12 @@ def _read_trace(cfg: SimConfig):
 
 
 def _split(raw: str | None, kind):
+    """The distinct values of a comma-separated sweep list, in order."""
     if raw is None:
         return None
     try:
-        return [kind(part.strip()) for part in str(raw).split(",") if part.strip()]
+        return list(dict.fromkeys(kind(part.strip()) for part in str(raw).split(",")
+                                  if part.strip()))
     except ValueError as err:
         raise _CliExit(EXIT_CONFIG, f"bad sweep value list {raw!r}: {err}")
 

@@ -24,7 +24,7 @@ from .model import (
     scaled_services,
     validate_config,
 )
-from .policies import SELECTORS, autoscale, brownout_step
+from .policies import SELECTORS, autoscale, brownout_step, restorable
 from .power import EnergyAccumulator, accumulate_energy, hum
 from .qos import nearest_rank_percentile, overload_ratios, slavr
 from .workload import Trace, predict_rate, predict_rate_weighted
@@ -171,8 +171,7 @@ class Simulation:
         # 5: derive utilization and power.
         loads = {}
         for h in self.hosts:
-            loads[h.id] = derive_utilization(h, alloc.get(h.id, 0), pol.capacity_n_o, self.specs)
-            h.power_w = hum(self.profile, h.mode, h.utilization)
+            self._refresh(h, alloc, loads)
 
         # 6-7: brownout controller, then refresh what it touched.
         if self.brownout:
@@ -183,12 +182,8 @@ class Simulation:
                 self._reactivate(alloc, loads)
             else:
                 for hid in sorted(decision.per_host):
-                    host = self.hosts_by_id[hid]
-                    doomed = set(decision.per_host[hid])
-                    for inst in host.instances:
-                        if inst.id in doomed:
-                            inst.active = False
-                    self._refresh(host, alloc, loads)
+                    self._switch(self.hosts_by_id[hid], decision.per_host[hid], False,
+                                 alloc, loads)
 
         # 8: responses and errors.
         samples = []
@@ -274,40 +269,23 @@ class Simulation:
             inst.utilization = 0.0
 
     def _reactivate(self, alloc: dict, loads: dict) -> None:
-        """Bring deactivated containers back where the host can absorb them.
-
-        Units (tag groups) return largest first as long as the host stays at
-        or under the overload threshold; with enough headroom everything is
-        restored at once.
-        """
+        """Bring back, on each active host, the deactivated units it can absorb."""
         u_t = self.cfg.policy.overloaded_threshold_u_t
         n_o = self.cfg.policy.capacity_n_o
         for host in self.hosts:
-            if host.mode is not HostMode.ACTIVE:
-                continue
-            asleep = [inst for inst in host.instances if not inst.active]
-            if not asleep:
-                continue
-            demand = alloc.get(host.id, 0) / n_o
-            units = {}
-            for inst in asleep:
-                tag = self.specs[inst.spec_id].connection_tag
-                units.setdefault(tag if tag is not None else inst.id, []).append(inst)
-            ordered = sorted(
-                units.values(),
-                key=lambda group: (-sum(self.specs[i.spec_id].weight for i in group),
-                                   tuple(sorted(i.id for i in group))))
-            u = host.utilization
-            changed = False
-            for group in ordered:
-                delta = demand * sum(self.specs[i.spec_id].weight for i in group)
-                if u + delta <= u_t + 1e-12:
-                    for inst in group:
-                        inst.active = True
-                    u += delta
-                    changed = True
-            if changed:
-                self._refresh(host, alloc, loads)
+            # hosts with nothing deactivated cost no unit building
+            if host.mode is HostMode.ACTIVE and [i for i in host.instances if not i.active]:
+                back = restorable(host, self.specs, alloc.get(host.id, 0) / n_o, u_t)
+                if back:
+                    self._switch(host, back, True, alloc, loads)
+
+    def _switch(self, host: HostState, ids: list, active: bool, alloc: dict, loads: dict) -> None:
+        """Set the named instances' active flag, then refresh the host."""
+        named = set(ids)
+        for inst in host.instances:
+            if inst.id in named:
+                inst.active = active
+        self._refresh(host, alloc, loads)
 
     def _refresh(self, host: HostState, alloc: dict, loads: dict) -> None:
         loads[host.id] = derive_utilization(host, alloc.get(host.id, 0),

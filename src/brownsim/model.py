@@ -421,13 +421,13 @@ def _power_profile(flat: dict) -> PowerProfile:
     if type(linear) is not bool:
         raise ValueError(f"hosts.linear_power: expected bool, got {type(linear).__name__}")
     sleep_w = _number(flat.get("hosts.sleep_power_w", DEFAULT_SLEEP_POWER_W), "hosts.sleep_power_w")
-    if linear:
-        return linear_profile(sleep_w=sleep_w)
-    bps = flat.get("hosts.power_breakpoints") or DEFAULT_BREAKPOINTS
+    bps = flat.get("hosts.power_breakpoints", DEFAULT_BREAKPOINTS)
     if not isinstance(bps, (list, tuple)) or not all(
             isinstance(bp, (list, tuple)) and len(bp) == 2 for bp in bps):
         raise ValueError(f"hosts.power_breakpoints: expected [utilization, watts] pairs, got {bps!r}")
     bps = tuple(tuple(_number(x, "hosts.power_breakpoints") for x in bp) for bp in bps)
+    if linear:
+        return linear_profile(sleep_w=sleep_w)
     return PowerProfile(breakpoints=bps, sleep_power_w=sleep_w)
 
 

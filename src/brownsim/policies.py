@@ -11,8 +11,10 @@ containers to deactivate to meet it.  Three selectors are provided:
   RSC   random picks until the target is covered.
 
 Every selector is called as (items, target, rng); only RSC uses the rng.
-Optional containers sharing a connection tag on one host only work as a
-group, so they are bundled into single units before selection.
+Once no host is overloaded, `restorable` decides which deactivated
+containers each host takes back.  Optional containers sharing a connection
+tag on one host only work as a group, so `group_units` bundles them into
+single units for both decisions.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import HostMode, HostState, PowerProfile
 from .power import hpm, hum
@@ -69,20 +72,21 @@ def expected_reduction(host: HostState, theta: float, profile: PowerProfile) -> 
 # Deactivation selectors
 
 
-@dataclass(frozen=True)
-class OptionalItem:
-    """One active optional container instance offered for deactivation."""
+class OptionalItem(NamedTuple):
+    """One optional container instance offered to a brownout decision.
+
+    Selectors see active instances at their current utilization;
+    `restorable` sees deactivated ones at their weight.
+    """
 
     id: str
     utilization: float
     connection_tag: str | None = None
 
 
-@dataclass(frozen=True)
-class _Unit:
+class _Unit(NamedTuple):
+    utilization: float  # first, so that units sort by (utilization, ids)
     ids: tuple
-    utilization: float
-    tag: str | None
 
 
 def group_units(items: list) -> list:
@@ -95,16 +99,15 @@ def group_units(items: list) -> list:
     singles = []
     for it in items:
         if it.connection_tag is None:
-            singles.append(_Unit(ids=(it.id,), utilization=it.utilization, tag=None))
+            singles.append(_Unit(ids=(it.id,), utilization=it.utilization))
         else:
             by_tag.setdefault(it.connection_tag, []).append(it)
     units = singles + [
-        _Unit(ids=tuple(sorted(i.id for i in group)),
-              utilization=sum(i.utilization for i in group),
-              tag=tag)
-        for tag, group in by_tag.items()
+        _Unit(ids=tuple(sorted([i.id for i in group])),
+              utilization=sum([i.utilization for i in group]))
+        for group in by_tag.values()
     ]
-    units.sort(key=lambda u: (u.utilization, u.ids))
+    units.sort()
     return units
 
 
@@ -117,14 +120,36 @@ def _subset_totals(units: list) -> list:
 
 
 def _mask_ids(mask: int, units: list) -> tuple:
-    ids = []
-    i = 0
-    while mask:
-        if mask & 1:
-            ids.extend(units[i].ids)
-        mask >>= 1
-        i += 1
-    return tuple(sorted(ids))
+    return tuple(sorted(i for k, u in enumerate(units) if mask >> k & 1 for i in u.ids))
+
+
+def _best_subset(units: list, feasible, rank) -> tuple | None:
+    """Ids of the feasible subset of units with the lowest rank(total, count).
+
+    Equal ranks prefer lexicographically smaller ids, which are computed
+    only for masks that tie the best.  None when no subset is feasible.
+    """
+    totals = _subset_totals(units)
+    best = best_key = best_ids = None
+    for mask in range(1, len(totals)):
+        if feasible(totals[mask]):
+            key = rank(totals[mask], mask.bit_count())
+            if best_key is None or key < best_key:
+                best, best_key, best_ids = mask, key, None
+            elif key == best_key:
+                best_ids = best_ids or _mask_ids(best, units)
+                ids = _mask_ids(mask, units)
+                if ids < best_ids:
+                    best, best_ids = mask, ids
+    return None if best is None else best_ids or _mask_ids(best, units)
+
+
+def _largest_first(units: list) -> list:
+    return sorted(units, key=lambda u: (-u.utilization, u.ids))
+
+
+def _ids(units: list) -> list:
+    return sorted(i for u in units for i in u.ids)
 
 
 def select_lucf(items: list, target: float, rng: random.Random | None = None) -> list:
@@ -139,25 +164,16 @@ def select_lucf(items: list, target: float, rng: random.Random | None = None) ->
         return []
     if units[0].utilization >= target:
         return list(units[0].ids)
+    limit = target + FEAS_EPS
     if len(units) <= EXACT_SEARCH_LIMIT:
-        totals = _subset_totals(units)
-        best = 0
-        best_key = None
-        for mask in range(1, len(totals)):
-            if totals[mask] > target + FEAS_EPS:
-                continue
-            key = (-totals[mask], bin(mask).count("1"))
-            if best_key is None or key < best_key or (
-                    key == best_key and _mask_ids(mask, units) < _mask_ids(best, units)):
-                best, best_key = mask, key
-        return list(_mask_ids(best, units))
-    # greedy from the largest units down
+        return list(_best_subset(units, lambda total: total <= limit,
+                                 lambda total, count: (-total, count)))
     chosen, total = [], 0.0
-    for u in sorted(units, key=lambda u: (-u.utilization, u.ids)):
-        if total + u.utilization <= target + FEAS_EPS:
+    for u in _largest_first(units):
+        if total + u.utilization <= limit:
             chosen.append(u)
             total += u.utilization
-    return sorted(i for u in chosen for i in u.ids)
+    return _ids(chosen)
 
 
 def select_mncf(items: list, target: float, rng: random.Random | None = None) -> list:
@@ -169,29 +185,18 @@ def select_mncf(items: list, target: float, rng: random.Random | None = None) ->
     units = group_units(items)
     if not units or target <= 0:
         return []
+    need = target - FEAS_EPS
     if len(units) <= EXACT_SEARCH_LIMIT:
-        totals = _subset_totals(units)
-        best = None
-        best_key = None
-        for mask in range(1, len(totals)):
-            if totals[mask] < target - FEAS_EPS:
-                continue
-            key = (bin(mask).count("1"), -totals[mask])
-            if best_key is None or key < best_key or (
-                    key == best_key and _mask_ids(mask, units) < _mask_ids(best, units)):
-                best, best_key = mask, key
-        if best is None:
-            return sorted(i for u in units for i in u.ids)
-        return list(_mask_ids(best, units))
+        ids = _best_subset(units, lambda total: total >= need,
+                           lambda total, count: (count, -total))
+        return _ids(units) if ids is None else list(ids)
     chosen, total = [], 0.0
-    for u in sorted(units, key=lambda u: (-u.utilization, u.ids)):
+    for u in _largest_first(units):
         chosen.append(u)
         total += u.utilization
-        if total >= target - FEAS_EPS:
-            break
-    if total < target - FEAS_EPS:
-        chosen = units
-    return sorted(i for u in chosen for i in u.ids)
+        if total >= need:
+            return _ids(chosen)
+    return _ids(units)
 
 
 def select_rsc(items: list, target: float, rng: random.Random) -> list:
@@ -205,7 +210,7 @@ def select_rsc(items: list, target: float, rng: random.Random) -> list:
         u = pool.pop(rng.randrange(len(pool)))
         chosen.append(u)
         total += u.utilization
-    return sorted(i for u in chosen for i in u.ids)
+    return _ids(chosen)
 
 
 SELECTORS = {"LUCF": select_lucf, "MNCF": select_mncf, "RSC": select_rsc}
@@ -221,12 +226,11 @@ class BrownoutDecision:
 
     A dimmer of 0 (no overloaded hosts) is the signal to bring deactivated
     containers back; otherwise per_host maps host id -> instance ids to
-    deactivate and tags_used collects the connection tags that went down.
+    deactivate.
     """
 
     dimmer: float = 0.0
     per_host: dict = field(default_factory=dict)
-    tags_used: set = field(default_factory=set)
 
     @property
     def reactivate(self) -> bool:
@@ -257,20 +261,28 @@ def brownout_step(hosts: list, specs_by_id: dict, u_t: float, fleet_size: int,
         if not items:
             continue
         picked = selector(items, target, rng)
-        picked = _close_tags(picked, items)
         if picked:
             decision.per_host[h.id] = picked
-            for it in items:
-                if it.id in picked and it.connection_tag:
-                    decision.tags_used.add(it.connection_tag)
     return decision
 
 
-def _close_tags(picked: list, items: list) -> list:
-    """Drag every same-tag sibling along with any picked tagged item."""
-    tags = {it.connection_tag for it in items if it.id in picked and it.connection_tag}
-    out = set(picked)
-    for it in items:
-        if it.connection_tag in tags:
-            out.add(it.id)
-    return sorted(out)
+def restorable(host: HostState, specs_by_id: dict, demand: float, u_t: float) -> list:
+    """Ids of the deactivated containers the host can take back.
+
+    A unit brings back demand times its weight.  Units come back largest
+    first, ties by ids, as long as the host stays at or under u_t; a unit
+    that does not fit is skipped and a smaller one after it may still fit.
+    """
+    items = [
+        OptionalItem(id=i.id, utilization=specs_by_id[i.spec_id].weight,
+                     connection_tag=specs_by_id[i.spec_id].connection_tag)
+        for i in host.instances if not i.active
+    ]
+    u = host.utilization
+    back = []
+    for unit in _largest_first(group_units(items)):
+        delta = demand * unit.utilization
+        if u + delta <= u_t + 1e-12:
+            back.extend(unit.ids)
+            u += delta
+    return back

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from brownsim.cli import main
+from brownsim.engine import Simulation
 from brownsim.model import ContainerSpec, PolicyConfig, SimConfig, dump_config
 from brownsim.workload import Trace, write_trace_csv
 
@@ -65,6 +66,15 @@ def _drop_weight(raw):
     pytest.param(_put("hosts.power_breakpoints", [[0.0, "x"], [1.0, 237.0]]),
                  "hosts.power_breakpoints", id="string in breakpoint"),
     pytest.param(_put("hosts.sleep_power_w", "10"), "hosts.sleep_power_w", id="string sleep power"),
+    pytest.param(_put("hosts.power_breakpoints", 0), "hosts.power_breakpoints", id="zero breakpoints"),
+    pytest.param(_put("hosts.power_breakpoints", False), "hosts.power_breakpoints",
+                 id="false breakpoints"),
+    pytest.param(_put("hosts.power_breakpoints", ""), "hosts.power_breakpoints",
+                 id="empty string breakpoints"),
+    pytest.param(_put("hosts.power_breakpoints", None), "hosts.power_breakpoints",
+                 id="null breakpoints"),
+    pytest.param(_put("hosts.power_breakpoints", []), "hosts.power_breakpoints",
+                 id="empty breakpoints"),
 ])
 def test_bad_input_exits_two_naming_the_key(workdir, capsys, edit, key):
     raw = json.loads((workdir / "config.json").read_text())
@@ -93,6 +103,37 @@ def test_bad_sweep_value_runs_no_cell(workdir, capsys, flag, values, key):
     output = captured.out + captured.err
     assert key in output and "Traceback" not in output
     assert not out.exists() or not any(p.is_dir() for p in out.iterdir())
+
+
+def _counting_runs(monkeypatch):
+    """Record every Simulation.run call, still running it."""
+    runs, real = [], Simulation.run
+
+    def counted(self):
+        runs.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Simulation, "run", counted)
+    return runs
+
+
+def test_compare_drops_repeated_sweep_values(workdir, monkeypatch):
+    runs = _counting_runs(monkeypatch)
+    out = workdir / "cmp"
+    assert main(["compare", "--config", str(workdir / "config.json"), "--policy", "LUCF,LUCF",
+                 "--u-threshold", "0.7,0.70", "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir() if p.is_dir()] == ["LUCF_u0.7_p0.4_r0"]
+    assert len(runs) == 1
+
+
+def test_compare_refuses_cells_sharing_a_directory(workdir, capsys, monkeypatch):
+    runs = _counting_runs(monkeypatch)
+    out = workdir / "cmp"
+    assert main(["compare", "--config", str(workdir / "config.json"),
+                 "--u-threshold", "0.7,0.7000001", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "LUCF_u0.7_p0.4_r0" in err and "Traceback" not in err
+    assert not out.exists() and not runs
 
 
 def test_overflowing_trace_scale_exits_three(workdir, capsys):

@@ -295,6 +295,31 @@ def test_spike_sheds_then_restores():
     assert all(d == 0 for d in deact[calm_after:])
 
 
+def test_partial_restore_takes_the_largest_units_that_fit():
+    services = [
+        ContainerSpec(id="web", service="shop", weight=0.4),
+        ContainerSpec(id="p1", service="shop", weight=0.15, optional=True, connection_tag="pair"),
+        ContainerSpec(id="p2", service="shop", weight=0.15, optional=True, connection_tag="pair"),
+        ContainerSpec(id="big", service="shop", weight=0.2, optional=True),
+        ContainerSpec(id="small", service="shop", weight=0.1, optional=True),
+    ]
+    cfg = SimConfig(policy_name="LUCF", host_count=1, services=services,
+                    policy=PolicyConfig(overloaded_threshold_u_t=0.8, capacity_n_o=100.0),
+                    trace_path="unused.csv")
+    sim = Simulation(cfg, flat_trace([97]))
+    host = sim.hosts[0]
+    for inst in host.instances:
+        inst.active = inst.spec_id == "web"
+    # demand 0.97 puts web alone at 0.388, under u_t, so the host restores:
+    # the pair (0.3) first, to 0.679; "big" (0.2) would reach 0.873 and is
+    # skipped; "small" (0.1) still fits, to 0.776.  Smallest first would
+    # have taken "small" and "big" and left the pair out.
+    record = sim.step(0, 97)
+    assert {i.spec_id for i in host.instances if i.active} == {"web", "p1", "p2", "small"}
+    assert record.deactivated_containers == 1
+    assert host.utilization == pytest.approx(0.97 * 0.8)
+
+
 def test_wrapped_rsc_selector_runs_identically(monkeypatch):
     plain = Simulation(make_cfg(policy="RSC"), spike_trace()).run()
     inner, calls = policies.SELECTORS["RSC"], []

@@ -343,12 +343,20 @@ def test_brownout_full_dimmer_sheds_everything_optional():
             i.id for i in host.instances if SPECS[i.spec_id].optional)
 
 
-def test_brownout_tags_used_collected():
+def test_brownout_per_host_holds_both_tag_siblings():
     specs = {s.id: s for s in [
-        ContainerSpec(id="web", service="s", weight=0.6),
+        ContainerSpec(id="web", service="s", weight=0.2),
         ContainerSpec(id="rec", service="s", weight=0.25, optional=True, connection_tag="r"),
         ContainerSpec(id="cache", service="s", weight=0.15, optional=True, connection_tag="r"),
+        ContainerSpec(id="ads", service="s", weight=0.2, optional=True),
+        ContainerSpec(id="extra", service="s", weight=0.2, optional=True),
     ]}
     hosts = [make_host(0, 1.0, specs)]
-    decision = brownout_step(hosts, specs, 0.8, 1, PROFILE, select_lucf)
-    assert decision.tags_used == {"r"}
+    # one overloaded host in 100 asks for 0.69 of its 1.0: LUCF fits the
+    # 0.4 pair plus one 0.2 single under it, not all three units (0.8)
+    decision = brownout_step(hosts, specs, 0.8, 100, PROFILE, select_lucf)
+    assert decision.per_host == {"h00": ["ads@h00", "cache@h00", "rec@h00"]}
+    rng = random.Random(53)
+    for selector in (select_mncf, select_rsc):
+        picked = set(brownout_step(hosts, specs, 0.8, 100, PROFILE, selector, rng).per_host["h00"])
+        assert ("rec@h00" in picked) == ("cache@h00" in picked), (selector.__name__, picked)
