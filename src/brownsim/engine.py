@@ -3,9 +3,9 @@
 Each interval runs a fixed pipeline: predict the request rate, resize the
 active fleet, advance booting hosts, spread requests over active hosts,
 derive container/host utilization and power, let the brownout controller
-deactivate or restore optional containers, synthesize response times and
-errors, and account energy.  One run is single-threaded and fully
-deterministic for a given config, trace, and seed.
+deactivate or restore optional containers, give each serving host one
+(response_ms, served) group and its errors, and account energy.  One run
+is single-threaded and deterministic for a given config, trace, and seed.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from .power import EnergyAccumulator, accumulate_energy, hum
 from .qos import nearest_rank_percentile, overload_ratios, slavr
 from .workload import Trace, predict_rate, predict_rate_weighted
 
-# Distinct salts keep policy randomness (RSC picks) and response jitter on
-# separate streams, so selector choice never perturbs the traffic model.
-RESPONSE_RNG_SALT = 0x9E3779B97F4A7C15
 POLICY_RNG_SALT = 0x517CC1B727220A95
 
 BROWNOUT_POLICIES = ("LUCF", "MNCF", "RSC")
@@ -84,25 +81,19 @@ def derive_utilization(host: HostState, assigned: int, n_o: float, specs_by_id: 
     return load
 
 
-def synthesize_response(load: float, requests: int, base_ms: float,
-                        rng: random.Random) -> tuple:
-    """Surrogate response model: base_ms / (1 - u) with 5% jitter per request.
+def synthesize_response(load: float, requests: int, base_ms: float) -> tuple:
+    """Surrogate response model for one host: (base_ms / (1 - u), served, errors).
 
-    When the raw load exceeds 1 the host is saturated and the excess
-    fraction of its requests fail instead of producing samples, so
-    samples + errors always equals the request count.
+    Every request the host serves takes the same time.  When the raw load
+    exceeds 1 the host is saturated and the excess fraction of its requests
+    fail instead of being served, so served + errors equals the request count.
     """
     if requests < 0:
         raise ValueError(f"requests must be >= 0 (got {requests})")
-    if requests == 0:
-        return [], 0
     errors = 0
     if load > 1.0:
         errors = min(requests, math.floor(requests * (load - 1.0) / load + 0.5))
-    u = min(load, 0.99)
-    scale = base_ms / (1.0 - u)
-    samples = [scale * (1.0 + rng.uniform(-0.05, 0.05)) for _ in range(requests - errors)]
-    return samples, errors
+    return base_ms / (1.0 - min(load, 0.99)), requests - errors, errors
 
 
 class Simulation:
@@ -131,9 +122,7 @@ class Simulation:
             self.hosts.append(host)
         self.hosts_by_id = {h.id: h for h in self.hosts}
 
-        seed = cfg.policy.seed
-        self.rng_response = random.Random(seed ^ RESPONSE_RNG_SALT)
-        self.rng_policy = random.Random(seed ^ POLICY_RNG_SALT)
+        self.rng_policy = random.Random(cfg.policy.seed ^ POLICY_RNG_SALT)
         self.history = []
         self.energy = EnergyAccumulator()
         self.records = []
@@ -186,13 +175,13 @@ class Simulation:
                                  alloc, loads)
 
         # 8: responses and errors.
-        samples = []
+        groups = []
         errors = 0
         for h in serving:
-            assigned = alloc.get(h.id, 0)
-            host_samples, host_errors = synthesize_response(
-                loads[h.id], assigned, self.cfg.base_response_ms, self.rng_response)
-            samples.extend(host_samples)
+            response_ms, served, host_errors = synthesize_response(
+                loads[h.id], alloc.get(h.id, 0), self.cfg.base_response_ms)
+            if served:
+                groups.append((response_ms, served))
             errors += host_errors
         if not serving and rate > 0:
             errors = rate
@@ -207,7 +196,7 @@ class Simulation:
             requests=rate,
             active_hosts=len(serving),
             per_host=[(h.id, h.utilization, h.power_w, self._overloaded(h)) for h in self.hosts],
-            response_samples_ms=samples,
+            response_groups=groups,
             errors=errors,
             deactivated_containers=sum(
                 1 for h in self.hosts if h.mode is HostMode.ACTIVE
@@ -273,9 +262,12 @@ class Simulation:
         u_t = self.cfg.policy.overloaded_threshold_u_t
         n_o = self.cfg.policy.capacity_n_o
         for host in self.hosts:
-            # hosts with nothing deactivated cost no unit building
-            if host.mode is HostMode.ACTIVE and [i for i in host.instances if not i.active]:
-                back = restorable(host, self.specs, alloc.get(host.id, 0) / n_o, u_t)
+            weights = [self.specs[i.spec_id].weight for i in host.instances if not i.active]
+            demand = alloc.get(host.id, 0) / n_o
+            # no unit weighs less than its lightest member; if that cannot come back, none can
+            if (host.mode is HostMode.ACTIVE and weights
+                    and host.utilization + demand * min(weights) <= u_t + 1e-12):
+                back = restorable(host, self.specs, demand, u_t)
                 if back:
                     self._switch(host, back, True, alloc, loads)
 
@@ -295,7 +287,8 @@ class Simulation:
     def _result(self) -> RunResult:
         per_host_otr = overload_ratios(self.records)
         otr_mean = sum(per_host_otr.values()) / len(per_host_otr) if per_host_otr else 0.0
-        samples = [s for r in self.records for s in r.response_samples_ms]
+        groups = [g for r in self.records for g in r.response_groups]
+        served = sum(count for _, count in groups)
         total_requests = sum(r.requests for r in self.records)
         total_errors = sum(r.errors for r in self.records)
         return RunResult(
@@ -303,9 +296,9 @@ class Simulation:
             seed=self.cfg.policy.seed,
             energy_kwh=self.energy.total_kwh,
             otr_mean=otr_mean,
-            avg_response_ms=sum(samples) / len(samples) if samples else 0.0,
-            p_kth_response_ms=(nearest_rank_percentile(samples, self.cfg.policy.percentile_k)
-                               if samples else 0.0),
+            avg_response_ms=sum(v * count for v, count in groups) / served if served else 0.0,
+            p_kth_response_ms=(nearest_rank_percentile(groups, self.cfg.policy.percentile_k)
+                               if served else 0.0),
             slavr=slavr(total_errors, total_requests),
             active_host_series=[r.active_hosts for r in self.records],
             interval_records=self.records,

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 WEIGHT_SUM_TOL = 1e-9
@@ -85,6 +86,10 @@ class PowerProfile:
 
     breakpoints: tuple = DEFAULT_BREAKPOINTS
     sleep_power_w: float = DEFAULT_SLEEP_POWER_W
+
+    @cached_property
+    def utilizations(self) -> tuple:
+        return tuple(u for u, _ in self.breakpoints)
 
     @property
     def idle_power_w(self) -> float:
@@ -231,7 +236,7 @@ class IntervalRecord:
     requests: int
     active_hosts: int
     per_host: list = field(default_factory=list)  # (host_id, utilization, power_w, overloaded)
-    response_samples_ms: list = field(default_factory=list)
+    response_groups: list = field(default_factory=list)  # (response_ms, served), per serving host
     errors: int = 0
     deactivated_containers: int = 0
 

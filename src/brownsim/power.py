@@ -22,7 +22,7 @@ def hum(profile: PowerProfile, mode: HostMode, utilization: float) -> float:
     if not (0.0 <= utilization <= 1.0):
         raise ValueError(f"utilization {utilization} outside [0, 1]")
     bps = profile.breakpoints
-    idx = bisect_right([u for u, _ in bps], utilization) - 1
+    idx = bisect_right(profile.utilizations, utilization) - 1
     if idx >= len(bps) - 1:
         return bps[-1][1]
     u0, p0 = bps[idx]

@@ -42,15 +42,17 @@ def slavr(errors: int, total: int) -> float | None:
     return errors / total
 
 
-def nearest_rank_percentile(samples: list, k: int) -> float:
-    """Value at sorted index ceil(k/100 * N); no interpolation."""
-    if not samples:
-        raise ValueError("no samples to take a percentile of")
+def nearest_rank_percentile(groups: list, k: int) -> float:
+    """Sample at rank ceil(k/100 * N) of N samples given as (value, count) groups."""
     if not (1 <= k <= 100):
         raise ValueError(f"percentile k must be within [1, 100] (got {k})")
-    ordered = sorted(samples)
-    rank = math.ceil(k / 100 * len(ordered))
-    return ordered[rank - 1]
+    rank = math.ceil(k / 100 * sum(count for _, count in groups))
+    if rank < 1:
+        raise ValueError("no samples to take a percentile of")
+    for value, count in sorted(groups):
+        rank -= count
+        if rank <= 0:
+            return value
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
+import dataclasses
+import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from brownsim import policies
+from brownsim import engine, policies
 from brownsim.engine import (
     ConfigError,
     Simulation,
@@ -18,10 +21,12 @@ from brownsim.model import (
     HostState,
     PolicyConfig,
     SimConfig,
+    load_config,
 )
 from brownsim.workload import Trace, load_trace, spike_trace
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 DIURNAL = load_trace(str(DATA / "diurnal_day.csv"), 1.0, 60.0)
 
 
@@ -132,26 +137,23 @@ def test_derive_inactive_host_is_idle():
 
 
 def test_synthesize_unloaded_host():
-    samples, errors = synthesize_response(0.0, 5, 100.0, random.Random(1))
-    assert errors == 0 and len(samples) == 5
-    for s in samples:
-        assert 95.0 <= s <= 105.0
+    assert synthesize_response(0.0, 5, 100.0) == (100.0, 5, 0)
 
 
 def test_synthesize_half_loaded_host():
-    samples, _ = synthesize_response(0.5, 5, 100.0, random.Random(1))
-    for s in samples:
-        assert 190.0 <= s <= 210.0
+    response_ms, served, _ = synthesize_response(0.5, 5, 100.0)
+    assert response_ms == 200.0 and served == 5
 
 
 def test_synthesize_saturation_errors():
-    samples, errors = synthesize_response(1.25, 100, 100.0, random.Random(1))
+    _, served, errors = synthesize_response(1.25, 100, 100.0)
     assert errors == 20
-    assert len(samples) == 80
+    assert served == 80
 
 
 def test_synthesize_zero_requests():
-    assert synthesize_response(0.9, 0, 100.0, random.Random(1)) == ([], 0)
+    _, served, errors = synthesize_response(0.9, 0, 100.0)
+    assert (served, errors) == (0, 0)
 
 
 def test_synthesize_conservation_property():
@@ -159,9 +161,42 @@ def test_synthesize_conservation_property():
     for _ in range(300):
         load = rng.uniform(0.0, 3.0)
         requests = rng.randint(0, 200)
-        samples, errors = synthesize_response(load, requests, 100.0, rng)
-        assert len(samples) + errors == requests
-        assert errors <= requests
+        response_ms, served, errors = synthesize_response(load, requests, 100.0)
+        assert served + errors == requests
+        assert 0 <= errors <= requests
+        assert 100.0 <= response_ms <= 100.0 / (1 - 0.99)
+
+
+@pytest.mark.parametrize("policy", ["LUCF", "AUTOS"])
+def test_aggregate_response_keeps_the_jittered_model_within_five_percent(policy):
+    # The earlier model drew every served request as value * (1 + U(-0.05, 0.05))
+    # around its group's value; redraw it from the groups and compare.
+    cfg = dataclasses.replace(load_config(str(ROOT / "configs" / "sample.json")),
+                              policy_name=policy)
+    result = Simulation(cfg, load_trace(cfg.trace_path, cfg.trace_scale,
+                                        cfg.interval_seconds)).run()
+    rng = random.Random(11)
+    drawn = sorted(value * (1.0 + rng.uniform(-0.05, 0.05))
+                   for rec in result.interval_records for value, count in rec.response_groups
+                   for _ in range(count))
+    k = cfg.policy.percentile_k
+    assert len(drawn) == result.total_requests - result.total_errors
+    old_mean, old_kth = sum(drawn) / len(drawn), drawn[math.ceil(k / 100 * len(drawn)) - 1]
+    assert 0.95 * result.avg_response_ms <= old_mean <= 1.05 * result.avg_response_ms
+    assert 0.95 * result.p_kth_response_ms <= old_kth <= 1.05 * result.p_kth_response_ms
+
+
+def test_peak_memory_is_flat_in_trace_scale():
+    peaks = {}
+    for scale in (1.0, 4.0):
+        sim = Simulation(make_cfg(hosts=10), load_trace(str(DATA / "diurnal_day.csv"), scale, 60.0))
+        tracemalloc.start()
+        try:
+            sim.run()
+            peaks[scale] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4.0] <= 1.2 * peaks[1.0], peaks
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +230,9 @@ def test_min_active_hosts_respected():
 def test_interval_conservation_and_error_bound():
     result = Simulation(make_cfg(), DIURNAL).run()
     for rec in result.interval_records:
-        assert len(rec.response_samples_ms) + rec.errors == rec.requests
+        assert sum(served for _, served in rec.response_groups) + rec.errors == rec.requests
         assert rec.errors <= rec.requests
+        assert all(served > 0 for _, served in rec.response_groups)
 
 
 def test_overloaded_flag_matches_threshold():
@@ -213,7 +249,7 @@ def test_determinism_same_seed_same_run():
     assert a.active_host_series == b.active_host_series
     assert a.slavr == b.slavr
     for ra, rb in zip(a.interval_records, b.interval_records):
-        assert ra.response_samples_ms == rb.response_samples_ms
+        assert ra.response_groups == rb.response_groups
         assert ra.per_host == rb.per_host
 
 
@@ -318,6 +354,60 @@ def test_partial_restore_takes_the_largest_units_that_fit():
     assert {i.spec_id for i in host.instances if i.active} == {"web", "p1", "p2", "small"}
     assert record.deactivated_containers == 1
     assert host.utilization == pytest.approx(0.97 * 0.8)
+
+
+def _reactivate_everywhere(sim, alloc, loads):
+    """Reference restore loop: ask `restorable` on every active host with
+    something deactivated, with no pre-check."""
+    u_t, n_o = sim.cfg.policy.overloaded_threshold_u_t, sim.cfg.policy.capacity_n_o
+    for host in sim.hosts:
+        if host.mode is HostMode.ACTIVE and any(not i.active for i in host.instances):
+            back = engine.restorable(host, sim.specs, alloc.get(host.id, 0) / n_o, u_t)
+            if back:
+                sim._switch(host, back, True, alloc, loads)
+
+
+def _spy_restorable(monkeypatch):
+    asked, real = [], engine.restorable
+
+    def spy(host, *args):
+        asked.append(host.id)
+        return real(host, *args)
+
+    monkeypatch.setattr(engine, "restorable", spy)
+    return asked
+
+
+def test_restore_skips_a_host_whose_lightest_container_cannot_fit(monkeypatch):
+    services = [
+        ContainerSpec(id="web", service="shop", weight=0.5),
+        ContainerSpec(id="ads", service="shop", weight=0.5, optional=True),
+    ]
+    cfg = SimConfig(policy_name="LUCF", host_count=1, services=services,
+                    policy=PolicyConfig(overloaded_threshold_u_t=0.8, capacity_n_o=100.0),
+                    trace_path="unused.csv")
+    sim = Simulation(cfg, flat_trace([97]))
+    for inst in sim.hosts[0].instances:
+        inst.active = inst.spec_id == "web"
+    asked = _spy_restorable(monkeypatch)
+    # web alone is at 0.485, under u_t, so the host is in the restore path;
+    # ads would lift it to 0.97, so nothing can come back
+    record = sim.step(0, 97)
+    assert asked == []
+    assert record.deactivated_containers == 1
+
+
+@pytest.mark.parametrize("ut", [0.7, 0.8])
+@pytest.mark.parametrize("policy", ["LUCF", "RSC"])
+def test_restore_precheck_leaves_the_records_unchanged(monkeypatch, policy, ut):
+    asked = _spy_restorable(monkeypatch)
+    checked = Simulation(make_cfg(policy=policy, ut=ut), DIURNAL).run()
+    asked_checked = len(asked)
+    asked.clear()
+    monkeypatch.setattr(Simulation, "_reactivate", _reactivate_everywhere)
+    everywhere = Simulation(make_cfg(policy=policy, ut=ut), DIURNAL).run()
+    assert checked.interval_records == everywhere.interval_records
+    assert asked_checked < len(asked), "the pre-check must skip some hosts"
 
 
 def test_wrapped_rsc_selector_runs_identically(monkeypatch):

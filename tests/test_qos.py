@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brownsim.model import IntervalRecord, PolicyConfig, RunResult
 from brownsim.qos import (
@@ -56,29 +58,44 @@ def test_slavr_pooling_additivity():
         assert pooled == pytest.approx(weighted)
 
 
+def singles(samples):
+    return [(s, 1) for s in samples]
+
+
 def test_percentile_examples():
-    assert nearest_rank_percentile(list(range(1, 101)), 95) == 95
-    assert nearest_rank_percentile([42.0], 99) == 42.0
-    assert nearest_rank_percentile([10, 10, 10, 1000], 50) == 10
+    assert nearest_rank_percentile(singles(range(1, 101)), 95) == 95
+    assert nearest_rank_percentile(singles([42.0]), 99) == 42.0
+    assert nearest_rank_percentile(singles([10, 10, 10, 1000]), 50) == 10
 
 
 def test_percentile_rejects_empty_or_bad_k():
     with pytest.raises(ValueError):
         nearest_rank_percentile([], 95)
     with pytest.raises(ValueError):
-        nearest_rank_percentile([1.0], 0)
+        nearest_rank_percentile(singles([1.0]), 0)
     with pytest.raises(ValueError):
-        nearest_rank_percentile([1.0], 101)
+        nearest_rank_percentile(singles([1.0]), 101)
 
 
 def test_percentile_monotone_and_bounded():
     rng = random.Random(19)
     for _ in range(200):
         samples = [rng.uniform(1, 1000) for _ in range(rng.randint(1, 60))]
-        values = [nearest_rank_percentile(samples, k) for k in (10, 50, 90, 99)]
+        values = [nearest_rank_percentile(singles(samples), k) for k in (10, 50, 90, 99)]
         for a, b in zip(values, values[1:]):
             assert a <= b, "percentile must be monotone in k"
         assert min(samples) <= values[0] and values[-1] <= max(samples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups=st.lists(st.tuples(st.floats(0.0, 1e4), st.integers(1, 30)), min_size=1,
+                       max_size=25),
+       k=st.integers(1, 100))
+def test_percentile_of_groups_is_the_percentile_of_their_samples(groups, k):
+    # the reference: nearest rank over the sorted list of expanded samples
+    ordered = sorted(value for value, count in groups for _ in range(count))
+    expected = ordered[math.ceil(k / 100 * len(ordered)) - 1]
+    assert nearest_rank_percentile(groups, k) == expected
 
 
 def result_with(otr_mean=0.05, avg=300.0, p95=800.0, slavr_value=0.001):
