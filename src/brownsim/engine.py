@@ -6,6 +6,14 @@ derive container/host utilization and power, let the brownout controller
 deactivate or restore optional containers, give each serving host one
 (response_ms, served) group and its errors, and account energy.  One run
 is single-threaded and deterministic for a given config, trace, and seed.
+
+Steps 5-9 run per host class: hosts that share a placement stack, a mode,
+an active mask and a request count are in one state, whose utilization,
+power, response group and restore decision are derived once and copied to
+every member; the scaler's capacity fraction is likewise taken once per
+stack and mask.  Brownout selection stays per overloaded host, so RSC
+draws in host order, and so do the loops whose float sums depend on order:
+the records, the energy additions and the capacity mean, in host-id order.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .model import (
     scaled_services,
     validate_config,
 )
-from .policies import SELECTORS, autoscale, brownout_step, restorable
+from .policies import SELECTORS, autoscale, brownout_step, deactivated_units, restorable
 from .power import EnergyAccumulator, accumulate_energy, hum
 from .qos import nearest_rank_percentile, overload_ratios, slavr
 from .workload import Trace, predict_rate, predict_rate_weighted
@@ -32,6 +40,9 @@ from .workload import Trace, predict_rate, predict_rate_weighted
 POLICY_RNG_SALT = 0x517CC1B727220A95
 
 BROWNOUT_POLICIES = ("LUCF", "MNCF", "RSC")
+
+# Looking a member up on the enum class is slow in per-host loops.
+ACTIVE, BOOTING, SLEEP, OFF = HostMode.ACTIVE, HostMode.BOOTING, HostMode.SLEEP, HostMode.OFF
 
 
 class ConfigError(ValueError):
@@ -46,13 +57,13 @@ def route_demand(requests: int, active_host_ids: list) -> dict:
     """Spread requests evenly, remainder to the lowest host ids."""
     if requests < 0:
         raise ValueError(f"requests must be >= 0 (got {requests})")
-    alloc = {hid: 0 for hid in active_host_ids}
+    alloc = dict.fromkeys(active_host_ids, 0)
     if not alloc or requests == 0:
         return alloc
-    order = sorted(alloc)
-    share, remainder = divmod(requests, len(order))
-    for i, hid in enumerate(order):
-        alloc[hid] = share + (1 if i < remainder else 0)
+    share, remainder = divmod(requests, len(alloc))
+    alloc.update(dict.fromkeys(alloc, share))
+    for hid in sorted(alloc)[:remainder]:
+        alloc[hid] += 1
     return alloc
 
 
@@ -63,7 +74,7 @@ def derive_utilization(host: HostState, assigned: int, n_o: float, specs_by_id: 
     weight, deactivated ones at 0.  Returns the raw (unclamped) load; the
     host stores it clamped to [0, 1].
     """
-    if host.mode is not HostMode.ACTIVE:
+    if host.mode is not ACTIVE:
         for inst in host.instances:
             inst.utilization = 0.0
         host.utilization = 0.0
@@ -96,6 +107,23 @@ def synthesize_response(load: float, requests: int, base_ms: float) -> tuple:
     return base_ms / (1.0 - min(load, 0.99)), requests - errors, errors
 
 
+class HostClass:
+    """What a host state (placement stack, mode, active mask, assigned
+    requests) yields in one interval; every host in that state shares it.
+
+    `group` is (response_ms, served), with served 0 off the serving set;
+    `restore` lists the instance positions to bring back, once asked.  A
+    plain class, because building a dataclass slows every package import.
+    """
+
+    __slots__ = ("utilization", "power_w", "instance_utilizations", "overloaded", "group",
+                 "errors", "deactivated", "restore")
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values + (None,)):
+            setattr(self, name, value)
+
+
 class Simulation:
     """One policy run over one trace."""
 
@@ -112,15 +140,20 @@ class Simulation:
         self.brownout = cfg.policy_name in BROWNOUT_POLICIES
 
         self.hosts = []
+        self.stack = {}  # host id -> index of its placement among the distinct ones
         placement = place_replicas(cfg)
+        stacks = {}
         for hid in sorted(placement):
-            host = HostState(id=hid, mode=HostMode.ACTIVE)
+            host = HostState(id=hid, mode=ACTIVE)
             for j, spec_id in enumerate(placement[hid]):
                 suffix = f"+{j}" if placement[hid][:j].count(spec_id) else ""
                 host.instances.append(ContainerInstance(
                     id=f"{spec_id}@{hid}{suffix}", spec_id=spec_id, host_id=hid))
             self.hosts.append(host)
+            self.stack[hid] = stacks.setdefault(tuple(placement[hid]), len(stacks))
         self.hosts_by_id = {h.id: h for h in self.hosts}
+        self.classes = {}  # state -> HostClass, for the current interval only
+        self.class_of = {}  # host id -> its HostClass, in host order
 
         self.rng_policy = random.Random(cfg.policy.seed ^ POLICY_RNG_SALT)
         self.history = []
@@ -147,46 +180,38 @@ class Simulation:
         # 3: advance boots; a host woken this interval with boot_delay 1
         # serves this interval.
         for h in self.hosts:
-            if h.mode is HostMode.BOOTING:
+            if h.mode is BOOTING:
                 h.boot_remaining -= 1
                 if h.boot_remaining <= 0:
-                    h.mode = HostMode.ACTIVE
+                    h.mode = ACTIVE
                     h.boot_remaining = 0
 
         # 4: route.
-        serving = [h for h in self.hosts if h.mode is HostMode.ACTIVE]
+        serving = [h for h in self.hosts if h.mode is ACTIVE]
         alloc = route_demand(rate, [h.id for h in serving])
 
-        # 5: derive utilization and power.
-        loads = {}
-        for h in self.hosts:
-            self._refresh(h, alloc, loads)
+        # 5: sort hosts into classes; each class derives utilization, power
+        # and its response group once.
+        self.classes, self.class_of = {}, {}
+        self._refresh(self.hosts, alloc)
 
-        # 6-7: brownout controller, then refresh what it touched.
+        # 6-7: brownout controller, then reclassify what it touched.
         if self.brownout:
             decision = brownout_step(self.hosts, self.specs, pol.overloaded_threshold_u_t,
                                      len(self.hosts), self.profile, self.selector,
                                      self.rng_policy)
             if decision.reactivate:
-                self._reactivate(alloc, loads)
+                self._reactivate(alloc)
             else:
                 for hid in sorted(decision.per_host):
-                    self._switch(self.hosts_by_id[hid], decision.per_host[hid], False,
-                                 alloc, loads)
+                    self._switch(self.hosts_by_id[hid], decision.per_host[hid], False, alloc)
 
-        # 8: responses and errors.
-        groups = []
-        errors = 0
-        for h in serving:
-            response_ms, served, host_errors = synthesize_response(
-                loads[h.id], alloc.get(h.id, 0), self.cfg.base_response_ms)
-            if served:
-                groups.append((response_ms, served))
-            errors += host_errors
+        # 8-9: responses, errors and energy, from each host's final class.
+        classes = list(self.class_of.values())  # filled in host order at step 5
+        groups = [c.group for c in classes if c.group[1]]
+        errors = sum([c.errors for c in classes])
         if not serving and rate > 0:
             errors = rate
-
-        # 9: energy.
         accumulate_energy(self.energy, {h.id: h.power_w for h in self.hosts},
                           self.cfg.interval_seconds)
 
@@ -195,12 +220,11 @@ class Simulation:
             t=t,
             requests=rate,
             active_hosts=len(serving),
-            per_host=[(h.id, h.utilization, h.power_w, self._overloaded(h)) for h in self.hosts],
+            per_host=[(h.id, h.utilization, h.power_w, c.overloaded)
+                      for h, c in zip(self.hosts, classes)],
             response_groups=groups,
             errors=errors,
-            deactivated_containers=sum(
-                1 for h in self.hosts if h.mode is HostMode.ACTIVE
-                for inst in h.instances if not inst.active),
+            deactivated_containers=sum([c.deactivated for c in classes]),
         )
         self.records.append(record)
         self.history.append(float(rate))
@@ -208,35 +232,38 @@ class Simulation:
 
     # -- helpers -----------------------------------------------------------
 
-    def _overloaded(self, host: HostState) -> bool:
-        return host.mode is HostMode.ACTIVE and host.utilization > self.cfg.policy.overloaded_threshold_u_t
-
     def _capacity_factor(self) -> float:
         """Divisor on per-host capacity reflecting shed containers.
 
         Active hosts running a reduced stack absorb more requests per unit
         of utilization; capacity_credit sets how much of that headroom the
-        scaler banks on.  Full stacks give exactly 1.
+        scaler banks on.  Full stacks give exactly 1.  Hosts sharing a stack
+        and an active mask share one fraction.
         """
-        active = [h for h in self.hosts if h.mode is HostMode.ACTIVE]
-        if not active:
+        fractions, by_mask, stack = [], {}, self.stack
+        for h in self.hosts:
+            if h.mode is ACTIVE:
+                key = (stack[h.id], tuple([i.active for i in h.instances]) if h.instances else ())
+                fraction = by_mask.get(key)
+                if fraction is None:
+                    total = h.total_weight(self.specs)
+                    fraction = by_mask[key] = (h.active_weight(self.specs) / total
+                                               if total > 0 else 1.0)
+                fractions.append(fraction)
+        if not fractions:
             return 1.0
-        fractions = []
-        for h in active:
-            total = h.total_weight(self.specs)
-            fractions.append(h.active_weight(self.specs) / total if total > 0 else 1.0)
         mean_fraction = sum(fractions) / len(fractions)
         return 1.0 - self.cfg.policy.capacity_credit * (1.0 - mean_fraction)
 
     def _apply_scaling(self, target: int) -> None:
-        active = [h for h in self.hosts if h.mode is HostMode.ACTIVE]
-        booting = [h for h in self.hosts if h.mode is HostMode.BOOTING]
+        active = [h for h in self.hosts if h.mode is ACTIVE]
+        booting = [h for h in self.hosts if h.mode is BOOTING]
         committed = len(active) + len(booting)
+        # self.hosts is in id order
         if target > committed:
-            pool = sorted((h for h in self.hosts if h.mode in (HostMode.SLEEP, HostMode.OFF)),
-                          key=lambda h: h.id)
+            pool = [h for h in self.hosts if h.mode in (SLEEP, OFF)]
             for h in pool[:target - committed]:
-                h.mode = HostMode.BOOTING
+                h.mode = BOOTING
                 h.boot_remaining = self.cfg.policy.boot_delay
         elif target < committed:
             # Booting hosts cannot be put to sleep; keep one server alive in
@@ -244,11 +271,11 @@ class Simulation:
             excess = committed - target
             finishing = sum(1 for h in booting if h.boot_remaining <= 1)
             allowed = max(0, len(active) - max(0, 1 - finishing))
-            for h in sorted(active, key=lambda h: h.id, reverse=True)[:min(excess, allowed)]:
+            for h in active[::-1][:min(excess, allowed)]:
                 self._sleep(h)
 
     def _sleep(self, host: HostState) -> None:
-        host.mode = HostMode.SLEEP
+        host.mode = SLEEP
         host.boot_remaining = 0
         host.utilization = 0.0
         # Replicas are dropped with the host; when it wakes it comes back
@@ -257,32 +284,58 @@ class Simulation:
             inst.active = True
             inst.utilization = 0.0
 
-    def _reactivate(self, alloc: dict, loads: dict) -> None:
-        """Bring back, on each active host, the deactivated units it can absorb."""
-        u_t = self.cfg.policy.overloaded_threshold_u_t
-        n_o = self.cfg.policy.capacity_n_o
-        for host in self.hosts:
-            weights = [self.specs[i.spec_id].weight for i in host.instances if not i.active]
-            demand = alloc.get(host.id, 0) / n_o
-            # no unit weighs less than its lightest member; if that cannot come back, none can
-            if (host.mode is HostMode.ACTIVE and weights
-                    and host.utilization + demand * min(weights) <= u_t + 1e-12):
-                back = restorable(host, self.specs, demand, u_t)
-                if back:
-                    self._switch(host, back, True, alloc, loads)
+    def _reactivate(self, alloc: dict) -> None:
+        """Bring back, on each active host, the deactivated units it can absorb.
 
-    def _switch(self, host: HostState, ids: list, active: bool, alloc: dict, loads: dict) -> None:
-        """Set the named instances' active flag, then refresh the host."""
+        The first host of a class decides for the class.  `restorable` is asked
+        only if the lightest deactivated unit fits, so it never returns nothing.
+        """
+        u_t = self.cfg.policy.overloaded_threshold_u_t
+        for host in self.hosts:
+            cls = self.class_of[host.id]
+            if cls.restore is None:
+                demand = alloc.get(host.id, 0) / self.cfg.policy.capacity_n_o
+                units = cls.deactivated and deactivated_units(host, self.specs)
+                fits = units and host.utilization + demand * units[0].utilization <= u_t + 1e-12
+                back = set(restorable(host, self.specs, demand, u_t)) if fits else ()
+                cls.restore = [k for k, i in enumerate(host.instances) if i.id in back]
+            if cls.restore:
+                self._switch(host, [host.instances[k].id for k in cls.restore], True, alloc)
+
+    def _switch(self, host: HostState, ids: list, active: bool, alloc: dict) -> None:
+        """Set the named instances' active flag, then reclassify the host."""
         named = set(ids)
         for inst in host.instances:
             if inst.id in named:
                 inst.active = active
-        self._refresh(host, alloc, loads)
+        self._refresh([host], alloc)
 
-    def _refresh(self, host: HostState, alloc: dict, loads: dict) -> None:
-        loads[host.id] = derive_utilization(host, alloc.get(host.id, 0),
-                                            self.cfg.policy.capacity_n_o, self.specs)
-        host.power_w = hum(self.profile, host.mode, host.utilization)
+    def _refresh(self, hosts: list, alloc: dict) -> None:
+        """Put each host in the class of its current state; the first host in
+        a class this interval derives the class, the others copy it."""
+        pol, classes, class_of, stack = self.cfg.policy, self.classes, self.class_of, self.stack
+        for host in hosts:
+            hid, insts, serving = host.id, host.instances, host.mode is ACTIVE
+            assigned = alloc.get(hid, 0)
+            # a host off the serving set is idle whatever its mask
+            mask = tuple([i.active for i in insts]) if insts and serving else ()
+            cls = classes.get(key := (stack[hid], host.mode, mask, assigned))
+            if cls is None:
+                load = derive_utilization(host, assigned, pol.capacity_n_o, self.specs)
+                host.power_w = hum(self.profile, host.mode, host.utilization)
+                response_ms, served, errors = (synthesize_response(
+                    load, assigned, self.cfg.base_response_ms) if serving else (0.0, 0, 0))
+                cls = classes[key] = HostClass(
+                    host.utilization, host.power_w, tuple([i.utilization for i in insts]),
+                    serving and host.utilization > pol.overloaded_threshold_u_t,
+                    (response_ms, served), errors, mask.count(False))
+            else:
+                host.utilization = cls.utilization
+                host.power_w = cls.power_w
+                if insts:
+                    for inst, u in zip(insts, cls.instance_utilizations):
+                        inst.utilization = u
+            class_of[hid] = cls
 
     def _result(self) -> RunResult:
         per_host_otr = overload_ratios(self.records)

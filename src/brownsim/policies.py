@@ -246,7 +246,8 @@ def brownout_step(hosts: list, specs_by_id: dict, u_t: float, fleet_size: int,
     overloaded host gets a target from the shared dimmer and its own
     selector pick.  Mandatory containers are never offered to selectors.
     """
-    overloaded = [h for h in hosts if h.mode == HostMode.ACTIVE and h.utilization > u_t]
+    active = HostMode.ACTIVE
+    overloaded = [h for h in hosts if h.mode is active and h.utilization > u_t]
     if not overloaded:
         return BrownoutDecision()
     theta = dimmer(len(overloaded), fleet_size)
@@ -266,6 +267,16 @@ def brownout_step(hosts: list, specs_by_id: dict, u_t: float, fleet_size: int,
     return decision
 
 
+def deactivated_units(host: HostState, specs_by_id: dict) -> list:
+    """The host's deactivated containers as units weighted by their weights,
+    lightest first."""
+    return group_units([
+        OptionalItem(id=i.id, utilization=specs_by_id[i.spec_id].weight,
+                     connection_tag=specs_by_id[i.spec_id].connection_tag)
+        for i in host.instances if not i.active
+    ])
+
+
 def restorable(host: HostState, specs_by_id: dict, demand: float, u_t: float) -> list:
     """Ids of the deactivated containers the host can take back.
 
@@ -273,14 +284,9 @@ def restorable(host: HostState, specs_by_id: dict, demand: float, u_t: float) ->
     first, ties by ids, as long as the host stays at or under u_t; a unit
     that does not fit is skipped and a smaller one after it may still fit.
     """
-    items = [
-        OptionalItem(id=i.id, utilization=specs_by_id[i.spec_id].weight,
-                     connection_tag=specs_by_id[i.spec_id].connection_tag)
-        for i in host.instances if not i.active
-    ]
     u = host.utilization
     back = []
-    for unit in _largest_first(group_units(items)):
+    for unit in _largest_first(deactivated_units(host, specs_by_id)):
         delta = demand * unit.utilization
         if u + delta <= u_t + 1e-12:
             back.extend(unit.ids)

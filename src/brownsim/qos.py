@@ -10,6 +10,7 @@ objective, not a bound.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -46,11 +47,12 @@ def nearest_rank_percentile(groups: list, k: int) -> float:
     """Sample at rank ceil(k/100 * N) of N samples given as (value, count) groups."""
     if not (1 <= k <= 100):
         raise ValueError(f"percentile k must be within [1, 100] (got {k})")
-    rank = math.ceil(k / 100 * sum(count for _, count in groups))
+    tally = Counter(groups)  # hosts of one class repeat a group; sort each once
+    rank = math.ceil(k / 100 * sum(count * times for (_, count), times in tally.items()))
     if rank < 1:
         raise ValueError("no samples to take a percentile of")
-    for value, count in sorted(groups):
-        rank -= count
+    for (value, count), times in sorted(tally.items()):
+        rank -= count * times
         if rank <= 0:
             return value
 

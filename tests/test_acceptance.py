@@ -19,7 +19,8 @@ from brownsim.model import (
 )
 from brownsim.policies import OptionalItem, autoscale, dimmer, select_lucf, select_mncf
 from brownsim.power import hpm, hum
-from brownsim.workload import load_trace, predict_rate, spike_trace
+from brownsim.workload import load_trace, predict_rate
+from trace_helpers import spike_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 ACCEPT_TRACE = load_trace(str(ROOT / "data" / "diurnal_day.csv"), 1.0, 60.0)

@@ -5,7 +5,8 @@ import pytest
 from brownsim.cli import main
 from brownsim.engine import Simulation
 from brownsim.model import ContainerSpec, PolicyConfig, SimConfig, dump_config
-from brownsim.workload import Trace, write_trace_csv
+from brownsim.workload import Trace
+from trace_helpers import write_trace_csv
 
 
 @pytest.fixture

@@ -22,8 +22,10 @@ from brownsim.model import (
     PolicyConfig,
     SimConfig,
     load_config,
+    with_values,
 )
-from brownsim.workload import Trace, load_trace, spike_trace
+from brownsim.workload import Trace, load_trace
+from trace_helpers import spike_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -331,6 +333,25 @@ def test_spike_sheds_then_restores():
     assert all(d == 0 for d in deact[calm_after:])
 
 
+@pytest.mark.parametrize("rate, states", [(200, 1), (210, 2)])
+def test_hosts_in_one_state_derive_it_once(monkeypatch, rate, states):
+    # 20 identical hosts split 200 requests evenly (one state per interval);
+    # 210 gives h00-h09 one request more (two states)
+    calls, real = [], engine.derive_utilization
+
+    def spy(host, *args):
+        calls.append(host.id)
+        return real(host, *args)
+
+    monkeypatch.setattr(engine, "derive_utilization", spy)
+    result = Simulation(make_cfg(policy="NPA", hosts=20), flat_trace([rate] * 10)).run()
+    assert len(calls) == states * 10
+    for rec in result.interval_records:
+        assert len({(u, p) for _, u, p, _ in rec.per_host}) == states
+        assert sum(served for _, served in rec.response_groups) == rate
+        assert len(rec.response_groups) == 20
+
+
 def test_partial_restore_takes_the_largest_units_that_fit():
     services = [
         ContainerSpec(id="web", service="shop", weight=0.4),
@@ -356,23 +377,25 @@ def test_partial_restore_takes_the_largest_units_that_fit():
     assert host.utilization == pytest.approx(0.97 * 0.8)
 
 
-def _reactivate_everywhere(sim, alloc, loads):
+def _reactivate_everywhere(sim, alloc):
     """Reference restore loop: ask `restorable` on every active host with
-    something deactivated, with no pre-check."""
+    something deactivated, one host at a time, with no pre-check."""
     u_t, n_o = sim.cfg.policy.overloaded_threshold_u_t, sim.cfg.policy.capacity_n_o
     for host in sim.hosts:
         if host.mode is HostMode.ACTIVE and any(not i.active for i in host.instances):
             back = engine.restorable(host, sim.specs, alloc.get(host.id, 0) / n_o, u_t)
             if back:
-                sim._switch(host, back, True, alloc, loads)
+                sim._switch(host, back, True, alloc)
 
 
 def _spy_restorable(monkeypatch):
+    """Record (host id, ids returned) for every `restorable` call the engine makes."""
     asked, real = [], engine.restorable
 
     def spy(host, *args):
-        asked.append(host.id)
-        return real(host, *args)
+        back = real(host, *args)
+        asked.append((host.id, back))
+        return back
 
     monkeypatch.setattr(engine, "restorable", spy)
     return asked
@@ -408,6 +431,18 @@ def test_restore_precheck_leaves_the_records_unchanged(monkeypatch, policy, ut):
     everywhere = Simulation(make_cfg(policy=policy, ut=ut), DIURNAL).run()
     assert checked.interval_records == everywhere.interval_records
     assert asked_checked < len(asked), "the pre-check must skip some hosts"
+
+
+@pytest.mark.parametrize("ut", [0.7, 0.8])
+def test_restore_precheck_asks_only_hosts_that_take_something_back(monkeypatch, ut):
+    # the pre-check bounds by the lightest deactivated unit (a tag group
+    # weighs its members' sum), so a host that passes it restores that unit
+    asked = _spy_restorable(monkeypatch)
+    cfg = with_values(load_config(str(ROOT / "configs" / "sample.json")),
+                      {"policy.overloaded_threshold_u_t": ut})
+    Simulation(cfg, DIURNAL).run()
+    assert asked, "the sample day must reach the restore step"
+    assert all(back for _, back in asked)
 
 
 def test_wrapped_rsc_selector_runs_identically(monkeypatch):

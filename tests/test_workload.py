@@ -7,10 +7,9 @@ from brownsim.workload import (
     load_trace,
     predict_rate,
     predict_rate_weighted,
-    spike_trace,
     synthetic_diurnal_trace,
-    write_trace_csv,
 )
+from trace_helpers import spike_trace, write_trace_csv
 
 
 def write_rows(tmp_path, rows, header="t,requests"):
