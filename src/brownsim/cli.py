@@ -153,9 +153,9 @@ def cmd_compare(args) -> int:
     base = _configured(_read_config(args.config),
                        _values(trace=args.trace, scale=args.scale, seed=args.seed))
     # the sweep does arithmetic on the base values, so they were validated first
-    policies = _split(args.policy, str) or [base.policy_name]
-    thresholds = _split(args.u_threshold, float) or [base.policy.overloaded_threshold_u_t]
-    shares = _split(args.optional_pct, float) or [base.policy.optional_util_pct]
+    policies = _split(args, "policy", str, base.policy_name)
+    thresholds = _split(args, "u_threshold", float, base.policy.overloaded_threshold_u_t)
+    shares = _split(args, "optional_pct", float, base.policy.optional_util_pct)
     if args.reps < 1:
         raise _CliExit(EXIT_CONFIG, f"--reps must be >= 1 (got {args.reps})")
     cells = [(f"{policy}_u{u_t:g}_p{pct:g}_r{rep}", rep,
@@ -214,15 +214,20 @@ def _read_trace(cfg: SimConfig):
         raise _CliExit(EXIT_TRACE, f"cannot load trace {cfg.trace_path}: {err}")
 
 
-def _split(raw: str | None, kind):
-    """The distinct values of a comma-separated sweep list, in order."""
+def _split(args, dest: str, kind, default) -> list:
+    """The distinct values of a comma-separated sweep flag, in order; [default]
+    when the flag is not given, exit 2 when it is given but holds no value."""
+    raw, flag = getattr(args, dest), "--" + dest.replace("_", "-")
     if raw is None:
-        return None
+        return [default]
     try:
-        return list(dict.fromkeys(kind(part.strip()) for part in str(raw).split(",")
-                                  if part.strip()))
+        values = list(dict.fromkeys(kind(part.strip()) for part in str(raw).split(",")
+                                    if part.strip()))
     except ValueError as err:
-        raise _CliExit(EXIT_CONFIG, f"bad sweep value list {raw!r}: {err}")
+        raise _CliExit(EXIT_CONFIG, f"bad sweep value list {flag} {raw!r}: {err}")
+    if not values:
+        raise _CliExit(EXIT_CONFIG, f"sweep value list {flag} {raw!r} holds no value")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ is single-threaded and deterministic for a given config, trace, and seed.
 
 Steps 5-9 run per host class: hosts that share a placement stack, a mode,
 an active mask and a request count are in one state, whose utilization,
-power, response group and restore decision are derived once and copied to
-every member; the scaler's capacity fraction is likewise taken once per
-stack and mask.  Brownout selection stays per overloaded host, so RSC
-draws in host order, and so do the loops whose float sums depend on order:
-the records, the energy additions and the capacity mean, in host-id order.
+power, watt-hours, active-weight fraction, response group and restore
+decision are derived once and copied to every member.  The interval's
+classes are the per-host state the bookkeeping reads: the energy total and
+the next interval's capacity factor come from them.  Brownout selection
+stays per overloaded host, so RSC draws in host order, and so do the loops
+whose float sums depend on order: the records, the energy additions and
+the capacity mean, in host-id order.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .model import (
     validate_config,
 )
 from .policies import SELECTORS, autoscale, brownout_step, deactivated_units, restorable
-from .power import EnergyAccumulator, accumulate_energy, hum
+from .power import hum
 from .qos import nearest_rank_percentile, overload_ratios, slavr
 from .workload import Trace, predict_rate, predict_rate_weighted
 
@@ -42,7 +44,7 @@ POLICY_RNG_SALT = 0x517CC1B727220A95
 BROWNOUT_POLICIES = ("LUCF", "MNCF", "RSC")
 
 # Looking a member up on the enum class is slow in per-host loops.
-ACTIVE, BOOTING, SLEEP, OFF = HostMode.ACTIVE, HostMode.BOOTING, HostMode.SLEEP, HostMode.OFF
+ACTIVE, BOOTING, SLEEP = HostMode.ACTIVE, HostMode.BOOTING, HostMode.SLEEP
 
 
 class ConfigError(ValueError):
@@ -112,12 +114,14 @@ class HostClass:
     requests) yields in one interval; every host in that state shares it.
 
     `group` is (response_ms, served), with served 0 off the serving set;
-    `restore` lists the instance positions to bring back, once asked.  A
-    plain class, because building a dataclass slows every package import.
+    `fraction` is the active share of the stack's weight, None off the
+    serving set; `restore` lists the instance positions to bring back, once
+    asked.  A plain class, because building a dataclass slows every package
+    import.
     """
 
-    __slots__ = ("utilization", "power_w", "instance_utilizations", "overloaded", "group",
-                 "errors", "deactivated", "restore")
+    __slots__ = ("utilization", "power_w", "energy_wh", "instance_utilizations", "overloaded",
+                 "group", "errors", "deactivated", "fraction", "restore")
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values + (None,)):
@@ -157,7 +161,7 @@ class Simulation:
 
         self.rng_policy = random.Random(cfg.policy.seed ^ POLICY_RNG_SALT)
         self.history = []
-        self.energy = EnergyAccumulator()
+        self.energy_wh = 0.0
         self.records = []
 
     def run(self) -> RunResult:
@@ -212,8 +216,8 @@ class Simulation:
         errors = sum([c.errors for c in classes])
         if not serving and rate > 0:
             errors = rate
-        accumulate_energy(self.energy, {h.id: h.power_w for h in self.hosts},
-                          self.cfg.interval_seconds)
+        for c in classes:
+            self.energy_wh += c.energy_wh
 
         # 10: record.
         record = IntervalRecord(
@@ -237,19 +241,11 @@ class Simulation:
 
         Active hosts running a reduced stack absorb more requests per unit
         of utilization; capacity_credit sets how much of that headroom the
-        scaler banks on.  Full stacks give exactly 1.  Hosts sharing a stack
-        and an active mask share one fraction.
+        scaler banks on.  Full stacks give exactly 1.  Read from the classes
+        the last interval ended with: no host changes mode or mask between
+        then and the scaling that asks.
         """
-        fractions, by_mask, stack = [], {}, self.stack
-        for h in self.hosts:
-            if h.mode is ACTIVE:
-                key = (stack[h.id], tuple([i.active for i in h.instances]) if h.instances else ())
-                fraction = by_mask.get(key)
-                if fraction is None:
-                    total = h.total_weight(self.specs)
-                    fraction = by_mask[key] = (h.active_weight(self.specs) / total
-                                               if total > 0 else 1.0)
-                fractions.append(fraction)
+        fractions = [c.fraction for c in self.class_of.values() if c.fraction is not None]
         if not fractions:
             return 1.0
         mean_fraction = sum(fractions) / len(fractions)
@@ -261,7 +257,7 @@ class Simulation:
         committed = len(active) + len(booting)
         # self.hosts is in id order
         if target > committed:
-            pool = [h for h in self.hosts if h.mode in (SLEEP, OFF)]
+            pool = [h for h in self.hosts if h.mode is SLEEP]
             for h in pool[:target - committed]:
                 h.mode = BOOTING
                 h.boot_remaining = self.cfg.policy.boot_delay
@@ -325,10 +321,18 @@ class Simulation:
                 host.power_w = hum(self.profile, host.mode, host.utilization)
                 response_ms, served, errors = (synthesize_response(
                     load, assigned, self.cfg.base_response_ms) if serving else (0.0, 0, 0))
+                fraction = None
+                if serving:
+                    weights = [self.specs[i.spec_id].weight for i in insts]
+                    total = sum(weights)
+                    fraction = (sum([w for w, on in zip(weights, mask) if on]) / total
+                                if total > 0 else 1.0)
                 cls = classes[key] = HostClass(
-                    host.utilization, host.power_w, tuple([i.utilization for i in insts]),
+                    host.utilization, host.power_w,
+                    host.power_w * self.cfg.interval_seconds / 3600.0,
+                    tuple([i.utilization for i in insts]),
                     serving and host.utilization > pol.overloaded_threshold_u_t,
-                    (response_ms, served), errors, mask.count(False))
+                    (response_ms, served), errors, mask.count(False), fraction)
             else:
                 host.utilization = cls.utilization
                 host.power_w = cls.power_w
@@ -347,7 +351,7 @@ class Simulation:
         return RunResult(
             policy_name=self.cfg.policy_name,
             seed=self.cfg.policy.seed,
-            energy_kwh=self.energy.total_kwh,
+            energy_kwh=self.energy_wh / 1000.0,
             otr_mean=otr_mean,
             avg_response_ms=sum(v * count for v, count in groups) / served if served else 0.0,
             p_kth_response_ms=(nearest_rank_percentile(groups, self.cfg.policy.percentile_k)

@@ -18,7 +18,6 @@ WEIGHT_SUM_TOL = 1e-9
 
 
 class HostMode(str, Enum):
-    OFF = "off"
     SLEEP = "sleep"
     BOOTING = "booting"
     ACTIVE = "active"
@@ -27,7 +26,7 @@ class HostMode(str, Enum):
 POLICY_NAMES = ("NPA", "AUTOS", "LUCF", "MNCF", "RSC")
 
 # Utilization -> watts curve for the reference machine, measured at 10%
-# steps.  Sleep draw is flat; off draws nothing.
+# steps.  Sleep draw is flat.
 DEFAULT_BREAKPOINTS = (
     (0.0, 201.0),
     (0.1, 206.0),
@@ -169,12 +168,6 @@ class HostState:
     instances: list = field(default_factory=list)
     utilization: float = 0.0
     power_w: float = 0.0
-
-    def active_weight(self, specs_by_id: dict) -> float:
-        return sum(specs_by_id[i.spec_id].weight for i in self.instances if i.active)
-
-    def total_weight(self, specs_by_id: dict) -> float:
-        return sum(specs_by_id[i.spec_id].weight for i in self.instances)
 
     def optional_instances(self, specs_by_id: dict) -> list:
         return [i for i in self.instances if specs_by_id[i.spec_id].optional]

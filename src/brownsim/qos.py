@@ -3,8 +3,7 @@
 Metrics: per-host overloaded time ratio, SLA violation ratio (failed
 requests over total), and nearest-rank response-time percentiles.  The
 constraint checker compares a finished run against the configured bounds;
-total energy is reported next to the checks but is the optimization
-objective, not a bound.
+total energy is the optimization objective, not a bound, so it has no check.
 """
 
 from __future__ import annotations
@@ -14,24 +13,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 
-def otr(overload_flags: list) -> float:
-    """Fraction of intervals a host spent overloaded."""
-    if not overload_flags:
-        raise ValueError("overload flag series is empty")
-    return sum(1 for f in overload_flags if f) / len(overload_flags)
-
-
 def overload_ratios(interval_records: list) -> dict:
     """Per-host overloaded time ratio across a run's interval records.
 
     Intervals a host spends asleep count as not overloaded; every host in
     the records shares the same denominator.
     """
-    flags = {}
+    seen, overloaded = Counter(), Counter()
     for rec in interval_records:
-        for host_id, _, _, overloaded in rec.per_host:
-            flags.setdefault(host_id, []).append(overloaded)
-    return {host_id: otr(series) for host_id, series in sorted(flags.items())}
+        seen.update([host_id for host_id, _, _, _ in rec.per_host])
+        overloaded.update([host_id for host_id, _, _, flag in rec.per_host if flag])
+    return {host_id: overloaded[host_id] / n for host_id, n in sorted(seen.items())}
 
 
 def slavr(errors: int, total: int) -> float | None:
@@ -67,12 +59,6 @@ class ConstraintCheck:
 
 @dataclass
 class QosReport:
-    otr_per_host: dict = field(default_factory=dict)
-    otr_mean: float = 0.0
-    avg_response_ms: float = 0.0
-    p_kth_response_ms: float = 0.0
-    slavr: float | None = None
-    energy_kwh: float = 0.0  # objective, reported but never pass/failed
     constraints: list = field(default_factory=list)
 
     @property
@@ -99,12 +85,4 @@ def check_constraints(result, policy) -> QosReport:
         ConstraintCheck("slavr", policy.sla_gamma, result.slavr,
                         result.slavr is None or result.slavr <= policy.sla_gamma),
     ]
-    return QosReport(
-        otr_per_host=dict(result.per_host_otr),
-        otr_mean=result.otr_mean,
-        avg_response_ms=result.avg_response_ms,
-        p_kth_response_ms=result.p_kth_response_ms,
-        slavr=result.slavr,
-        energy_kwh=result.energy_kwh,
-        constraints=checks,
-    )
+    return QosReport(constraints=checks)

@@ -95,6 +95,9 @@ def test_bad_input_exits_two_naming_the_key(workdir, capsys, edit, key):
     ("--policy", "AUTOS,BOGUS", "policy_name"),
     ("--u-threshold", "0.8,0.3", "policy.overloaded_threshold_u_t"),
     ("--optional-pct", "0,0.9", "policy.optional_util_pct"),
+    ("--policy", ",", "--policy"),
+    ("--u-threshold", " , ", "--u-threshold"),
+    ("--optional-pct", "", "--optional-pct"),
 ])
 def test_bad_sweep_value_runs_no_cell(workdir, capsys, flag, values, key):
     out = workdir / "cmp"

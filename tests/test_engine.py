@@ -15,6 +15,7 @@ from brownsim.engine import (
     synthesize_response,
 )
 from brownsim.model import (
+    POLICY_NAMES,
     ContainerInstance,
     ContainerSpec,
     HostMode,
@@ -266,8 +267,6 @@ def test_state_machine_legality():
         (HostMode.ACTIVE, HostMode.SLEEP),
         (HostMode.SLEEP, HostMode.BOOTING),
         (HostMode.SLEEP, HostMode.ACTIVE),  # boot completed within the interval
-        (HostMode.OFF, HostMode.BOOTING),
-        (HostMode.OFF, HostMode.ACTIVE),
         (HostMode.BOOTING, HostMode.ACTIVE),
     }
     cfg = make_cfg()
@@ -471,3 +470,46 @@ def test_slavr_none_only_when_no_requests():
     result = Simulation(make_cfg(policy="NPA", pct=0.0), flat_trace([0] * 5)).run()
     assert result.slavr is None
     assert result.total_requests == 0
+
+
+# ---------------------------------------------------------------------------
+# energy and capacity, read from the host classes
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_energy_is_the_recorded_power_over_the_run(policy):
+    cfg = dataclasses.replace(load_config(str(ROOT / "configs" / "sample.json")),
+                              policy_name=policy)
+    result = Simulation(cfg, DIURNAL).run()
+    drawn = sum(r.total_power_w for r in result.interval_records)
+    assert result.energy_kwh == pytest.approx(drawn * cfg.interval_seconds / 3.6e6, rel=1e-12)
+
+
+def test_idle_day_on_thirteen_hosts_draws_idle_power():
+    cfg = dataclasses.replace(make_cfg(policy="NPA", hosts=13), interval_seconds=3600.0)
+    day = Trace(times=list(range(24)), rates=[0] * 24, interval_seconds=3600.0)
+    assert Simulation(cfg, day).run().energy_kwh == pytest.approx(62.712, abs=1e-9)
+
+
+def _capacity_factor_from_instances(sim):
+    """The capacity factor recomputed host by host from the containers."""
+    fractions = []
+    for h in sim.hosts:
+        if h.mode is HostMode.ACTIVE:
+            total = sum(sim.specs[i.spec_id].weight for i in h.instances)
+            active = sum(sim.specs[i.spec_id].weight for i in h.instances if i.active)
+            fractions.append(active / total if total > 0 else 1.0)
+    if not fractions:
+        return 1.0
+    return 1.0 - sim.cfg.policy.capacity_credit * (1.0 - sum(fractions) / len(fractions))
+
+
+def test_capacity_factor_matches_the_hosts_instances_at_every_step():
+    trace = spike_trace()
+    sim = Simulation(make_cfg(capacity_credit=0.35), trace)
+    factors = []
+    for t in range(len(trace)):
+        sim.step(t, trace.rates[t])
+        factors.append(sim._capacity_factor())
+        assert factors[-1] == _capacity_factor_from_instances(sim), t
+    assert min(factors) < 1.0, "the spike must shed containers"

@@ -116,6 +116,15 @@ def test_decreasing_power_flagged():
     assert any("non-decreasing" in v for v in violations)
 
 
+def test_energy_inputs_are_validated():
+    # the engine adds watts x seconds with no check of its own
+    assert any("trace.interval_seconds" in v
+               for v in validate_config(sample_config(interval_seconds=0.0)))
+    below_zero = sample_config(power_profile=PowerProfile(
+        breakpoints=((0.0, -1.0), (1.0, 237.0)), sleep_power_w=0.0))
+    assert any("sleep_power_w" in v for v in validate_config(below_zero))
+
+
 def test_min_active_hosts_within_fleet():
     cfg = sample_config()
     cfg.policy = PolicyConfig(min_active_hosts=9)

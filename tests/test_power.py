@@ -3,7 +3,7 @@ import random
 import pytest
 
 from brownsim.model import DEFAULT_BREAKPOINTS, HostMode, PowerProfile, linear_profile
-from brownsim.power import EnergyAccumulator, accumulate_energy, hpm, hum
+from brownsim.power import hpm, hum
 
 PROFILE = PowerProfile()
 
@@ -15,7 +15,6 @@ def test_hum_hits_every_breakpoint():
 
 
 def test_hum_modes():
-    assert hum(PROFILE, HostMode.OFF, 0.0) == 0.0
     assert hum(PROFILE, HostMode.SLEEP, 0.0) == 10.0
     assert hum(PROFILE, HostMode.SLEEP, 0.9) == 10.0, "sleep draw ignores utilization"
     assert hum(PROFILE, HostMode.BOOTING, 0.0) == 201.0, "booting host draws idle power"
@@ -82,45 +81,3 @@ def test_linear_profile_variant():
     assert hum(lin, HostMode.ACTIVE, 0.0) == 201.0
     assert hum(lin, HostMode.ACTIVE, 1.0) == 237.0
     assert hum(lin, HostMode.ACTIVE, 0.5) == pytest.approx(219.0, abs=1e-9)
-
-
-def test_accumulate_unit_examples():
-    acc = EnergyAccumulator()
-    accumulate_energy(acc, {"h00": 237.0}, 3600.0)
-    assert acc.per_host_wh["h00"] == pytest.approx(237.0)
-    accumulate_energy(acc, {"h00": 0.0}, 3600.0)
-    assert acc.per_host_wh["h00"] == pytest.approx(237.0), "off host adds nothing"
-
-
-def test_accumulate_day_at_idle():
-    acc = EnergyAccumulator()
-    powers = {f"h{i:02d}": 201.0 for i in range(13)}
-    for _ in range(24):
-        accumulate_energy(acc, powers, 3600.0)
-    assert acc.total_kwh == pytest.approx(62.712, abs=1e-6)
-
-
-def test_accumulate_totals_match_per_host():
-    rng = random.Random(3)
-    acc = EnergyAccumulator()
-    for _ in range(100):
-        accumulate_energy(acc, {f"h{i:02d}": rng.uniform(0, 240) for i in range(5)}, 60.0)
-    assert acc.total_wh == pytest.approx(sum(acc.per_host_wh.values()), abs=1e-6)
-
-
-def test_accumulate_additivity():
-    powers = {"h00": 150.0, "h01": 220.0}
-    split = EnergyAccumulator()
-    accumulate_energy(split, powers, 60.0)
-    accumulate_energy(split, powers, 60.0)
-    whole = EnergyAccumulator()
-    accumulate_energy(whole, powers, 120.0)
-    assert split.total_wh == pytest.approx(whole.total_wh, abs=1e-9)
-
-
-def test_accumulate_rejects_bad_input():
-    acc = EnergyAccumulator()
-    with pytest.raises(ValueError):
-        accumulate_energy(acc, {"h00": -1.0}, 60.0)
-    with pytest.raises(ValueError):
-        accumulate_energy(acc, {"h00": 100.0}, 0.0)
