@@ -3,7 +3,8 @@
 Subcommands: validate a config, run one policy, compare policies across
 sweep axes (threshold, optional utilization share, repetitions), and
 rebuild the comparison summary from files on disk.  Exit codes: 0 on
-success, 2 for config problems, 3 for trace/result file problems.
+success, 2 for config problems, 3 for trace/result file problems,
+including an --out that cannot be written.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except OSError as err:  # every read is checked where it happens, so this is a write
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return EXIT_TRACE
     except _CliExit as stop:
         print(stop, file=sys.stderr)
         return stop.code
@@ -140,8 +144,9 @@ def cmd_run(args) -> int:
     cfg = _configured(_read_config(args.config),
                       _values(**{flag: getattr(args, flag) for flag in OVERRIDES}))
     trace = _read_trace(cfg)
-    result = Simulation(cfg, trace).run()
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the run
+    result = Simulation(cfg, trace).run()
     _write_result_files(out, cfg, result, rep=0)
     print(_one_liner(cfg, result))
     print(f"wrote {out / 'result.json'} and {out / 'intervals.csv'}")
@@ -168,9 +173,11 @@ def cmd_compare(args) -> int:
         raise _CliExit(EXIT_CONFIG,
                        f"distinct sweep values share a cell directory: {', '.join(clash)}")
     trace = _read_trace(base)  # no sweep axis touches the trace path, scale or interval
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any cell
     for name, rep, cfg in cells:
         result = Simulation(cfg, trace).run()
-        _write_result_files(Path(args.out) / name, cfg, result, rep=rep)
+        _write_result_files(out / name, cfg, result, rep=rep)
     return cmd_report(args)
 
 

@@ -10,12 +10,12 @@ is single-threaded and deterministic for a given config, trace, and seed.
 Steps 5-9 run per host class: hosts that share a placement stack, a mode,
 an active mask and a request count are in one state, whose utilization,
 power, watt-hours, active-weight fraction, response group and restore
-decision are derived once and copied to every member.  The interval's
-classes are the per-host state the bookkeeping reads: the energy total and
-the next interval's capacity factor come from them.  Brownout selection
-stays per overloaded host, so RSC draws in host order, and so do the loops
-whose float sums depend on order: the records, the energy additions and
-the capacity mean, in host-id order.
+decision are derived once and shared by every member.  The interval's
+classes are the only derived per-host state: the records, the brownout
+controller, the energy total and the next capacity factor read utilization
+and power from them.  Brownout selection stays per overloaded host, so RSC
+draws in host order, and so do the loops whose float sums depend on order:
+the records, the energy additions and the capacity mean, in host-id order.
 """
 
 from __future__ import annotations
@@ -69,29 +69,22 @@ def route_demand(requests: int, active_host_ids: list) -> dict:
     return alloc
 
 
-def derive_utilization(host: HostState, assigned: int, n_o: float, specs_by_id: dict) -> float:
-    """Refresh instance and host utilization from the assigned request count.
+def derive_utilization(host: HostState, assigned: int, n_o: float, specs_by_id: dict) -> tuple:
+    """(raw load, per-instance utilizations) from the assigned request count.
 
     Demand d = assigned / n_o; every active instance works at d times its
-    weight, deactivated ones at 0.  Returns the raw (unclamped) load; the
-    host stores it clamped to [0, 1].
+    weight (an instance is capped at 1), deactivated ones at 0.  The load is
+    unclamped; a host off the serving set has load 0 and all zeros.
     """
     if host.mode is not ACTIVE:
-        for inst in host.instances:
-            inst.utilization = 0.0
-        host.utilization = 0.0
-        return 0.0
+        return 0.0, (0.0,) * len(host.instances)
     demand = assigned / n_o
-    load = 0.0
+    load, utilizations = 0.0, []
     for inst in host.instances:
-        if inst.active:
-            share = demand * specs_by_id[inst.spec_id].weight
-            load += share
-            inst.utilization = min(share, 1.0)
-        else:
-            inst.utilization = 0.0
-    host.utilization = min(max(load, 0.0), 1.0)
-    return load
+        share = demand * specs_by_id[inst.spec_id].weight if inst.active else 0.0
+        load += share
+        utilizations.append(min(share, 1.0))
+    return load, tuple(utilizations)
 
 
 def synthesize_response(load: float, requests: int, base_ms: float) -> tuple:
@@ -155,7 +148,6 @@ class Simulation:
                     id=f"{spec_id}@{hid}{suffix}", spec_id=spec_id, host_id=hid))
             self.hosts.append(host)
             self.stack[hid] = stacks.setdefault(tuple(placement[hid]), len(stacks))
-        self.hosts_by_id = {h.id: h for h in self.hosts}
         self.classes = {}  # state -> HostClass, for the current interval only
         self.class_of = {}  # host id -> its HostClass, in host order
 
@@ -201,14 +193,14 @@ class Simulation:
 
         # 6-7: brownout controller, then reclassify what it touched.
         if self.brownout:
-            decision = brownout_step(self.hosts, self.specs, pol.overloaded_threshold_u_t,
-                                     len(self.hosts), self.profile, self.selector,
-                                     self.rng_policy)
+            overloaded = [(h, c) for h, c in zip(self.hosts, self.class_of.values()) if c.overloaded]
+            decision = brownout_step(overloaded, self.specs, len(self.hosts), self.profile,
+                                     self.selector, self.rng_policy)
             if decision.reactivate:
                 self._reactivate(alloc)
-            else:
-                for hid in sorted(decision.per_host):
-                    self._switch(self.hosts_by_id[hid], decision.per_host[hid], False, alloc)
+            for h, _ in overloaded:  # empty when reactivating
+                if h.id in decision.per_host:
+                    self._switch(h, decision.per_host[h.id], False, alloc)
 
         # 8-9: responses, errors and energy, from each host's final class.
         classes = list(self.class_of.values())  # filled in host order at step 5
@@ -224,8 +216,8 @@ class Simulation:
             t=t,
             requests=rate,
             active_hosts=len(serving),
-            per_host=[(h.id, h.utilization, h.power_w, c.overloaded)
-                      for h, c in zip(self.hosts, classes)],
+            per_host=[(hid, c.utilization, c.power_w, c.overloaded)
+                      for hid, c in self.class_of.items()],
             response_groups=groups,
             errors=errors,
             deactivated_containers=sum([c.deactivated for c in classes]),
@@ -273,12 +265,10 @@ class Simulation:
     def _sleep(self, host: HostState) -> None:
         host.mode = SLEEP
         host.boot_remaining = 0
-        host.utilization = 0.0
         # Replicas are dropped with the host; when it wakes it comes back
         # with its full configured stack.
         for inst in host.instances:
             inst.active = True
-            inst.utilization = 0.0
 
     def _reactivate(self, alloc: dict) -> None:
         """Bring back, on each active host, the deactivated units it can absorb.
@@ -292,8 +282,8 @@ class Simulation:
             if cls.restore is None:
                 demand = alloc.get(host.id, 0) / self.cfg.policy.capacity_n_o
                 units = cls.deactivated and deactivated_units(host, self.specs)
-                fits = units and host.utilization + demand * units[0].utilization <= u_t + 1e-12
-                back = set(restorable(host, self.specs, demand, u_t)) if fits else ()
+                fits = units and cls.utilization + demand * units[0].utilization <= u_t + 1e-12
+                back = set(restorable(units, cls.utilization, demand, u_t)) if fits else ()
                 cls.restore = [k for k, i in enumerate(host.instances) if i.id in back]
             if cls.restore:
                 self._switch(host, [host.instances[k].id for k in cls.restore], True, alloc)
@@ -317,8 +307,10 @@ class Simulation:
             mask = tuple([i.active for i in insts]) if insts and serving else ()
             cls = classes.get(key := (stack[hid], host.mode, mask, assigned))
             if cls is None:
-                load = derive_utilization(host, assigned, pol.capacity_n_o, self.specs)
-                host.power_w = hum(self.profile, host.mode, host.utilization)
+                load, instance_utilizations = derive_utilization(
+                    host, assigned, pol.capacity_n_o, self.specs)
+                utilization = min(max(load, 0.0), 1.0)
+                power_w = hum(self.profile, host.mode, utilization)
                 response_ms, served, errors = (synthesize_response(
                     load, assigned, self.cfg.base_response_ms) if serving else (0.0, 0, 0))
                 fraction = None
@@ -328,17 +320,9 @@ class Simulation:
                     fraction = (sum([w for w, on in zip(weights, mask) if on]) / total
                                 if total > 0 else 1.0)
                 cls = classes[key] = HostClass(
-                    host.utilization, host.power_w,
-                    host.power_w * self.cfg.interval_seconds / 3600.0,
-                    tuple([i.utilization for i in insts]),
-                    serving and host.utilization > pol.overloaded_threshold_u_t,
+                    utilization, power_w, power_w * self.cfg.interval_seconds / 3600.0,
+                    instance_utilizations, serving and utilization > pol.overloaded_threshold_u_t,
                     (response_ms, served), errors, mask.count(False), fraction)
-            else:
-                host.utilization = cls.utilization
-                host.power_w = cls.power_w
-                if insts:
-                    for inst, u in zip(insts, cls.instance_utilizations):
-                        inst.utilization = u
             class_of[hid] = cls
 
     def _result(self) -> RunResult:

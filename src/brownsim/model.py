@@ -157,7 +157,6 @@ class ContainerInstance:
     spec_id: str
     host_id: str
     active: bool = True
-    utilization: float = 0.0
 
 
 @dataclass
@@ -166,11 +165,6 @@ class HostState:
     mode: HostMode = HostMode.ACTIVE
     boot_remaining: int = 0
     instances: list = field(default_factory=list)
-    utilization: float = 0.0
-    power_w: float = 0.0
-
-    def optional_instances(self, specs_by_id: dict) -> list:
-        return [i for i in self.instances if specs_by_id[i.spec_id].optional]
 
 
 @dataclass

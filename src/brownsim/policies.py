@@ -24,8 +24,8 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .model import HostMode, HostState, PowerProfile
-from .power import hpm, hum
+from .model import HostState, PowerProfile
+from .power import hpm
 
 EXACT_SEARCH_LIMIT = 16  # beyond this many units, selectors fall back to greedy
 FEAS_EPS = 1e-9  # subset sums near the target must not flip on rounding order
@@ -52,20 +52,19 @@ def dimmer(overloaded: int, fleet: int) -> float:
     return math.sqrt(overloaded / fleet)
 
 
-def expected_reduction(host: HostState, theta: float, profile: PowerProfile) -> float:
-    """Utilization the host should shed, from the dimmer's power target.
+def expected_reduction(utilization: float, power_w: float, theta: float,
+                       profile: PowerProfile) -> float:
+    """Utilization a host at (utilization, power_w) should shed, from the
+    dimmer's power target.
 
-    The dimmer asks for theta * P of power back; the reduced draw is clamped
-    to the feasible [idle, max] band and mapped back through the inverse
-    power curve.  Result is in [0, utilization].
+    The dimmer asks for theta * power_w back; the reduced draw is clamped to
+    the feasible [idle, max] band and mapped back through the inverse power
+    curve.  Result is in [0, utilization].
     """
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta {theta} outside [0, 1]")
-    power = host.power_w if host.power_w > 0 else hum(profile, host.mode, host.utilization)
-    target = power - theta * power
-    target = min(max(target, profile.idle_power_w), profile.max_power_w)
-    reduced_util = hpm(profile, target)
-    return min(max(host.utilization - reduced_util, 0.0), host.utilization)
+    target = min(max(power_w - theta * power_w, profile.idle_power_w), profile.max_power_w)
+    return min(max(utilization - hpm(profile, target), 0.0), utilization)
 
 
 # ---------------------------------------------------------------------------
@@ -237,33 +236,32 @@ class BrownoutDecision:
         return self.dimmer == 0.0
 
 
-def brownout_step(hosts: list, specs_by_id: dict, u_t: float, fleet_size: int,
+def brownout_step(overloaded: list, specs_by_id: dict, fleet_size: int,
                   profile: PowerProfile, selector, rng: random.Random | None = None) -> BrownoutDecision:
     """Evaluate the fleet once and decide what to deactivate.
 
-    Overload is utilization strictly above u_t on active hosts.  With no
-    overload the decision is an empty reactivation directive; otherwise each
-    overloaded host gets a target from the shared dimmer and its own
-    selector pick.  Mandatory containers are never offered to selectors.
+    `overloaded` holds one (host, state) pair per overloaded host, in host
+    order; the state gives its utilization, power_w and instance_utilizations.
+    With none the decision is an empty reactivation directive; otherwise each
+    host gets a target from the shared dimmer and a selector pick over its
+    active optional containers.  Mandatory containers are never offered.
     """
-    active = HostMode.ACTIVE
-    overloaded = [h for h in hosts if h.mode is active and h.utilization > u_t]
     if not overloaded:
         return BrownoutDecision()
     theta = dimmer(len(overloaded), fleet_size)
     decision = BrownoutDecision(dimmer=theta)
-    for h in overloaded:
-        target = expected_reduction(h, theta, profile)
+    for host, state in overloaded:
+        target = expected_reduction(state.utilization, state.power_w, theta, profile)
         items = [
-            OptionalItem(id=i.id, utilization=i.utilization,
-                         connection_tag=specs_by_id[i.spec_id].connection_tag)
-            for i in h.optional_instances(specs_by_id) if i.active
+            OptionalItem(id=i.id, utilization=u, connection_tag=specs_by_id[i.spec_id].connection_tag)
+            for i, u in zip(host.instances, state.instance_utilizations)
+            if i.active and specs_by_id[i.spec_id].optional
         ]
         if not items:
             continue
         picked = selector(items, target, rng)
         if picked:
-            decision.per_host[h.id] = picked
+            decision.per_host[host.id] = picked
     return decision
 
 
@@ -277,16 +275,17 @@ def deactivated_units(host: HostState, specs_by_id: dict) -> list:
     ])
 
 
-def restorable(host: HostState, specs_by_id: dict, demand: float, u_t: float) -> list:
-    """Ids of the deactivated containers the host can take back.
+def restorable(units: list, utilization: float, demand: float, u_t: float) -> list:
+    """Ids of the deactivated units (from `deactivated_units`) that a host at
+    `utilization` can take back.
 
     A unit brings back demand times its weight.  Units come back largest
     first, ties by ids, as long as the host stays at or under u_t; a unit
     that does not fit is skipped and a smaller one after it may still fit.
     """
-    u = host.utilization
+    u = utilization
     back = []
-    for unit in _largest_first(deactivated_units(host, specs_by_id)):
+    for unit in _largest_first(units):
         delta = demand * unit.utilization
         if u + delta <= u_t + 1e-12:
             back.extend(unit.ids)

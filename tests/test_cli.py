@@ -150,6 +150,20 @@ def test_overflowing_trace_scale_exits_three(workdir, capsys):
         assert not (workdir / command).exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under file"])
+def test_unwritable_out_exits_three_before_running(workdir, capsys, monkeypatch, command, under):
+    runs = _counting_runs(monkeypatch)
+    taken = workdir / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "sub" if under else taken
+    assert main([command, "--config", str(workdir / "config.json"), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert str(out) in captured.err and "Traceback" not in captured.out + captured.err
+    assert not runs, "no simulation runs"
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_validate_ok(workdir, capsys):
     assert main(["validate", "--config", str(workdir / "config.json")]) == 0
     assert "config ok" in capsys.readouterr().out

@@ -107,32 +107,32 @@ def derive_host(deactivate=()):
 
 def test_derive_full_stack():
     host, specs = derive_host()
-    load = derive_utilization(host, 20, 25.0, specs)
-    assert host.utilization == pytest.approx(0.8)
+    load, utilizations = derive_utilization(host, 20, 25.0, specs)
     assert load == pytest.approx(0.8)
+    assert utilizations == pytest.approx((0.48, 0.16, 0.16))
 
 
 def test_derive_with_deactivated_optionals():
     host, specs = derive_host(deactivate=("o1", "o2"))
-    derive_utilization(host, 20, 25.0, specs)
-    assert host.utilization == pytest.approx(0.48)
-    for inst in host.instances:
-        if not inst.active:
-            assert inst.utilization == 0.0
+    load, utilizations = derive_utilization(host, 20, 25.0, specs)
+    assert load == pytest.approx(0.48)
+    assert utilizations[0] == pytest.approx(0.48)
+    assert utilizations[1:] == (0.0, 0.0), "deactivated instances do no work"
 
 
 def test_derive_clamps_overload():
     host, specs = derive_host()
-    load = derive_utilization(host, 38, 25.0, specs)  # demand 1.52
-    assert load == pytest.approx(1.52)
-    assert host.utilization == 1.0
+    load, utilizations = derive_utilization(host, 38, 25.0, specs)  # demand 1.52
+    assert load == pytest.approx(1.52), "the load itself is not clamped"
+    assert utilizations == pytest.approx((0.912, 0.304, 0.304))
+    load, utilizations = derive_utilization(host, 50, 25.0, specs)  # demand 2
+    assert utilizations[0] == 1.0, "an instance is capped at 1"
 
 
 def test_derive_inactive_host_is_idle():
     host, specs = derive_host()
     host.mode = HostMode.SLEEP
-    load = derive_utilization(host, 20, 25.0, specs)
-    assert load == 0.0 and host.utilization == 0.0
+    assert derive_utilization(host, 20, 25.0, specs) == (0.0, (0.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +245,26 @@ def test_overloaded_flag_matches_threshold():
             assert overloaded == (utilization > 0.7)
 
 
+def test_brownout_is_offered_exactly_the_overloaded_serving_hosts(monkeypatch):
+    # the overload test lives in the host classes; brownout_step trusts it
+    sim = Simulation(make_cfg(ut=0.7), DIURNAL)
+    offered, real = [], engine.brownout_step
+
+    def spy(overloaded, *args):
+        want = [h.id for h in sim.hosts
+                if h.mode is HostMode.ACTIVE and sim.class_of[h.id].utilization > 0.7]
+        assert [h.id for h, _ in overloaded] == want
+        assert all(state is sim.class_of[h.id] for h, state in overloaded)
+        offered.append(len(want))
+        return real(overloaded, *args)
+
+    monkeypatch.setattr(engine, "brownout_step", spy)
+    sim.run()
+    assert len(offered) == len(DIURNAL)
+    assert 0 < sum(n > 0 for n in offered) < len(offered), "calm and overloaded intervals"
+    assert any(0 < n < len(sim.hosts) for n in offered), "some intervals overload part of the fleet"
+
+
 def test_determinism_same_seed_same_run():
     a = Simulation(make_cfg(seed=7), DIURNAL).run()
     b = Simulation(make_cfg(seed=7), DIURNAL).run()
@@ -288,15 +308,17 @@ def test_host_invariants_hold_throughout():
     for t in range(len(trace)):
         sim.step(t, trace.rates[t])
         for h in sim.hosts:
+            cls = sim.class_of[h.id]
+            assert len(cls.instance_utilizations) == len(h.instances)
             if h.mode is not HostMode.ACTIVE:
-                assert h.utilization == 0.0
+                assert cls.utilization == 0.0
             if h.mode is HostMode.BOOTING:
                 assert h.boot_remaining > 0
-            for inst in h.instances:
+            for inst, utilization in zip(h.instances, cls.instance_utilizations):
                 if not sim.specs[inst.spec_id].optional:
                     assert inst.active, "mandatory container deactivated"
                 if not inst.active:
-                    assert inst.utilization == 0.0
+                    assert utilization == 0.0
 
 
 def test_boot_delay_two_serves_after_booting():
@@ -373,7 +395,7 @@ def test_partial_restore_takes_the_largest_units_that_fit():
     record = sim.step(0, 97)
     assert {i.spec_id for i in host.instances if i.active} == {"web", "p1", "p2", "small"}
     assert record.deactivated_containers == 1
-    assert host.utilization == pytest.approx(0.97 * 0.8)
+    assert sim.class_of[host.id].utilization == pytest.approx(0.97 * 0.8)
 
 
 def _reactivate_everywhere(sim, alloc):
@@ -382,18 +404,20 @@ def _reactivate_everywhere(sim, alloc):
     u_t, n_o = sim.cfg.policy.overloaded_threshold_u_t, sim.cfg.policy.capacity_n_o
     for host in sim.hosts:
         if host.mode is HostMode.ACTIVE and any(not i.active for i in host.instances):
-            back = engine.restorable(host, sim.specs, alloc.get(host.id, 0) / n_o, u_t)
+            back = engine.restorable(engine.deactivated_units(host, sim.specs),
+                                     sim.class_of[host.id].utilization,
+                                     alloc.get(host.id, 0) / n_o, u_t)
             if back:
                 sim._switch(host, back, True, alloc)
 
 
 def _spy_restorable(monkeypatch):
-    """Record (host id, ids returned) for every `restorable` call the engine makes."""
+    """Record (units offered, ids returned) for every `restorable` call the engine makes."""
     asked, real = [], engine.restorable
 
-    def spy(host, *args):
-        back = real(host, *args)
-        asked.append((host.id, back))
+    def spy(units, *args):
+        back = real(units, *args)
+        asked.append((units, back))
         return back
 
     monkeypatch.setattr(engine, "restorable", spy)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,7 @@ from brownsim.policies import (
     select_mncf,
     select_rsc,
 )
+from brownsim.power import hum
 
 PROFILE = PowerProfile()
 I = OptionalItem
@@ -72,26 +74,20 @@ def test_dimmer_rejects_bad_counts():
         dimmer(0, 0)
 
 
-def host_at(utilization, power=None):
-    return HostState(id="h00", mode=HostMode.ACTIVE, utilization=utilization,
-                     power_w=power if power is not None else 0.0)
-
-
 def test_expected_reduction_worked_example():
     # full host, 237 W; a 6 W trim corresponds to dropping from 100% to 80%
-    host = host_at(1.0, 237.0)
-    got = expected_reduction(host, 6.0 / 237.0, PROFILE)
+    got = expected_reduction(1.0, 237.0, 6.0 / 237.0, PROFILE)
     assert got == pytest.approx(0.20, abs=1e-9)
 
 
 def test_expected_reduction_zero_theta():
-    assert expected_reduction(host_at(0.9, 233.0), 0.0, PROFILE) == pytest.approx(0.0)
+    assert expected_reduction(0.9, 233.0, 0.0, PROFILE) == pytest.approx(0.0)
 
 
 def test_expected_reduction_clamps_to_idle():
     # theta 1 asks for all the power back; the target clamps at idle,
     # which maps to utilization 0, so the whole utilization must go
-    got = expected_reduction(host_at(1.0, 237.0), 1.0, PROFILE)
+    got = expected_reduction(1.0, 237.0, 1.0, PROFILE)
     assert got == pytest.approx(1.0, abs=1e-9)
 
 
@@ -99,9 +95,8 @@ def test_expected_reduction_bounded():
     rng = random.Random(9)
     for _ in range(300):
         u = rng.random()
-        host = host_at(u)
         theta = rng.random()
-        got = expected_reduction(host, theta, PROFILE)
+        got = expected_reduction(u, hum(PROFILE, HostMode.ACTIVE, u), theta, PROFILE)
         assert 0.0 <= got <= u + 1e-12, f"u_r {got} outside [0, {u}]"
 
 
@@ -284,14 +279,16 @@ def test_greedy_fallback_beyond_exact_limit():
 
 
 def make_host(idx, utilization, specs, deactivate=()):
-    host = HostState(id=f"h{idx:02d}", mode=HostMode.ACTIVE, utilization=utilization)
+    """An active host at `utilization` and its interval state, as the engine
+    passes them to brownout_step."""
+    host = HostState(id=f"h{idx:02d}", mode=HostMode.ACTIVE)
     for spec in specs.values():
-        inst = ContainerInstance(id=f"{spec.id}@{host.id}", spec_id=spec.id,
-                                 host_id=host.id, active=spec.id not in deactivate,
-                                 utilization=utilization * spec.weight)
-        host.instances.append(inst)
-    host.power_w = 0.0
-    return host
+        host.instances.append(ContainerInstance(id=f"{spec.id}@{host.id}", spec_id=spec.id,
+                                                host_id=host.id, active=spec.id not in deactivate))
+    state = SimpleNamespace(
+        utilization=utilization, power_w=hum(PROFILE, HostMode.ACTIVE, utilization),
+        instance_utilizations=tuple(utilization * spec.weight for spec in specs.values()))
+    return host, state
 
 
 SPECS = {s.id: s for s in [
@@ -302,33 +299,33 @@ SPECS = {s.id: s for s in [
 
 
 def test_brownout_no_overload_is_reactivation_directive():
-    hosts = [make_host(0, 0.5, SPECS, deactivate=("ads",))]
-    decision = brownout_step(hosts, SPECS, 0.8, 4, PROFILE, select_lucf)
+    decision = brownout_step([], SPECS, 4, PROFILE, select_lucf)
     assert decision.reactivate
     assert decision.dimmer == 0.0
     assert decision.per_host == {}
 
 
 def test_brownout_only_overloaded_hosts_selected():
-    hosts = [make_host(0, 0.9, SPECS), make_host(1, 0.5, SPECS)]
-    decision = brownout_step(hosts, SPECS, 0.8, 4, PROFILE, select_lucf)
+    # which hosts are overloaded is the engine's call (see test_engine's
+    # test_brownout_is_offered_exactly_the_overloaded_serving_hosts); the
+    # dimmer is the overloaded share of the whole fleet
+    decision = brownout_step([make_host(0, 0.9, SPECS)], SPECS, 4, PROFILE, select_lucf)
     assert not decision.reactivate
     assert decision.dimmer == pytest.approx(math.sqrt(1 / 4))
-    assert set(decision.per_host) == {"h00"}
 
 
 def test_brownout_all_overloaded_full_dimmer():
-    hosts = [make_host(i, 0.95, SPECS) for i in range(4)]
-    decision = brownout_step(hosts, SPECS, 0.8, 4, PROFILE, select_lucf)
+    pairs = [make_host(i, 0.95, SPECS) for i in range(4)]
+    decision = brownout_step(pairs, SPECS, 4, PROFILE, select_lucf)
     assert decision.dimmer == pytest.approx(1.0)
-    assert set(decision.per_host) == {h.id for h in hosts}
+    assert set(decision.per_host) == {h.id for h, _ in pairs}
 
 
 def test_brownout_never_touches_mandatory():
     rng = random.Random(47)
-    hosts = [make_host(i, rng.uniform(0.81, 1.0), SPECS) for i in range(4)]
+    pairs = [make_host(i, rng.uniform(0.81, 1.0), SPECS) for i in range(4)]
     for selector in (select_lucf, select_mncf, select_rsc):
-        decision = brownout_step(hosts, SPECS, 0.8, 4, PROFILE, selector, rng)
+        decision = brownout_step(pairs, SPECS, 4, PROFILE, selector, rng)
         for picked in decision.per_host.values():
             for inst_id in picked:
                 spec_id = inst_id.split("@")[0]
@@ -336,9 +333,9 @@ def test_brownout_never_touches_mandatory():
 
 
 def test_brownout_full_dimmer_sheds_everything_optional():
-    hosts = [make_host(i, 1.0, SPECS) for i in range(4)]
-    decision = brownout_step(hosts, SPECS, 0.8, 4, PROFILE, select_lucf)
-    for host in hosts:
+    pairs = [make_host(i, 1.0, SPECS) for i in range(4)]
+    decision = brownout_step(pairs, SPECS, 4, PROFILE, select_lucf)
+    for host, _ in pairs:
         assert sorted(decision.per_host[host.id]) == sorted(
             i.id for i in host.instances if SPECS[i.spec_id].optional)
 
@@ -351,12 +348,12 @@ def test_brownout_per_host_holds_both_tag_siblings():
         ContainerSpec(id="ads", service="s", weight=0.2, optional=True),
         ContainerSpec(id="extra", service="s", weight=0.2, optional=True),
     ]}
-    hosts = [make_host(0, 1.0, specs)]
+    pairs = [make_host(0, 1.0, specs)]
     # one overloaded host in 100 asks for 0.69 of its 1.0: LUCF fits the
     # 0.4 pair plus one 0.2 single under it, not all three units (0.8)
-    decision = brownout_step(hosts, specs, 0.8, 100, PROFILE, select_lucf)
+    decision = brownout_step(pairs, specs, 100, PROFILE, select_lucf)
     assert decision.per_host == {"h00": ["ads@h00", "cache@h00", "rec@h00"]}
     rng = random.Random(53)
     for selector in (select_mncf, select_rsc):
-        picked = set(brownout_step(hosts, specs, 0.8, 100, PROFILE, selector, rng).per_host["h00"])
+        picked = set(brownout_step(pairs, specs, 100, PROFILE, selector, rng).per_host["h00"])
         assert ("rec@h00" in picked) == ("cache@h00" in picked), (selector.__name__, picked)
