@@ -7,8 +7,10 @@ deactivate or restore optional containers, give each serving host one
 (response_ms, served) group and its errors, and account energy.  One run
 is single-threaded and deterministic for a given config, trace, and seed.
 
-Steps 5-9 run per host class: hosts that share a placement stack, a mode,
-an active mask and a request count are in one state, whose utilization,
+A host's containers are its placement stack and one active mask over it, a
+tuple that brownout replaces when it sheds or restores containers.  Steps
+5-9 run per host class: hosts that share a placement stack, a mode, an
+active mask and a request count are in one state, whose utilization,
 power, watt-hours, active-weight fraction, response group and restore
 decision are derived once and shared by every member.  The interval's
 classes are the only derived per-host state: the records, the brownout
@@ -24,7 +26,6 @@ import math
 import random
 
 from .model import (
-    ContainerInstance,
     HostMode,
     HostState,
     IntervalRecord,
@@ -69,19 +70,19 @@ def route_demand(requests: int, active_host_ids: list) -> dict:
     return alloc
 
 
-def derive_utilization(host: HostState, assigned: int, n_o: float, specs_by_id: dict) -> tuple:
-    """(raw load, per-instance utilizations) from the assigned request count.
+def derive_utilization(host: HostState, assigned: int, n_o: float) -> tuple:
+    """(raw load, per-container utilizations) from the assigned request count.
 
-    Demand d = assigned / n_o; every active instance works at d times its
-    weight (an instance is capped at 1), deactivated ones at 0.  The load is
-    unclamped; a host off the serving set has load 0 and all zeros.
+    Demand d = assigned / n_o; each container the host's mask keeps on works at
+    d times its weight (capped at 1), the others at 0.  The load is unclamped;
+    a host off the serving set has load 0 and all zeros.
     """
     if host.mode is not ACTIVE:
-        return 0.0, (0.0,) * len(host.instances)
+        return 0.0, (0.0,) * len(host.containers)
     demand = assigned / n_o
     load, utilizations = 0.0, []
-    for inst in host.instances:
-        share = demand * specs_by_id[inst.spec_id].weight if inst.active else 0.0
+    for (_, spec), on in zip(host.containers, host.active):
+        share = demand * spec.weight if on else 0.0
         load += share
         utilizations.append(min(share, 1.0))
     return load, tuple(utilizations)
@@ -108,7 +109,7 @@ class HostClass:
 
     `group` is (response_ms, served), with served 0 off the serving set;
     `fraction` is the active share of the stack's weight, None off the
-    serving set; `restore` lists the instance positions to bring back, once
+    serving set; `restore` is the active mask after the restore step, once
     asked.  A plain class, because building a dataclass slows every package
     import.
     """
@@ -131,23 +132,20 @@ class Simulation:
         self.cfg = cfg
         self.trace = trace
         self.profile = cfg.power_profile
-        self.specs = {s.id: s for s in scaled_services(cfg.services, cfg.policy.optional_util_pct)}
         self.selector = SELECTORS.get(cfg.policy_name)
         self.scaling = cfg.policy_name != "NPA"
         self.brownout = cfg.policy_name in BROWNOUT_POLICIES
 
         self.hosts = []
-        self.stack = {}  # host id -> index of its placement among the distinct ones
+        specs = {s.id: s for s in scaled_services(cfg.services, cfg.policy.optional_util_pct)}
         placement = place_replicas(cfg)
-        stacks = {}
+        stacks = {}  # distinct placement -> its index
         for hid in sorted(placement):
-            host = HostState(id=hid, mode=ACTIVE)
-            for j, spec_id in enumerate(placement[hid]):
-                suffix = f"+{j}" if placement[hid][:j].count(spec_id) else ""
-                host.instances.append(ContainerInstance(
-                    id=f"{spec_id}@{hid}{suffix}", spec_id=spec_id, host_id=hid))
-            self.hosts.append(host)
-            self.stack[hid] = stacks.setdefault(tuple(placement[hid]), len(stacks))
+            ids = placement[hid]
+            containers = tuple((f"{sid}@{hid}" + (f"+{j}" if sid in ids[:j] else ""), specs[sid])
+                               for j, sid in enumerate(ids))
+            self.hosts.append(HostState(hid, stack=stacks.setdefault(tuple(ids), len(stacks)),
+                                        containers=containers, active=(True,) * len(ids)))
         self.classes = {}  # state -> HostClass, for the current interval only
         self.class_of = {}  # host id -> its HostClass, in host order
 
@@ -194,13 +192,15 @@ class Simulation:
         # 6-7: brownout controller, then reclassify what it touched.
         if self.brownout:
             overloaded = [(h, c) for h, c in zip(self.hosts, self.class_of.values()) if c.overloaded]
-            decision = brownout_step(overloaded, self.specs, len(self.hosts), self.profile,
+            decision = brownout_step(overloaded, len(self.hosts), self.profile,
                                      self.selector, self.rng_policy)
             if decision.reactivate:
                 self._reactivate(alloc)
             for h, _ in overloaded:  # empty when reactivating
-                if h.id in decision.per_host:
-                    self._switch(h, decision.per_host[h.id], False, alloc)
+                if shed := decision.per_host.get(h.id):
+                    h.active = tuple([on and cid not in shed
+                                      for (cid, _), on in zip(h.containers, h.active)])
+                    self._refresh([h], alloc)
 
         # 8-9: responses, errors and energy, from each host's final class.
         classes = list(self.class_of.values())  # filled in host order at step 5
@@ -267,55 +267,47 @@ class Simulation:
         host.boot_remaining = 0
         # Replicas are dropped with the host; when it wakes it comes back
         # with its full configured stack.
-        for inst in host.instances:
-            inst.active = True
+        host.active = (True,) * len(host.containers)
 
     def _reactivate(self, alloc: dict) -> None:
         """Bring back, on each active host, the deactivated units it can absorb.
 
-        The first host of a class decides for the class.  `restorable` is asked
-        only if the lightest deactivated unit fits, so it never returns nothing.
+        The first host of a class decides the mask its members take.  `restorable`
+        is asked only if the lightest deactivated unit fits, so it never returns nothing.
         """
         u_t = self.cfg.policy.overloaded_threshold_u_t
         for host in self.hosts:
             cls = self.class_of[host.id]
             if cls.restore is None:
                 demand = alloc.get(host.id, 0) / self.cfg.policy.capacity_n_o
-                units = cls.deactivated and deactivated_units(host, self.specs)
+                units = cls.deactivated and deactivated_units(host)
                 fits = units and cls.utilization + demand * units[0].utilization <= u_t + 1e-12
                 back = set(restorable(units, cls.utilization, demand, u_t)) if fits else ()
-                cls.restore = [k for k, i in enumerate(host.instances) if i.id in back]
-            if cls.restore:
-                self._switch(host, [host.instances[k].id for k in cls.restore], True, alloc)
-
-    def _switch(self, host: HostState, ids: list, active: bool, alloc: dict) -> None:
-        """Set the named instances' active flag, then reclassify the host."""
-        named = set(ids)
-        for inst in host.instances:
-            if inst.id in named:
-                inst.active = active
-        self._refresh([host], alloc)
+                cls.restore = tuple([on or cid in back
+                                     for (cid, _), on in zip(host.containers, host.active)])
+            if cls.restore != host.active:
+                host.active = cls.restore
+                self._refresh([host], alloc)
 
     def _refresh(self, hosts: list, alloc: dict) -> None:
         """Put each host in the class of its current state; the first host in
         a class this interval derives the class, the others copy it."""
-        pol, classes, class_of, stack = self.cfg.policy, self.classes, self.class_of, self.stack
+        pol, classes, class_of = self.cfg.policy, self.classes, self.class_of
         for host in hosts:
-            hid, insts, serving = host.id, host.instances, host.mode is ACTIVE
+            hid, serving = host.id, host.mode is ACTIVE
             assigned = alloc.get(hid, 0)
             # a host off the serving set is idle whatever its mask
-            mask = tuple([i.active for i in insts]) if insts and serving else ()
-            cls = classes.get(key := (stack[hid], host.mode, mask, assigned))
+            mask = host.active if serving else ()
+            cls = classes.get(key := (host.stack, host.mode, mask, assigned))
             if cls is None:
-                load, instance_utilizations = derive_utilization(
-                    host, assigned, pol.capacity_n_o, self.specs)
+                load, instance_utilizations = derive_utilization(host, assigned, pol.capacity_n_o)
                 utilization = min(max(load, 0.0), 1.0)
                 power_w = hum(self.profile, host.mode, utilization)
                 response_ms, served, errors = (synthesize_response(
                     load, assigned, self.cfg.base_response_ms) if serving else (0.0, 0, 0))
                 fraction = None
                 if serving:
-                    weights = [self.specs[i.spec_id].weight for i in insts]
+                    weights = [spec.weight for _, spec in host.containers]
                     total = sum(weights)
                     fraction = (sum([w for w, on in zip(weights, mask) if on]) / total
                                 if total > 0 else 1.0)

@@ -150,21 +150,18 @@ class ContainerSpec:
 
 
 @dataclass
-class ContainerInstance:
-    """One deployed replica of a ContainerSpec on a host."""
-
-    id: str
-    spec_id: str
-    host_id: str
-    active: bool = True
-
-
-@dataclass
 class HostState:
+    """A host's mode and one active mask over its placement: `containers` is
+    the placement as (instance id, ContainerSpec) pairs, `stack` its index
+    among the fleet's distinct placements, and `active` one on/off flag per
+    container, a tuple the engine replaces and never edits."""
+
     id: str
     mode: HostMode = HostMode.ACTIVE
     boot_remaining: int = 0
-    instances: list = field(default_factory=list)
+    stack: int = 0
+    containers: tuple = ()
+    active: tuple = ()
 
 
 @dataclass

@@ -236,15 +236,15 @@ class BrownoutDecision:
         return self.dimmer == 0.0
 
 
-def brownout_step(overloaded: list, specs_by_id: dict, fleet_size: int,
-                  profile: PowerProfile, selector, rng: random.Random | None = None) -> BrownoutDecision:
+def brownout_step(overloaded: list, fleet_size: int, profile: PowerProfile, selector,
+                  rng: random.Random | None = None) -> BrownoutDecision:
     """Evaluate the fleet once and decide what to deactivate.
 
     `overloaded` holds one (host, state) pair per overloaded host, in host
-    order; the state gives its utilization, power_w and instance_utilizations.
-    With none the decision is an empty reactivation directive; otherwise each
-    host gets a target from the shared dimmer and a selector pick over its
-    active optional containers.  Mandatory containers are never offered.
+    order; the state gives its utilization, power_w and one utilization per
+    container.  With none the decision is an empty reactivation directive;
+    otherwise each host gets a target from the shared dimmer and a selector
+    pick over the optional containers its mask keeps on, never mandatory ones.
     """
     if not overloaded:
         return BrownoutDecision()
@@ -253,9 +253,9 @@ def brownout_step(overloaded: list, specs_by_id: dict, fleet_size: int,
     for host, state in overloaded:
         target = expected_reduction(state.utilization, state.power_w, theta, profile)
         items = [
-            OptionalItem(id=i.id, utilization=u, connection_tag=specs_by_id[i.spec_id].connection_tag)
-            for i, u in zip(host.instances, state.instance_utilizations)
-            if i.active and specs_by_id[i.spec_id].optional
+            OptionalItem(id=cid, utilization=u, connection_tag=spec.connection_tag)
+            for (cid, spec), on, u in zip(host.containers, host.active, state.instance_utilizations)
+            if on and spec.optional
         ]
         if not items:
             continue
@@ -265,13 +265,12 @@ def brownout_step(overloaded: list, specs_by_id: dict, fleet_size: int,
     return decision
 
 
-def deactivated_units(host: HostState, specs_by_id: dict) -> list:
-    """The host's deactivated containers as units weighted by their weights,
-    lightest first."""
+def deactivated_units(host: HostState) -> list:
+    """The containers the host's mask has off, as units weighted by their
+    specs' weights, lightest first."""
     return group_units([
-        OptionalItem(id=i.id, utilization=specs_by_id[i.spec_id].weight,
-                     connection_tag=specs_by_id[i.spec_id].connection_tag)
-        for i in host.instances if not i.active
+        OptionalItem(id=cid, utilization=spec.weight, connection_tag=spec.connection_tag)
+        for (cid, spec), on in zip(host.containers, host.active) if not on
     ])
 
 

@@ -243,7 +243,7 @@ def _spying(inner, calls):
 def test_criterion_9_fleet_scaling():
     sizes = (5, 10, 15)
     orig = policies.SELECTORS["LUCF"]
-    energy, avg, per_call = [], [], []
+    energy, avg, batches = [], [], []
     try:
         for hosts in sizes:
             calls = []
@@ -253,16 +253,19 @@ def test_criterion_9_fleet_scaling():
             energy.append(result.energy_kwh)
             avg.append(result.avg_response_ms)
             assert calls, f"fleet {hosts} never invoked the selector"
-            batch = (calls * (1 + 400 // len(calls)))[:400]
-            timings = []
-            for _ in range(7):
-                t0 = time.perf_counter()
-                for items, target in batch:
-                    orig(items, target)
-                timings.append((time.perf_counter() - t0) / len(batch))
-            per_call.append(min(timings))
+            batches.append((calls * (1 + 400 // len(calls)))[:400])
     finally:
         policies.SELECTORS["LUCF"] = orig
+    # Interleaved rounds: a change in the machine's speed mid-test then
+    # touches every fleet's batch alike instead of one fleet's.
+    timings = [[] for _ in sizes]
+    for _ in range(7):
+        for batch, fleet_timings in zip(batches, timings):
+            t0 = time.perf_counter()
+            for items, target in batch:
+                orig(items, target)
+            fleet_timings.append((time.perf_counter() - t0) / len(batch))
+    per_call = [min(fleet_timings) for fleet_timings in timings]
     spread = max(per_call) / min(per_call)
     ok = (energy[0] < energy[1] < energy[2]
           and avg[0] > avg[1] > avg[2]

@@ -16,7 +16,6 @@ from brownsim.engine import (
 )
 from brownsim.model import (
     POLICY_NAMES,
-    ContainerInstance,
     ContainerSpec,
     HostMode,
     HostState,
@@ -93,46 +92,44 @@ def test_route_no_hosts():
 
 
 def derive_host(deactivate=()):
-    specs = {s.id: s for s in [
+    specs = [
         ContainerSpec(id="m", service="s", weight=0.6),
         ContainerSpec(id="o1", service="s", weight=0.2, optional=True),
         ContainerSpec(id="o2", service="s", weight=0.2, optional=True),
-    ]}
-    host = HostState(id="h00", mode=HostMode.ACTIVE)
-    for sid in specs:
-        host.instances.append(ContainerInstance(
-            id=f"{sid}@h00", spec_id=sid, host_id="h00", active=sid not in deactivate))
-    return host, specs
+    ]
+    return HostState(id="h00", mode=HostMode.ACTIVE,
+                     containers=tuple((f"{s.id}@h00", s) for s in specs),
+                     active=tuple(s.id not in deactivate for s in specs))
 
 
 def test_derive_full_stack():
-    host, specs = derive_host()
-    load, utilizations = derive_utilization(host, 20, 25.0, specs)
+    host = derive_host()
+    load, utilizations = derive_utilization(host, 20, 25.0)
     assert load == pytest.approx(0.8)
     assert utilizations == pytest.approx((0.48, 0.16, 0.16))
 
 
 def test_derive_with_deactivated_optionals():
-    host, specs = derive_host(deactivate=("o1", "o2"))
-    load, utilizations = derive_utilization(host, 20, 25.0, specs)
+    host = derive_host(deactivate=("o1", "o2"))
+    load, utilizations = derive_utilization(host, 20, 25.0)
     assert load == pytest.approx(0.48)
     assert utilizations[0] == pytest.approx(0.48)
-    assert utilizations[1:] == (0.0, 0.0), "deactivated instances do no work"
+    assert utilizations[1:] == (0.0, 0.0), "deactivated containers do no work"
 
 
 def test_derive_clamps_overload():
-    host, specs = derive_host()
-    load, utilizations = derive_utilization(host, 38, 25.0, specs)  # demand 1.52
+    host = derive_host()
+    load, utilizations = derive_utilization(host, 38, 25.0)  # demand 1.52
     assert load == pytest.approx(1.52), "the load itself is not clamped"
     assert utilizations == pytest.approx((0.912, 0.304, 0.304))
-    load, utilizations = derive_utilization(host, 50, 25.0, specs)  # demand 2
-    assert utilizations[0] == 1.0, "an instance is capped at 1"
+    load, utilizations = derive_utilization(host, 50, 25.0)  # demand 2
+    assert utilizations[0] == 1.0, "a container is capped at 1"
 
 
 def test_derive_inactive_host_is_idle():
-    host, specs = derive_host()
+    host = derive_host()
     host.mode = HostMode.SLEEP
-    assert derive_utilization(host, 20, 25.0, specs) == (0.0, (0.0, 0.0, 0.0))
+    assert derive_utilization(host, 20, 25.0) == (0.0, (0.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +306,17 @@ def test_host_invariants_hold_throughout():
         sim.step(t, trace.rates[t])
         for h in sim.hosts:
             cls = sim.class_of[h.id]
-            assert len(cls.instance_utilizations) == len(h.instances)
+            assert len(cls.instance_utilizations) == len(h.containers) == len(h.active)
+            assert type(h.active) is tuple and all(type(on) is bool for on in h.active)
             if h.mode is not HostMode.ACTIVE:
                 assert cls.utilization == 0.0
             if h.mode is HostMode.BOOTING:
                 assert h.boot_remaining > 0
-            for inst, utilization in zip(h.instances, cls.instance_utilizations):
-                if not sim.specs[inst.spec_id].optional:
-                    assert inst.active, "mandatory container deactivated"
-                if not inst.active:
+            for (_, spec), on, utilization in zip(h.containers, h.active,
+                                                  cls.instance_utilizations):
+                if not spec.optional:
+                    assert on, "mandatory container deactivated"
+                if not on:
                     assert utilization == 0.0
 
 
@@ -386,16 +385,41 @@ def test_partial_restore_takes_the_largest_units_that_fit():
                     trace_path="unused.csv")
     sim = Simulation(cfg, flat_trace([97]))
     host = sim.hosts[0]
-    for inst in host.instances:
-        inst.active = inst.spec_id == "web"
+    host.active = tuple(spec.id == "web" for _, spec in host.containers)
     # demand 0.97 puts web alone at 0.388, under u_t, so the host restores:
     # the pair (0.3) first, to 0.679; "big" (0.2) would reach 0.873 and is
     # skipped; "small" (0.1) still fits, to 0.776.  Smallest first would
     # have taken "small" and "big" and left the pair out.
     record = sim.step(0, 97)
-    assert {i.spec_id for i in host.instances if i.active} == {"web", "p1", "p2", "small"}
+    assert {spec.id for (_, spec), on in zip(host.containers, host.active) if on} == {
+        "web", "p1", "p2", "small"}
     assert record.deactivated_containers == 1
     assert sim.class_of[host.id].utilization == pytest.approx(0.97 * 0.8)
+
+
+def test_two_replicas_on_one_host_are_shed_and_restored_by_position():
+    services = [
+        ContainerSpec(id="web", service="shop", weight=0.6),
+        ContainerSpec(id="ads", service="shop", weight=0.2, optional=True, replicas=2),
+        ContainerSpec(id="rec", service="shop", weight=0.2, optional=True),
+    ]
+    cfg = SimConfig(policy_name="LUCF", host_count=1, services=services,
+                    policy=PolicyConfig(overloaded_threshold_u_t=0.8, capacity_n_o=100.0),
+                    trace_path="unused.csv")
+    trace = flat_trace([90, 90, 40])
+    sim = Simulation(cfg, trace)
+    host = sim.hosts[0]
+    # the repeated replica's id carries its position
+    assert [cid for cid, _ in host.containers] == ["web@h00", "ads@h00", "ads@h00+2", "rec@h00"]
+    # 90 overloads the full stack and the lone host's dimmer of 1 sheds every
+    # optional container; at 90 again only the first ads fits back (ties go
+    # by id); at 40 everything does
+    masks = []
+    for t, rate in enumerate(trace.rates):
+        sim.step(t, rate)
+        masks.append(host.active)
+    T, F = True, False
+    assert masks == [(T, F, F, F), (T, T, F, F), (T, T, T, T)]
 
 
 def _reactivate_everywhere(sim, alloc):
@@ -403,12 +427,14 @@ def _reactivate_everywhere(sim, alloc):
     something deactivated, one host at a time, with no pre-check."""
     u_t, n_o = sim.cfg.policy.overloaded_threshold_u_t, sim.cfg.policy.capacity_n_o
     for host in sim.hosts:
-        if host.mode is HostMode.ACTIVE and any(not i.active for i in host.instances):
-            back = engine.restorable(engine.deactivated_units(host, sim.specs),
+        if host.mode is HostMode.ACTIVE and not all(host.active):
+            back = engine.restorable(engine.deactivated_units(host),
                                      sim.class_of[host.id].utilization,
                                      alloc.get(host.id, 0) / n_o, u_t)
             if back:
-                sim._switch(host, back, True, alloc)
+                host.active = tuple(on or cid in back
+                                    for (cid, _), on in zip(host.containers, host.active))
+                sim._refresh([host], alloc)
 
 
 def _spy_restorable(monkeypatch):
@@ -433,8 +459,8 @@ def test_restore_skips_a_host_whose_lightest_container_cannot_fit(monkeypatch):
                     policy=PolicyConfig(overloaded_threshold_u_t=0.8, capacity_n_o=100.0),
                     trace_path="unused.csv")
     sim = Simulation(cfg, flat_trace([97]))
-    for inst in sim.hosts[0].instances:
-        inst.active = inst.spec_id == "web"
+    host = sim.hosts[0]
+    host.active = tuple(spec.id == "web" for _, spec in host.containers)
     asked = _spy_restorable(monkeypatch)
     # web alone is at 0.485, under u_t, so the host is in the restore path;
     # ads would lift it to 0.97, so nothing can come back
@@ -520,8 +546,8 @@ def _capacity_factor_from_instances(sim):
     fractions = []
     for h in sim.hosts:
         if h.mode is HostMode.ACTIVE:
-            total = sum(sim.specs[i.spec_id].weight for i in h.instances)
-            active = sum(sim.specs[i.spec_id].weight for i in h.instances if i.active)
+            total = sum(spec.weight for _, spec in h.containers)
+            active = sum(spec.weight for (_, spec), on in zip(h.containers, h.active) if on)
             fractions.append(active / total if total > 0 else 1.0)
     if not fractions:
         return 1.0

@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import pytest
 
 from brownsim.model import (
-    ContainerInstance,
     ContainerSpec,
     HostMode,
     HostState,
@@ -281,10 +280,10 @@ def test_greedy_fallback_beyond_exact_limit():
 def make_host(idx, utilization, specs, deactivate=()):
     """An active host at `utilization` and its interval state, as the engine
     passes them to brownout_step."""
-    host = HostState(id=f"h{idx:02d}", mode=HostMode.ACTIVE)
-    for spec in specs.values():
-        host.instances.append(ContainerInstance(id=f"{spec.id}@{host.id}", spec_id=spec.id,
-                                                host_id=host.id, active=spec.id not in deactivate))
+    hid = f"h{idx:02d}"
+    host = HostState(id=hid, mode=HostMode.ACTIVE,
+                     containers=tuple((f"{spec.id}@{hid}", spec) for spec in specs.values()),
+                     active=tuple(spec.id not in deactivate for spec in specs.values()))
     state = SimpleNamespace(
         utilization=utilization, power_w=hum(PROFILE, HostMode.ACTIVE, utilization),
         instance_utilizations=tuple(utilization * spec.weight for spec in specs.values()))
@@ -299,7 +298,7 @@ SPECS = {s.id: s for s in [
 
 
 def test_brownout_no_overload_is_reactivation_directive():
-    decision = brownout_step([], SPECS, 4, PROFILE, select_lucf)
+    decision = brownout_step([], 4, PROFILE, select_lucf)
     assert decision.reactivate
     assert decision.dimmer == 0.0
     assert decision.per_host == {}
@@ -309,14 +308,14 @@ def test_brownout_only_overloaded_hosts_selected():
     # which hosts are overloaded is the engine's call (see test_engine's
     # test_brownout_is_offered_exactly_the_overloaded_serving_hosts); the
     # dimmer is the overloaded share of the whole fleet
-    decision = brownout_step([make_host(0, 0.9, SPECS)], SPECS, 4, PROFILE, select_lucf)
+    decision = brownout_step([make_host(0, 0.9, SPECS)], 4, PROFILE, select_lucf)
     assert not decision.reactivate
     assert decision.dimmer == pytest.approx(math.sqrt(1 / 4))
 
 
 def test_brownout_all_overloaded_full_dimmer():
     pairs = [make_host(i, 0.95, SPECS) for i in range(4)]
-    decision = brownout_step(pairs, SPECS, 4, PROFILE, select_lucf)
+    decision = brownout_step(pairs, 4, PROFILE, select_lucf)
     assert decision.dimmer == pytest.approx(1.0)
     assert set(decision.per_host) == {h.id for h, _ in pairs}
 
@@ -325,7 +324,7 @@ def test_brownout_never_touches_mandatory():
     rng = random.Random(47)
     pairs = [make_host(i, rng.uniform(0.81, 1.0), SPECS) for i in range(4)]
     for selector in (select_lucf, select_mncf, select_rsc):
-        decision = brownout_step(pairs, SPECS, 4, PROFILE, selector, rng)
+        decision = brownout_step(pairs, 4, PROFILE, selector, rng)
         for picked in decision.per_host.values():
             for inst_id in picked:
                 spec_id = inst_id.split("@")[0]
@@ -334,10 +333,10 @@ def test_brownout_never_touches_mandatory():
 
 def test_brownout_full_dimmer_sheds_everything_optional():
     pairs = [make_host(i, 1.0, SPECS) for i in range(4)]
-    decision = brownout_step(pairs, SPECS, 4, PROFILE, select_lucf)
+    decision = brownout_step(pairs, 4, PROFILE, select_lucf)
     for host, _ in pairs:
         assert sorted(decision.per_host[host.id]) == sorted(
-            i.id for i in host.instances if SPECS[i.spec_id].optional)
+            cid for cid, spec in host.containers if spec.optional)
 
 
 def test_brownout_per_host_holds_both_tag_siblings():
@@ -351,9 +350,9 @@ def test_brownout_per_host_holds_both_tag_siblings():
     pairs = [make_host(0, 1.0, specs)]
     # one overloaded host in 100 asks for 0.69 of its 1.0: LUCF fits the
     # 0.4 pair plus one 0.2 single under it, not all three units (0.8)
-    decision = brownout_step(pairs, specs, 100, PROFILE, select_lucf)
+    decision = brownout_step(pairs, 100, PROFILE, select_lucf)
     assert decision.per_host == {"h00": ["ads@h00", "cache@h00", "rec@h00"]}
     rng = random.Random(53)
     for selector in (select_mncf, select_rsc):
-        picked = set(brownout_step(pairs, specs, 100, PROFILE, selector, rng).per_host["h00"])
+        picked = set(brownout_step(pairs, 100, PROFILE, selector, rng).per_host["h00"])
         assert ("rec@h00" in picked) == ("cache@h00" in picked), (selector.__name__, picked)
