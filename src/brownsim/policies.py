@@ -11,6 +11,10 @@ containers to deactivate to meet it.  Three selectors are provided:
   RSC   random picks until the target is covered.
 
 Every selector is called as (items, target, rng); only RSC uses the rng.
+Up to EXACT_SEARCH_LIMIT units, LUCF and MNCF scan a table of every subset's
+total with C-level filters.  Ties break on the ids' order alone, so a pick is
+memoised on the utilizations and the ids' ranks: hosts of one class offering
+equal units at an equal target share one search.
 Once no host is overloaded, `restorable` decides which deactivated
 containers each host takes back.  Optional containers sharing a connection
 tag on one host only work as a group, so `group_units` bundles them into
@@ -22,6 +26,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, compress, repeat
+from operator import add
 from typing import NamedTuple
 
 from .model import HostState, PowerProfile
@@ -110,37 +117,48 @@ def group_units(items: list) -> list:
     return units
 
 
-def _subset_totals(units: list) -> list:
-    totals = [0.0] * (1 << len(units))
-    for mask in range(1, len(totals)):
-        low = mask & -mask
-        totals[mask] = totals[mask ^ low] + units[low.bit_length() - 1].utilization
+def _subset_totals(utilizations: tuple) -> list:
+    """Every subset's total by bitmask, adding its units highest index first."""
+    totals = [0.0]
+    for u in reversed(utilizations):
+        grown = [0.0] * (2 * len(totals))
+        grown[0::2] = totals
+        grown[1::2] = map(add, totals, repeat(u))
+        totals = grown
     return totals
 
 
-def _mask_ids(mask: int, units: list) -> tuple:
-    return tuple(sorted(i for k, u in enumerate(units) if mask >> k & 1 for i in u.ids))
+def _mask_ids(mask: int, groups: tuple) -> tuple:
+    return tuple(sorted(i for k, ids in enumerate(groups) if mask >> k & 1 for i in ids))
 
 
-def _best_subset(units: list, feasible, rank) -> tuple | None:
-    """Ids of the feasible subset of units with the lowest rank(total, count).
+def _keep(masks, key, test) -> list:
+    return list(compress(masks, map(test, map(key, masks))))
 
-    Equal ranks prefer lexicographically smaller ids, which are computed
-    only for masks that tie the best.  None when no subset is feasible.
-    """
-    totals = _subset_totals(units)
-    best = best_key = best_ids = None
-    for mask in range(1, len(totals)):
-        if feasible(totals[mask]):
-            key = rank(totals[mask], mask.bit_count())
-            if best_key is None or key < best_key:
-                best, best_key, best_ids = mask, key, None
-            elif key == best_key:
-                best_ids = best_ids or _mask_ids(best, units)
-                ids = _mask_ids(mask, units)
-                if ids < best_ids:
-                    best, best_ids = mask, ids
-    return None if best is None else best_ids or _mask_ids(best, units)
+
+@lru_cache(maxsize=1024)
+def _best_mask(utilizations: tuple, ranks: tuple, bound: float, lucf: bool) -> int:
+    """Bitmask of LUCF's pick (largest total <= bound, then fewest units) or
+    MNCF's (fewest units with total >= bound, then largest total), 0 if none;
+    remaining ties go to the smallest sorted id ranks."""
+    totals = _subset_totals(utilizations)
+    total, masks = totals.__getitem__, range(1, len(totals))
+    if lucf:
+        masks = _keep(masks, total, max(filter(bound.__ge__, totals[1:])).__eq__)
+    elif not (masks := _keep(masks, total, bound.__le__)):
+        return 0
+    masks = _keep(masks, int.bit_count, min(map(int.bit_count, masks)).__eq__)
+    if not lucf:
+        masks = _keep(masks, total, max(map(total, masks)).__eq__)
+    return min(masks, key=lambda m: _mask_ids(m, ranks))
+
+
+def _exact_search(units: list, bound: float, lucf: bool) -> list | None:
+    """Ids of the subset `_best_mask` picks among the units; None if none."""
+    utilizations, groups = zip(*units)
+    rank = {i: k for k, i in enumerate(sorted(chain.from_iterable(groups)))}.__getitem__
+    mask = _best_mask(utilizations, tuple([tuple(map(rank, ids)) for ids in groups]), bound, lucf)
+    return list(_mask_ids(mask, groups)) if mask else None
 
 
 def _largest_first(units: list) -> list:
@@ -165,8 +183,7 @@ def select_lucf(items: list, target: float, rng: random.Random | None = None) ->
         return list(units[0].ids)
     limit = target + FEAS_EPS
     if len(units) <= EXACT_SEARCH_LIMIT:
-        return list(_best_subset(units, lambda total: total <= limit,
-                                 lambda total, count: (-total, count)))
+        return _exact_search(units, limit, True)
     chosen, total = [], 0.0
     for u in _largest_first(units):
         if total + u.utilization <= limit:
@@ -186,9 +203,7 @@ def select_mncf(items: list, target: float, rng: random.Random | None = None) ->
         return []
     need = target - FEAS_EPS
     if len(units) <= EXACT_SEARCH_LIMIT:
-        ids = _best_subset(units, lambda total: total >= need,
-                           lambda total, count: (count, -total))
-        return _ids(units) if ids is None else list(ids)
+        return _exact_search(units, need, False) or _ids(units)
     chosen, total = [], 0.0
     for u in _largest_first(units):
         chosen.append(u)
