@@ -10,13 +10,14 @@ is single-threaded and deterministic for a given config, trace, and seed.
 A host's containers are its placement stack and one active mask over it, a
 tuple that brownout replaces when it sheds or restores containers.  Steps
 5-9 run per host class: hosts that share a placement stack, a mode, an
-active mask and a request count are in one state, whose utilization,
-power, watt-hours, active-weight fraction, response group and restore
-decision are derived once and shared by every member.  The interval's
-classes are the only derived per-host state: the records, the brownout
-controller, the energy total and the next capacity factor read utilization
-and power from them.  Brownout selection stays per overloaded host, so RSC
-draws in host order, and so do the loops whose float sums depend on order:
+active mask and a request count are in one state.  Its utilization, power,
+watt-hours, active-weight fraction, response group and restore mask are
+functions of that key and the run's constants, so a class is derived once
+per run and kept; each interval maps every host to one.  The records, the
+brownout controller, the energy total and the next capacity factor read
+utilization and power from the classes.  Brownout picks once per
+overloaded class for LUCF and MNCF, and once per host for RSC so that its
+draws stay in host order; so do the loops whose float sums depend on order:
 the records, the energy additions and the capacity mean, in host-id order.
 """
 
@@ -35,7 +36,7 @@ from .model import (
     scaled_services,
     validate_config,
 )
-from .policies import SELECTORS, autoscale, brownout_step, deactivated_units, restorable
+from .policies import autoscale, brownout_step, deactivated_units, restorable
 from .power import hum
 from .qos import nearest_rank_percentile, overload_ratios, slavr
 from .workload import Trace, predict_rate, predict_rate_weighted
@@ -105,13 +106,15 @@ def synthesize_response(load: float, requests: int, base_ms: float) -> tuple:
 
 class HostClass:
     """What a host state (placement stack, mode, active mask, assigned
-    requests) yields in one interval; every host in that state shares it.
+    requests; the mask is () off the serving set) yields in any interval.
 
-    `group` is (response_ms, served), with served 0 off the serving set;
-    `fraction` is the active share of the stack's weight, None off the
-    serving set; `restore` is the active mask after the restore step, once
-    asked.  A plain class, because building a dataclass slows every package
-    import.
+    Every field is a function of that key and of the run's constants (u_t,
+    n_o, interval length, power profile, base response), so a class lasts
+    the run.  `group` is (response_ms, served), with served 0 off the
+    serving set; `fraction` is the active share of the stack's weight, None
+    off the serving set; `restore` is the active mask, by position, after
+    the restore step, once asked.  A plain class, because building a
+    dataclass slows every package import.
     """
 
     __slots__ = ("utilization", "power_w", "energy_wh", "instance_utilizations", "overloaded",
@@ -132,7 +135,6 @@ class Simulation:
         self.cfg = cfg
         self.trace = trace
         self.profile = cfg.power_profile
-        self.selector = SELECTORS.get(cfg.policy_name)
         self.scaling = cfg.policy_name != "NPA"
         self.brownout = cfg.policy_name in BROWNOUT_POLICIES
 
@@ -146,7 +148,7 @@ class Simulation:
                                for j, sid in enumerate(ids))
             self.hosts.append(HostState(hid, stack=stacks.setdefault(tuple(ids), len(stacks)),
                                         containers=containers, active=(True,) * len(ids)))
-        self.classes = {}  # state -> HostClass, for the current interval only
+        self.classes = {}  # state -> HostClass, for the whole run
         self.class_of = {}  # host id -> its HostClass, in host order
 
         self.rng_policy = random.Random(cfg.policy.seed ^ POLICY_RNG_SALT)
@@ -184,23 +186,20 @@ class Simulation:
         serving = [h for h in self.hosts if h.mode is ACTIVE]
         alloc = route_demand(rate, [h.id for h in serving])
 
-        # 5: sort hosts into classes; each class derives utilization, power
-        # and its response group once.
-        self.classes, self.class_of = {}, {}
+        # 5: map hosts to the classes of their states; a state new to the run
+        # derives utilization, power and its response group once.
+        self.class_of = {}
         self._refresh(self.hosts, alloc)
 
-        # 6-7: brownout controller, then reclassify what it touched.
+        # 6-7: brownout controller, then move what it touched to new classes.
         if self.brownout:
             overloaded = [(h, c) for h, c in zip(self.hosts, self.class_of.values()) if c.overloaded]
             decision = brownout_step(overloaded, len(self.hosts), self.profile,
-                                     self.selector, self.rng_policy)
+                                     self.cfg.policy_name, self.rng_policy)
             if decision.reactivate:
                 self._reactivate(alloc)
-            for h, _ in overloaded:  # empty when reactivating
-                if shed := decision.per_host.get(h.id):
-                    h.active = tuple([on and cid not in shed
-                                      for (cid, _), on in zip(h.containers, h.active)])
-                    self._refresh([h], alloc)
+            for hosts, mask in decision.shed:  # empty when reactivating
+                self._move(hosts, mask, alloc)
 
         # 8-9: responses, errors and energy, from each host's final class.
         classes = list(self.class_of.values())  # filled in host order at step 5
@@ -272,12 +271,17 @@ class Simulation:
     def _reactivate(self, alloc: dict) -> None:
         """Bring back, on each active host, the deactivated units it can absorb.
 
-        The first host of a class decides the mask its members take.  `restorable`
-        is asked only if the lightest deactivated unit fits, so it never returns nothing.
+        A class decides its restored mask once per run, from the first host
+        that asks, and the members whose mask it changes move together.
+        `restorable` is asked only if the lightest deactivated unit fits, so
+        it never returns nothing.
         """
         u_t = self.cfg.policy.overloaded_threshold_u_t
-        for host in self.hosts:
-            cls = self.class_of[host.id]
+        members = {}  # class -> its hosts, in host order
+        for host, cls in zip(self.hosts, self.class_of.values()):
+            members.setdefault(cls, []).append(host)
+        for cls, hosts in members.items():
+            host = hosts[0]
             if cls.restore is None:
                 demand = alloc.get(host.id, 0) / self.cfg.policy.capacity_n_o
                 units = cls.deactivated and deactivated_units(host)
@@ -286,12 +290,19 @@ class Simulation:
                 cls.restore = tuple([on or cid in back
                                      for (cid, _), on in zip(host.containers, host.active)])
             if cls.restore != host.active:
-                host.active = cls.restore
-                self._refresh([host], alloc)
+                self._move(hosts, cls.restore, alloc)
+
+    def _move(self, hosts: list, mask: tuple, alloc: dict) -> None:
+        """Give hosts of one class one new mask: the first finds the class it
+        moves to, the others take that class without rebuilding their keys."""
+        for host in hosts:
+            host.active = mask
+        self._refresh(hosts[:1], alloc)
+        self.class_of.update(dict.fromkeys([h.id for h in hosts[1:]], self.class_of[hosts[0].id]))
 
     def _refresh(self, hosts: list, alloc: dict) -> None:
         """Put each host in the class of its current state; the first host in
-        a class this interval derives the class, the others copy it."""
+        a state this run derives the class, the others reuse it."""
         pol, classes, class_of = self.cfg.policy, self.classes, self.class_of
         for host in hosts:
             hid, serving = host.id, host.mode is ACTIVE

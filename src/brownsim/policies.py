@@ -11,12 +11,13 @@ containers to deactivate to meet it.  Three selectors are provided:
   RSC   random picks until the target is covered.
 
 Every selector is called as (items, target, rng); only RSC uses the rng.
+`brownout_step` makes one LUCF or MNCF decision per overloaded host class,
+whose hosts share one offer and take one mask; RSC draws once per host.
 Up to EXACT_SEARCH_LIMIT units, LUCF and MNCF scan a table of every subset's
 total with C-level filters.  Ties break on the ids' order alone, so a pick is
-memoised on the utilizations and the ids' ranks: hosts of one class offering
-equal units at an equal target share one search.
+memoised on the utilizations and the ids' ranks, across classes and runs.
 Once no host is overloaded, `restorable` decides which deactivated
-containers each host takes back.  Optional containers sharing a connection
+containers each class takes back.  Optional containers sharing a connection
 tag on one host only work as a group, so `group_units` bundles them into
 single units for both decisions.
 """
@@ -234,49 +235,57 @@ SELECTORS = {"LUCF": select_lucf, "MNCF": select_mncf, "RSC": select_rsc}
 # Fleet-level brownout step
 
 
+SHARED_PICKS = ("LUCF", "MNCF")  # selectors whose pick is a function of the offer alone
+
+
 @dataclass
 class BrownoutDecision:
     """Outcome of one brownout evaluation.
 
     A dimmer of 0 (no overloaded hosts) is the signal to bring deactivated
-    containers back; otherwise per_host maps host id -> instance ids to
-    deactivate.
+    containers back; otherwise `shed` holds one (hosts, mask) pair per pick:
+    hosts of one class and the active mask they all take.
     """
 
     dimmer: float = 0.0
-    per_host: dict = field(default_factory=dict)
+    shed: list = field(default_factory=list)
 
     @property
     def reactivate(self) -> bool:
         return self.dimmer == 0.0
 
 
-def brownout_step(overloaded: list, fleet_size: int, profile: PowerProfile, selector,
+def brownout_step(overloaded: list, fleet_size: int, profile: PowerProfile, policy: str,
                   rng: random.Random | None = None) -> BrownoutDecision:
     """Evaluate the fleet once and decide what to deactivate.
 
-    `overloaded` holds one (host, state) pair per overloaded host, in host
-    order; the state gives its utilization, power_w and one utilization per
-    container.  With none the decision is an empty reactivation directive;
-    otherwise each host gets a target from the shared dimmer and a selector
-    pick over the optional containers its mask keeps on, never mandatory ones.
+    `overloaded` holds one (host, class) pair per overloaded host, in host
+    order; a class gives its hosts' utilization, power_w and one utilization
+    per container.  With none the decision is an empty reactivation
+    directive.  Otherwise each class gets a target from the shared dimmer and
+    an offer of the optional containers its mask keeps on, never mandatory
+    ones.  The policy's selector (SELECTORS[policy]) picks once per class for
+    SHARED_PICKS, else once per host in host order, so RSC's draws stay put.
     """
     if not overloaded:
         return BrownoutDecision()
     theta = dimmer(len(overloaded), fleet_size)
     decision = BrownoutDecision(dimmer=theta)
-    for host, state in overloaded:
-        target = expected_reduction(state.utilization, state.power_w, theta, profile)
-        items = [
+    select, members, offers = SELECTORS[policy], {}, {}
+    for host, cls in overloaded:
+        members.setdefault(cls, []).append(host)
+    for cls, (host, *_) in members.items():  # (target, items, first host) per class
+        offers[cls] = (expected_reduction(cls.utilization, cls.power_w, theta, profile), [
             OptionalItem(id=cid, utilization=u, connection_tag=spec.connection_tag)
-            for (cid, spec), on, u in zip(host.containers, host.active, state.instance_utilizations)
+            for (cid, spec), on, u in zip(host.containers, host.active, cls.instance_utilizations)
             if on and spec.optional
-        ]
-        if not items:
-            continue
-        picked = selector(items, target, rng)
-        if picked:
-            decision.per_host[host.id] = picked
+        ], host)
+    picks = members.items() if policy in SHARED_PICKS else [(c, [h]) for h, c in overloaded]
+    for cls, hosts in picks:
+        target, items, host = offers[cls]
+        if items and (picked := set(select(items, target, rng))):
+            decision.shed.append((hosts, tuple([on and cid not in picked for (cid, _), on
+                                                in zip(host.containers, host.active)])))
     return decision
 
 

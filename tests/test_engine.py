@@ -355,8 +355,9 @@ def test_spike_sheds_then_restores():
 
 @pytest.mark.parametrize("rate, states", [(200, 1), (210, 2)])
 def test_hosts_in_one_state_derive_it_once(monkeypatch, rate, states):
-    # 20 identical hosts split 200 requests evenly (one state per interval);
-    # 210 gives h00-h09 one request more (two states)
+    # 20 identical hosts split 200 requests evenly (one state in every
+    # interval); 210 gives h00-h09 one request more (two states).  A state
+    # is derived once per run, not once per interval.
     calls, real = [], engine.derive_utilization
 
     def spy(host, *args):
@@ -365,11 +366,100 @@ def test_hosts_in_one_state_derive_it_once(monkeypatch, rate, states):
 
     monkeypatch.setattr(engine, "derive_utilization", spy)
     result = Simulation(make_cfg(policy="NPA", hosts=20), flat_trace([rate] * 10)).run()
-    assert len(calls) == states * 10
+    assert len(calls) == states
     for rec in result.interval_records:
         assert len({(u, p) for _, u, p, _ in rec.per_host}) == states
         assert sum(served for _, served in rec.response_groups) == rate
         assert len(rec.response_groups) == 20
+
+
+SAMPLE_CFG = load_config(str(ROOT / "configs" / "sample.json"))
+# 2 mandatory containers plus 16 optional ones of 0.025 (14 untagged and a
+# tagged pair: 15 units), every one on each of the 10 hosts.
+DENSE_SERVICES = [
+    ContainerSpec(id="web", service="shop", weight=0.35, replicas=10),
+    ContainerSpec(id="db", service="shop", weight=0.25, replicas=10),
+] + [ContainerSpec(id=f"opt{i:02d}", service="shop", weight=0.025, optional=True, replicas=10,
+                   connection_tag="pair" if i >= 14 else None) for i in range(16)]
+
+
+def sample_day_cfg(policy, ut):
+    return dataclasses.replace(
+        with_values(SAMPLE_CFG, {"policy.overloaded_threshold_u_t": ut}), policy_name=policy)
+
+
+def dense_cfg(policy):
+    return dataclasses.replace(SAMPLE_CFG, services=DENSE_SERVICES, policy_name=policy)
+
+
+class PerIntervalSimulation(Simulation):
+    """Reference engine: forgets every host class before each interval."""
+
+    def step(self, t, rate):
+        self.classes = {}
+        return super().step(t, rate)
+
+
+@pytest.mark.parametrize("cfg", [sample_day_cfg(p, ut) for p in POLICY_NAMES for ut in (0.7, 0.8)]
+                         + [dense_cfg(p) for p in ("LUCF", "MNCF", "RSC")],
+                         ids=[f"{p}-{ut}" for p in POLICY_NAMES for ut in (0.7, 0.8)]
+                         + [f"{p}-dense" for p in ("LUCF", "MNCF", "RSC")])
+def test_run_wide_classes_and_shared_picks_equal_a_per_interval_per_host_run(monkeypatch, cfg):
+    # Every class field must be a function of its key and the run's
+    # constants, so a class kept from an earlier interval must give what a
+    # fresh one would; and a LUCF or MNCF pick made once for a class must be
+    # what each member would have picked alone.
+    kept = Simulation(cfg, DIURNAL)
+    result = kept.run()
+    assert len(kept.classes) < sum(r.active_hosts > 0 for r in result.interval_records), (
+        "the run must revisit states")
+    monkeypatch.setattr(policies, "SHARED_PICKS", ())
+    assert result == PerIntervalSimulation(cfg, DIURNAL).run()
+
+
+def _spy_selections(monkeypatch, policy):
+    """Per brownout evaluation, the overloaded (host id, class) pairs and the
+    host id that each selector call's items belong to."""
+    evaluations, real_step, real_select = [], engine.brownout_step, policies.SELECTORS[policy]
+
+    def step(overloaded, *args):
+        evaluations.append(([(h.id, c) for h, c in overloaded], []))
+        return real_step(overloaded, *args)
+
+    def select(items, target, rng=None):
+        evaluations[-1][1].append(items[0].id.split("@")[1])
+        return real_select(items, target, rng)
+
+    monkeypatch.setattr(engine, "brownout_step", step)
+    monkeypatch.setitem(policies.SELECTORS, policy, select)
+    return evaluations
+
+
+@pytest.mark.parametrize("policy", ["LUCF", "MNCF"])
+def test_lucf_and_mncf_pick_once_per_overloaded_class(monkeypatch, policy):
+    evaluations = _spy_selections(monkeypatch, policy)
+    Simulation(dense_cfg(policy), DIURNAL).run()
+    shared = 0
+    for overloaded, calls in evaluations:
+        firsts = {}  # class -> its first overloaded host
+        for hid, cls in overloaded:
+            firsts.setdefault(cls, hid)
+        assert calls == list(firsts.values())
+        shared += len(overloaded) - len(firsts)
+    assert shared > 0, "some evaluations must find classes of several hosts"
+
+
+def test_rsc_draws_once_per_overloaded_host_in_host_order(monkeypatch):
+    # each draw is over the offer of the host's class, built from the class's
+    # first overloaded host
+    evaluations = _spy_selections(monkeypatch, "RSC")
+    Simulation(dense_cfg("RSC"), DIURNAL).run()
+    assert any(len(overloaded) > len({c for _, c in overloaded}) for overloaded, _ in evaluations)
+    for overloaded, calls in evaluations:
+        firsts = {}
+        for hid, cls in overloaded:
+            firsts.setdefault(cls, hid)
+        assert calls == [firsts[cls] for _, cls in overloaded]
 
 
 def test_partial_restore_takes_the_largest_units_that_fit():

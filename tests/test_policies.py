@@ -277,14 +277,20 @@ def test_greedy_fallback_beyond_exact_limit():
 # brownout_step
 
 
+class HostClassStub(SimpleNamespace):
+    """What brownout_step reads of a host class; one per state, keyed by identity."""
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+
 def make_host(idx, utilization, specs, deactivate=()):
-    """An active host at `utilization` and its interval state, as the engine
-    passes them to brownout_step."""
+    """An active host at `utilization` and its class, as the engine passes
+    them to brownout_step."""
     hid = f"h{idx:02d}"
     host = HostState(id=hid, mode=HostMode.ACTIVE,
                      containers=tuple((f"{spec.id}@{hid}", spec) for spec in specs.values()),
                      active=tuple(spec.id not in deactivate for spec in specs.values()))
-    state = SimpleNamespace(
+    state = HostClassStub(
         utilization=utilization, power_w=hum(PROFILE, HostMode.ACTIVE, utilization),
         instance_utilizations=tuple(utilization * spec.weight for spec in specs.values()))
     return host, state
@@ -297,45 +303,53 @@ SPECS = {s.id: s for s in [
 ]}
 
 
+def shed_ids(decision):
+    """Host id -> the ids its new mask turns off, from a decision's (hosts, mask) pairs."""
+    return {host.id: sorted(cid for (cid, _), on, keep in zip(host.containers, host.active, mask)
+                            if on and not keep)
+            for hosts, mask in decision.shed for host in hosts}
+
+
 def test_brownout_no_overload_is_reactivation_directive():
-    decision = brownout_step([], 4, PROFILE, select_lucf)
+    decision = brownout_step([], 4, PROFILE, "LUCF")
     assert decision.reactivate
     assert decision.dimmer == 0.0
-    assert decision.per_host == {}
+    assert decision.shed == []
 
 
 def test_brownout_only_overloaded_hosts_selected():
     # which hosts are overloaded is the engine's call (see test_engine's
     # test_brownout_is_offered_exactly_the_overloaded_serving_hosts); the
     # dimmer is the overloaded share of the whole fleet
-    decision = brownout_step([make_host(0, 0.9, SPECS)], 4, PROFILE, select_lucf)
+    decision = brownout_step([make_host(0, 0.9, SPECS)], 4, PROFILE, "LUCF")
     assert not decision.reactivate
     assert decision.dimmer == pytest.approx(math.sqrt(1 / 4))
 
 
 def test_brownout_all_overloaded_full_dimmer():
     pairs = [make_host(i, 0.95, SPECS) for i in range(4)]
-    decision = brownout_step(pairs, 4, PROFILE, select_lucf)
+    decision = brownout_step(pairs, 4, PROFILE, "LUCF")
     assert decision.dimmer == pytest.approx(1.0)
-    assert set(decision.per_host) == {h.id for h, _ in pairs}
+    assert set(shed_ids(decision)) == {h.id for h, _ in pairs}
 
 
 def test_brownout_never_touches_mandatory():
     rng = random.Random(47)
     pairs = [make_host(i, rng.uniform(0.81, 1.0), SPECS) for i in range(4)]
-    for selector in (select_lucf, select_mncf, select_rsc):
-        decision = brownout_step(pairs, 4, PROFILE, selector, rng)
-        for picked in decision.per_host.values():
-            for inst_id in picked:
-                spec_id = inst_id.split("@")[0]
-                assert SPECS[spec_id].optional, f"mandatory {inst_id} in decision"
+    for policy in ("LUCF", "MNCF", "RSC"):
+        decision = brownout_step(pairs, 4, PROFILE, policy, rng)
+        assert decision.shed, policy
+        for hosts, mask in decision.shed:
+            for host in hosts:
+                for (inst_id, spec), keep in zip(host.containers, mask):
+                    assert keep or spec.optional, f"mandatory {inst_id} in decision"
 
 
 def test_brownout_full_dimmer_sheds_everything_optional():
     pairs = [make_host(i, 1.0, SPECS) for i in range(4)]
-    decision = brownout_step(pairs, 4, PROFILE, select_lucf)
+    decision = brownout_step(pairs, 4, PROFILE, "LUCF")
     for host, _ in pairs:
-        assert sorted(decision.per_host[host.id]) == sorted(
+        assert shed_ids(decision)[host.id] == sorted(
             cid for cid, spec in host.containers if spec.optional)
 
 
@@ -350,9 +364,31 @@ def test_brownout_per_host_holds_both_tag_siblings():
     pairs = [make_host(0, 1.0, specs)]
     # one overloaded host in 100 asks for 0.69 of its 1.0: LUCF fits the
     # 0.4 pair plus one 0.2 single under it, not all three units (0.8)
-    decision = brownout_step(pairs, 100, PROFILE, select_lucf)
-    assert decision.per_host == {"h00": ["ads@h00", "cache@h00", "rec@h00"]}
+    decision = brownout_step(pairs, 100, PROFILE, "LUCF")
+    assert shed_ids(decision) == {"h00": ["ads@h00", "cache@h00", "rec@h00"]}
     rng = random.Random(53)
-    for selector in (select_mncf, select_rsc):
-        picked = set(brownout_step(pairs, 100, PROFILE, selector, rng).per_host["h00"])
-        assert ("rec@h00" in picked) == ("cache@h00" in picked), (selector.__name__, picked)
+    for policy in ("MNCF", "RSC"):
+        picked = set(shed_ids(brownout_step(pairs, 100, PROFILE, policy, rng))["h00"])
+        assert ("rec@h00" in picked) == ("cache@h00" in picked), (policy, picked)
+
+
+def test_brownout_decides_once_per_class_and_rsc_once_per_host():
+    # h00, h01 and h03 share one state; h02 is in another.  LUCF picks once
+    # for the class and every member takes its mask, ids mapped by position.
+    # RSC draws per host, in host order, each over its class's offer.
+    (h0, hot), (h1, _), (h2, warm), (h3, _) = [make_host(i, 1.0, SPECS) for i in range(4)]
+    warm.utilization = 0.9
+    pairs = [(h0, hot), (h1, hot), (h2, warm), (h3, hot)]
+    decision = brownout_step(pairs, 4, PROFILE, "LUCF")
+    assert [[h.id for h in hosts] for hosts, _ in decision.shed] == [["h00", "h01", "h03"], ["h02"]]
+    assert shed_ids(decision)["h03"] == ["ads@h03", "rec@h03"]
+    rng, draws = random.Random(5), random.Random(5)
+    decision = brownout_step(pairs, 4, PROFILE, "RSC", rng)
+    assert [[h.id for h in hosts] for hosts, _ in decision.shed] == [["h00"], ["h01"], ["h02"], ["h03"]]
+    target = {id(hot): expected_reduction(1.0, hot.power_w, 1.0, PROFILE),
+              id(warm): expected_reduction(0.9, warm.power_w, 1.0, PROFILE)}
+    for (host, state), (_, mask) in zip(pairs, decision.shed):
+        items = [I(cid, u) for (cid, spec), u in zip(host.containers, state.instance_utilizations)
+                 if spec.optional]
+        assert shed_ids(decision)[host.id] == select_rsc(items, target[id(state)], draws)
+    assert rng.getstate() == draws.getstate()
