@@ -14,11 +14,13 @@ active mask and a request count are in one state.  Its utilization, power,
 watt-hours, active-weight fraction, response group and restore mask are
 functions of that key and the run's constants, so a class is derived once
 per run and kept; each interval maps every host to one.  The records, the
-brownout controller, the energy total and the next capacity factor read
-utilization and power from the classes.  Brownout picks once per
-overloaded class for LUCF and MNCF, and once per host for RSC so that its
-draws stay in host order; so do the loops whose float sums depend on order:
-the records, the energy additions and the capacity mean, in host-id order.
+controller, the energy total and the next capacity factor read the classes.
+The controller moves hosts, a (hosts, mask) pair at a time: brownout's picks
+while a host is overloaded, else each class's restore mask.  Brownout picks
+once per overloaded class for LUCF and MNCF, and once per host for RSC so
+that its draws stay in host order, as do the loops whose float sums depend
+on order: the records, the energy additions and the capacity mean.  Host
+order is placement index order, so h100 follows h99.
 """
 
 from __future__ import annotations
@@ -36,14 +38,12 @@ from .model import (
     scaled_services,
     validate_config,
 )
-from .policies import autoscale, brownout_step, deactivated_units, restorable
+from .policies import SELECTORS, autoscale, brownout_step, deactivated_units, restorable
 from .power import hum
 from .qos import nearest_rank_percentile, overload_ratios, slavr
 from .workload import Trace, predict_rate, predict_rate_weighted
 
 POLICY_RNG_SALT = 0x517CC1B727220A95
-
-BROWNOUT_POLICIES = ("LUCF", "MNCF", "RSC")
 
 # Looking a member up on the enum class is slow in per-host loops.
 ACTIVE, BOOTING, SLEEP = HostMode.ACTIVE, HostMode.BOOTING, HostMode.SLEEP
@@ -58,7 +58,7 @@ class ConfigError(ValueError):
 
 
 def route_demand(requests: int, active_host_ids: list) -> dict:
-    """Spread requests evenly, remainder to the lowest host ids."""
+    """Spread requests evenly, remainder to the first hosts in the order given."""
     if requests < 0:
         raise ValueError(f"requests must be >= 0 (got {requests})")
     alloc = dict.fromkeys(active_host_ids, 0)
@@ -66,7 +66,7 @@ def route_demand(requests: int, active_host_ids: list) -> dict:
         return alloc
     share, remainder = divmod(requests, len(alloc))
     alloc.update(dict.fromkeys(alloc, share))
-    for hid in sorted(alloc)[:remainder]:
+    for hid in list(alloc)[:remainder]:
         alloc[hid] += 1
     return alloc
 
@@ -112,8 +112,9 @@ class HostClass:
     n_o, interval length, power profile, base response), so a class lasts
     the run.  `group` is (response_ms, served), with served 0 off the
     serving set; `fraction` is the active share of the stack's weight, None
-    off the serving set; `restore` is the active mask, by position, after
-    the restore step, once asked.  A plain class, because building a
+    off the serving set; `restore` is the mask, by position, that a member
+    takes once no host is overloaded: its own mask plus what `restorable`
+    brings back, derived with the class.  A plain class, because building a
     dataclass slows every package import.
     """
 
@@ -121,7 +122,7 @@ class HostClass:
                  "group", "errors", "deactivated", "fraction", "restore")
 
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values + (None,)):
+        for name, value in zip(self.__slots__, values):
             setattr(self, name, value)
 
 
@@ -136,13 +137,13 @@ class Simulation:
         self.trace = trace
         self.profile = cfg.power_profile
         self.scaling = cfg.policy_name != "NPA"
-        self.brownout = cfg.policy_name in BROWNOUT_POLICIES
+        self.brownout = cfg.policy_name in SELECTORS
 
         self.hosts = []
         specs = {s.id: s for s in scaled_services(cfg.services, cfg.policy.optional_util_pct)}
         placement = place_replicas(cfg)
         stacks = {}  # distinct placement -> its index
-        for hid in sorted(placement):
+        for hid in placement:  # in index order: h100 comes after h99
             ids = placement[hid]
             containers = tuple((f"{sid}@{hid}" + (f"+{j}" if sid in ids[:j] else ""), specs[sid])
                                for j, sid in enumerate(ids))
@@ -191,15 +192,15 @@ class Simulation:
         self.class_of = {}
         self._refresh(self.hosts, alloc)
 
-        # 6-7: brownout controller, then move what it touched to new classes.
+        # 6-7: brownout controller, then move what it touched to new classes;
+        # once no host is overloaded, every class takes its restore mask.
         if self.brownout:
             overloaded = [(h, c) for h, c in zip(self.hosts, self.class_of.values()) if c.overloaded]
-            decision = brownout_step(overloaded, len(self.hosts), self.profile,
-                                     self.cfg.policy_name, self.rng_policy)
-            if decision.reactivate:
-                self._reactivate(alloc)
-            for hosts, mask in decision.shed:  # empty when reactivating
+            for hosts, mask in brownout_step(overloaded, len(self.hosts), self.profile,
+                                             self.cfg.policy_name, self.rng_policy):
                 self._move(hosts, mask, alloc)
+            if not overloaded:
+                self._reactivate(alloc)
 
         # 8-9: responses, errors and energy, from each host's final class.
         classes = list(self.class_of.values())  # filled in host order at step 5
@@ -246,7 +247,7 @@ class Simulation:
         active = [h for h in self.hosts if h.mode is ACTIVE]
         booting = [h for h in self.hosts if h.mode is BOOTING]
         committed = len(active) + len(booting)
-        # self.hosts is in id order
+        # self.hosts is in index order
         if target > committed:
             pool = [h for h in self.hosts if h.mode is SLEEP]
             for h in pool[:target - committed]:
@@ -269,28 +270,14 @@ class Simulation:
         host.active = (True,) * len(host.containers)
 
     def _reactivate(self, alloc: dict) -> None:
-        """Bring back, on each active host, the deactivated units it can absorb.
-
-        A class decides its restored mask once per run, from the first host
-        that asks, and the members whose mask it changes move together.
-        `restorable` is asked only if the lightest deactivated unit fits, so
-        it never returns nothing.
-        """
-        u_t = self.cfg.policy.overloaded_threshold_u_t
-        members = {}  # class -> its hosts, in host order
+        """Give every host whose class restores containers the class's
+        restore mask; the hosts of one class move together."""
+        moves = {}  # class -> its hosts that change, in host order
         for host, cls in zip(self.hosts, self.class_of.values()):
-            members.setdefault(cls, []).append(host)
-        for cls, hosts in members.items():
-            host = hosts[0]
-            if cls.restore is None:
-                demand = alloc.get(host.id, 0) / self.cfg.policy.capacity_n_o
-                units = cls.deactivated and deactivated_units(host)
-                fits = units and cls.utilization + demand * units[0].utilization <= u_t + 1e-12
-                back = set(restorable(units, cls.utilization, demand, u_t)) if fits else ()
-                cls.restore = tuple([on or cid in back
-                                     for (cid, _), on in zip(host.containers, host.active)])
             if cls.restore != host.active:
-                self._move(hosts, cls.restore, alloc)
+                moves.setdefault(cls, []).append(host)
+        for cls, hosts in moves.items():
+            self._move(hosts, cls.restore, alloc)
 
     def _move(self, hosts: list, mask: tuple, alloc: dict) -> None:
         """Give hosts of one class one new mask: the first finds the class it
@@ -304,6 +291,7 @@ class Simulation:
         """Put each host in the class of its current state; the first host in
         a state this run derives the class, the others reuse it."""
         pol, classes, class_of = self.cfg.policy, self.classes, self.class_of
+        u_t = pol.overloaded_threshold_u_t
         for host in hosts:
             hid, serving = host.id, host.mode is ACTIVE
             assigned = alloc.get(hid, 0)
@@ -316,16 +304,21 @@ class Simulation:
                 power_w = hum(self.profile, host.mode, utilization)
                 response_ms, served, errors = (synthesize_response(
                     load, assigned, self.cfg.base_response_ms) if serving else (0.0, 0, 0))
-                fraction = None
+                fraction, restore = None, host.active  # off the serving set nothing is off
                 if serving:
                     weights = [spec.weight for _, spec in host.containers]
                     total = sum(weights)
                     fraction = (sum([w for w, on in zip(weights, mask) if on]) / total
                                 if total > 0 else 1.0)
+                    if False in mask:
+                        back = set(restorable(deactivated_units(host), utilization,
+                                              assigned / pol.capacity_n_o, u_t))
+                        restore = tuple([on or cid in back
+                                         for (cid, _), on in zip(host.containers, mask)])
                 cls = classes[key] = HostClass(
                     utilization, power_w, power_w * self.cfg.interval_seconds / 3600.0,
-                    instance_utilizations, serving and utilization > pol.overloaded_threshold_u_t,
-                    (response_ms, served), errors, mask.count(False), fraction)
+                    instance_utilizations, serving and utilization > u_t,
+                    (response_ms, served), errors, mask.count(False), fraction, restore)
             class_of[hid] = cls
 
     def _result(self) -> RunResult:

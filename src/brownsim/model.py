@@ -324,7 +324,7 @@ def place_replicas(cfg: SimConfig) -> dict:
     """Round-robin the replicas of each spec across the fleet.
 
     Returns host_id -> list of spec ids.  Every replica lands on exactly one
-    host; hosts are filled lowest id first.
+    host; hosts are filled lowest index first, in the dict's order.
     """
     placement = {host_id(i): [] for i in range(cfg.host_count)}
     for s in cfg.services:

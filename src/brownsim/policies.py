@@ -11,22 +11,22 @@ containers to deactivate to meet it.  Three selectors are provided:
   RSC   random picks until the target is covered.
 
 Every selector is called as (items, target, rng); only RSC uses the rng.
-`brownout_step` makes one LUCF or MNCF decision per overloaded host class,
-whose hosts share one offer and take one mask; RSC draws once per host.
+`brownout_step` returns its moves, one (hosts, mask) pair per pick: one LUCF
+or MNCF pick per overloaded host class, whose hosts share one offer and take
+one mask, and one RSC draw per host.
 Up to EXACT_SEARCH_LIMIT units, LUCF and MNCF scan a table of every subset's
 total with C-level filters.  Ties break on the ids' order alone, so a pick is
 memoised on the utilizations and the ids' ranks, across classes and runs.
-Once no host is overloaded, `restorable` decides which deactivated
-containers each class takes back.  Optional containers sharing a connection
-tag on one host only work as a group, so `group_units` bundles them into
-single units for both decisions.
+`restorable` decides, once per host class, which deactivated containers its
+hosts take back when no host is overloaded.  Optional containers sharing a
+connection tag on one host only work as a group, so `group_units` bundles
+them into single units for both decisions.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add
@@ -238,40 +238,21 @@ SELECTORS = {"LUCF": select_lucf, "MNCF": select_mncf, "RSC": select_rsc}
 SHARED_PICKS = ("LUCF", "MNCF")  # selectors whose pick is a function of the offer alone
 
 
-@dataclass
-class BrownoutDecision:
-    """Outcome of one brownout evaluation.
-
-    A dimmer of 0 (no overloaded hosts) is the signal to bring deactivated
-    containers back; otherwise `shed` holds one (hosts, mask) pair per pick:
-    hosts of one class and the active mask they all take.
-    """
-
-    dimmer: float = 0.0
-    shed: list = field(default_factory=list)
-
-    @property
-    def reactivate(self) -> bool:
-        return self.dimmer == 0.0
-
-
 def brownout_step(overloaded: list, fleet_size: int, profile: PowerProfile, policy: str,
-                  rng: random.Random | None = None) -> BrownoutDecision:
-    """Evaluate the fleet once and decide what to deactivate.
+                  rng: random.Random | None = None) -> list:
+    """Evaluate the fleet once and return its moves: one (hosts, mask) pair
+    per pick, hosts of one class and the active mask they all take.
 
     `overloaded` holds one (host, class) pair per overloaded host, in host
     order; a class gives its hosts' utilization, power_w and one utilization
-    per container.  With none the decision is an empty reactivation
-    directive.  Otherwise each class gets a target from the shared dimmer and
-    an offer of the optional containers its mask keeps on, never mandatory
+    per container.  Each class gets a target from the shared dimmer and an
+    offer of the optional containers its mask keeps on, never mandatory
     ones.  The policy's selector (SELECTORS[policy]) picks once per class for
     SHARED_PICKS, else once per host in host order, so RSC's draws stay put.
+    With no host overloaded there is nothing to shed.
     """
-    if not overloaded:
-        return BrownoutDecision()
     theta = dimmer(len(overloaded), fleet_size)
-    decision = BrownoutDecision(dimmer=theta)
-    select, members, offers = SELECTORS[policy], {}, {}
+    select, members, offers, moves = SELECTORS[policy], {}, {}, []
     for host, cls in overloaded:
         members.setdefault(cls, []).append(host)
     for cls, (host, *_) in members.items():  # (target, items, first host) per class
@@ -284,9 +265,9 @@ def brownout_step(overloaded: list, fleet_size: int, profile: PowerProfile, poli
     for cls, hosts in picks:
         target, items, host = offers[cls]
         if items and (picked := set(select(items, target, rng))):
-            decision.shed.append((hosts, tuple([on and cid not in picked for (cid, _), on
-                                                in zip(host.containers, host.active)])))
-    return decision
+            moves.append((hosts, tuple([on and cid not in picked for (cid, _), on
+                                        in zip(host.containers, host.active)])))
+    return moves
 
 
 def deactivated_units(host: HostState) -> list:

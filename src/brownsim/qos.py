@@ -61,10 +61,6 @@ class ConstraintCheck:
 class QosReport:
     constraints: list = field(default_factory=list)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.constraints)
-
 
 def check_constraints(result, policy) -> QosReport:
     """Check a run against the configured SLA bounds.

@@ -5,6 +5,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brownsim import engine, policies
 from brownsim.engine import (
@@ -21,6 +22,7 @@ from brownsim.model import (
     HostState,
     PolicyConfig,
     SimConfig,
+    host_id,
     load_config,
     with_values,
 )
@@ -85,6 +87,25 @@ def test_route_conserves_requests():
 
 def test_route_no_hosts():
     assert route_demand(50, []) == {}
+
+
+def test_route_remainder_follows_the_order_given():
+    # past h99 the ids no longer sort in fleet order: h100 sorts before h11
+    alloc = route_demand(120 * 3 + 12, [host_id(i) for i in range(120)])
+    assert [hid for hid, n in alloc.items() if n == 4] == [host_id(i) for i in range(12)]
+
+
+def test_a_fleet_past_h99_keeps_index_order():
+    sim = Simulation(make_cfg(policy="AUTOS", hosts=120, pct=0.0), flat_trace([1212, 1212]))
+    fleet = [host_id(i) for i in range(120)]
+    assert [h.id for h in sim.hosts] == fleet
+    # 1212 = 120 x 10 + 12: the remainder goes to h00-h11, not to h100
+    record = sim.step(0, 1212)
+    assert [hid for hid, *_ in record.per_host] == fleet
+    assert [sim.class_of[hid].group[1] for hid in ("h11", "h100")] == [11, 10]
+    # the scaler keeps ceil(1212 / 25) = 49 hosts and sleeps from h119 down
+    sim.step(1, 1212)
+    assert [h.id for h in sim.hosts if h.mode is HostMode.ACTIVE] == fleet[:49]
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +574,44 @@ def test_restore_skips_a_host_whose_lightest_container_cannot_fit(monkeypatch):
     host.active = tuple(spec.id == "web" for _, spec in host.containers)
     asked = _spy_restorable(monkeypatch)
     # web alone is at 0.485, under u_t, so the host is in the restore path;
-    # ads would lift it to 0.97, so nothing can come back
+    # ads would lift it to 0.97, so nothing can come back: the class's one
+    # `restorable` call returns nothing
     record = sim.step(0, 97)
-    assert asked == []
+    assert [back for _, back in asked] == [[]]
     assert record.deactivated_containers == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_restore_takes_back_what_fits_and_leaves_off_only_what_does_not(data):
+    # one host: a mandatory container and 1-6 optional ones, weights in
+    # twentieths, some optional ones off, at a rate that keeps it under u_t
+    n = data.draw(st.integers(1, 6))
+    weights = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    tags = data.draw(st.lists(st.sampled_from([None, "a", "b"]), min_size=n, max_size=n))
+    off = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    ut_twentieths = data.draw(st.integers(10, 19))
+    ut = ut_twentieths / 20
+    services = [ContainerSpec(id="web", service="s", weight=(20 - sum(weights)) / 20)] + [
+        ContainerSpec(id=f"o{i}", service="s", weight=w / 20, optional=True, connection_tag=tag)
+        for i, (w, tag) in enumerate(zip(weights, tags))]
+    before = (True,) + tuple(not o for o in off)
+    on_twentieths = 20 - sum(w for w, o in zip(weights, off) if o)
+    # load = rate/100 x on_twentieths/20, kept a whole 1/2000 under u_t
+    rate = data.draw(st.integers(0, (100 * ut_twentieths - 1) // on_twentieths))
+    cfg = SimConfig(policy_name="LUCF", host_count=1, services=services,
+                    policy=PolicyConfig(overloaded_threshold_u_t=ut, capacity_n_o=100.0),
+                    trace_path="unused.csv")
+    sim = Simulation(cfg, flat_trace([rate]))
+    host = sim.hosts[0]
+    host.active = before
+    sim.step(0, rate)
+    assert all(now or not was for now, was in zip(host.active, before))
+    assert all(on for (_, spec), on in zip(host.containers, host.active) if not spec.optional)
+    utilization = sim.class_of[host.id].utilization
+    assert utilization <= ut + 1e-12
+    for unit in engine.deactivated_units(host):
+        assert utilization + rate / 100 * unit.utilization > ut + 1e-12, unit
 
 
 @pytest.mark.parametrize("ut", [0.7, 0.8])
@@ -572,16 +627,19 @@ def test_restore_precheck_leaves_the_records_unchanged(monkeypatch, policy, ut):
     assert asked_checked < len(asked), "the pre-check must skip some hosts"
 
 
-@pytest.mark.parametrize("ut", [0.7, 0.8])
-def test_restore_precheck_asks_only_hosts_that_take_something_back(monkeypatch, ut):
-    # the pre-check bounds by the lightest deactivated unit (a tag group
-    # weighs its members' sum), so a host that passes it restores that unit
+@pytest.mark.parametrize("cfg", [sample_day_cfg("LUCF", 0.7), sample_day_cfg("LUCF", 0.8),
+                                 dense_cfg("LUCF"), dense_cfg("RSC")],
+                         ids=["LUCF-0.7", "LUCF-0.8", "LUCF-dense", "RSC-dense"])
+def test_restorable_is_asked_at_most_once_per_distinct_serving_state(monkeypatch, cfg):
+    # the restore mask is a class field: derived when a serving state is
+    # first seen this run, never again, however often its hosts restore
     asked = _spy_restorable(monkeypatch)
-    cfg = with_values(load_config(str(ROOT / "configs" / "sample.json")),
-                      {"policy.overloaded_threshold_u_t": ut})
-    Simulation(cfg, DIURNAL).run()
-    assert asked, "the sample day must reach the restore step"
-    assert all(back for _, back in asked)
+    sim = Simulation(cfg, DIURNAL)
+    sim.run()
+    assert any(back for _, back in asked), "the day must restore something"
+    serving = [key for key in sim.classes if key[1] is HostMode.ACTIVE]
+    assert len(asked) <= len(serving)
+    assert len(asked) < sum(r.active_hosts for r in sim.records), "asked per state, not per host"
 
 
 def test_wrapped_rsc_selector_runs_identically(monkeypatch):

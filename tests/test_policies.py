@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from brownsim import policies
 from brownsim.model import (
     ContainerSpec,
     HostMode,
@@ -303,43 +304,60 @@ SPECS = {s.id: s for s in [
 ]}
 
 
-def shed_ids(decision):
-    """Host id -> the ids its new mask turns off, from a decision's (hosts, mask) pairs."""
+def shed_ids(moves):
+    """Host id -> the ids its new mask turns off, from brownout's (hosts, mask) moves."""
     return {host.id: sorted(cid for (cid, _), on, keep in zip(host.containers, host.active, mask)
                             if on and not keep)
-            for hosts, mask in decision.shed for host in hosts}
+            for hosts, mask in moves for host in hosts}
+
+
+def spy_dimmer(monkeypatch):
+    """Record every dimmer value brownout_step computes."""
+    seen, real = [], policies.dimmer
+
+    def spy(overloaded, fleet):
+        seen.append(real(overloaded, fleet))
+        return seen[-1]
+
+    monkeypatch.setattr(policies, "dimmer", spy)
+    return seen
 
 
 def test_brownout_no_overload_is_reactivation_directive():
-    decision = brownout_step([], 4, PROFILE, "LUCF")
-    assert decision.reactivate
-    assert decision.dimmer == 0.0
-    assert decision.shed == []
+    # no overloaded host, no moves: the engine then restores instead
+    assert brownout_step([], 4, PROFILE, "LUCF") == []
 
 
-def test_brownout_only_overloaded_hosts_selected():
+def test_brownout_only_overloaded_hosts_selected(monkeypatch):
     # which hosts are overloaded is the engine's call (see test_engine's
     # test_brownout_is_offered_exactly_the_overloaded_serving_hosts); the
     # dimmer is the overloaded share of the whole fleet
-    decision = brownout_step([make_host(0, 0.9, SPECS)], 4, PROFILE, "LUCF")
-    assert not decision.reactivate
-    assert decision.dimmer == pytest.approx(math.sqrt(1 / 4))
+    seen = spy_dimmer(monkeypatch)
+    host, state = make_host(0, 0.9, SPECS)
+    moves = brownout_step([(host, state)], 4, PROFILE, "LUCF")
+    assert seen == [pytest.approx(math.sqrt(1 / 4))]
+    assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00"]]
+    items = [I(cid, u) for (cid, spec), u in zip(host.containers, state.instance_utilizations)
+             if spec.optional]
+    target = expected_reduction(0.9, state.power_w, math.sqrt(1 / 4), PROFILE)
+    assert shed_ids(moves)["h00"] == select_lucf(items, target)
 
 
-def test_brownout_all_overloaded_full_dimmer():
+def test_brownout_all_overloaded_full_dimmer(monkeypatch):
+    seen = spy_dimmer(monkeypatch)
     pairs = [make_host(i, 0.95, SPECS) for i in range(4)]
-    decision = brownout_step(pairs, 4, PROFILE, "LUCF")
-    assert decision.dimmer == pytest.approx(1.0)
-    assert set(shed_ids(decision)) == {h.id for h, _ in pairs}
+    moves = brownout_step(pairs, 4, PROFILE, "LUCF")
+    assert seen == [pytest.approx(1.0)]
+    assert set(shed_ids(moves)) == {h.id for h, _ in pairs}
 
 
 def test_brownout_never_touches_mandatory():
     rng = random.Random(47)
     pairs = [make_host(i, rng.uniform(0.81, 1.0), SPECS) for i in range(4)]
     for policy in ("LUCF", "MNCF", "RSC"):
-        decision = brownout_step(pairs, 4, PROFILE, policy, rng)
-        assert decision.shed, policy
-        for hosts, mask in decision.shed:
+        moves = brownout_step(pairs, 4, PROFILE, policy, rng)
+        assert moves, policy
+        for hosts, mask in moves:
             for host in hosts:
                 for (inst_id, spec), keep in zip(host.containers, mask):
                     assert keep or spec.optional, f"mandatory {inst_id} in decision"
@@ -347,9 +365,9 @@ def test_brownout_never_touches_mandatory():
 
 def test_brownout_full_dimmer_sheds_everything_optional():
     pairs = [make_host(i, 1.0, SPECS) for i in range(4)]
-    decision = brownout_step(pairs, 4, PROFILE, "LUCF")
+    moves = brownout_step(pairs, 4, PROFILE, "LUCF")
     for host, _ in pairs:
-        assert shed_ids(decision)[host.id] == sorted(
+        assert shed_ids(moves)[host.id] == sorted(
             cid for cid, spec in host.containers if spec.optional)
 
 
@@ -364,8 +382,8 @@ def test_brownout_per_host_holds_both_tag_siblings():
     pairs = [make_host(0, 1.0, specs)]
     # one overloaded host in 100 asks for 0.69 of its 1.0: LUCF fits the
     # 0.4 pair plus one 0.2 single under it, not all three units (0.8)
-    decision = brownout_step(pairs, 100, PROFILE, "LUCF")
-    assert shed_ids(decision) == {"h00": ["ads@h00", "cache@h00", "rec@h00"]}
+    moves = brownout_step(pairs, 100, PROFILE, "LUCF")
+    assert shed_ids(moves) == {"h00": ["ads@h00", "cache@h00", "rec@h00"]}
     rng = random.Random(53)
     for policy in ("MNCF", "RSC"):
         picked = set(shed_ids(brownout_step(pairs, 100, PROFILE, policy, rng))["h00"])
@@ -379,16 +397,16 @@ def test_brownout_decides_once_per_class_and_rsc_once_per_host():
     (h0, hot), (h1, _), (h2, warm), (h3, _) = [make_host(i, 1.0, SPECS) for i in range(4)]
     warm.utilization = 0.9
     pairs = [(h0, hot), (h1, hot), (h2, warm), (h3, hot)]
-    decision = brownout_step(pairs, 4, PROFILE, "LUCF")
-    assert [[h.id for h in hosts] for hosts, _ in decision.shed] == [["h00", "h01", "h03"], ["h02"]]
-    assert shed_ids(decision)["h03"] == ["ads@h03", "rec@h03"]
+    moves = brownout_step(pairs, 4, PROFILE, "LUCF")
+    assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00", "h01", "h03"], ["h02"]]
+    assert shed_ids(moves)["h03"] == ["ads@h03", "rec@h03"]
     rng, draws = random.Random(5), random.Random(5)
-    decision = brownout_step(pairs, 4, PROFILE, "RSC", rng)
-    assert [[h.id for h in hosts] for hosts, _ in decision.shed] == [["h00"], ["h01"], ["h02"], ["h03"]]
+    moves = brownout_step(pairs, 4, PROFILE, "RSC", rng)
+    assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00"], ["h01"], ["h02"], ["h03"]]
     target = {id(hot): expected_reduction(1.0, hot.power_w, 1.0, PROFILE),
               id(warm): expected_reduction(0.9, warm.power_w, 1.0, PROFILE)}
-    for (host, state), (_, mask) in zip(pairs, decision.shed):
+    for (host, state), (_, mask) in zip(pairs, moves):
         items = [I(cid, u) for (cid, spec), u in zip(host.containers, state.instance_utilizations)
                  if spec.optional]
-        assert shed_ids(decision)[host.id] == select_rsc(items, target[id(state)], draws)
+        assert shed_ids(moves)[host.id] == select_rsc(items, target[id(state)], draws)
     assert rng.getstate() == draws.getstate()

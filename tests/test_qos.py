@@ -100,20 +100,20 @@ def test_constraints_pass_case():
     report = check_constraints(result_with(otr_mean=0.08), PolicyConfig(sla_alpha=0.1))
     otr_check = next(c for c in report.constraints if c.name == "otr_mean")
     assert otr_check.passed
-    assert report.all_passed
+    assert all(c.passed for c in report.constraints)
 
 
 def test_constraints_slavr_failure():
     report = check_constraints(result_with(slavr_value=0.0424), PolicyConfig(sla_gamma=0.02))
     slavr_check = next(c for c in report.constraints if c.name == "slavr")
     assert not slavr_check.passed
-    assert not report.all_passed
+    assert not all(c.passed for c in report.constraints)
 
 
 def test_constraints_all_zero_metrics_pass():
     report = check_constraints(result_with(otr_mean=0.0, avg=0.0, p95=0.0, slavr_value=0.0),
                                PolicyConfig())
-    assert report.all_passed
+    assert all(c.passed for c in report.constraints)
 
 
 def test_constraints_not_applicable_slavr_passes():
