@@ -15,12 +15,11 @@ watt-hours, active-weight fraction, response group and restore mask are
 functions of that key and the run's constants, so a class is derived once
 per run and kept; each interval maps every host to one.  The records, the
 controller, the energy total and the next capacity factor read the classes.
-The controller moves hosts, a (hosts, mask) pair at a time: brownout's picks
-while a host is overloaded, else each class's restore mask.  Brownout picks
-once per overloaded class for LUCF and MNCF, and once per host for RSC so
-that its draws stay in host order, as do the loops whose float sums depend
-on order: the records, the energy additions and the capacity mean.  Host
-order is placement index order, so h100 follows h99.
+One `policies.brownout_step` call per interval decides to shed or restore
+and returns (hosts, mask) moves; the engine only applies them.  The loops
+whose float sums depend on order keep host order: the records, the energy
+additions and the capacity mean.  Host order is placement index order, so
+h100 follows h99.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .model import (
     scaled_services,
     validate_config,
 )
-from .policies import SELECTORS, autoscale, brownout_step, deactivated_units, restorable
+from .policies import SELECTORS, autoscale, brownout_step, restore_mask
 from .power import hum
 from .qos import nearest_rank_percentile, overload_ratios, slavr
 from .workload import Trace, predict_rate, predict_rate_weighted
@@ -113,9 +112,8 @@ class HostClass:
     the run.  `group` is (response_ms, served), with served 0 off the
     serving set; `fraction` is the active share of the stack's weight, None
     off the serving set; `restore` is the mask, by position, that a member
-    takes once no host is overloaded: its own mask plus what `restorable`
-    brings back, derived with the class.  A plain class, because building a
-    dataclass slows every package import.
+    takes once no host is overloaded, from `restore_mask`.  A plain class,
+    because building a dataclass slows every package import.
     """
 
     __slots__ = ("utilization", "power_w", "energy_wh", "instance_utilizations", "overloaded",
@@ -192,15 +190,12 @@ class Simulation:
         self.class_of = {}
         self._refresh(self.hosts, alloc)
 
-        # 6-7: brownout controller, then move what it touched to new classes;
-        # once no host is overloaded, every class takes its restore mask.
+        # 6-7: brownout controller (shed or restore), then move what it
+        # touched to new classes.
         if self.brownout:
-            overloaded = [(h, c) for h, c in zip(self.hosts, self.class_of.values()) if c.overloaded]
-            for hosts, mask in brownout_step(overloaded, len(self.hosts), self.profile,
-                                             self.cfg.policy_name, self.rng_policy):
+            for hosts, mask in brownout_step(list(zip(self.hosts, self.class_of.values())),
+                                             self.profile, self.cfg.policy_name, self.rng_policy):
                 self._move(hosts, mask, alloc)
-            if not overloaded:
-                self._reactivate(alloc)
 
         # 8-9: responses, errors and energy, from each host's final class.
         classes = list(self.class_of.values())  # filled in host order at step 5
@@ -269,16 +264,6 @@ class Simulation:
         # with its full configured stack.
         host.active = (True,) * len(host.containers)
 
-    def _reactivate(self, alloc: dict) -> None:
-        """Give every host whose class restores containers the class's
-        restore mask; the hosts of one class move together."""
-        moves = {}  # class -> its hosts that change, in host order
-        for host, cls in zip(self.hosts, self.class_of.values()):
-            if cls.restore != host.active:
-                moves.setdefault(cls, []).append(host)
-        for cls, hosts in moves.items():
-            self._move(hosts, cls.restore, alloc)
-
     def _move(self, hosts: list, mask: tuple, alloc: dict) -> None:
         """Give hosts of one class one new mask: the first finds the class it
         moves to, the others take that class without rebuilding their keys."""
@@ -310,11 +295,7 @@ class Simulation:
                     total = sum(weights)
                     fraction = (sum([w for w, on in zip(weights, mask) if on]) / total
                                 if total > 0 else 1.0)
-                    if False in mask:
-                        back = set(restorable(deactivated_units(host), utilization,
-                                              assigned / pol.capacity_n_o, u_t))
-                        restore = tuple([on or cid in back
-                                         for (cid, _), on in zip(host.containers, mask)])
+                    restore = restore_mask(host, utilization, assigned / pol.capacity_n_o, u_t)
                 cls = classes[key] = HostClass(
                     utilization, power_w, power_w * self.cfg.interval_seconds / 3600.0,
                     instance_utilizations, serving and utilization > u_t,

@@ -11,16 +11,16 @@ containers to deactivate to meet it.  Three selectors are provided:
   RSC   random picks until the target is covered.
 
 Every selector is called as (items, target, rng); only RSC uses the rng.
-`brownout_step` returns its moves, one (hosts, mask) pair per pick: one LUCF
-or MNCF pick per overloaded host class, whose hosts share one offer and take
-one mask, and one RSC draw per host.
 Up to EXACT_SEARCH_LIMIT units, LUCF and MNCF scan a table of every subset's
 total with C-level filters.  Ties break on the ids' order alone, so a pick is
 memoised on the utilizations and the ids' ranks, across classes and runs.
-`restorable` decides, once per host class, which deactivated containers its
-hosts take back when no host is overloaded.  Optional containers sharing a
-connection tag on one host only work as a group, so `group_units` bundles
-them into single units for both decisions.
+
+`brownout_step` is the controller, called once per interval on the whole
+fleet: it sheds while a host is overloaded and restores otherwise.  Its
+(hosts, mask) moves are one LUCF or MNCF pick per overloaded host class,
+one RSC draw per overloaded host, or each class's `restore_mask`.
+Optional containers sharing a connection tag on one host only work as a
+group, so `group_units` bundles them into single units for both decisions.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class OptionalItem(NamedTuple):
     """One optional container instance offered to a brownout decision.
 
     Selectors see active instances at their current utilization;
-    `restorable` sees deactivated ones at their weight.
+    `restore_mask` sees deactivated ones at their weight.
     """
 
     id: str
@@ -238,21 +238,27 @@ SELECTORS = {"LUCF": select_lucf, "MNCF": select_mncf, "RSC": select_rsc}
 SHARED_PICKS = ("LUCF", "MNCF")  # selectors whose pick is a function of the offer alone
 
 
-def brownout_step(overloaded: list, fleet_size: int, profile: PowerProfile, policy: str,
+def brownout_step(fleet: list, profile: PowerProfile, policy: str,
                   rng: random.Random | None = None) -> list:
-    """Evaluate the fleet once and return its moves: one (hosts, mask) pair
-    per pick, hosts of one class and the active mask they all take.
+    """Decide the interval's brownout for the whole fleet and return its
+    moves: (hosts, mask) pairs, hosts of one class and the mask they take.
 
-    `overloaded` holds one (host, class) pair per overloaded host, in host
-    order; a class gives its hosts' utilization, power_w and one utilization
-    per container.  Each class gets a target from the shared dimmer and an
-    offer of the optional containers its mask keeps on, never mandatory
-    ones.  The policy's selector (SELECTORS[policy]) picks once per class for
+    `fleet` holds one (host, class) pair per host, in host order.  While any
+    class is overloaded, each overloaded class gets a target from the shared
+    dimmer and an offer of the optional containers its mask keeps on; the
+    policy's selector (SELECTORS[policy]) picks once per class for
     SHARED_PICKS, else once per host in host order, so RSC's draws stay put.
-    With no host overloaded there is nothing to shed.
+    Otherwise every host whose class's restore mask differs from its own
+    takes it, grouped by class in first-member order.
     """
-    theta = dimmer(len(overloaded), fleet_size)
-    select, members, offers, moves = SELECTORS[policy], {}, {}, []
+    members, moves = {}, []
+    overloaded = [(host, cls) for host, cls in fleet if cls.overloaded]
+    if not overloaded:
+        for host, cls in fleet:
+            if cls.restore != host.active:
+                members.setdefault(cls, []).append(host)
+        return [(hosts, cls.restore) for cls, hosts in members.items()]
+    theta, select, offers = dimmer(len(overloaded), len(fleet)), SELECTORS[policy], {}
     for host, cls in overloaded:
         members.setdefault(cls, []).append(host)
     for cls, (host, *_) in members.items():  # (target, items, first host) per class
@@ -270,28 +276,24 @@ def brownout_step(overloaded: list, fleet_size: int, profile: PowerProfile, poli
     return moves
 
 
-def deactivated_units(host: HostState) -> list:
-    """The containers the host's mask has off, as units weighted by their
-    specs' weights, lightest first."""
-    return group_units([
+def restore_mask(host: HostState, utilization: float, demand: float, u_t: float) -> tuple:
+    """The host's mask with the deactivated containers it can take back at
+    `utilization` turned on.
+
+    The containers its mask has off are units weighted by their specs'
+    weights, and a unit brings back demand times its weight.  Units come
+    back largest first, ties by ids, as long as the host stays at or under
+    u_t; a unit that does not fit is skipped and a smaller one after it may
+    still fit.
+    """
+    units = group_units([
         OptionalItem(id=cid, utilization=spec.weight, connection_tag=spec.connection_tag)
         for (cid, spec), on in zip(host.containers, host.active) if not on
     ])
-
-
-def restorable(units: list, utilization: float, demand: float, u_t: float) -> list:
-    """Ids of the deactivated units (from `deactivated_units`) that a host at
-    `utilization` can take back.
-
-    A unit brings back demand times its weight.  Units come back largest
-    first, ties by ids, as long as the host stays at or under u_t; a unit
-    that does not fit is skipped and a smaller one after it may still fit.
-    """
-    u = utilization
-    back = []
+    u, back = utilization, set()
     for unit in _largest_first(units):
         delta = demand * unit.utilization
         if u + delta <= u_t + 1e-12:
-            back.extend(unit.ids)
+            back.update(unit.ids)
             u += delta
-    return back
+    return tuple([on or cid in back for (cid, _), on in zip(host.containers, host.active)])

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 
 def overload_ratios(interval_records: list) -> dict:
-    """Per-host overloaded time ratio across a run's interval records.
+    """Per-host overloaded time ratio across a run's interval records, in
+    the records' host order.
 
     Intervals a host spends asleep count as not overloaded; every host in
     the records shares the same denominator.
@@ -23,7 +24,7 @@ def overload_ratios(interval_records: list) -> dict:
     for rec in interval_records:
         seen.update([host_id for host_id, _, _, _ in rec.per_host])
         overloaded.update([host_id for host_id, _, _, flag in rec.per_host if flag])
-    return {host_id: overloaded[host_id] / n for host_id, n in sorted(seen.items())}
+    return {host_id: overloaded[host_id] / n for host_id, n in seen.items()}
 
 
 def slavr(errors: int, total: int) -> float | None:

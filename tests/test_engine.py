@@ -108,6 +108,12 @@ def test_a_fleet_past_h99_keeps_index_order():
     assert [h.id for h in sim.hosts if h.mode is HostMode.ACTIVE] == fleet[:49]
 
 
+def test_per_host_otr_follows_host_order_past_h99():
+    result = Simulation(make_cfg(policy="LUCF", hosts=120, pct=0.0), flat_trace([6000] * 3)).run()
+    assert list(result.per_host_otr) == [host_id(i) for i in range(120)]
+    assert 0 < result.otr_mean, "some hosts must be overloaded"
+
+
 # ---------------------------------------------------------------------------
 # utilization derivation
 
@@ -268,13 +274,14 @@ def test_brownout_is_offered_exactly_the_overloaded_serving_hosts(monkeypatch):
     sim = Simulation(make_cfg(ut=0.7), DIURNAL)
     offered, real = [], engine.brownout_step
 
-    def spy(overloaded, *args):
+    def spy(fleet, *args):
+        assert [h for h, _ in fleet] == sim.hosts, "the whole fleet, in host order"
+        assert all(state is sim.class_of[h.id] for h, state in fleet)
         want = [h.id for h in sim.hosts
                 if h.mode is HostMode.ACTIVE and sim.class_of[h.id].utilization > 0.7]
-        assert [h.id for h, _ in overloaded] == want
-        assert all(state is sim.class_of[h.id] for h, state in overloaded)
+        assert [h.id for h, state in fleet if state.overloaded] == want
         offered.append(len(want))
-        return real(overloaded, *args)
+        return real(fleet, *args)
 
     monkeypatch.setattr(engine, "brownout_step", spy)
     sim.run()
@@ -438,14 +445,41 @@ def test_run_wide_classes_and_shared_picks_equal_a_per_interval_per_host_run(mon
     assert result == PerIntervalSimulation(cfg, DIURNAL).run()
 
 
+MANDATORY_ONLY = [dataclasses.replace(s, optional=False, connection_tag=None)
+                  for s in SAMPLE_CFG.services]
+
+
+def sample_day_records(policy, ut, pct=0.0, services=None):
+    cfg = with_values(SAMPLE_CFG, {"policy.overloaded_threshold_u_t": ut,
+                                   "policy.optional_util_pct": pct})
+    cfg = dataclasses.replace(cfg, policy_name=policy, services=services or cfg.services)
+    return Simulation(cfg, DIURNAL).run().interval_records
+
+
+@pytest.mark.parametrize("policy, ut, pct, services, same", [
+    pytest.param(p, 1.0, pct, None, True, id=f"{p}-1.0-{pct}")
+    for p in ("LUCF", "MNCF", "RSC") for pct in (0.0, 0.4)
+] + [
+    pytest.param(p, ut, 0.0, MANDATORY_ONLY, True, id=f"{p}-{ut}-mandatory-only")
+    for p in ("LUCF", "MNCF", "RSC") for ut in (0.7, 0.8)
+] + [pytest.param("LUCF", 0.8, 0.0, None, False, id="LUCF-0.8-control")])
+def test_brownout_with_nothing_to_do_equals_autoscaling(policy, ut, pct, services, same):
+    # No host can pass u_t 1.0 (utilization is clamped to 1), and a
+    # mandatory-only stack offers nothing to shed, so the controller must
+    # never move a host and the day must be AUTOS's, record for record.
+    # The control, LUCF at 0.8 on the sample stack, sheds and differs.
+    records = sample_day_records(policy, ut, pct, services)
+    assert (records == sample_day_records("AUTOS", ut, pct, services)) is same
+
+
 def _spy_selections(monkeypatch, policy):
     """Per brownout evaluation, the overloaded (host id, class) pairs and the
     host id that each selector call's items belong to."""
     evaluations, real_step, real_select = [], engine.brownout_step, policies.SELECTORS[policy]
 
-    def step(overloaded, *args):
-        evaluations.append(([(h.id, c) for h, c in overloaded], []))
-        return real_step(overloaded, *args)
+    def step(fleet, *args):
+        evaluations.append(([(h.id, c) for h, c in fleet if c.overloaded], []))
+        return real_step(fleet, *args)
 
     def select(items, target, rng=None):
         evaluations[-1][1].append(items[0].id.split("@")[1])
@@ -533,31 +567,43 @@ def test_two_replicas_on_one_host_are_shed_and_restored_by_position():
     assert masks == [(T, F, F, F), (T, T, F, F), (T, T, T, T)]
 
 
-def _reactivate_everywhere(sim, alloc):
-    """Reference restore loop: ask `restorable` on every active host with
-    something deactivated, one host at a time, with no pre-check."""
-    u_t, n_o = sim.cfg.policy.overloaded_threshold_u_t, sim.cfg.policy.capacity_n_o
-    for host in sim.hosts:
-        if host.mode is HostMode.ACTIVE and not all(host.active):
-            back = engine.restorable(engine.deactivated_units(host),
-                                     sim.class_of[host.id].utilization,
-                                     alloc.get(host.id, 0) / n_o, u_t)
-            if back:
-                host.active = tuple(on or cid in back
-                                    for (cid, _), on in zip(host.containers, host.active))
-                sim._refresh([host], alloc)
+def _restore_everywhere(monkeypatch, cfg):
+    """Reference restore loop, injected through `brownout_step`: with no
+    host overloaded, ask `restore_mask` on every active host with something
+    deactivated, one host at a time, with no pre-check or shared class."""
+    u_t, n_o = cfg.policy.overloaded_threshold_u_t, cfg.policy.capacity_n_o
+    real_step, real_route, alloc = engine.brownout_step, engine.route_demand, {}
+
+    def route(*args):
+        alloc.clear()
+        alloc.update(real_route(*args))
+        return dict(alloc)
+
+    def step(fleet, *args):
+        if any(cls.overloaded for _, cls in fleet):
+            return real_step(fleet, *args)
+        moves = []
+        for host, cls in fleet:
+            if host.mode is HostMode.ACTIVE and not all(host.active):
+                mask = engine.restore_mask(host, cls.utilization, alloc.get(host.id, 0) / n_o, u_t)
+                if mask != host.active:
+                    moves.append(([host], mask))
+        return moves
+
+    monkeypatch.setattr(engine, "route_demand", route)
+    monkeypatch.setattr(engine, "brownout_step", step)
 
 
-def _spy_restorable(monkeypatch):
-    """Record (units offered, ids returned) for every `restorable` call the engine makes."""
-    asked, real = [], engine.restorable
+def _spy_restore_mask(monkeypatch):
+    """Record (mask before, mask returned) for every `restore_mask` call."""
+    asked, real = [], engine.restore_mask
 
-    def spy(units, *args):
-        back = real(units, *args)
-        asked.append((units, back))
-        return back
+    def spy(host, *args):
+        mask = real(host, *args)
+        asked.append((host.active, mask))
+        return mask
 
-    monkeypatch.setattr(engine, "restorable", spy)
+    monkeypatch.setattr(engine, "restore_mask", spy)
     return asked
 
 
@@ -572,12 +618,12 @@ def test_restore_skips_a_host_whose_lightest_container_cannot_fit(monkeypatch):
     sim = Simulation(cfg, flat_trace([97]))
     host = sim.hosts[0]
     host.active = tuple(spec.id == "web" for _, spec in host.containers)
-    asked = _spy_restorable(monkeypatch)
+    asked = _spy_restore_mask(monkeypatch)
     # web alone is at 0.485, under u_t, so the host is in the restore path;
     # ads would lift it to 0.97, so nothing can come back: the class's one
-    # `restorable` call returns nothing
+    # `restore_mask` call returns the mask it was given
     record = sim.step(0, 97)
-    assert [back for _, back in asked] == [[]]
+    assert asked == [((True, False), (True, False))]
     assert record.deactivated_containers == 1
 
 
@@ -610,33 +656,37 @@ def test_restore_takes_back_what_fits_and_leaves_off_only_what_does_not(data):
     assert all(on for (_, spec), on in zip(host.containers, host.active) if not spec.optional)
     utilization = sim.class_of[host.id].utilization
     assert utilization <= ut + 1e-12
-    for unit in engine.deactivated_units(host):
+    for unit in policies.group_units([
+            policies.OptionalItem(cid, spec.weight, spec.connection_tag)
+            for (cid, spec), on in zip(host.containers, host.active) if not on]):
         assert utilization + rate / 100 * unit.utilization > ut + 1e-12, unit
 
 
 @pytest.mark.parametrize("ut", [0.7, 0.8])
 @pytest.mark.parametrize("policy", ["LUCF", "RSC"])
 def test_restore_precheck_leaves_the_records_unchanged(monkeypatch, policy, ut):
-    asked = _spy_restorable(monkeypatch)
+    # restore masks derived once per class give what a host-by-host restore
+    # loop gives, with fewer `restore_mask` calls
+    asked = _spy_restore_mask(monkeypatch)
     checked = Simulation(make_cfg(policy=policy, ut=ut), DIURNAL).run()
     asked_checked = len(asked)
     asked.clear()
-    monkeypatch.setattr(Simulation, "_reactivate", _reactivate_everywhere)
+    _restore_everywhere(monkeypatch, make_cfg(policy=policy, ut=ut))
     everywhere = Simulation(make_cfg(policy=policy, ut=ut), DIURNAL).run()
     assert checked.interval_records == everywhere.interval_records
-    assert asked_checked < len(asked), "the pre-check must skip some hosts"
+    assert asked_checked < len(asked), "the classes must skip some hosts"
 
 
 @pytest.mark.parametrize("cfg", [sample_day_cfg("LUCF", 0.7), sample_day_cfg("LUCF", 0.8),
                                  dense_cfg("LUCF"), dense_cfg("RSC")],
                          ids=["LUCF-0.7", "LUCF-0.8", "LUCF-dense", "RSC-dense"])
 def test_restorable_is_asked_at_most_once_per_distinct_serving_state(monkeypatch, cfg):
-    # the restore mask is a class field: derived when a serving state is
-    # first seen this run, never again, however often its hosts restore
-    asked = _spy_restorable(monkeypatch)
+    # the restore mask is a class field: `restore_mask` runs when a serving
+    # state is first seen this run, never again, however often its hosts restore
+    asked = _spy_restore_mask(monkeypatch)
     sim = Simulation(cfg, DIURNAL)
     sim.run()
-    assert any(back for _, back in asked), "the day must restore something"
+    assert any(before != mask for before, mask in asked), "the day must restore something"
     serving = [key for key in sim.classes if key[1] is HostMode.ACTIVE]
     assert len(asked) <= len(serving)
     assert len(asked) < sum(r.active_hosts for r in sim.records), "asked per state, not per host"

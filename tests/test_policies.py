@@ -286,15 +286,21 @@ class HostClassStub(SimpleNamespace):
 
 def make_host(idx, utilization, specs, deactivate=()):
     """An active host at `utilization` and its class, as the engine passes
-    them to brownout_step."""
+    them to brownout_step; the class restores nothing."""
     hid = f"h{idx:02d}"
     host = HostState(id=hid, mode=HostMode.ACTIVE,
                      containers=tuple((f"{spec.id}@{hid}", spec) for spec in specs.values()),
                      active=tuple(spec.id not in deactivate for spec in specs.values()))
     state = HostClassStub(
         utilization=utilization, power_w=hum(PROFILE, HostMode.ACTIVE, utilization),
-        instance_utilizations=tuple(utilization * spec.weight for spec in specs.values()))
+        instance_utilizations=tuple(utilization * spec.weight for spec in specs.values()),
+        overloaded=utilization > 0.8, restore=host.active)
     return host, state
+
+
+def with_calm(pairs, fleet):
+    """The pairs followed by calm hosts up to a fleet of `fleet`."""
+    return pairs + [make_host(i, 0.5, SPECS) for i in range(len(pairs), fleet)]
 
 
 SPECS = {s.id: s for s in [
@@ -324,8 +330,30 @@ def spy_dimmer(monkeypatch):
 
 
 def test_brownout_no_overload_is_reactivation_directive():
-    # no overloaded host, no moves: the engine then restores instead
-    assert brownout_step([], 4, PROFILE, "LUCF") == []
+    # no overloaded host and nothing to restore: no moves
+    assert brownout_step([], PROFILE, "LUCF") == []
+    assert brownout_step(with_calm([], 4), PROFILE, "LUCF") == []
+
+
+@pytest.mark.parametrize("policy", ["LUCF", "MNCF", "RSC"])
+def test_brownout_restores_when_no_host_is_overloaded(policy):
+    # h00 and h02 share a class that takes "ads" back, h01 is in a class
+    # that takes both back, h03's class keeps its mask: the moves are the
+    # hosts whose class's restore mask differs from their own, grouped by
+    # class in first-member order
+    (h0, both), (h1, one), (h2, _), (h3, kept) = [
+        make_host(i, 0.5, SPECS, deactivate=("rec", "ads")) for i in range(4)]
+    both.restore, one.restore = (True, True, True), (True, False, True)
+    fleet = [(h0, one), (h1, both), (h2, one), (h3, kept)]
+    rng = random.Random(3)
+    state = rng.getstate()
+    assert brownout_step(fleet, PROFILE, policy, rng) == [
+        ([h0, h2], (True, False, True)), ([h1], (True, True, True))]
+    assert rng.getstate() == state, "restoring draws nothing"
+    # one overloaded pair turns the interval into a shed: no restore move
+    hot, hot_state = make_host(4, 1.0, SPECS)
+    moves = brownout_step(fleet + [(hot, hot_state)], PROFILE, policy, rng)
+    assert [[h.id for h in hosts] for hosts, _ in moves] == [["h04"]]
 
 
 def test_brownout_only_overloaded_hosts_selected(monkeypatch):
@@ -334,7 +362,7 @@ def test_brownout_only_overloaded_hosts_selected(monkeypatch):
     # dimmer is the overloaded share of the whole fleet
     seen = spy_dimmer(monkeypatch)
     host, state = make_host(0, 0.9, SPECS)
-    moves = brownout_step([(host, state)], 4, PROFILE, "LUCF")
+    moves = brownout_step(with_calm([(host, state)], 4), PROFILE, "LUCF")
     assert seen == [pytest.approx(math.sqrt(1 / 4))]
     assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00"]]
     items = [I(cid, u) for (cid, spec), u in zip(host.containers, state.instance_utilizations)
@@ -346,7 +374,7 @@ def test_brownout_only_overloaded_hosts_selected(monkeypatch):
 def test_brownout_all_overloaded_full_dimmer(monkeypatch):
     seen = spy_dimmer(monkeypatch)
     pairs = [make_host(i, 0.95, SPECS) for i in range(4)]
-    moves = brownout_step(pairs, 4, PROFILE, "LUCF")
+    moves = brownout_step(pairs, PROFILE, "LUCF")
     assert seen == [pytest.approx(1.0)]
     assert set(shed_ids(moves)) == {h.id for h, _ in pairs}
 
@@ -355,7 +383,7 @@ def test_brownout_never_touches_mandatory():
     rng = random.Random(47)
     pairs = [make_host(i, rng.uniform(0.81, 1.0), SPECS) for i in range(4)]
     for policy in ("LUCF", "MNCF", "RSC"):
-        moves = brownout_step(pairs, 4, PROFILE, policy, rng)
+        moves = brownout_step(pairs, PROFILE, policy, rng)
         assert moves, policy
         for hosts, mask in moves:
             for host in hosts:
@@ -365,7 +393,7 @@ def test_brownout_never_touches_mandatory():
 
 def test_brownout_full_dimmer_sheds_everything_optional():
     pairs = [make_host(i, 1.0, SPECS) for i in range(4)]
-    moves = brownout_step(pairs, 4, PROFILE, "LUCF")
+    moves = brownout_step(pairs, PROFILE, "LUCF")
     for host, _ in pairs:
         assert shed_ids(moves)[host.id] == sorted(
             cid for cid, spec in host.containers if spec.optional)
@@ -379,14 +407,14 @@ def test_brownout_per_host_holds_both_tag_siblings():
         ContainerSpec(id="ads", service="s", weight=0.2, optional=True),
         ContainerSpec(id="extra", service="s", weight=0.2, optional=True),
     ]}
-    pairs = [make_host(0, 1.0, specs)]
+    pairs = with_calm([make_host(0, 1.0, specs)], 100)
     # one overloaded host in 100 asks for 0.69 of its 1.0: LUCF fits the
     # 0.4 pair plus one 0.2 single under it, not all three units (0.8)
-    moves = brownout_step(pairs, 100, PROFILE, "LUCF")
+    moves = brownout_step(pairs, PROFILE, "LUCF")
     assert shed_ids(moves) == {"h00": ["ads@h00", "cache@h00", "rec@h00"]}
     rng = random.Random(53)
     for policy in ("MNCF", "RSC"):
-        picked = set(shed_ids(brownout_step(pairs, 100, PROFILE, policy, rng))["h00"])
+        picked = set(shed_ids(brownout_step(pairs, PROFILE, policy, rng))["h00"])
         assert ("rec@h00" in picked) == ("cache@h00" in picked), (policy, picked)
 
 
@@ -397,11 +425,11 @@ def test_brownout_decides_once_per_class_and_rsc_once_per_host():
     (h0, hot), (h1, _), (h2, warm), (h3, _) = [make_host(i, 1.0, SPECS) for i in range(4)]
     warm.utilization = 0.9
     pairs = [(h0, hot), (h1, hot), (h2, warm), (h3, hot)]
-    moves = brownout_step(pairs, 4, PROFILE, "LUCF")
+    moves = brownout_step(pairs, PROFILE, "LUCF")
     assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00", "h01", "h03"], ["h02"]]
     assert shed_ids(moves)["h03"] == ["ads@h03", "rec@h03"]
     rng, draws = random.Random(5), random.Random(5)
-    moves = brownout_step(pairs, 4, PROFILE, "RSC", rng)
+    moves = brownout_step(pairs, PROFILE, "RSC", rng)
     assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00"], ["h01"], ["h02"], ["h03"]]
     target = {id(hot): expected_reduction(1.0, hot.power_w, 1.0, PROFILE),
               id(warm): expected_reduction(0.9, warm.power_w, 1.0, PROFILE)}

@@ -27,6 +27,14 @@ def test_overload_ratios_spans_all_hosts_and_intervals():
     assert overload_ratios([]) == {}, "no records, no hosts"
 
 
+def test_overload_ratios_keep_the_records_host_order():
+    # h100 follows h99 in the fleet, not h10 as it would by id string
+    hosts = ["h09", "h10", "h99", "h100", "h101"]
+    records = [IntervalRecord(t=0, requests=5, active_hosts=5,
+                              per_host=[(h, 0.9, 233.0, h == "h100") for h in hosts])]
+    assert list(overload_ratios(records)) == hosts
+
+
 def test_slavr_examples():
     assert slavr(5, 1000) == pytest.approx(0.005)
     assert slavr(0, 500) == 0.0
