@@ -37,10 +37,10 @@ from .model import (
     scaled_services,
     validate_config,
 )
-from .policies import SELECTORS, autoscale, brownout_step, restore_mask
+from .policies import SELECTORS, autoscale, brownout_step, over_threshold, restore_mask
 from .power import hum
 from .qos import nearest_rank_percentile, overload_ratios, slavr
-from .workload import Trace, predict_rate, predict_rate_weighted
+from .workload import Trace, predict_rate
 
 POLICY_RNG_SALT = 0x517CC1B727220A95
 
@@ -166,8 +166,7 @@ class Simulation:
         # 1-2: predict and resize.  The scaler waits for history, so the
         # full fleet carries the first interval.
         if self.scaling and self.history:
-            predict = predict_rate_weighted if pol.weighted_prediction else predict_rate
-            predicted = predict(self.history, pol.window_size_L_w)
+            predicted = predict_rate(self.history, pol.window_size_L_w)
             capacity = pol.capacity_n_o / self._capacity_factor()
             target = autoscale(predicted, capacity, len(self.hosts), pol.min_active_hosts)
             self._apply_scaling(target)
@@ -298,7 +297,7 @@ class Simulation:
                     restore = restore_mask(host, utilization, assigned / pol.capacity_n_o, u_t)
                 cls = classes[key] = HostClass(
                     utilization, power_w, power_w * self.cfg.interval_seconds / 3600.0,
-                    instance_utilizations, serving and utilization > u_t,
+                    instance_utilizations, serving and over_threshold(utilization, u_t),
                     (response_ms, served), errors, mask.count(False), fraction, restore)
             class_of[hid] = cls
 

@@ -125,12 +125,6 @@ class PowerProfile:
         return out
 
 
-def linear_profile(idle_w: float = 201.0, max_w: float = 237.0,
-                   sleep_w: float = DEFAULT_SLEEP_POWER_W) -> PowerProfile:
-    """Two-point profile: idle + utilization * (max - idle)."""
-    return PowerProfile(breakpoints=((0.0, idle_w), (1.0, max_w)), sleep_power_w=sleep_w)
-
-
 @dataclass(frozen=True)
 class ContainerSpec:
     """A container image in a service stack.
@@ -184,7 +178,6 @@ class PolicyConfig:
     # auto-scaler is allowed to bank on.  0 sizes for the full stack at all
     # times, 1 trusts the shed state completely.
     capacity_credit: float = _knob(0.35, "[0, 1]")
-    weighted_prediction: bool = False
 
 
 @dataclass
@@ -360,7 +353,7 @@ def config_to_dict(cfg: SimConfig) -> dict:
 
 
 _KNOWN_KEYS = frozenset([key for _, _, key in SCHEMA] + [
-    "hosts.power_breakpoints", "hosts.sleep_power_w", "hosts.linear_power"])
+    "hosts.power_breakpoints", "hosts.sleep_power_w"])
 
 
 def config_from_dict(raw: dict, base_dir: str | None = None) -> SimConfig:
@@ -406,17 +399,12 @@ def _clean(d, where: str) -> dict:
 
 
 def _power_profile(flat: dict) -> PowerProfile:
-    linear = flat.get("hosts.linear_power", False)
-    if type(linear) is not bool:
-        raise ValueError(f"hosts.linear_power: expected bool, got {type(linear).__name__}")
     sleep_w = _number(flat.get("hosts.sleep_power_w", DEFAULT_SLEEP_POWER_W), "hosts.sleep_power_w")
     bps = flat.get("hosts.power_breakpoints", DEFAULT_BREAKPOINTS)
     if not isinstance(bps, (list, tuple)) or not all(
             isinstance(bp, (list, tuple)) and len(bp) == 2 for bp in bps):
         raise ValueError(f"hosts.power_breakpoints: expected [utilization, watts] pairs, got {bps!r}")
     bps = tuple(tuple(_number(x, "hosts.power_breakpoints") for x in bp) for bp in bps)
-    if linear:
-        return linear_profile(sleep_w=sleep_w)
     return PowerProfile(breakpoints=bps, sleep_power_w=sleep_w)
 
 

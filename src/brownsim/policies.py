@@ -39,6 +39,12 @@ EXACT_SEARCH_LIMIT = 16  # beyond this many units, selectors fall back to greedy
 FEAS_EPS = 1e-9  # subset sums near the target must not flip on rounding order
 
 
+def over_threshold(utilization: float, u_t: float) -> bool:
+    """The overload test, shared by the host flag and `restore_mask`: a sum
+    that reaches u_t only by rounding is not over it."""
+    return utilization > u_t + 1e-12
+
+
 def autoscale(predicted_rate: float, capacity: float,
               fleet: int, min_active: int = 1) -> int:
     """Target active-host count: enough hosts to absorb the predicted rate,
@@ -282,9 +288,9 @@ def restore_mask(host: HostState, utilization: float, demand: float, u_t: float)
 
     The containers its mask has off are units weighted by their specs'
     weights, and a unit brings back demand times its weight.  Units come
-    back largest first, ties by ids, as long as the host stays at or under
-    u_t; a unit that does not fit is skipped and a smaller one after it may
-    still fit.
+    back largest first, ties by ids, as long as the host stays out of
+    `over_threshold`; a unit that does not fit is skipped and a smaller one
+    after it may still fit.
     """
     units = group_units([
         OptionalItem(id=cid, utilization=spec.weight, connection_tag=spec.connection_tag)
@@ -293,7 +299,7 @@ def restore_mask(host: HostState, utilization: float, demand: float, u_t: float)
     u, back = utilization, set()
     for unit in _largest_first(units):
         delta = demand * unit.utilization
-        if u + delta <= u_t + 1e-12:
+        if not over_threshold(u + delta, u_t):
             back.update(unit.ids)
             u += delta
     return tuple([on or cid in back for (cid, _), on in zip(host.containers, host.active)])

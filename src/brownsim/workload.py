@@ -78,23 +78,6 @@ def predict_rate(history: list, window: int) -> float:
     return sum(tail) / len(tail)
 
 
-def predict_rate_weighted(history: list, window: int, decay: float = 0.5) -> float:
-    """Exponentially-weighted variant: newer observations count more."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1 (got {window})")
-    if not (0.0 < decay < 1.0):
-        raise ValueError(f"decay must be in (0, 1) (got {decay})")
-    tail = history[-window:]
-    if not tail:
-        return 0.0
-    num = den = 0.0
-    for age, rate in enumerate(reversed(tail)):
-        w = (1.0 - decay) ** age
-        num += w * rate
-        den += w
-    return num / den
-
-
 def synthetic_diurnal_trace(intervals: int = 1440, low: float = 105.0,
                             high: float = 300.0, noise: float = 0.04,
                             seed: int = 7, trough_at: int = 360) -> Trace:

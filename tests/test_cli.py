@@ -58,7 +58,11 @@ def _drop_weight(raw):
     pytest.param(_put("services.0.colour", "red"), "services[0].colour", id="unknown service key"),
     pytest.param(_drop_weight, "services[0].weight", id="missing weight"),
     pytest.param(_put("hosts.sleep_power_w", float("nan")), "hosts.sleep_power_w", id="nan sleep power"),
-    pytest.param(_put("hosts.linear_power", "false"), "hosts.linear_power", id="string linear_power"),
+    pytest.param(lambda raw: raw["hosts"].update(power_breakpoints=[[0, 100], [1, 300]],
+                                                 linear_power=True),
+                 "hosts.linear_power", id="removed linear_power beside custom breakpoints"),
+    pytest.param(_put("policy.weighted_prediction", False), "policy.weighted_prediction",
+                 id="removed weighted_prediction"),
     pytest.param(_put("services", 5), "services", id="services not a list"),
     pytest.param(_put("hosts.power_breakpoints", 5), "hosts.power_breakpoints",
                  id="breakpoints not a list"),

@@ -656,10 +656,53 @@ def test_restore_takes_back_what_fits_and_leaves_off_only_what_does_not(data):
     assert all(on for (_, spec), on in zip(host.containers, host.active) if not spec.optional)
     utilization = sim.class_of[host.id].utilization
     assert utilization <= ut + 1e-12
+    assert not sim.class_of[host.id].overloaded, "restored into an overloaded class"
     for unit in policies.group_units([
             policies.OptionalItem(cid, spec.weight, spec.connection_tag)
             for (cid, spec), on in zip(host.containers, host.active) if not on]):
         assert utilization + rate / 100 * unit.utilization > ut + 1e-12, unit
+
+
+def run_with_restores(sim):
+    """Run sim; return its result, the number of restore moves and the
+    intervals in which a host that a restore moved ends flagged overloaded."""
+    restored, real = [], engine.brownout_step
+
+    def step(fleet, *args):
+        moves = real(fleet, *args)
+        if not any(cls.overloaded for _, cls in fleet):
+            restored.extend((len(sim.records), host.id) for hosts, _ in moves for host in hosts)
+        return moves
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "brownout_step", step)
+        result = sim.run()
+    flagged = {(r.t, hid) for r in result.interval_records for hid, _, _, over in r.per_host if over}
+    return result, len(restored), sorted({t for t, hid in restored if (t, hid) in flagged})
+
+
+def test_a_restore_that_lands_on_u_t_stays_restored():
+    # at rate 150 on 10 hosts (demand 0.6) the shed sample stack takes back
+    # every optional container and lands on u_t 0.6 itself, a sum that
+    # rounds just above it; the overload flag must not shed it again
+    cfg = with_values(SAMPLE_CFG, {"policy.overloaded_threshold_u_t": 0.6,
+                                   "policy.min_active_hosts": 10})
+    result, restores, overloaded = run_with_restores(
+        Simulation(cfg, flat_trace([250] * 3 + [150] * 8)))
+    records = result.interval_records
+    assert [r.deactivated_containers > 0 for r in records] == [True] * 3 + [False] * 8
+    assert restores == 10 and overloaded == []
+    assert [r.overloaded_hosts for r in records] == [0] * 11
+    assert result.otr_mean == 0.0
+
+
+@pytest.mark.parametrize("ut", [0.7, 0.8])
+def test_no_restore_lands_a_host_in_an_overloaded_class(ut):
+    # on the dense stack 0.6 + 4 x 0.025 sums to 0.7000000000000001
+    cfg = with_values(dense_cfg("LUCF"), {"policy.overloaded_threshold_u_t": ut})
+    _, restores, overloaded = run_with_restores(Simulation(cfg, DIURNAL))
+    assert restores > 0, "the day must restore something"
+    assert overloaded == [], f"{len(overloaded)} intervals restore into an overloaded class"
 
 
 @pytest.mark.parametrize("ut", [0.7, 0.8])
@@ -761,3 +804,55 @@ def test_capacity_factor_matches_the_hosts_instances_at_every_step():
         factors.append(sim._capacity_factor())
         assert factors[-1] == _capacity_factor_from_instances(sim), t
     assert min(factors) < 1.0, "the spike must shed containers"
+
+
+# ---------------------------------------------------------------------------
+# properties of generated configs
+
+
+@st.composite
+def small_runs(draw):
+    """A small valid config, policy left to the caller, and a trace with
+    spikes: 1-12 hosts, every mandatory replica on each host, 1-6 optional
+    containers (weights in twentieths, some tagged, 1 replica to one per
+    host)."""
+    hosts = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    services = [ContainerSpec(id="web", service="s", weight=(20 - sum(weights)) / 20,
+                              replicas=hosts)] + [
+        ContainerSpec(id=f"o{i}", service="s", weight=w / 20, optional=True,
+                      connection_tag=draw(st.sampled_from([None, "a", "b"])),
+                      replicas=draw(st.integers(1, hosts)))
+        for i, w in enumerate(weights)]
+    policy = PolicyConfig(overloaded_threshold_u_t=draw(st.sampled_from([0.6, 0.7, 0.8, 1.0])),
+                          optional_util_pct=draw(st.sampled_from([0.0, 0.2, 0.4])))
+    cfg = SimConfig(host_count=hosts, services=services, policy=policy, trace_path="unused.csv")
+    intervals = draw(st.integers(10, 40))
+    rates = [draw(st.integers(0, 25 * hosts))] * intervals
+    for t in draw(st.lists(st.integers(0, intervals - 1), min_size=1, max_size=4)):
+        rates[t] = draw(st.integers(25 * hosts, 50 * hosts))  # at least a full stack's capacity
+    return cfg, flat_trace(rates)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_runs())
+def test_generated_runs_keep_their_invariants(run):
+    base, trace = run
+    profile = base.power_profile
+    kwh = base.host_count * len(trace) * base.interval_seconds / 3.6e6
+    for policy in POLICY_NAMES:
+        cfg = dataclasses.replace(base, policy_name=policy)
+        result, _, overloaded = run_with_restores(Simulation(cfg, trace))
+        for rec in result.interval_records:
+            assert sum(served for _, served in rec.response_groups) + rec.errors == rec.requests
+        assert profile.sleep_power_w * kwh * (1 - 1e-12) <= result.energy_kwh
+        assert result.energy_kwh <= profile.max_power_w * kwh * (1 + 1e-12)
+        assert overloaded == [], f"{policy}: a restore landed in an overloaded class"
+        assert Simulation(cfg, trace).run() == result, policy
+    # no clamped utilization passes u_t 1.0, so brownout never acts
+    calm = with_values(base, {"policy.overloaded_threshold_u_t": 1.0})
+    autos = Simulation(dataclasses.replace(calm, policy_name="AUTOS"), trace).run()
+    for policy in policies.SELECTORS:
+        shed = Simulation(dataclasses.replace(calm, policy_name=policy), trace).run()
+        assert shed.interval_records == autos.interval_records, policy

@@ -63,14 +63,14 @@ CASES = {
         "d024d0c6d1d0f2d3a9860f4616bd3e0f71a1c0acf40c5b3568ff6fb3098bca19",
         "8aade7435cd4b6d76b06459b7b020b07e9a677a6f63925f429eda79afce9c4fe"),
     "LUCF-dense-stack": ("LUCF", _dense,
-        "f754f6f7b561475fec6656ada27b5cdd067bf24d5bf2f5f665b4b8445a7d577c",
-        "11f94ff0ac219f8a1bd4a3ff2ed24240f84cbc4fd3dc3e7d8062a9d420e78acc"),
+        "867c7c86d2f709bcb423bd4a450dd9378f7b0721f29841c887b6202842059d7b",
+        "c36292a0dc538ea1abec30bc26e48c013ca3dd0d36efdd454d0ee8a1536dbad0"),
     "MNCF-dense-stack": ("MNCF", _dense,
-        "ea0edf85a77208e4090a2df1d0b327175173fbba8c029432a1db0c56a8616a17",
-        "11f94ff0ac219f8a1bd4a3ff2ed24240f84cbc4fd3dc3e7d8062a9d420e78acc"),
+        "313dbfa1b6109e00bcea477bfcf1f1e0ad4b60d3d6317b0ad028b782ed947bd4",
+        "c36292a0dc538ea1abec30bc26e48c013ca3dd0d36efdd454d0ee8a1536dbad0"),
     "RSC-dense-stack": ("RSC", _dense,
-        "97d2a5a2a45e72fd758f0e8b75b74060a630b4d454fe20fd8f73224bfe9a9862",
-        "11f94ff0ac219f8a1bd4a3ff2ed24240f84cbc4fd3dc3e7d8062a9d420e78acc"),
+        "09db3a30696603e7a998fe6325ee3168f6b2fcb0c8ef11a36617712c3f67b8db",
+        "c36292a0dc538ea1abec30bc26e48c013ca3dd0d36efdd454d0ee8a1536dbad0"),
 }
 
 

@@ -1,10 +1,13 @@
 import copy
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from brownsim.model import (
+    _KNOWN_KEYS,
     SCHEMA,
     ContainerSpec,
     PolicyConfig,
@@ -206,21 +209,9 @@ def test_relative_trace_path_resolves_against_config_dir(tmp_path):
     assert cfg.trace_path.startswith(str(tmp_path))
 
 
-def test_linear_power_flag():
-    raw = config_to_dict(sample_config())
-    raw["hosts"].pop("power_breakpoints")
-    raw["hosts"]["linear_power"] = True
-    cfg = config_from_dict(raw)
-    assert len(cfg.power_profile.breakpoints) == 2
-    assert cfg.power_profile.idle_power_w == 201.0
-    assert cfg.power_profile.max_power_w == 237.0
-
-
 def _drawn(f):
     """Values of one schema field, drawn from its declared type and range."""
     kind = f.type.partition(" | ")[0]
-    if kind == "bool":
-        return st.booleans()
     if kind == "str":
         return st.text(max_size=12)
     within = f.metadata.get("within")
@@ -262,3 +253,18 @@ def test_with_values_sets_every_key_and_leaves_the_original(own, policy):
     assert cfg == SimConfig(**own, power_profile=base.power_profile, services=base.services,
                             policy=PolicyConfig(**policy))
     assert with_values(base, {}) == base and with_values(base, {}) is not base
+
+
+def test_readme_config_tables_list_exactly_the_known_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Config\n", 1)[1].split("\n## ", 1)[0]
+    tables, rows = [], []  # first-column keys of each table, in order
+    for line in section.splitlines() + [""]:
+        if line.startswith("|"):
+            rows.append(line.split("|")[1].strip().strip("`"))
+        elif rows:
+            tables.append(rows[2:])  # past the header and its rule
+            rows = []
+    config_keys, service_keys = tables
+    assert sorted(config_keys) == sorted(_KNOWN_KEYS)
+    assert service_keys == [f.name for f in fields(ContainerSpec)]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from brownsim.model import DEFAULT_BREAKPOINTS, HostMode, PowerProfile, linear_profile
+from brownsim.model import DEFAULT_BREAKPOINTS, HostMode, PowerProfile
 from brownsim.power import hpm, hum
 
 PROFILE = PowerProfile()
@@ -77,7 +77,7 @@ def test_monotonicity_property():
 
 
 def test_linear_profile_variant():
-    lin = linear_profile()
+    lin = PowerProfile(breakpoints=((0.0, 201.0), (1.0, 237.0)))
     assert hum(lin, HostMode.ACTIVE, 0.0) == 201.0
     assert hum(lin, HostMode.ACTIVE, 1.0) == 237.0
     assert hum(lin, HostMode.ACTIVE, 0.5) == pytest.approx(219.0, abs=1e-9)

@@ -6,7 +6,6 @@ from brownsim.workload import (
     Trace,
     load_trace,
     predict_rate,
-    predict_rate_weighted,
     synthetic_diurnal_trace,
 )
 from trace_helpers import spike_trace, write_trace_csv
@@ -114,13 +113,6 @@ def test_predict_bounded_by_window_property():
 def test_predict_constant_trace_property():
     for window in (1, 3, 5, 8):
         assert predict_rate([42.0] * 20, window) == pytest.approx(42.0)
-
-
-def test_weighted_prediction_leans_recent():
-    flat = predict_rate([10, 10, 10, 10, 50], 5)
-    weighted = predict_rate_weighted([10, 10, 10, 10, 50], 5)
-    assert weighted > flat, "weighted variant should chase the recent jump"
-    assert predict_rate_weighted([], 5) == 0.0
 
 
 def test_synthetic_trace_shape():
