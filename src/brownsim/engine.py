@@ -112,12 +112,13 @@ class HostClass:
     the run.  `group` is (response_ms, served), with served 0 off the
     serving set; `fraction` is the active share of the stack's weight, None
     off the serving set; `restore` is the mask, by position, that a member
-    takes once no host is overloaded, from `restore_mask`.  A plain class,
-    because building a dataclass slows every package import.
+    takes once no host is overloaded, from `restore_mask`; `offers` keeps its
+    `policies.Offer`s for the run by first overloaded member id.  A plain
+    class, because building a dataclass slows every package import.
     """
 
     __slots__ = ("utilization", "power_w", "energy_wh", "instance_utilizations", "overloaded",
-                 "group", "errors", "deactivated", "fraction", "restore")
+                 "group", "errors", "deactivated", "fraction", "restore", "offers")
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -298,7 +299,7 @@ class Simulation:
                 cls = classes[key] = HostClass(
                     utilization, power_w, power_w * self.cfg.interval_seconds / 3600.0,
                     instance_utilizations, serving and over_threshold(utilization, u_t),
-                    (response_ms, served), errors, mask.count(False), fraction, restore)
+                    (response_ms, served), errors, mask.count(False), fraction, restore, {})
             class_of[hid] = cls
 
     def _result(self) -> RunResult:

@@ -21,6 +21,8 @@ fleet: it sheds while a host is overloaded and restores otherwise.  Its
 one RSC draw per overloaded host, or each class's `restore_mask`.
 Optional containers sharing a connection tag on one host only work as a
 group, so `group_units` bundles them into single units for both decisions.
+A class's `Offer` to its selector lasts the run: built and grouped once
+per (class, first overloaded member), it keeps the mask of every pick.
 """
 
 from __future__ import annotations
@@ -102,12 +104,26 @@ class _Unit(NamedTuple):
     ids: tuple
 
 
-def group_units(items: list) -> list:
+class Offer(list):
+    """The OptionalItems a host class offers its selector, kept on the class
+    for the run (see `brownout_step`) with their `group_units` tuple, `units`,
+    and the mask each pick leaves, `masks` (picked ids -> mask)."""
+
+    __slots__ = ("units", "masks")
+
+    def __init__(self, items: list):
+        super().__init__(items)
+        self.units, self.masks = tuple(group_units(items)), {}
+
+
+def group_units(items: list) -> list | tuple:
     """Bundle same-tag items into single units; untagged items stand alone.
 
     Units come back sorted by ascending utilization, ties by id, which also
-    fixes the order every selector sees.
+    fixes the order every selector sees.  An `Offer` returns its own `units`.
     """
+    if type(items) is Offer:
+        return items.units
     by_tag = {}
     singles = []
     for it in items:
@@ -254,6 +270,8 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
     dimmer and an offer of the optional containers its mask keeps on; the
     policy's selector (SELECTORS[policy]) picks once per class for
     SHARED_PICKS, else once per host in host order, so RSC's draws stay put.
+    The offer's ids name the class's first overloaded host, so it is kept in
+    `cls.offers` under that host's id, built once per run for that pair.
     Otherwise every host whose class's restore mask differs from its own
     takes it, grouped by class in first-member order.
     """
@@ -264,21 +282,22 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
             if cls.restore != host.active:
                 members.setdefault(cls, []).append(host)
         return [(hosts, cls.restore) for cls, hosts in members.items()]
-    theta, select, offers = dimmer(len(overloaded), len(fleet)), SELECTORS[policy], {}
+    theta, select, asks = dimmer(len(overloaded), len(fleet)), SELECTORS[policy], {}
     for host, cls in overloaded:
         members.setdefault(cls, []).append(host)
-    for cls, (host, *_) in members.items():  # (target, items, first host) per class
-        offers[cls] = (expected_reduction(cls.utilization, cls.power_w, theta, profile), [
-            OptionalItem(id=cid, utilization=u, connection_tag=spec.connection_tag)
-            for (cid, spec), on, u in zip(host.containers, host.active, cls.instance_utilizations)
-            if on and spec.optional
-        ], host)
+    for cls, (host, *_) in members.items():  # (target, offer, first host) per class
+        if (offer := cls.offers.get(host.id)) is None:
+            offer = cls.offers[host.id] = Offer([
+                OptionalItem(id=cid, utilization=u, connection_tag=spec.connection_tag)
+                for (cid, spec), on, u in zip(host.containers, host.active, cls.instance_utilizations)
+                if on and spec.optional])
+        asks[cls] = (expected_reduction(cls.utilization, cls.power_w, theta, profile), offer, host)
     picks = members.items() if policy in SHARED_PICKS else [(c, [h]) for h, c in overloaded]
     for cls, hosts in picks:
-        target, items, host = offers[cls]
-        if items and (picked := set(select(items, target, rng))):
-            moves.append((hosts, tuple([on and cid not in picked for (cid, _), on
-                                        in zip(host.containers, host.active)])))
+        target, offer, host = asks[cls]
+        if offer and (picked := tuple(select(offer, target, rng))):
+            moves.append((hosts, offer.masks.get(picked) or offer.masks.setdefault(picked, tuple(
+                [on and cid not in picked for (cid, _), on in zip(host.containers, host.active)]))))
     return moves
 
 

@@ -234,8 +234,10 @@ def test_criterion_8_byte_determinism(tmp_path):
 
 
 def _spying(inner, calls):
+    # A plain copy of the offer: a run's `policies.Offer` carries its grouped
+    # units, and a timed replay must group them again, as a cold call does.
     def spy(items, target, rng=None):
-        calls.append((items, target))
+        calls.append((list(items), target))
         return inner(items, target, rng)
     return spy
 

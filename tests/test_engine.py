@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import random
 import tracemalloc
@@ -517,6 +518,121 @@ def test_rsc_draws_once_per_overloaded_host_in_host_order(monkeypatch):
         assert calls == [firsts[cls] for _, cls in overloaded]
 
 
+@pytest.mark.parametrize("policy", ["LUCF", "RSC"])
+def test_each_class_and_first_member_build_one_offer_per_run(monkeypatch, policy):
+    # An offer lasts the run: the items and their grouping are built once
+    # per distinct (class, first overloaded host), however many evaluations
+    # and RSC draws use them, and every selector call is handed a kept offer.
+    pairs, groupings, offered, inside = set(), [], [], []
+    real_step, real_group = engine.brownout_step, policies.group_units
+    real_select = policies.SELECTORS[policy]
+
+    def step(fleet, *args):
+        firsts = {}
+        for host, cls in fleet:
+            if cls.overloaded:
+                firsts.setdefault(cls, host.id)
+        pairs.update(firsts.items())
+        inside.append(True)
+        try:
+            return real_step(fleet, *args)
+        finally:
+            inside.pop()
+
+    def group(items):
+        if inside and type(items) is not policies.Offer:
+            groupings.append(items)
+        return real_group(items)
+
+    def select(items, target, rng=None):
+        offered.append(items)
+        return real_select(items, target, rng)
+
+    monkeypatch.setattr(engine, "brownout_step", step)
+    monkeypatch.setattr(policies, "group_units", group)
+    monkeypatch.setitem(policies.SELECTORS, policy, select)
+    sim = Simulation(dense_cfg(policy), DIURNAL)
+    sim.run()
+    kept = [offer for cls in sim.classes.values() for offer in cls.offers.values()]
+    assert len(groupings) == len(kept) == len(pairs)
+    assert {id(items) for items in offered} == {id(offer) for offer in kept if offer}
+    assert len(offered) > 2 * len(pairs), "the run must reuse its offers"
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing: every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+    def get(self, key, default=None):
+        return default
+
+    def setdefault(self, key, default=None):
+        return default
+
+
+class _UncachedOffer(policies.Offer):
+    __slots__ = ()
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.masks = _Forgetful()
+
+
+class _UncachedHostClass(engine.HostClass):
+    # no __slots__ of its own: HostClass.__init__ fills `self.__slots__`
+    def __init__(self, *values):
+        super().__init__(*values)
+        self.offers = _Forgetful()
+
+
+@pytest.mark.parametrize("cfg", [dense_cfg(p) for p in ("LUCF", "MNCF", "RSC")]
+                         + [sample_day_cfg(p, 0.7) for p in ("LUCF", "MNCF", "RSC")],
+                         ids=[f"{p}-dense" for p in ("LUCF", "MNCF", "RSC")]
+                         + [f"{p}-0.7" for p in ("LUCF", "MNCF", "RSC")])
+def test_kept_offers_equal_offers_rebuilt_for_every_pick(monkeypatch, cfg):
+    # With the offer cache bypassed, every evaluation builds its items
+    # afresh, every selector call groups them again and every pick builds
+    # its mask from the ids, as before offers were kept; the run must not
+    # change by a byte.
+    cached = Simulation(cfg, DIURNAL)
+    result = cached.run()
+    assert any(cls.offers for cls in cached.classes.values())
+    real_group = policies.group_units
+    monkeypatch.setattr(policies, "group_units", lambda items: real_group(list(items)))
+    monkeypatch.setattr(policies, "Offer", _UncachedOffer)
+    monkeypatch.setattr(engine, "HostClass", _UncachedHostClass)
+    bypassed = Simulation(cfg, DIURNAL)
+    assert bypassed.run() == result
+    assert not any(cls.offers for cls in bypassed.classes.values())
+
+
+def test_offers_die_with_their_run(monkeypatch):
+    # Offers live on the run's host classes, not in a module-level memo: once
+    # a run is dropped, none of the items it offered is left.
+    class CountedItem(policies.OptionalItem):
+        live = 0
+
+        def __new__(cls, *args, **kwargs):
+            CountedItem.live += 1
+            return super().__new__(cls, *args, **kwargs)
+
+        def __del__(self):
+            CountedItem.live -= 1
+
+    monkeypatch.setattr(policies, "OptionalItem", CountedItem)
+    for policy in ("LUCF", "RSC"):
+        sim = Simulation(dense_cfg(policy), DIURNAL)
+        sim.run()
+        gc.collect()
+        kept = sum(len(offer) for cls in sim.classes.values() for offer in cls.offers.values())
+        assert CountedItem.live == kept > 0, "only the live run's offers may hold items"
+    del sim
+    gc.collect()
+    assert CountedItem.live == 0
+
+
 def test_partial_restore_takes_the_largest_units_that_fit():
     services = [
         ContainerSpec(id="web", service="shop", weight=0.4),
@@ -663,9 +779,24 @@ def test_restore_takes_back_what_fits_and_leaves_off_only_what_does_not(data):
         assert utilization + rate / 100 * unit.utilization > ut + 1e-12, unit
 
 
+def checked_run(sim):
+    """Step sim through its trace and return its result, checking after each
+    interval that no host has a mandatory container off and that only
+    ACTIVE hosts are flagged overloaded."""
+    for t, rate in enumerate(sim.trace.rates):
+        record = sim.step(t, rate)
+        for host in sim.hosts:
+            assert all(on for (_, spec), on in zip(host.containers, host.active)
+                       if not spec.optional), (t, host.id)
+        modes = {host.id: host.mode for host in sim.hosts}
+        assert all(modes[hid] is HostMode.ACTIVE for hid, _, _, over in record.per_host if over), t
+    return sim._result()
+
+
 def run_with_restores(sim):
-    """Run sim; return its result, the number of restore moves and the
-    intervals in which a host that a restore moved ends flagged overloaded."""
+    """Run sim with `checked_run`; return its result, the number of restore
+    moves and the intervals in which a host that a restore moved ends
+    flagged overloaded."""
     restored, real = [], engine.brownout_step
 
     def step(fleet, *args):
@@ -676,7 +807,7 @@ def run_with_restores(sim):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "brownout_step", step)
-        result = sim.run()
+        result = checked_run(sim)
     flagged = {(r.t, hid) for r in result.interval_records for hid, _, _, over in r.per_host if over}
     return result, len(restored), sorted({t for t, hid in restored if (t, hid) in flagged})
 
@@ -813,10 +944,10 @@ def test_capacity_factor_matches_the_hosts_instances_at_every_step():
 @st.composite
 def small_runs(draw):
     """A small valid config, policy left to the caller, and a trace with
-    spikes: 1-12 hosts, every mandatory replica on each host, 1-6 optional
+    spikes: 1-20 hosts, every mandatory replica on each host, 1-6 optional
     containers (weights in twentieths, some tagged, 1 replica to one per
     host)."""
-    hosts = draw(st.integers(1, 12))
+    hosts = draw(st.integers(1, 20))
     n = draw(st.integers(1, 6))
     weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     services = [ContainerSpec(id="web", service="s", weight=(20 - sum(weights)) / 20,
@@ -855,4 +986,11 @@ def test_generated_runs_keep_their_invariants(run):
     autos = Simulation(dataclasses.replace(calm, policy_name="AUTOS"), trace).run()
     for policy in policies.SELECTORS:
         shed = Simulation(dataclasses.replace(calm, policy_name=policy), trace).run()
+        assert shed.interval_records == autos.interval_records, policy
+    # a mandatory-only stack offers nothing to shed, so brownout never acts
+    bare = dataclasses.replace(base, services=[
+        dataclasses.replace(s, optional=False, connection_tag=None) for s in base.services])
+    autos = Simulation(dataclasses.replace(bare, policy_name="AUTOS"), trace).run()
+    for policy in policies.SELECTORS:
+        shed = Simulation(dataclasses.replace(bare, policy_name=policy), trace).run()
         assert shed.interval_records == autos.interval_records, policy

@@ -294,7 +294,7 @@ def make_host(idx, utilization, specs, deactivate=()):
     state = HostClassStub(
         utilization=utilization, power_w=hum(PROFILE, HostMode.ACTIVE, utilization),
         instance_utilizations=tuple(utilization * spec.weight for spec in specs.values()),
-        overloaded=utilization > 0.8, restore=host.active)
+        overloaded=utilization > 0.8, restore=host.active, offers={})
     return host, state
 
 
@@ -438,3 +438,25 @@ def test_brownout_decides_once_per_class_and_rsc_once_per_host():
                  if spec.optional]
         assert shed_ids(moves)[host.id] == select_rsc(items, target[id(state)], draws)
     assert rng.getstate() == draws.getstate()
+
+
+def test_a_kept_offer_gives_each_pick_its_own_mask():
+    # The class keeps its offer, built once, and the mask of each pick made
+    # from it; a later target from the same offer still gets its own mask,
+    # the one a fresh class would give.
+    specs = {s.id: s for s in [
+        ContainerSpec(id="web", service="s", weight=0.2),
+        ContainerSpec(id="rec", service="s", weight=0.25, optional=True, connection_tag="r"),
+        ContainerSpec(id="cache", service="s", weight=0.15, optional=True, connection_tag="r"),
+        ContainerSpec(id="ads", service="s", weight=0.2, optional=True),
+        ContainerSpec(id="extra", service="s", weight=0.2, optional=True),
+    ]}
+    host, kept = make_host(0, 1.0, specs)
+    masks = []
+    for fleet in (100, 1, 100, 1):  # the dimmer reads 0.1, then 1
+        moves = brownout_step(with_calm([(host, kept)], fleet), PROFILE, "LUCF")
+        fresh = HostClassStub(**{**vars(kept), "offers": {}})
+        assert moves == brownout_step(with_calm([(host, fresh)], fleet), PROFILE, "LUCF")
+        masks.append(moves[0][1])
+    assert masks[0] == masks[2] != masks[1] == masks[3]
+    assert list(kept.offers) == ["h00"] and len(kept.offers["h00"].masks) == 2
