@@ -112,13 +112,13 @@ class HostClass:
     the run.  `group` is (response_ms, served), with served 0 off the
     serving set; `fraction` is the active share of the stack's weight, None
     off the serving set; `restore` is the mask, by position, that a member
-    takes once no host is overloaded, from `restore_mask`; `offers` keeps its
-    `policies.Offer`s for the run by first overloaded member id.  A plain
+    takes once no host is overloaded, from `restore_mask`; `offer` is its
+    `policies.Offer` from its first overload on (None before).  A plain
     class, because building a dataclass slows every package import.
     """
 
     __slots__ = ("utilization", "power_w", "energy_wh", "instance_utilizations", "overloaded",
-                 "group", "errors", "deactivated", "fraction", "restore", "offers")
+                 "group", "errors", "deactivated", "fraction", "restore", "offer")
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -140,14 +140,13 @@ class Simulation:
 
         self.hosts = []
         specs = {s.id: s for s in scaled_services(cfg.services, cfg.policy.optional_util_pct)}
-        placement = place_replicas(cfg)
-        stacks = {}  # distinct placement -> its index
-        for hid in placement:  # in index order: h100 comes after h99
-            ids = placement[hid]
-            containers = tuple((f"{sid}@{hid}" + (f"+{j}" if sid in ids[:j] else ""), specs[sid])
-                               for j, sid in enumerate(ids))
-            self.hosts.append(HostState(hid, stack=stacks.setdefault(tuple(ids), len(stacks)),
-                                        containers=containers, active=(True,) * len(ids)))
+        stacks = {}  # distinct placement -> its index and containers, named once for its hosts
+        for hid, ids in place_replicas(cfg).items():  # in index order: h100 comes after h99
+            if (ids := tuple(ids)) not in stacks:
+                stacks[ids] = len(stacks), tuple((f"{sid}@" + (f"+{j}" if sid in ids[:j] else ""),
+                                                  specs[sid]) for j, sid in enumerate(ids))
+            stack, named = stacks[ids]
+            self.hosts.append(HostState(hid, stack=stack, containers=named, active=(True,) * len(ids)))
         self.classes = {}  # state -> HostClass, for the whole run
         self.class_of = {}  # host id -> its HostClass, in host order
 
@@ -299,7 +298,7 @@ class Simulation:
                 cls = classes[key] = HostClass(
                     utilization, power_w, power_w * self.cfg.interval_seconds / 3600.0,
                     instance_utilizations, serving and over_threshold(utilization, u_t),
-                    (response_ms, served), errors, mask.count(False), fraction, restore, {})
+                    (response_ms, served), errors, mask.count(False), fraction, restore, None)
             class_of[hid] = cls
 
     def _result(self) -> RunResult:

@@ -1,19 +1,22 @@
 """Scaling and brownout decision policies.
 
 The brownout controller activates when hosts run past the overload
-threshold: a dimmer derived from the overloaded share of the fleet sets a
-per-host utilization reduction target, and a selector picks which optional
-containers to deactivate to meet it.  Three selectors are provided:
+threshold: a dimmer (after Klein et al., ICSE 2014) derived from the
+overloaded share of the fleet sets a per-host utilization reduction target,
+and a selector picks which optional containers to deactivate to meet it:
 
   LUCF  largest subset of optional utilization that still fits under the
-        target (closest from below),
+        target (closest from below: this package's reading, pinned by
+        acceptance criterion 2; the authors' earlier brownout work may
+        expand LUCF as "Lowest Utilization Component First", recalled and
+        not checked against the paper),
   MNCF  fewest containers whose combined utilization covers the target,
   RSC   random picks until the target is covered.
 
 Every selector is called as (items, target, rng); only RSC uses the rng.
 Up to EXACT_SEARCH_LIMIT units, LUCF and MNCF scan a table of every subset's
-total with C-level filters.  Ties break on the ids' order alone, so a pick is
-memoised on the utilizations and the ids' ranks, across classes and runs.
+total with C-level filters.  Ties break on the instance names alone, so a
+pick is memoised on the utilizations and names, across classes and runs.
 
 `brownout_step` is the controller, called once per interval on the whole
 fleet: it sheds while a host is overloaded and restores otherwise.  Its
@@ -21,8 +24,8 @@ fleet: it sheds while a host is overloaded and restores otherwise.  Its
 one RSC draw per overloaded host, or each class's `restore_mask`.
 Optional containers sharing a connection tag on one host only work as a
 group, so `group_units` bundles them into single units for both decisions.
-A class's `Offer` to its selector lasts the run: built and grouped once
-per (class, first overloaded member), it keeps the mask of every pick.
+Hosts of one placement share their instance names, so each class keeps one
+`Offer` to its selector for the run, built and grouped once.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -106,14 +109,13 @@ class _Unit(NamedTuple):
 
 class Offer(list):
     """The OptionalItems a host class offers its selector, kept on the class
-    for the run (see `brownout_step`) with their `group_units` tuple, `units`,
-    and the mask each pick leaves, `masks` (picked ids -> mask)."""
+    for the run (see `brownout_step`) with their `group_units` tuple, `units`."""
 
-    __slots__ = ("units", "masks")
+    __slots__ = ("units",)
 
     def __init__(self, items: list):
         super().__init__(items)
-        self.units, self.masks = tuple(group_units(items)), {}
+        self.units = tuple(group_units(items))
 
 
 def group_units(items: list) -> list | tuple:
@@ -160,10 +162,10 @@ def _keep(masks, key, test) -> list:
 
 
 @lru_cache(maxsize=1024)
-def _best_mask(utilizations: tuple, ranks: tuple, bound: float, lucf: bool) -> int:
+def _best_mask(utilizations: tuple, groups: tuple, bound: float, lucf: bool) -> int:
     """Bitmask of LUCF's pick (largest total <= bound, then fewest units) or
     MNCF's (fewest units with total >= bound, then largest total), 0 if none;
-    remaining ties go to the smallest sorted id ranks."""
+    remaining ties go to the smallest sorted ids."""
     totals = _subset_totals(utilizations)
     total, masks = totals.__getitem__, range(1, len(totals))
     if lucf:
@@ -173,14 +175,13 @@ def _best_mask(utilizations: tuple, ranks: tuple, bound: float, lucf: bool) -> i
     masks = _keep(masks, int.bit_count, min(map(int.bit_count, masks)).__eq__)
     if not lucf:
         masks = _keep(masks, total, max(map(total, masks)).__eq__)
-    return min(masks, key=lambda m: _mask_ids(m, ranks))
+    return min(masks, key=lambda m: _mask_ids(m, groups))
 
 
 def _exact_search(units: list, bound: float, lucf: bool) -> list | None:
     """Ids of the subset `_best_mask` picks among the units; None if none."""
     utilizations, groups = zip(*units)
-    rank = {i: k for k, i in enumerate(sorted(chain.from_iterable(groups)))}.__getitem__
-    mask = _best_mask(utilizations, tuple([tuple(map(rank, ids)) for ids in groups]), bound, lucf)
+    mask = _best_mask(utilizations, groups, bound, lucf)
     return list(_mask_ids(mask, groups)) if mask else None
 
 
@@ -270,8 +271,8 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
     dimmer and an offer of the optional containers its mask keeps on; the
     policy's selector (SELECTORS[policy]) picks once per class for
     SHARED_PICKS, else once per host in host order, so RSC's draws stay put.
-    The offer's ids name the class's first overloaded host, so it is kept in
-    `cls.offers` under that host's id, built once per run for that pair.
+    Hosts of one class share their instance names, so the class builds its
+    offer once per run, at its first overload, and keeps it in `cls.offer`.
     Otherwise every host whose class's restore mask differs from its own
     takes it, grouped by class in first-member order.
     """
@@ -282,22 +283,21 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
             if cls.restore != host.active:
                 members.setdefault(cls, []).append(host)
         return [(hosts, cls.restore) for cls, hosts in members.items()]
-    theta, select, asks = dimmer(len(overloaded), len(fleet)), SELECTORS[policy], {}
+    theta, select, targets = dimmer(len(overloaded), len(fleet)), SELECTORS[policy], {}
     for host, cls in overloaded:
         members.setdefault(cls, []).append(host)
-    for cls, (host, *_) in members.items():  # (target, offer, first host) per class
-        if (offer := cls.offers.get(host.id)) is None:
-            offer = cls.offers[host.id] = Offer([
+    for cls, (host, *_) in members.items():
+        if cls.offer is None:
+            cls.offer = Offer([
                 OptionalItem(id=cid, utilization=u, connection_tag=spec.connection_tag)
                 for (cid, spec), on, u in zip(host.containers, host.active, cls.instance_utilizations)
                 if on and spec.optional])
-        asks[cls] = (expected_reduction(cls.utilization, cls.power_w, theta, profile), offer, host)
+        targets[cls] = expected_reduction(cls.utilization, cls.power_w, theta, profile)
     picks = members.items() if policy in SHARED_PICKS else [(c, [h]) for h, c in overloaded]
     for cls, hosts in picks:
-        target, offer, host = asks[cls]
-        if offer and (picked := tuple(select(offer, target, rng))):
-            moves.append((hosts, offer.masks.get(picked) or offer.masks.setdefault(picked, tuple(
-                [on and cid not in picked for (cid, _), on in zip(host.containers, host.active)]))))
+        if cls.offer and (picked := select(cls.offer, targets[cls], rng)):
+            moves.append((hosts, tuple([on and cid not in picked for (cid, _), on in zip(
+                hosts[0].containers, hosts[0].active)])))
     return moves
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brownsim import engine, policies
 from brownsim.engine import (
@@ -475,7 +475,7 @@ def test_brownout_with_nothing_to_do_equals_autoscaling(policy, ut, pct, service
 
 def _spy_selections(monkeypatch, policy):
     """Per brownout evaluation, the overloaded (host id, class) pairs and the
-    host id that each selector call's items belong to."""
+    class whose offer each selector call is handed."""
     evaluations, real_step, real_select = [], engine.brownout_step, policies.SELECTORS[policy]
 
     def step(fleet, *args):
@@ -483,7 +483,8 @@ def _spy_selections(monkeypatch, policy):
         return real_step(fleet, *args)
 
     def select(items, target, rng=None):
-        evaluations[-1][1].append(items[0].id.split("@")[1])
+        overloaded, calls = evaluations[-1]
+        calls.append(next(c for _, c in overloaded if c.offer is items))
         return real_select(items, target, rng)
 
     monkeypatch.setattr(engine, "brownout_step", step)
@@ -497,42 +498,32 @@ def test_lucf_and_mncf_pick_once_per_overloaded_class(monkeypatch, policy):
     Simulation(dense_cfg(policy), DIURNAL).run()
     shared = 0
     for overloaded, calls in evaluations:
-        firsts = {}  # class -> its first overloaded host
-        for hid, cls in overloaded:
-            firsts.setdefault(cls, hid)
-        assert calls == list(firsts.values())
-        shared += len(overloaded) - len(firsts)
+        classes = list(dict.fromkeys(cls for _, cls in overloaded))  # in first-member order
+        assert calls == classes
+        shared += len(overloaded) - len(classes)
     assert shared > 0, "some evaluations must find classes of several hosts"
 
 
 def test_rsc_draws_once_per_overloaded_host_in_host_order(monkeypatch):
-    # each draw is over the offer of the host's class, built from the class's
-    # first overloaded host
+    # each draw is over the offer of the host's class
     evaluations = _spy_selections(monkeypatch, "RSC")
     Simulation(dense_cfg("RSC"), DIURNAL).run()
     assert any(len(overloaded) > len({c for _, c in overloaded}) for overloaded, _ in evaluations)
     for overloaded, calls in evaluations:
-        firsts = {}
-        for hid, cls in overloaded:
-            firsts.setdefault(cls, hid)
-        assert calls == [firsts[cls] for _, cls in overloaded]
+        assert calls == [cls for _, cls in overloaded]
 
 
 @pytest.mark.parametrize("policy", ["LUCF", "RSC"])
-def test_each_class_and_first_member_build_one_offer_per_run(monkeypatch, policy):
+def test_each_class_builds_one_offer_per_run(monkeypatch, policy):
     # An offer lasts the run: the items and their grouping are built once
-    # per distinct (class, first overloaded host), however many evaluations
-    # and RSC draws use them, and every selector call is handed a kept offer.
-    pairs, groupings, offered, inside = set(), [], [], []
+    # per class that ever offers, however many evaluations and RSC draws use
+    # them, and every selector call is handed a kept offer.
+    offering, groupings, offered, inside = set(), [], [], []
     real_step, real_group = engine.brownout_step, policies.group_units
     real_select = policies.SELECTORS[policy]
 
     def step(fleet, *args):
-        firsts = {}
-        for host, cls in fleet:
-            if cls.overloaded:
-                firsts.setdefault(cls, host.id)
-        pairs.update(firsts.items())
+        offering.update(cls for _, cls in fleet if cls.overloaded)
         inside.append(True)
         try:
             return real_step(fleet, *args)
@@ -553,38 +544,10 @@ def test_each_class_and_first_member_build_one_offer_per_run(monkeypatch, policy
     monkeypatch.setitem(policies.SELECTORS, policy, select)
     sim = Simulation(dense_cfg(policy), DIURNAL)
     sim.run()
-    kept = [offer for cls in sim.classes.values() for offer in cls.offers.values()]
-    assert len(groupings) == len(kept) == len(pairs)
+    kept = [cls.offer for cls in sim.classes.values() if cls.offer is not None]
+    assert len(groupings) == len(kept) == len(offering)
     assert {id(items) for items in offered} == {id(offer) for offer in kept if offer}
-    assert len(offered) > 2 * len(pairs), "the run must reuse its offers"
-
-
-class _Forgetful(dict):
-    """A memo that keeps nothing: every lookup misses."""
-
-    def __setitem__(self, key, value):
-        pass
-
-    def get(self, key, default=None):
-        return default
-
-    def setdefault(self, key, default=None):
-        return default
-
-
-class _UncachedOffer(policies.Offer):
-    __slots__ = ()
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.masks = _Forgetful()
-
-
-class _UncachedHostClass(engine.HostClass):
-    # no __slots__ of its own: HostClass.__init__ fills `self.__slots__`
-    def __init__(self, *values):
-        super().__init__(*values)
-        self.offers = _Forgetful()
+    assert len(offered) > 2 * len(offering), "the run must reuse its offers"
 
 
 @pytest.mark.parametrize("cfg", [dense_cfg(p) for p in ("LUCF", "MNCF", "RSC")]
@@ -593,19 +556,25 @@ class _UncachedHostClass(engine.HostClass):
                          + [f"{p}-0.7" for p in ("LUCF", "MNCF", "RSC")])
 def test_kept_offers_equal_offers_rebuilt_for_every_pick(monkeypatch, cfg):
     # With the offer cache bypassed, every evaluation builds its items
-    # afresh, every selector call groups them again and every pick builds
-    # its mask from the ids, as before offers were kept; the run must not
-    # change by a byte.
+    # afresh and every selector call groups them again, as before offers
+    # were kept; the run must not change by a byte.
     cached = Simulation(cfg, DIURNAL)
     result = cached.run()
-    assert any(cls.offers for cls in cached.classes.values())
-    real_group = policies.group_units
+    kept = [cls for cls in cached.classes.values() if cls.offer is not None]
+    assert kept
+    forgotten, real_step, real_group = [], engine.brownout_step, policies.group_units
+
+    def step(fleet, *args):
+        for _, cls in fleet:
+            if cls.offer is not None:
+                forgotten.append(cls)
+                cls.offer = None
+        return real_step(fleet, *args)
+
+    monkeypatch.setattr(engine, "brownout_step", step)
     monkeypatch.setattr(policies, "group_units", lambda items: real_group(list(items)))
-    monkeypatch.setattr(policies, "Offer", _UncachedOffer)
-    monkeypatch.setattr(engine, "HostClass", _UncachedHostClass)
-    bypassed = Simulation(cfg, DIURNAL)
-    assert bypassed.run() == result
-    assert not any(cls.offers for cls in bypassed.classes.values())
+    assert Simulation(cfg, DIURNAL).run() == result
+    assert len(forgotten) > len(kept), "the bypass must rebuild offers a run keeps"
 
 
 def test_offers_die_with_their_run(monkeypatch):
@@ -626,7 +595,7 @@ def test_offers_die_with_their_run(monkeypatch):
         sim = Simulation(dense_cfg(policy), DIURNAL)
         sim.run()
         gc.collect()
-        kept = sum(len(offer) for cls in sim.classes.values() for offer in cls.offers.values())
+        kept = sum(len(cls.offer) for cls in sim.classes.values() if cls.offer is not None)
         assert CountedItem.live == kept > 0, "only the live run's offers may hold items"
     del sim
     gc.collect()
@@ -670,17 +639,54 @@ def test_two_replicas_on_one_host_are_shed_and_restored_by_position():
     trace = flat_trace([90, 90, 40])
     sim = Simulation(cfg, trace)
     host = sim.hosts[0]
-    # the repeated replica's id carries its position
-    assert [cid for cid, _ in host.containers] == ["web@h00", "ads@h00", "ads@h00+2", "rec@h00"]
+    # the repeated replica's name carries its position
+    assert [cid for cid, _ in host.containers] == ["web@", "ads@", "ads@+2", "rec@"]
     # 90 overloads the full stack and the lone host's dimmer of 1 sheds every
     # optional container; at 90 again only the first ads fits back (ties go
-    # by id); at 40 everything does
+    # by name); at 40 everything does
     masks = []
     for t, rate in enumerate(trace.rates):
         sim.step(t, rate)
         masks.append(host.active)
     T, F = True, False
     assert masks == [(T, F, F, F), (T, T, F, F), (T, T, T, T)]
+
+
+@st.composite
+def stacked_fleets(draw):
+    """Container ids without "@" over an alphabet whose "+", "-", "." and
+    digits sort below "@", so that one id extended by one of them ("a",
+    "a-0") sorts the other way round once "@" follows it; replica counts that
+    put a container several times on one host; and a fleet of 1-3 hosts."""
+    ids = draw(st.lists(st.text(alphabet="ab+-.09", min_size=1, max_size=4),
+                        min_size=1, max_size=5, unique=True))
+    hosts = draw(st.integers(1, 3))
+    replicas = draw(st.lists(st.integers(1, 4 * hosts), min_size=len(ids), max_size=len(ids)))
+    return ids, replicas, hosts
+
+
+@settings(max_examples=50, deadline=None)
+@given(stacked_fleets())
+@example((["a", "a-", "a0"], [1, 4, 8], 1))  # "a0" at positions 5-12: "+10" sorts before "+6"
+def test_host_free_names_sort_as_every_hosts_own_ids_did(fleet):
+    # Each distinct placement names its instances once, for all its hosts.
+    # Sorting those names orders the positions as sorting the ids that named
+    # the host, f"{id}@{host}" plus the replica suffix, did on any host.
+    ids, replicas, hosts = fleet
+    services = [ContainerSpec(id=cid, service="s", weight=1 / len(ids), optional=k > 0,
+                              replicas=r) for k, (cid, r) in enumerate(zip(ids, replicas))]
+    sim = Simulation(SimConfig(host_count=hosts, services=services, trace_path="unused.csv"),
+                     flat_trace([0]))
+    stacks = {}
+    for host in sim.hosts:
+        assert stacks.setdefault(host.stack, host.containers) is host.containers
+    for containers in stacks.values():
+        placed = [spec.id for _, spec in containers]
+        order = sorted(range(len(placed)), key=lambda k: containers[k][0])
+        for hid in map(host_id, range(1001)):  # h00 ... h1000
+            own = [f"{cid}@{hid}" + (f"+{j}" if cid in placed[:j] else "")
+                   for j, cid in enumerate(placed)]
+            assert sorted(range(len(own)), key=own.__getitem__) == order, hid
 
 
 def _restore_everywhere(monkeypatch, cfg):

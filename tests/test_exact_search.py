@@ -98,8 +98,8 @@ def offers(draw):
 def test_exact_search_picks_what_the_per_mask_loop_picked(offer):
     items, target, shuffled = offer
     policies._best_mask.cache_clear()
-    # cold, warm, then warm for the same units under other ids: a prefix keeps
-    # the ids' order (and the memo key), a shuffle moves ids between units
+    # cold, warm, then cold for the same units under other ids: a prefix keeps
+    # the ids' order, a shuffle moves ids between units
     for ids in ([it.id for it in items], [it.id for it in items],
                 ["h9/" + it.id for it in items], shuffled):
         offer = [it._replace(id=i) for it, i in zip(items, ids)]
@@ -120,8 +120,8 @@ def test_sixteen_equal_units_tie_on_ids():
 
 
 def test_a_dense_stack_day_searches_once_per_distinct_offer(monkeypatch):
-    # On the 10-host dense stack, hosts of one class are offered equal units
-    # at an equal target; only their container ids differ.
+    # On the 10-host dense stack, hosts of one class are offered the same
+    # units, instance names included, at an equal target.
     raw = json.loads((ROOT / "configs" / "sample.json").read_text())
     raw["services"] = DENSE_STACK
     cfg = config_from_dict(raw, base_dir=str(ROOT / "configs"))
@@ -132,10 +132,8 @@ def test_a_dense_stack_day_searches_once_per_distinct_offer(monkeypatch):
     def select(items, target, rng=None):
         units = group_units(items)
         if units[0].utilization < target:  # not the smallest-unit shortcut
-            rank = {i: k for k, i in enumerate(sorted(i for u in units for i in u.ids))}
             searches.append(target)
-            offered.add((tuple(u.utilization for u in units),
-                         tuple(tuple(rank[i] for i in u.ids) for u in units),
+            offered.add((tuple(u.utilization for u in units), tuple(u.ids for u in units),
                          target + FEAS_EPS))
         return real_select(items, target, rng)
 

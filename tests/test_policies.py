@@ -286,15 +286,15 @@ class HostClassStub(SimpleNamespace):
 
 def make_host(idx, utilization, specs, deactivate=()):
     """An active host at `utilization` and its class, as the engine passes
-    them to brownout_step; the class restores nothing."""
-    hid = f"h{idx:02d}"
-    host = HostState(id=hid, mode=HostMode.ACTIVE,
-                     containers=tuple((f"{spec.id}@{hid}", spec) for spec in specs.values()),
+    them to brownout_step: hosts of one stack share their instance names, and
+    the class restores nothing and has no offer yet."""
+    host = HostState(id=f"h{idx:02d}", mode=HostMode.ACTIVE,
+                     containers=tuple((f"{spec.id}@", spec) for spec in specs.values()),
                      active=tuple(spec.id not in deactivate for spec in specs.values()))
     state = HostClassStub(
         utilization=utilization, power_w=hum(PROFILE, HostMode.ACTIVE, utilization),
         instance_utilizations=tuple(utilization * spec.weight for spec in specs.values()),
-        overloaded=utilization > 0.8, restore=host.active, offers={})
+        overloaded=utilization > 0.8, restore=host.active, offer=None)
     return host, state
 
 
@@ -411,23 +411,23 @@ def test_brownout_per_host_holds_both_tag_siblings():
     # one overloaded host in 100 asks for 0.69 of its 1.0: LUCF fits the
     # 0.4 pair plus one 0.2 single under it, not all three units (0.8)
     moves = brownout_step(pairs, PROFILE, "LUCF")
-    assert shed_ids(moves) == {"h00": ["ads@h00", "cache@h00", "rec@h00"]}
+    assert shed_ids(moves) == {"h00": ["ads@", "cache@", "rec@"]}
     rng = random.Random(53)
     for policy in ("MNCF", "RSC"):
         picked = set(shed_ids(brownout_step(pairs, PROFILE, policy, rng))["h00"])
-        assert ("rec@h00" in picked) == ("cache@h00" in picked), (policy, picked)
+        assert ("rec@" in picked) == ("cache@" in picked), (policy, picked)
 
 
 def test_brownout_decides_once_per_class_and_rsc_once_per_host():
     # h00, h01 and h03 share one state; h02 is in another.  LUCF picks once
-    # for the class and every member takes its mask, ids mapped by position.
+    # for the class and every member takes its mask, names mapped by position.
     # RSC draws per host, in host order, each over its class's offer.
     (h0, hot), (h1, _), (h2, warm), (h3, _) = [make_host(i, 1.0, SPECS) for i in range(4)]
     warm.utilization = 0.9
     pairs = [(h0, hot), (h1, hot), (h2, warm), (h3, hot)]
     moves = brownout_step(pairs, PROFILE, "LUCF")
     assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00", "h01", "h03"], ["h02"]]
-    assert shed_ids(moves)["h03"] == ["ads@h03", "rec@h03"]
+    assert shed_ids(moves)["h03"] == ["ads@", "rec@"]
     rng, draws = random.Random(5), random.Random(5)
     moves = brownout_step(pairs, PROFILE, "RSC", rng)
     assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00"], ["h01"], ["h02"], ["h03"]]
@@ -441,9 +441,8 @@ def test_brownout_decides_once_per_class_and_rsc_once_per_host():
 
 
 def test_a_kept_offer_gives_each_pick_its_own_mask():
-    # The class keeps its offer, built once, and the mask of each pick made
-    # from it; a later target from the same offer still gets its own mask,
-    # the one a fresh class would give.
+    # The class keeps its offer, built once; a later target from the same
+    # offer still gets its own mask, the one a fresh class would give.
     specs = {s.id: s for s in [
         ContainerSpec(id="web", service="s", weight=0.2),
         ContainerSpec(id="rec", service="s", weight=0.25, optional=True, connection_tag="r"),
@@ -452,11 +451,12 @@ def test_a_kept_offer_gives_each_pick_its_own_mask():
         ContainerSpec(id="extra", service="s", weight=0.2, optional=True),
     ]}
     host, kept = make_host(0, 1.0, specs)
-    masks = []
+    masks, offers = [], set()
     for fleet in (100, 1, 100, 1):  # the dimmer reads 0.1, then 1
         moves = brownout_step(with_calm([(host, kept)], fleet), PROFILE, "LUCF")
-        fresh = HostClassStub(**{**vars(kept), "offers": {}})
+        fresh = HostClassStub(**{**vars(kept), "offer": None})
         assert moves == brownout_step(with_calm([(host, fresh)], fleet), PROFILE, "LUCF")
         masks.append(moves[0][1])
+        offers.add(id(kept.offer))
     assert masks[0] == masks[2] != masks[1] == masks[3]
-    assert list(kept.offers) == ["h00"] and len(kept.offers["h00"].masks) == 2
+    assert len(offers) == 1, "the class must keep the offer it built first"
