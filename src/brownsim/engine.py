@@ -7,19 +7,20 @@ deactivate or restore optional containers, give each serving host one
 (response_ms, served) group and its errors, and account energy.  One run
 is single-threaded and deterministic for a given config, trace, and seed.
 
-A host's containers are its placement stack and one active mask over it, a
-tuple that brownout replaces when it sheds or restores containers.  Steps
-5-9 run per host class: hosts that share a placement stack, a mode, an
-active mask and a request count are in one state.  Its utilization, power,
-watt-hours, active-weight fraction, response group and restore mask are
-functions of that key and the run's constants, so a class is derived once
-per run and kept; each interval maps every host to one.  The records, the
-controller, the energy total and the next capacity factor read the classes.
-One `policies.brownout_step` call per interval decides to shed or restore
-and returns (hosts, mask) moves; the engine only applies them.  The loops
-whose float sums depend on order keep host order: the records, the energy
-additions and the capacity mean.  Host order is placement index order, so
-h100 follows h99.
+A host's containers are its placement stack, a tuple of specs shared by its
+placement's hosts, in which a container is its position, and one active
+mask over it, a tuple that brownout replaces when it sheds or restores
+containers.  Steps 5-9 run per host class: hosts that share a placement
+stack, a mode, an active mask and a request count are in one state.  Its
+utilization, power, watt-hours, active-weight fraction, response group and
+restore mask are functions of that key and the run's constants, so a class
+is derived once per run and kept; each interval maps every host to one.
+The records, the controller, the energy total and the next capacity factor
+read the classes.  One `policies.brownout_step` call per interval decides
+to shed or restore and returns (hosts, mask) moves; the engine only applies
+them.  The loops whose float sums depend on order keep host order: the
+records, the energy additions and the capacity mean.  Host order is
+placement index order, so h100 follows h99.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def derive_utilization(host: HostState, assigned: int, n_o: float) -> tuple:
         return 0.0, (0.0,) * len(host.containers)
     demand = assigned / n_o
     load, utilizations = 0.0, []
-    for (_, spec), on in zip(host.containers, host.active):
+    for spec, on in zip(host.containers, host.active):
         share = demand * spec.weight if on else 0.0
         load += share
         utilizations.append(min(share, 1.0))
@@ -140,13 +141,13 @@ class Simulation:
 
         self.hosts = []
         specs = {s.id: s for s in scaled_services(cfg.services, cfg.policy.optional_util_pct)}
-        stacks = {}  # distinct placement -> its index and containers, named once for its hosts
+        stacks = {}  # distinct placement -> its index and specs, one tuple for its hosts
         for hid, ids in place_replicas(cfg).items():  # in index order: h100 comes after h99
             if (ids := tuple(ids)) not in stacks:
-                stacks[ids] = len(stacks), tuple((f"{sid}@" + (f"+{j}" if sid in ids[:j] else ""),
-                                                  specs[sid]) for j, sid in enumerate(ids))
-            stack, named = stacks[ids]
-            self.hosts.append(HostState(hid, stack=stack, containers=named, active=(True,) * len(ids)))
+                stacks[ids] = len(stacks), tuple([specs[sid] for sid in ids])
+            stack, containers = stacks[ids]
+            self.hosts.append(HostState(hid, stack=stack, containers=containers,
+                                        active=(True,) * len(ids)))
         self.classes = {}  # state -> HostClass, for the whole run
         self.class_of = {}  # host id -> its HostClass, in host order
 
@@ -290,7 +291,7 @@ class Simulation:
                     load, assigned, self.cfg.base_response_ms) if serving else (0.0, 0, 0))
                 fraction, restore = None, host.active  # off the serving set nothing is off
                 if serving:
-                    weights = [spec.weight for _, spec in host.containers]
+                    weights = [spec.weight for spec in host.containers]
                     total = sum(weights)
                     fraction = (sum([w for w, on in zip(weights, mask) if on]) / total
                                 if total > 0 else 1.0)

@@ -146,9 +146,9 @@ class ContainerSpec:
 @dataclass
 class HostState:
     """A host's mode and one active mask over its placement: `containers` is
-    the placement as (instance name, ContainerSpec) pairs, one tuple per
-    distinct placement, whose index is `stack`, and `active` one on/off flag
-    per container, a tuple the engine replaces and never edits."""
+    the placement's ContainerSpecs, one tuple per distinct placement, whose
+    index is `stack`, and `active` one on/off flag per container, a tuple
+    the engine replaces and never edits.  A container is its position."""
 
     id: str
     mode: HostMode = HostMode.ACTIVE

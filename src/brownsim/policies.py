@@ -15,8 +15,9 @@ and a selector picks which optional containers to deactivate to meet it:
 
 Every selector is called as (items, target, rng); only RSC uses the rng.
 Up to EXACT_SEARCH_LIMIT units, LUCF and MNCF scan a table of every subset's
-total with C-level filters.  Ties break on the instance names alone, so a
-pick is memoised on the utilizations and names, across classes and runs.
+total with C-level filters.  Ties break on the items' ids alone, which the
+controller sets to stack positions, so a pick is memoised on the
+utilizations and positions, across classes and runs.
 
 `brownout_step` is the controller, called once per interval on the whole
 fleet: it sheds while a host is overloaded and restores otherwise.  Its
@@ -24,8 +25,8 @@ fleet: it sheds while a host is overloaded and restores otherwise.  Its
 one RSC draw per overloaded host, or each class's `restore_mask`.
 Optional containers sharing a connection tag on one host only work as a
 group, so `group_units` bundles them into single units for both decisions.
-Hosts of one placement share their instance names, so each class keeps one
-`Offer` to its selector for the run, built and grouped once.
+Hosts of one placement share their stack, so each class keeps one `Offer`
+to its selector for the run, built and grouped once.
 """
 
 from __future__ import annotations
@@ -91,19 +92,19 @@ def expected_reduction(utilization: float, power_w: float, theta: float,
 
 
 class OptionalItem(NamedTuple):
-    """One optional container instance offered to a brownout decision.
-
-    Selectors see active instances at their current utilization;
+    """One optional container offered to a brownout decision, `id` its stack
+    position.  Selectors see active containers at their current utilization;
     `restore_mask` sees deactivated ones at their weight.
     """
 
-    id: str
+    id: int | str
     utilization: float
     connection_tag: str | None = None
 
 
 class _Unit(NamedTuple):
-    utilization: float  # first, so that units sort by (utilization, ids)
+    """Items that go off or come back together, by sorted ids (positions)."""
+    utilization: float  # summed; first, so that units sort by (utilization, ids)
     ids: tuple
 
 
@@ -121,8 +122,9 @@ class Offer(list):
 def group_units(items: list) -> list | tuple:
     """Bundle same-tag items into single units; untagged items stand alone.
 
-    Units come back sorted by ascending utilization, ties by id, which also
-    fixes the order every selector sees.  An `Offer` returns its own `units`.
+    Units come back sorted by ascending utilization, ties by ids (stack
+    positions in the controller's offers), which also fixes the order every
+    selector sees.  An `Offer` returns its own `units`.
     """
     if type(items) is Offer:
         return items.units
@@ -153,36 +155,26 @@ def _subset_totals(utilizations: tuple) -> list:
     return totals
 
 
-def _mask_ids(mask: int, groups: tuple) -> tuple:
-    return tuple(sorted(i for k, ids in enumerate(groups) if mask >> k & 1 for i in ids))
-
-
 def _keep(masks, key, test) -> list:
     return list(compress(masks, map(test, map(key, masks))))
 
 
 @lru_cache(maxsize=1024)
-def _best_mask(utilizations: tuple, groups: tuple, bound: float, lucf: bool) -> int:
-    """Bitmask of LUCF's pick (largest total <= bound, then fewest units) or
-    MNCF's (fewest units with total >= bound, then largest total), 0 if none;
-    remaining ties go to the smallest sorted ids."""
+def _best_pick(utilizations: tuple, groups: tuple, bound: float, lucf: bool) -> tuple:
+    """Sorted ids of LUCF's pick (largest total <= bound, then fewest units)
+    or MNCF's (fewest units with total >= bound, then largest total) among
+    the units, () if none; remaining ties go to the smallest sorted ids."""
     totals = _subset_totals(utilizations)
     total, masks = totals.__getitem__, range(1, len(totals))
     if lucf:
         masks = _keep(masks, total, max(filter(bound.__ge__, totals[1:])).__eq__)
     elif not (masks := _keep(masks, total, bound.__le__)):
-        return 0
+        return ()
     masks = _keep(masks, int.bit_count, min(map(int.bit_count, masks)).__eq__)
     if not lucf:
         masks = _keep(masks, total, max(map(total, masks)).__eq__)
-    return min(masks, key=lambda m: _mask_ids(m, groups))
-
-
-def _exact_search(units: list, bound: float, lucf: bool) -> list | None:
-    """Ids of the subset `_best_mask` picks among the units; None if none."""
-    utilizations, groups = zip(*units)
-    mask = _best_mask(utilizations, groups, bound, lucf)
-    return list(_mask_ids(mask, groups)) if mask else None
+    return min(tuple(sorted(i for k, ids in enumerate(groups) if m >> k & 1 for i in ids))
+               for m in masks)
 
 
 def _largest_first(units: list) -> list:
@@ -207,7 +199,7 @@ def select_lucf(items: list, target: float, rng: random.Random | None = None) ->
         return list(units[0].ids)
     limit = target + FEAS_EPS
     if len(units) <= EXACT_SEARCH_LIMIT:
-        return _exact_search(units, limit, True)
+        return list(_best_pick(*zip(*units), limit, True))
     chosen, total = [], 0.0
     for u in _largest_first(units):
         if total + u.utilization <= limit:
@@ -227,7 +219,7 @@ def select_mncf(items: list, target: float, rng: random.Random | None = None) ->
         return []
     need = target - FEAS_EPS
     if len(units) <= EXACT_SEARCH_LIMIT:
-        return _exact_search(units, need, False) or _ids(units)
+        return list(_best_pick(*zip(*units), need, False)) or _ids(units)
     chosen, total = [], 0.0
     for u in _largest_first(units):
         chosen.append(u)
@@ -271,7 +263,7 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
     dimmer and an offer of the optional containers its mask keeps on; the
     policy's selector (SELECTORS[policy]) picks once per class for
     SHARED_PICKS, else once per host in host order, so RSC's draws stay put.
-    Hosts of one class share their instance names, so the class builds its
+    Hosts of one class share their stack positions, so the class builds its
     offer once per run, at its first overload, and keeps it in `cls.offer`.
     Otherwise every host whose class's restore mask differs from its own
     takes it, grouped by class in first-member order.
@@ -289,15 +281,16 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
     for cls, (host, *_) in members.items():
         if cls.offer is None:
             cls.offer = Offer([
-                OptionalItem(id=cid, utilization=u, connection_tag=spec.connection_tag)
-                for (cid, spec), on, u in zip(host.containers, host.active, cls.instance_utilizations)
+                OptionalItem(id=j, utilization=u, connection_tag=spec.connection_tag)
+                for j, (spec, on, u) in enumerate(zip(host.containers, host.active,
+                                                      cls.instance_utilizations))
                 if on and spec.optional])
         targets[cls] = expected_reduction(cls.utilization, cls.power_w, theta, profile)
     picks = members.items() if policy in SHARED_PICKS else [(c, [h]) for h, c in overloaded]
     for cls, hosts in picks:
-        if cls.offer and (picked := select(cls.offer, targets[cls], rng)):
-            moves.append((hosts, tuple([on and cid not in picked for (cid, _), on in zip(
-                hosts[0].containers, hosts[0].active)])))
+        if cls.offer and (off := set(select(cls.offer, targets[cls], rng))):
+            moves.append((hosts, tuple([on and j not in off
+                                        for j, on in enumerate(hosts[0].active)])))
     return moves
 
 
@@ -305,15 +298,15 @@ def restore_mask(host: HostState, utilization: float, demand: float, u_t: float)
     """The host's mask with the deactivated containers it can take back at
     `utilization` turned on.
 
-    The containers its mask has off are units weighted by their specs'
-    weights, and a unit brings back demand times its weight.  Units come
-    back largest first, ties by ids, as long as the host stays out of
-    `over_threshold`; a unit that does not fit is skipped and a smaller one
-    after it may still fit.
+    The containers its mask has off are units, named by stack position and
+    weighted by their specs' weights, and a unit brings back demand times
+    its weight.  Units come back largest first, ties by positions, as long
+    as the host stays out of `over_threshold`; a unit that does not fit is
+    skipped and a smaller one after it may still fit.
     """
     units = group_units([
-        OptionalItem(id=cid, utilization=spec.weight, connection_tag=spec.connection_tag)
-        for (cid, spec), on in zip(host.containers, host.active) if not on
+        OptionalItem(id=j, utilization=spec.weight, connection_tag=spec.connection_tag)
+        for j, (spec, on) in enumerate(zip(host.containers, host.active)) if not on
     ])
     u, back = utilization, set()
     for unit in _largest_first(units):
@@ -321,4 +314,4 @@ def restore_mask(host: HostState, utilization: float, demand: float, u_t: float)
         if not over_threshold(u + delta, u_t):
             back.update(unit.ids)
             u += delta
-    return tuple([on or cid in back for (cid, _), on in zip(host.containers, host.active)])
+    return tuple([on or j in back for j, on in enumerate(host.active)])

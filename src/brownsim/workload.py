@@ -25,11 +25,12 @@ def _scale_rate(raw: float, scale: float) -> int:
 def load_trace(path: str, scale: float = 1.0, interval_seconds: float = 60.0) -> Trace:
     """Read a two-column CSV (t,requests) into a Trace.
 
-    t must be strictly increasing.  A header row is tolerated; malformed
-    data raises ValueError naming the offending line.
+    t must be strictly increasing.  A byte-order mark and a header (line 1
+    with no numeric field) are skipped; malformed data raises ValueError
+    naming the offending line.
     """
     times, rates = [], []
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -37,7 +38,7 @@ def load_trace(path: str, scale: float = 1.0, interval_seconds: float = 60.0) ->
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 't,requests', got {line!r}")
-            if lineno == 1 and not _numeric(parts[0]):
+            if lineno == 1 and not (_numeric(parts[0]) or _numeric(parts[1])):
                 continue  # header
             if not (_numeric(parts[0]) and _numeric(parts[1])):
                 raise ValueError(f"line {lineno}: non-numeric field in {line!r}")

@@ -266,7 +266,7 @@ def test_criterion_9_fleet_scaling():
         for batch, fleet_timings in zip(batches, timings):
             elapsed = 0.0
             for items, target in batch:
-                policies._best_mask.cache_clear()
+                policies._best_pick.cache_clear()
                 t0 = time.perf_counter()
                 orig(items, target)
                 elapsed += time.perf_counter() - t0

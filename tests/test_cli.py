@@ -154,6 +154,15 @@ def test_overflowing_trace_scale_exits_three(workdir, capsys):
         assert not (workdir / command).exists()
 
 
+def test_half_numeric_first_trace_row_exits_three(workdir, capsys):
+    trace = workdir / "odd.csv"
+    trace.write_text("x,120\n1,130\n")
+    assert main(["run", "--config", str(workdir / "config.json"), "--trace", str(trace),
+                 "--out", str(workdir / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "line 1" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under file"])
 def test_unwritable_out_exits_three_before_running(workdir, capsys, monkeypatch, command, under):

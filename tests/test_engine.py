@@ -6,9 +6,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from brownsim import engine, policies
+from brownsim.policies import FEAS_EPS
 from brownsim.engine import (
     ConfigError,
     Simulation,
@@ -126,7 +127,7 @@ def derive_host(deactivate=()):
         ContainerSpec(id="o2", service="s", weight=0.2, optional=True),
     ]
     return HostState(id="h00", mode=HostMode.ACTIVE,
-                     containers=tuple((f"{s.id}@h00", s) for s in specs),
+                     containers=tuple(specs),
                      active=tuple(s.id not in deactivate for s in specs))
 
 
@@ -341,8 +342,7 @@ def test_host_invariants_hold_throughout():
                 assert cls.utilization == 0.0
             if h.mode is HostMode.BOOTING:
                 assert h.boot_remaining > 0
-            for (_, spec), on, utilization in zip(h.containers, h.active,
-                                                  cls.instance_utilizations):
+            for spec, on, utilization in zip(h.containers, h.active, cls.instance_utilizations):
                 if not spec.optional:
                     assert on, "mandatory container deactivated"
                 if not on:
@@ -615,13 +615,13 @@ def test_partial_restore_takes_the_largest_units_that_fit():
                     trace_path="unused.csv")
     sim = Simulation(cfg, flat_trace([97]))
     host = sim.hosts[0]
-    host.active = tuple(spec.id == "web" for _, spec in host.containers)
+    host.active = tuple(spec.id == "web" for spec in host.containers)
     # demand 0.97 puts web alone at 0.388, under u_t, so the host restores:
     # the pair (0.3) first, to 0.679; "big" (0.2) would reach 0.873 and is
     # skipped; "small" (0.1) still fits, to 0.776.  Smallest first would
     # have taken "small" and "big" and left the pair out.
     record = sim.step(0, 97)
-    assert {spec.id for (_, spec), on in zip(host.containers, host.active) if on} == {
+    assert {spec.id for spec, on in zip(host.containers, host.active) if on} == {
         "web", "p1", "p2", "small"}
     assert record.deactivated_containers == 1
     assert sim.class_of[host.id].utilization == pytest.approx(0.97 * 0.8)
@@ -639,54 +639,17 @@ def test_two_replicas_on_one_host_are_shed_and_restored_by_position():
     trace = flat_trace([90, 90, 40])
     sim = Simulation(cfg, trace)
     host = sim.hosts[0]
-    # the repeated replica's name carries its position
-    assert [cid for cid, _ in host.containers] == ["web@", "ads@", "ads@+2", "rec@"]
+    # a container is its position in the stack, so the two ads are told apart
+    assert [spec.id for spec in host.containers] == ["web", "ads", "ads", "rec"]
     # 90 overloads the full stack and the lone host's dimmer of 1 sheds every
     # optional container; at 90 again only the first ads fits back (ties go
-    # by name); at 40 everything does
+    # by position); at 40 everything does
     masks = []
     for t, rate in enumerate(trace.rates):
         sim.step(t, rate)
         masks.append(host.active)
     T, F = True, False
     assert masks == [(T, F, F, F), (T, T, F, F), (T, T, T, T)]
-
-
-@st.composite
-def stacked_fleets(draw):
-    """Container ids without "@" over an alphabet whose "+", "-", "." and
-    digits sort below "@", so that one id extended by one of them ("a",
-    "a-0") sorts the other way round once "@" follows it; replica counts that
-    put a container several times on one host; and a fleet of 1-3 hosts."""
-    ids = draw(st.lists(st.text(alphabet="ab+-.09", min_size=1, max_size=4),
-                        min_size=1, max_size=5, unique=True))
-    hosts = draw(st.integers(1, 3))
-    replicas = draw(st.lists(st.integers(1, 4 * hosts), min_size=len(ids), max_size=len(ids)))
-    return ids, replicas, hosts
-
-
-@settings(max_examples=50, deadline=None)
-@given(stacked_fleets())
-@example((["a", "a-", "a0"], [1, 4, 8], 1))  # "a0" at positions 5-12: "+10" sorts before "+6"
-def test_host_free_names_sort_as_every_hosts_own_ids_did(fleet):
-    # Each distinct placement names its instances once, for all its hosts.
-    # Sorting those names orders the positions as sorting the ids that named
-    # the host, f"{id}@{host}" plus the replica suffix, did on any host.
-    ids, replicas, hosts = fleet
-    services = [ContainerSpec(id=cid, service="s", weight=1 / len(ids), optional=k > 0,
-                              replicas=r) for k, (cid, r) in enumerate(zip(ids, replicas))]
-    sim = Simulation(SimConfig(host_count=hosts, services=services, trace_path="unused.csv"),
-                     flat_trace([0]))
-    stacks = {}
-    for host in sim.hosts:
-        assert stacks.setdefault(host.stack, host.containers) is host.containers
-    for containers in stacks.values():
-        placed = [spec.id for _, spec in containers]
-        order = sorted(range(len(placed)), key=lambda k: containers[k][0])
-        for hid in map(host_id, range(1001)):  # h00 ... h1000
-            own = [f"{cid}@{hid}" + (f"+{j}" if cid in placed[:j] else "")
-                   for j, cid in enumerate(placed)]
-            assert sorted(range(len(own)), key=own.__getitem__) == order, hid
 
 
 def _restore_everywhere(monkeypatch, cfg):
@@ -739,7 +702,7 @@ def test_restore_skips_a_host_whose_lightest_container_cannot_fit(monkeypatch):
                     trace_path="unused.csv")
     sim = Simulation(cfg, flat_trace([97]))
     host = sim.hosts[0]
-    host.active = tuple(spec.id == "web" for _, spec in host.containers)
+    host.active = tuple(spec.id == "web" for spec in host.containers)
     asked = _spy_restore_mask(monkeypatch)
     # web alone is at 0.485, under u_t, so the host is in the restore path;
     # ads would lift it to 0.97, so nothing can come back: the class's one
@@ -775,13 +738,13 @@ def test_restore_takes_back_what_fits_and_leaves_off_only_what_does_not(data):
     host.active = before
     sim.step(0, rate)
     assert all(now or not was for now, was in zip(host.active, before))
-    assert all(on for (_, spec), on in zip(host.containers, host.active) if not spec.optional)
+    assert all(on for spec, on in zip(host.containers, host.active) if not spec.optional)
     utilization = sim.class_of[host.id].utilization
     assert utilization <= ut + 1e-12
     assert not sim.class_of[host.id].overloaded, "restored into an overloaded class"
     for unit in policies.group_units([
-            policies.OptionalItem(cid, spec.weight, spec.connection_tag)
-            for (cid, spec), on in zip(host.containers, host.active) if not on]):
+            policies.OptionalItem(j, spec.weight, spec.connection_tag)
+            for j, (spec, on) in enumerate(zip(host.containers, host.active)) if not on]):
         assert utilization + rate / 100 * unit.utilization > ut + 1e-12, unit
 
 
@@ -792,7 +755,7 @@ def checked_run(sim):
     for t, rate in enumerate(sim.trace.rates):
         record = sim.step(t, rate)
         for host in sim.hosts:
-            assert all(on for (_, spec), on in zip(host.containers, host.active)
+            assert all(on for spec, on in zip(host.containers, host.active)
                        if not spec.optional), (t, host.id)
         modes = {host.id: host.mode for host in sim.hosts}
         assert all(modes[hid] is HostMode.ACTIVE for hid, _, _, over in record.per_host if over), t
@@ -924,8 +887,8 @@ def _capacity_factor_from_instances(sim):
     fractions = []
     for h in sim.hosts:
         if h.mode is HostMode.ACTIVE:
-            total = sum(spec.weight for _, spec in h.containers)
-            active = sum(spec.weight for (_, spec), on in zip(h.containers, h.active) if on)
+            total = sum(spec.weight for spec in h.containers)
+            active = sum(spec.weight for spec, on in zip(h.containers, h.active) if on)
             fractions.append(active / total if total > 0 else 1.0)
     if not fractions:
         return 1.0
@@ -972,15 +935,46 @@ def small_runs(draw):
     return cfg, flat_trace(rates)
 
 
+def check_lucf(units, picked, target):
+    """LUCF stays under the target, or takes the smallest unit that meets it."""
+    total = sum(u.utilization for u in units if set(u.ids) <= picked)
+    alone = units and picked == set(units[0].ids) and units[0].utilization >= target
+    assert alone or total <= target + FEAS_EPS + 1e-12, (units, picked, target)
+
+
+def check_mncf(units, picked, target):
+    """MNCF covers the target, or takes everything it was offered."""
+    total = sum(u.utilization for u in units if set(u.ids) <= picked)
+    everything = picked == {i for u in units for i in u.ids}
+    assert everything or total >= target - FEAS_EPS - 1e-12, (units, picked, target)
+
+
+def checking_selectors(mp):
+    """Wrap LUCF and MNCF in pass-through spies that check each pick against
+    its rule."""
+    for policy, check in (("LUCF", check_lucf), ("MNCF", check_mncf)):
+        def spy(items, target, rng=None, select=policies.SELECTORS[policy], check=check):
+            picked = select(items, target, rng)
+            if target > 0:
+                check(policies.group_units(items), set(picked), target)
+            return picked
+        mp.setitem(policies.SELECTORS, policy, spy)
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_runs())
 def test_generated_runs_keep_their_invariants(run):
     base, trace = run
     profile = base.power_profile
     kwh = base.host_count * len(trace) * base.interval_seconds / 3.6e6
+    stacks = {}
+    for host in Simulation(base, trace).hosts:  # one shared spec tuple per placement
+        assert stacks.setdefault(host.stack, host.containers) is host.containers
     for policy in POLICY_NAMES:
         cfg = dataclasses.replace(base, policy_name=policy)
-        result, _, overloaded = run_with_restores(Simulation(cfg, trace))
+        with pytest.MonkeyPatch.context() as mp:
+            checking_selectors(mp)
+            result, _, overloaded = run_with_restores(Simulation(cfg, trace))
         for rec in result.interval_records:
             assert sum(served for _, served in rec.response_groups) + rec.errors == rec.requests
         assert profile.sleep_power_w * kwh * (1 - 1e-12) <= result.energy_kwh

@@ -97,7 +97,7 @@ def offers(draw):
 @given(offers())
 def test_exact_search_picks_what_the_per_mask_loop_picked(offer):
     items, target, shuffled = offer
-    policies._best_mask.cache_clear()
+    policies._best_pick.cache_clear()
     # cold, warm, then cold for the same units under other ids: a prefix keeps
     # the ids' order, a shuffle moves ids between units
     for ids in ([it.id for it in items], [it.id for it in items],
@@ -110,7 +110,7 @@ def test_exact_search_picks_what_the_per_mask_loop_picked(offer):
 def test_sixteen_equal_units_tie_on_ids():
     items = [OptionalItem(f"c@h1+{k}", 0.025) for k in range(16)]
     for target in (0.1, 0.1 + FEAS_EPS, 0.1 - FEAS_EPS, 0.2501, 0.41):
-        policies._best_mask.cache_clear()
+        policies._best_pick.cache_clear()
         assert select_lucf(items, target) == reference_lucf(items, target)
         assert select_mncf(items, target) == reference_mncf(items, target)
 
@@ -121,7 +121,7 @@ def test_sixteen_equal_units_tie_on_ids():
 
 def test_a_dense_stack_day_searches_once_per_distinct_offer(monkeypatch):
     # On the 10-host dense stack, hosts of one class are offered the same
-    # units, instance names included, at an equal target.
+    # units, stack positions included, at an equal target.
     raw = json.loads((ROOT / "configs" / "sample.json").read_text())
     raw["services"] = DENSE_STACK
     cfg = config_from_dict(raw, base_dir=str(ROOT / "configs"))
@@ -143,6 +143,6 @@ def test_a_dense_stack_day_searches_once_per_distinct_offer(monkeypatch):
 
     monkeypatch.setitem(policies.SELECTORS, "LUCF", select)
     monkeypatch.setattr(policies, "_subset_totals", totals)
-    policies._best_mask.cache_clear()
+    policies._best_pick.cache_clear()
     Simulation(cfg, trace).run()
     assert len(tables) == len(offered) < len(searches) / 2

@@ -286,10 +286,10 @@ class HostClassStub(SimpleNamespace):
 
 def make_host(idx, utilization, specs, deactivate=()):
     """An active host at `utilization` and its class, as the engine passes
-    them to brownout_step: hosts of one stack share their instance names, and
-    the class restores nothing and has no offer yet."""
+    them to brownout_step: the stack is the specs in order, and the class
+    restores nothing and has no offer yet."""
     host = HostState(id=f"h{idx:02d}", mode=HostMode.ACTIVE,
-                     containers=tuple((f"{spec.id}@", spec) for spec in specs.values()),
+                     containers=tuple(specs.values()),
                      active=tuple(spec.id not in deactivate for spec in specs.values()))
     state = HostClassStub(
         utilization=utilization, power_w=hum(PROFILE, HostMode.ACTIVE, utilization),
@@ -311,10 +311,21 @@ SPECS = {s.id: s for s in [
 
 
 def shed_ids(moves):
-    """Host id -> the ids its new mask turns off, from brownout's (hosts, mask) moves."""
-    return {host.id: sorted(cid for (cid, _), on, keep in zip(host.containers, host.active, mask)
+    """Host id -> the spec ids its new mask turns off, from brownout's (hosts, mask) moves."""
+    return {host.id: sorted(spec.id for spec, on, keep in zip(host.containers, host.active, mask)
                             if on and not keep)
             for hosts, mask in moves for host in hosts}
+
+
+def offered(host, state):
+    """The optional items brownout_step offers for the host, named by position."""
+    return [I(j, u) for j, (spec, u) in enumerate(zip(host.containers, state.instance_utilizations))
+            if spec.optional]
+
+
+def spec_ids(host, positions):
+    """The spec ids at the stack positions, sorted."""
+    return sorted(host.containers[j].id for j in positions)
 
 
 def spy_dimmer(monkeypatch):
@@ -365,10 +376,8 @@ def test_brownout_only_overloaded_hosts_selected(monkeypatch):
     moves = brownout_step(with_calm([(host, state)], 4), PROFILE, "LUCF")
     assert seen == [pytest.approx(math.sqrt(1 / 4))]
     assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00"]]
-    items = [I(cid, u) for (cid, spec), u in zip(host.containers, state.instance_utilizations)
-             if spec.optional]
     target = expected_reduction(0.9, state.power_w, math.sqrt(1 / 4), PROFILE)
-    assert shed_ids(moves)["h00"] == select_lucf(items, target)
+    assert shed_ids(moves)["h00"] == spec_ids(host, select_lucf(offered(host, state), target))
 
 
 def test_brownout_all_overloaded_full_dimmer(monkeypatch):
@@ -387,8 +396,8 @@ def test_brownout_never_touches_mandatory():
         assert moves, policy
         for hosts, mask in moves:
             for host in hosts:
-                for (inst_id, spec), keep in zip(host.containers, mask):
-                    assert keep or spec.optional, f"mandatory {inst_id} in decision"
+                for spec, keep in zip(host.containers, mask):
+                    assert keep or spec.optional, f"mandatory {spec.id} in decision"
 
 
 def test_brownout_full_dimmer_sheds_everything_optional():
@@ -396,7 +405,7 @@ def test_brownout_full_dimmer_sheds_everything_optional():
     moves = brownout_step(pairs, PROFILE, "LUCF")
     for host, _ in pairs:
         assert shed_ids(moves)[host.id] == sorted(
-            cid for cid, spec in host.containers if spec.optional)
+            spec.id for spec in host.containers if spec.optional)
 
 
 def test_brownout_per_host_holds_both_tag_siblings():
@@ -411,32 +420,31 @@ def test_brownout_per_host_holds_both_tag_siblings():
     # one overloaded host in 100 asks for 0.69 of its 1.0: LUCF fits the
     # 0.4 pair plus one 0.2 single under it, not all three units (0.8)
     moves = brownout_step(pairs, PROFILE, "LUCF")
-    assert shed_ids(moves) == {"h00": ["ads@", "cache@", "rec@"]}
+    assert shed_ids(moves) == {"h00": ["ads", "cache", "rec"]}
     rng = random.Random(53)
     for policy in ("MNCF", "RSC"):
         picked = set(shed_ids(brownout_step(pairs, PROFILE, policy, rng))["h00"])
-        assert ("rec@" in picked) == ("cache@" in picked), (policy, picked)
+        assert ("rec" in picked) == ("cache" in picked), (policy, picked)
 
 
 def test_brownout_decides_once_per_class_and_rsc_once_per_host():
     # h00, h01 and h03 share one state; h02 is in another.  LUCF picks once
-    # for the class and every member takes its mask, names mapped by position.
+    # for the class and every member takes its mask.
     # RSC draws per host, in host order, each over its class's offer.
     (h0, hot), (h1, _), (h2, warm), (h3, _) = [make_host(i, 1.0, SPECS) for i in range(4)]
     warm.utilization = 0.9
     pairs = [(h0, hot), (h1, hot), (h2, warm), (h3, hot)]
     moves = brownout_step(pairs, PROFILE, "LUCF")
     assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00", "h01", "h03"], ["h02"]]
-    assert shed_ids(moves)["h03"] == ["ads@", "rec@"]
+    assert shed_ids(moves)["h03"] == ["ads", "rec"]
     rng, draws = random.Random(5), random.Random(5)
     moves = brownout_step(pairs, PROFILE, "RSC", rng)
     assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00"], ["h01"], ["h02"], ["h03"]]
     target = {id(hot): expected_reduction(1.0, hot.power_w, 1.0, PROFILE),
               id(warm): expected_reduction(0.9, warm.power_w, 1.0, PROFILE)}
     for (host, state), (_, mask) in zip(pairs, moves):
-        items = [I(cid, u) for (cid, spec), u in zip(host.containers, state.instance_utilizations)
-                 if spec.optional]
-        assert shed_ids(moves)[host.id] == select_rsc(items, target[id(state)], draws)
+        assert shed_ids(moves)[host.id] == spec_ids(
+            host, select_rsc(offered(host, state), target[id(state)], draws))
     assert rng.getstate() == draws.getstate()
 
 
@@ -460,3 +468,18 @@ def test_a_kept_offer_gives_each_pick_its_own_mask():
         offers.add(id(kept.offer))
     assert masks[0] == masks[2] != masks[1] == masks[3]
     assert len(offers) == 1, "the class must keep the offer it built first"
+
+
+def test_ties_break_on_stack_position():
+    # zeta and alpha weigh the same and either meets the target alone: the
+    # one placed first is shed, whatever the ids' alphabetical order
+    specs = {s.id: s for s in [
+        ContainerSpec(id="web", service="s", weight=0.1),
+        ContainerSpec(id="zeta", service="s", weight=0.45, optional=True),
+        ContainerSpec(id="alpha", service="s", weight=0.45, optional=True),
+    ]}
+    host, state = make_host(0, 1.0, specs)
+    target = expected_reduction(1.0, state.power_w, math.sqrt(1 / 400), PROFILE)
+    assert 0 < target <= 0.45
+    moves = brownout_step(with_calm([(host, state)], 400), PROFILE, "LUCF")
+    assert shed_ids(moves) == {"h00": ["zeta"]}

@@ -39,6 +39,24 @@ def test_load_without_header(tmp_path):
     assert load_trace(path, 1.0, 60.0).rates == [7, 9]
 
 
+def test_load_keeps_the_first_row_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("\ufeff0,120\n1,130\n2,140\n", encoding="utf-8")
+    trace = load_trace(str(path), 1.0, 60.0)
+    assert (trace.times, trace.rates) == ([0, 1, 2], [120, 130, 140])
+    path.write_text("\ufefft,requests\n0,7\n", encoding="utf-8")
+    assert load_trace(str(path), 1.0, 60.0).rates == [7]
+
+
+@pytest.mark.parametrize("first", ["x,120", "0,x"])
+def test_load_rejects_a_half_numeric_first_row(tmp_path, first):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"{first}\n1,130\n")
+    with pytest.raises(ValueError) as err:
+        load_trace(str(path), 1.0, 60.0)
+    assert "line 1" in str(err.value)
+
+
 def test_load_rejects_non_monotonic_time(tmp_path):
     path = write_rows(tmp_path, [(0, 10), (2, 20), (1, 30)])
     with pytest.raises(ValueError) as err:
