@@ -21,8 +21,9 @@ utilizations and positions, across classes and runs.
 
 `brownout_step` is the controller, called once per interval on the whole
 fleet: it sheds while a host is overloaded and restores otherwise.  Its
-(hosts, mask) moves are one LUCF or MNCF pick per overloaded host class,
-one RSC draw per overloaded host, or each class's `restore_mask`.
+(hosts, mask) moves are one LUCF or MNCF pick per overloaded host class
+(their picks depend on the offer alone), one RSC draw per overloaded host,
+or each class's `restore_mask`.
 Optional containers sharing a connection tag on one host only work as a
 group, so `group_units` bundles them into single units for both decisions.
 Hosts of one placement share their stack, so each class keeps one `Offer`
@@ -250,9 +251,6 @@ SELECTORS = {"LUCF": select_lucf, "MNCF": select_mncf, "RSC": select_rsc}
 # Fleet-level brownout step
 
 
-SHARED_PICKS = ("LUCF", "MNCF")  # selectors whose pick is a function of the offer alone
-
-
 def brownout_step(fleet: list, profile: PowerProfile, policy: str,
                   rng: random.Random | None = None) -> list:
     """Decide the interval's brownout for the whole fleet and return its
@@ -261,8 +259,9 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
     `fleet` holds one (host, class) pair per host, in host order.  While any
     class is overloaded, each overloaded class gets a target from the shared
     dimmer and an offer of the optional containers its mask keeps on; the
-    policy's selector (SELECTORS[policy]) picks once per class for
-    SHARED_PICKS, else once per host in host order, so RSC's draws stay put.
+    policy's selector (SELECTORS[policy]) picks once per class for LUCF and
+    MNCF, whose pick is a function of the offer alone, and once per host in
+    host order for RSC, so RSC's draws stay put.
     Hosts of one class share their stack positions, so the class builds its
     offer once per run, at its first overload, and keeps it in `cls.offer`.
     Otherwise every host whose class's restore mask differs from its own
@@ -286,7 +285,7 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
                                                       cls.instance_utilizations))
                 if on and spec.optional])
         targets[cls] = expected_reduction(cls.utilization, cls.power_w, theta, profile)
-    picks = members.items() if policy in SHARED_PICKS else [(c, [h]) for h, c in overloaded]
+    picks = [(c, [h]) for h, c in overloaded] if policy == "RSC" else members.items()
     for cls, hosts in picks:
         if cls.offer and (off := set(select(cls.offer, targets[cls], rng))):
             moves.append((hosts, tuple([on and j not in off

@@ -1,0 +1,146 @@
+"""Per-host reference engine: README's model transcribed host by host, the
+test oracle for `brownsim.engine.Simulation`.
+
+It keeps no host classes, offers or memo and shares no decision between
+hosts.  Every interval it derives each host's state afresh, calls the
+policy's selector once per overloaded host in host order on a plain item
+list, restores host by host, and adds energy and the capacity mean in host
+order.  It reuses only the unit-tested leaf formulas, so any cache in the
+engine that changes a result shows as a difference from `run`.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import NamedTuple
+
+from brownsim.engine import POLICY_RNG_SALT, derive_utilization, route_demand, synthesize_response
+from brownsim.model import (HostMode, HostState, IntervalRecord, RunResult, SimConfig,
+                            place_replicas, scaled_services)
+from brownsim.policies import (SELECTORS, OptionalItem, autoscale, dimmer, expected_reduction,
+                               over_threshold, restore_mask)
+from brownsim.power import hum
+from brownsim.qos import nearest_rank_percentile, overload_ratios, slavr
+from brownsim.workload import Trace, predict_rate
+
+ACTIVE, BOOTING, SLEEP = HostMode.ACTIVE, HostMode.BOOTING, HostMode.SLEEP
+
+
+class State(NamedTuple):
+    """What one host yields in one interval."""
+    utilization: float
+    power_w: float
+    utilizations: tuple  # per container
+    overloaded: bool
+    group: tuple  # (response_ms, served)
+    errors: int
+
+
+def derive(cfg: SimConfig, host: HostState, assigned: int) -> State:
+    serving = host.mode is ACTIVE
+    load, utilizations = derive_utilization(host, assigned, cfg.policy.capacity_n_o)
+    utilization = min(max(load, 0.0), 1.0)
+    response_ms, served, errors = (synthesize_response(load, assigned, cfg.base_response_ms)
+                                   if serving else (0.0, 0, 0))
+    return State(utilization, hum(cfg.power_profile, host.mode, utilization), utilizations,
+                 serving and over_threshold(utilization, cfg.policy.overloaded_threshold_u_t),
+                 (response_ms, served), errors)
+
+
+def resize(hosts: list, target: int, boot_delay: int) -> None:
+    """Wake sleeping hosts lowest index first, or put active ones to sleep
+    highest index first, keeping one server while boots are in flight."""
+    active = [h for h in hosts if h.mode is ACTIVE]
+    booting = [h for h in hosts if h.mode is BOOTING]
+    committed = len(active) + len(booting)
+    if target > committed:
+        for h in [h for h in hosts if h.mode is SLEEP][:target - committed]:
+            h.mode, h.boot_remaining = BOOTING, boot_delay
+    elif target < committed:
+        finishing = sum(1 for h in booting if h.boot_remaining <= 1)
+        allowed = max(0, len(active) - max(0, 1 - finishing))
+        for h in active[::-1][:min(committed - target, allowed)]:
+            h.mode, h.boot_remaining, h.active = SLEEP, 0, (True,) * len(h.containers)
+
+
+def run(cfg: SimConfig, trace: Trace) -> RunResult:
+    pol, profile = cfg.policy, cfg.power_profile
+    specs = {s.id: s for s in scaled_services(cfg.services, pol.optional_util_pct)}
+    hosts = [HostState(hid, containers=tuple([specs[sid] for sid in ids]),
+                       active=(True,) * len(ids))
+             for hid, ids in place_replicas(cfg).items()]
+    rng = random.Random(pol.seed ^ POLICY_RNG_SALT)
+    history, records, energy_wh, fractions = [], [], 0.0, []
+    for t, rate in enumerate(trace.rates):
+        if cfg.policy_name != "NPA" and history:
+            factor = 1.0
+            if fractions:
+                factor -= pol.capacity_credit * (1.0 - sum(fractions) / len(fractions))
+            resize(hosts, autoscale(predict_rate(history, pol.window_size_L_w),
+                                    pol.capacity_n_o / factor, len(hosts), pol.min_active_hosts),
+                   pol.boot_delay)
+        for h in hosts:
+            if h.mode is BOOTING:
+                h.boot_remaining -= 1
+                if h.boot_remaining <= 0:
+                    h.mode, h.boot_remaining = ACTIVE, 0
+        serving = [h for h in hosts if h.mode is ACTIVE]
+        alloc = route_demand(rate, [h.id for h in serving])
+        states = [derive(cfg, h, alloc.get(h.id, 0)) for h in hosts]
+
+        if cfg.policy_name in SELECTORS:
+            overloaded = sum(s.overloaded for s in states)
+            theta = dimmer(overloaded, len(hosts))
+            for i, (h, s) in enumerate(zip(hosts, states)):
+                mask = h.active
+                if s.overloaded:  # shed: each host picks alone
+                    offer = [OptionalItem(j, u, spec.connection_tag) for j, (spec, on, u)
+                             in enumerate(zip(h.containers, h.active, s.utilizations))
+                             if on and spec.optional]
+                    target = expected_reduction(s.utilization, s.power_w, theta, profile)
+                    if offer and (off := set(SELECTORS[cfg.policy_name](offer, target, rng))):
+                        mask = tuple([on and j not in off for j, on in enumerate(h.active)])
+                elif not overloaded and h.mode is ACTIVE and not all(h.active):  # restore
+                    mask = restore_mask(h, s.utilization, alloc[h.id] / pol.capacity_n_o,
+                                        pol.overloaded_threshold_u_t)
+                if mask != h.active:
+                    h.active = mask
+                    states[i] = derive(cfg, h, alloc[h.id])
+
+        errors = rate if rate > 0 and not serving else sum(s.errors for s in states)
+        for s in states:
+            energy_wh += s.power_w * cfg.interval_seconds / 3600.0
+        fractions = []
+        for h in serving:
+            weights = [spec.weight for spec in h.containers]
+            total = sum(weights)
+            fractions.append(sum(w for w, on in zip(weights, h.active) if on) / total
+                             if total > 0 else 1.0)
+        records.append(IntervalRecord(
+            t=t, requests=rate, active_hosts=len(serving),
+            per_host=[(h.id, s.utilization, s.power_w, s.overloaded)
+                      for h, s in zip(hosts, states)],
+            response_groups=[s.group for s in states if s.group[1]],
+            errors=errors,
+            deactivated_containers=sum(h.active.count(False) for h in serving)))
+        history.append(float(rate))
+
+    per_host_otr = overload_ratios(records)
+    groups = [g for r in records for g in r.response_groups]
+    served = sum(count for _, count in groups)
+    total_requests = sum(r.requests for r in records)
+    total_errors = sum(r.errors for r in records)
+    return RunResult(
+        policy_name=cfg.policy_name,
+        seed=pol.seed,
+        energy_kwh=energy_wh / 1000.0,
+        otr_mean=sum(per_host_otr.values()) / len(per_host_otr) if per_host_otr else 0.0,
+        avg_response_ms=sum(v * count for v, count in groups) / served if served else 0.0,
+        p_kth_response_ms=nearest_rank_percentile(groups, pol.percentile_k) if served else 0.0,
+        slavr=slavr(total_errors, total_requests),
+        active_host_series=[r.active_hosts for r in records],
+        interval_records=records,
+        per_host_otr=per_host_otr,
+        total_requests=total_requests,
+        total_errors=total_errors,
+    )

@@ -94,7 +94,7 @@ def _subset_totals(scaled):
     return totals
 
 
-def _brute_lucf_gap(utils, target):
+def brute_lucf_gap(utils, target):
     """Exact on the 1e-4 grid; None when every unit overshoots (smallest-unit rule)."""
     scaled = [round(u * 10000) for u in utils]
     t = round(target * 10000)
@@ -104,7 +104,8 @@ def _brute_lucf_gap(utils, target):
     return (t - best) / 10000
 
 
-def _brute_mncf_count(utils, target):
+def brute_mncf_count(utils, target):
+    """Fewest units on the 1e-4 grid that cover the target; all of them if none do."""
     scaled = [round(u * 10000) for u in utils]
     t = round(target * 10000)
     for size in range(1, len(scaled) + 1):
@@ -127,7 +128,7 @@ def test_criterion_2_oracle_equivalence():
 
         chosen = select_lucf(items, target)
         total = sum(u for i, u in enumerate(utils) if f"c{i:02d}" in chosen)
-        want_gap = _brute_lucf_gap(utils, target)
+        want_gap = brute_lucf_gap(utils, target)
         if want_gap is None:
             smallest = min(items, key=lambda it: (it.utilization, it.id))
             ok_lucf = chosen == [smallest.id]
@@ -136,7 +137,7 @@ def test_criterion_2_oracle_equivalence():
 
         chosen_m = select_mncf(items, target)
         total_m = sum(u for i, u in enumerate(utils) if f"c{i:02d}" in chosen_m)
-        want_count = _brute_mncf_count(utils, target)
+        want_count = brute_mncf_count(utils, target)
         ok_mncf = len(chosen_m) == want_count
         if sum(utils) >= target:
             ok_mncf = ok_mncf and total_m >= target - 1e-9

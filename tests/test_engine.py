@@ -29,6 +29,8 @@ from brownsim.model import (
     with_values,
 )
 from brownsim.workload import Trace, load_trace
+import reference_engine
+from test_golden import DENSE_STACK
 from trace_helpers import spike_trace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -403,13 +405,8 @@ def test_hosts_in_one_state_derive_it_once(monkeypatch, rate, states):
 
 
 SAMPLE_CFG = load_config(str(ROOT / "configs" / "sample.json"))
-# 2 mandatory containers plus 16 optional ones of 0.025 (14 untagged and a
-# tagged pair: 15 units), every one on each of the 10 hosts.
-DENSE_SERVICES = [
-    ContainerSpec(id="web", service="shop", weight=0.35, replicas=10),
-    ContainerSpec(id="db", service="shop", weight=0.25, replicas=10),
-] + [ContainerSpec(id=f"opt{i:02d}", service="shop", weight=0.025, optional=True, replicas=10,
-                   connection_tag="pair" if i >= 14 else None) for i in range(16)]
+# the golden tests' dense stack: 2 mandatory containers and 15 optional units
+DENSE_SERVICES = [ContainerSpec(**spec) for spec in DENSE_STACK]
 
 
 def sample_day_cfg(policy, ut):
@@ -421,29 +418,41 @@ def dense_cfg(policy):
     return dataclasses.replace(SAMPLE_CFG, services=DENSE_SERVICES, policy_name=policy)
 
 
-class PerIntervalSimulation(Simulation):
-    """Reference engine: forgets every host class before each interval."""
+# Ten hosts that swing between saturation and calm.  A saturated host's
+# optional utilizations sum above 1, so no target takes every unit and the
+# three selectors pick differently; the only fixed day where they do.
+PARTIAL_DAY = flat_trace(([700] * 5 + [150] * 5) * 4)
+BIG_DAY = load_trace(str(DATA / "diurnal_day.csv"), 12.0, 60.0)  # the day for 120 hosts
 
-    def step(self, t, rate):
-        self.classes = {}
-        return super().step(t, rate)
 
-
-@pytest.mark.parametrize("cfg", [sample_day_cfg(p, ut) for p in POLICY_NAMES for ut in (0.7, 0.8)]
-                         + [dense_cfg(p) for p in ("LUCF", "MNCF", "RSC")],
-                         ids=[f"{p}-{ut}" for p in POLICY_NAMES for ut in (0.7, 0.8)]
-                         + [f"{p}-dense" for p in ("LUCF", "MNCF", "RSC")])
-def test_run_wide_classes_and_shared_picks_equal_a_per_interval_per_host_run(monkeypatch, cfg):
-    # Every class field must be a function of its key and the run's
-    # constants, so a class kept from an earlier interval must give what a
-    # fresh one would; and a LUCF or MNCF pick made once for a class must be
-    # what each member would have picked alone.
-    kept = Simulation(cfg, DIURNAL)
+@pytest.mark.parametrize("cfg, trace", [
+    pytest.param(sample_day_cfg(p, ut), DIURNAL, id=f"{p}-{ut}")
+    for p in POLICY_NAMES for ut in (0.7, 0.8)
+] + [
+    pytest.param(dense_cfg(p), DIURNAL, id=f"{p}-dense") for p in ("LUCF", "MNCF", "RSC")
+] + [
+    pytest.param(make_cfg(policy=p, pct=0.5), PARTIAL_DAY, id=f"{p}-partial")
+    for p in ("LUCF", "MNCF", "RSC")
+] + [
+    pytest.param(make_cfg(policy=p, hosts=120), BIG_DAY, id=f"{p}-120-hosts")
+    for p in ("LUCF", "RSC")
+])
+def test_run_wide_classes_and_shared_picks_equal_a_per_interval_per_host_run(cfg, trace):
+    # Run-wide classes, kept offers, shared LUCF/MNCF picks and per-class
+    # restores must give what the per-host reference derives afresh, host by
+    # host, every interval.
+    kept = Simulation(cfg, trace)
     result = kept.run()
     assert len(kept.classes) < sum(r.active_hosts > 0 for r in result.interval_records), (
         "the run must revisit states")
-    monkeypatch.setattr(policies, "SHARED_PICKS", ())
-    assert result == PerIntervalSimulation(cfg, DIURNAL).run()
+    assert result == reference_engine.run(cfg, trace)
+
+
+def test_the_partial_day_tells_the_selectors_apart():
+    deactivations = {sum(r.deactivated_containers for r in Simulation(
+        make_cfg(policy=p, pct=0.5), PARTIAL_DAY).run().interval_records)
+        for p in ("LUCF", "MNCF", "RSC")}
+    assert len(deactivations) == 3, deactivations
 
 
 MANDATORY_ONLY = [dataclasses.replace(s, optional=False, connection_tag=None)
@@ -550,33 +559,6 @@ def test_each_class_builds_one_offer_per_run(monkeypatch, policy):
     assert len(offered) > 2 * len(offering), "the run must reuse its offers"
 
 
-@pytest.mark.parametrize("cfg", [dense_cfg(p) for p in ("LUCF", "MNCF", "RSC")]
-                         + [sample_day_cfg(p, 0.7) for p in ("LUCF", "MNCF", "RSC")],
-                         ids=[f"{p}-dense" for p in ("LUCF", "MNCF", "RSC")]
-                         + [f"{p}-0.7" for p in ("LUCF", "MNCF", "RSC")])
-def test_kept_offers_equal_offers_rebuilt_for_every_pick(monkeypatch, cfg):
-    # With the offer cache bypassed, every evaluation builds its items
-    # afresh and every selector call groups them again, as before offers
-    # were kept; the run must not change by a byte.
-    cached = Simulation(cfg, DIURNAL)
-    result = cached.run()
-    kept = [cls for cls in cached.classes.values() if cls.offer is not None]
-    assert kept
-    forgotten, real_step, real_group = [], engine.brownout_step, policies.group_units
-
-    def step(fleet, *args):
-        for _, cls in fleet:
-            if cls.offer is not None:
-                forgotten.append(cls)
-                cls.offer = None
-        return real_step(fleet, *args)
-
-    monkeypatch.setattr(engine, "brownout_step", step)
-    monkeypatch.setattr(policies, "group_units", lambda items: real_group(list(items)))
-    assert Simulation(cfg, DIURNAL).run() == result
-    assert len(forgotten) > len(kept), "the bypass must rebuild offers a run keeps"
-
-
 def test_offers_die_with_their_run(monkeypatch):
     # Offers live on the run's host classes, not in a module-level memo: once
     # a run is dropped, none of the items it offered is left.
@@ -650,33 +632,6 @@ def test_two_replicas_on_one_host_are_shed_and_restored_by_position():
         masks.append(host.active)
     T, F = True, False
     assert masks == [(T, F, F, F), (T, T, F, F), (T, T, T, T)]
-
-
-def _restore_everywhere(monkeypatch, cfg):
-    """Reference restore loop, injected through `brownout_step`: with no
-    host overloaded, ask `restore_mask` on every active host with something
-    deactivated, one host at a time, with no pre-check or shared class."""
-    u_t, n_o = cfg.policy.overloaded_threshold_u_t, cfg.policy.capacity_n_o
-    real_step, real_route, alloc = engine.brownout_step, engine.route_demand, {}
-
-    def route(*args):
-        alloc.clear()
-        alloc.update(real_route(*args))
-        return dict(alloc)
-
-    def step(fleet, *args):
-        if any(cls.overloaded for _, cls in fleet):
-            return real_step(fleet, *args)
-        moves = []
-        for host, cls in fleet:
-            if host.mode is HostMode.ACTIVE and not all(host.active):
-                mask = engine.restore_mask(host, cls.utilization, alloc.get(host.id, 0) / n_o, u_t)
-                if mask != host.active:
-                    moves.append(([host], mask))
-        return moves
-
-    monkeypatch.setattr(engine, "route_demand", route)
-    monkeypatch.setattr(engine, "brownout_step", step)
 
 
 def _spy_restore_mask(monkeypatch):
@@ -803,21 +758,6 @@ def test_no_restore_lands_a_host_in_an_overloaded_class(ut):
     _, restores, overloaded = run_with_restores(Simulation(cfg, DIURNAL))
     assert restores > 0, "the day must restore something"
     assert overloaded == [], f"{len(overloaded)} intervals restore into an overloaded class"
-
-
-@pytest.mark.parametrize("ut", [0.7, 0.8])
-@pytest.mark.parametrize("policy", ["LUCF", "RSC"])
-def test_restore_precheck_leaves_the_records_unchanged(monkeypatch, policy, ut):
-    # restore masks derived once per class give what a host-by-host restore
-    # loop gives, with fewer `restore_mask` calls
-    asked = _spy_restore_mask(monkeypatch)
-    checked = Simulation(make_cfg(policy=policy, ut=ut), DIURNAL).run()
-    asked_checked = len(asked)
-    asked.clear()
-    _restore_everywhere(monkeypatch, make_cfg(policy=policy, ut=ut))
-    everywhere = Simulation(make_cfg(policy=policy, ut=ut), DIURNAL).run()
-    assert checked.interval_records == everywhere.interval_records
-    assert asked_checked < len(asked), "the classes must skip some hosts"
 
 
 @pytest.mark.parametrize("cfg", [sample_day_cfg("LUCF", 0.7), sample_day_cfg("LUCF", 0.8),
@@ -980,7 +920,7 @@ def test_generated_runs_keep_their_invariants(run):
         assert profile.sleep_power_w * kwh * (1 - 1e-12) <= result.energy_kwh
         assert result.energy_kwh <= profile.max_power_w * kwh * (1 + 1e-12)
         assert overloaded == [], f"{policy}: a restore landed in an overloaded class"
-        assert Simulation(cfg, trace).run() == result, policy
+        assert result == reference_engine.run(cfg, trace), policy
     # no clamped utilization passes u_t 1.0, so brownout never acts
     calm = with_values(base, {"policy.overloaded_threshold_u_t": 1.0})
     autos = Simulation(dataclasses.replace(calm, policy_name="AUTOS"), trace).run()

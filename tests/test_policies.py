@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from types import SimpleNamespace
@@ -24,6 +23,7 @@ from brownsim.policies import (
     select_rsc,
 )
 from brownsim.power import hum
+from test_acceptance import brute_lucf_gap, brute_mncf_count
 
 PROFILE = PowerProfile()
 I = OptionalItem
@@ -172,34 +172,8 @@ def test_group_units_orders_by_utilization():
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracles (small scale; the acceptance suite runs the big sweep)
-
-
-def oracle_lucf_gap(utils, target):
-    """Best achievable nonnegative gap target - total over subsets with total <= target.
-
-    Integer arithmetic on the 1e-4 grid, so boundary ties are exact.
-    """
-    scaled = [round(u * 10000) for u in utils]
-    t = round(target * 10000)
-    if min(scaled) >= t:
-        return None  # smallest-unit rule takes over
-    best = 0
-    for mask in range(1, 1 << len(scaled)):
-        total = sum(u for i, u in enumerate(scaled) if mask >> i & 1)
-        if total <= t and total > best:
-            best = total
-    return (t - best) / 10000
-
-
-def oracle_mncf_count(utils, target):
-    scaled = [round(u * 10000) for u in utils]
-    t = round(target * 10000)
-    for size in range(1, len(scaled) + 1):
-        for combo in itertools.combinations(scaled, size):
-            if sum(combo) >= t:
-                return size
-    return len(scaled)
+# exhaustive oracles, shared with criterion 2 (small scale here; the
+# acceptance suite runs the big sweep)
 
 
 def test_lucf_matches_oracle_gap():
@@ -210,7 +184,7 @@ def test_lucf_matches_oracle_gap():
         target = round(rng.uniform(0.01, 0.8), 4)
         got = select_lucf(items, target)
         total = sum(it.utilization for it in items if it.id in got)
-        want_gap = oracle_lucf_gap([it.utilization for it in items], target)
+        want_gap = brute_lucf_gap([it.utilization for it in items], target)
         if want_gap is None:
             smallest = min(items, key=lambda it: (it.utilization, it.id))
             assert got == [smallest.id], f"trial {trial}: smallest-unit rule violated"
@@ -226,7 +200,7 @@ def test_mncf_matches_oracle_cardinality():
         items = [I(f"c{i}", round(rng.uniform(0.01, 0.25), 4)) for i in range(n)]
         target = round(rng.uniform(0.01, 0.8), 4)
         got = select_mncf(items, target)
-        want = oracle_mncf_count([it.utilization for it in items], target)
+        want = brute_mncf_count([it.utilization for it in items], target)
         assert len(got) == want, f"trial {trial}: picked {len(got)} units, oracle {want}"
 
 
