@@ -2,10 +2,10 @@
 
 Each interval runs a fixed pipeline: predict the request rate, resize the
 active fleet, advance booting hosts, spread requests over active hosts,
-derive container/host utilization and power, let the brownout controller
-deactivate or restore optional containers, give each serving host one
-(response_ms, served) group and its errors, and account energy.  One run
-is single-threaded and deterministic for a given config, trace, and seed.
+derive host utilization and power, let the brownout controller deactivate
+or restore optional containers, give each serving host one (response_ms,
+served) group and its errors, and account energy.  One run is
+single-threaded and deterministic for a given config, trace, and seed.
 
 A host's containers are its placement stack, a tuple of specs shared by its
 placement's hosts, in which a container is its position, and one active
@@ -71,22 +71,16 @@ def route_demand(requests: int, active_host_ids: list) -> dict:
     return alloc
 
 
-def derive_utilization(host: HostState, assigned: int, n_o: float) -> tuple:
-    """(raw load, per-container utilizations) from the assigned request count.
-
-    Demand d = assigned / n_o; each container the host's mask keeps on works at
-    d times its weight (capped at 1), the others at 0.  The load is unclamped;
-    a host off the serving set has load 0 and all zeros.
-    """
-    if host.mode is not ACTIVE:
-        return 0.0, (0.0,) * len(host.containers)
-    demand = assigned / n_o
-    load, utilizations = 0.0, []
-    for spec, on in zip(host.containers, host.active):
-        share = demand * spec.weight if on else 0.0
-        load += share
-        utilizations.append(min(share, 1.0))
-    return load, tuple(utilizations)
+def derive_utilization(host: HostState, demand: float) -> float:
+    """The host's raw load: demand (assigned requests / n_o) times the weight
+    of each container its mask keeps on, summed in stack order and unclamped;
+    0 off the serving set."""
+    load = 0.0
+    if host.mode is ACTIVE:
+        for spec, on in zip(host.containers, host.active):
+            if on:
+                load += demand * spec.weight
+    return load
 
 
 def synthesize_response(load: float, requests: int, base_ms: float) -> tuple:
@@ -110,7 +104,8 @@ class HostClass:
 
     Every field is a function of that key and of the run's constants (u_t,
     n_o, interval length, power profile, base response), so a class lasts
-    the run.  `group` is (response_ms, served), with served 0 off the
+    the run.  `demand` is assigned requests / n_o, a container's load per
+    unit of weight; `group` is (response_ms, served), with served 0 off the
     serving set; `fraction` is the active share of the stack's weight, None
     off the serving set; `restore` is the mask, by position, that a member
     takes once no host is overloaded, from `restore_mask`; `offer` is its
@@ -118,8 +113,8 @@ class HostClass:
     class, because building a dataclass slows every package import.
     """
 
-    __slots__ = ("utilization", "power_w", "energy_wh", "instance_utilizations", "overloaded",
-                 "group", "errors", "deactivated", "fraction", "restore", "offer")
+    __slots__ = ("utilization", "power_w", "energy_wh", "demand", "overloaded", "group",
+                 "errors", "deactivated", "fraction", "restore", "offer")
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -200,9 +195,6 @@ class Simulation:
         # 8-9: responses, errors and energy, from each host's final class.
         classes = list(self.class_of.values())  # filled in host order at step 5
         groups = [c.group for c in classes if c.group[1]]
-        errors = sum([c.errors for c in classes])
-        if not serving and rate > 0:
-            errors = rate
         for c in classes:
             self.energy_wh += c.energy_wh
 
@@ -211,10 +203,9 @@ class Simulation:
             t=t,
             requests=rate,
             active_hosts=len(serving),
-            per_host=[(hid, c.utilization, c.power_w, c.overloaded)
-                      for hid, c in self.class_of.items()],
+            per_host=[(hid, c.power_w, c.overloaded) for hid, c in self.class_of.items()],
             response_groups=groups,
-            errors=errors,
+            errors=sum([c.errors for c in classes]),
             deactivated_containers=sum([c.deactivated for c in classes]),
         )
         self.records.append(record)
@@ -284,7 +275,8 @@ class Simulation:
             mask = host.active if serving else ()
             cls = classes.get(key := (host.stack, host.mode, mask, assigned))
             if cls is None:
-                load, instance_utilizations = derive_utilization(host, assigned, pol.capacity_n_o)
+                demand = assigned / pol.capacity_n_o
+                load = derive_utilization(host, demand)
                 utilization = min(max(load, 0.0), 1.0)
                 power_w = hum(self.profile, host.mode, utilization)
                 response_ms, served, errors = (synthesize_response(
@@ -295,10 +287,10 @@ class Simulation:
                     total = sum(weights)
                     fraction = (sum([w for w, on in zip(weights, mask) if on]) / total
                                 if total > 0 else 1.0)
-                    restore = restore_mask(host, utilization, assigned / pol.capacity_n_o, u_t)
+                    restore = restore_mask(host, utilization, demand, u_t)
                 cls = classes[key] = HostClass(
                     utilization, power_w, power_w * self.cfg.interval_seconds / 3600.0,
-                    instance_utilizations, serving and over_threshold(utilization, u_t),
+                    demand, serving and over_threshold(utilization, u_t),
                     (response_ms, served), errors, mask.count(False), fraction, restore, None)
             class_of[hid] = cls
 

@@ -212,18 +212,18 @@ class IntervalRecord:
     t: int
     requests: int
     active_hosts: int
-    per_host: list = field(default_factory=list)  # (host_id, utilization, power_w, overloaded)
+    per_host: list = field(default_factory=list)  # (host_id, power_w, overloaded)
     response_groups: list = field(default_factory=list)  # (response_ms, served), per serving host
     errors: int = 0
     deactivated_containers: int = 0
 
     @property
     def total_power_w(self) -> float:
-        return sum(p[2] for p in self.per_host)
+        return sum(p[1] for p in self.per_host)
 
     @property
     def overloaded_hosts(self) -> int:
-        return sum(1 for p in self.per_host if p[3])
+        return sum(1 for p in self.per_host if p[2])
 
 
 @dataclass

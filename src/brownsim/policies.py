@@ -258,10 +258,11 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
 
     `fleet` holds one (host, class) pair per host, in host order.  While any
     class is overloaded, each overloaded class gets a target from the shared
-    dimmer and an offer of the optional containers its mask keeps on; the
-    policy's selector (SELECTORS[policy]) picks once per class for LUCF and
-    MNCF, whose pick is a function of the offer alone, and once per host in
-    host order for RSC, so RSC's draws stay put.
+    dimmer and an offer of the optional containers its mask keeps on, each
+    at the class's demand times its weight, capped at 1; the policy's
+    selector (SELECTORS[policy]) picks once per class for LUCF and MNCF,
+    whose pick is a function of the offer alone, and once per host in host
+    order for RSC, so RSC's draws stay put.
     Hosts of one class share their stack positions, so the class builds its
     offer once per run, at its first overload, and keeps it in `cls.offer`.
     Otherwise every host whose class's restore mask differs from its own
@@ -280,9 +281,9 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
     for cls, (host, *_) in members.items():
         if cls.offer is None:
             cls.offer = Offer([
-                OptionalItem(id=j, utilization=u, connection_tag=spec.connection_tag)
-                for j, (spec, on, u) in enumerate(zip(host.containers, host.active,
-                                                      cls.instance_utilizations))
+                OptionalItem(id=j, utilization=min(cls.demand * spec.weight, 1.0),
+                             connection_tag=spec.connection_tag)
+                for j, (spec, on) in enumerate(zip(host.containers, host.active))
                 if on and spec.optional])
         targets[cls] = expected_reduction(cls.utilization, cls.power_w, theta, profile)
     picks = [(c, [h]) for h, c in overloaded] if policy == "RSC" else members.items()

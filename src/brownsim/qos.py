@@ -22,8 +22,8 @@ def overload_ratios(interval_records: list) -> dict:
     """
     seen, overloaded = Counter(), Counter()
     for rec in interval_records:
-        seen.update([host_id for host_id, _, _, _ in rec.per_host])
-        overloaded.update([host_id for host_id, _, _, flag in rec.per_host if flag])
+        seen.update([host_id for host_id, _, _ in rec.per_host])
+        overloaded.update([host_id for host_id, _, flag in rec.per_host if flag])
     return {host_id: overloaded[host_id] / n for host_id, n in seen.items()}
 
 

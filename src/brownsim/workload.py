@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 @dataclass
 class Trace:
-    times: list
     rates: list  # requests per interval, scaled
     interval_seconds: float = 60.0
 
@@ -25,11 +24,12 @@ def _scale_rate(raw: float, scale: float) -> int:
 def load_trace(path: str, scale: float = 1.0, interval_seconds: float = 60.0) -> Trace:
     """Read a two-column CSV (t,requests) into a Trace.
 
-    t must be strictly increasing.  A byte-order mark and a header (line 1
-    with no numeric field) are skipped; malformed data raises ValueError
-    naming the offending line.
+    t must be strictly increasing; only its order is read, so it may be
+    fractional.  A byte-order mark and a header (line 1 with no numeric
+    field) are skipped; malformed data raises ValueError naming the
+    offending line.
     """
-    times, rates = [], []
+    last, rates = -math.inf, []
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -48,14 +48,13 @@ def load_trace(path: str, scale: float = 1.0, interval_seconds: float = 60.0) ->
                 raise ValueError(f"line {lineno}: negative request count {r}")
             if not (math.isfinite(t) and math.isfinite(r * scale)):
                 raise ValueError(f"line {lineno}: {line!r} at scale {scale} is not finite")
-            t = int(t)
-            if times and t <= times[-1]:
-                raise ValueError(f"line {lineno}: time {t} not strictly increasing")
-            times.append(t)
+            if t <= last:
+                raise ValueError(f"line {lineno}: time {parts[0].strip()} not strictly increasing")
+            last = t
             rates.append(_scale_rate(r, scale))
-    if not times:
+    if not rates:
         raise ValueError(f"trace {path}: no data rows")
-    return Trace(times=times, rates=rates, interval_seconds=interval_seconds)
+    return Trace(rates=rates, interval_seconds=interval_seconds)
 
 
 def _numeric(s: str) -> bool:
@@ -89,7 +88,7 @@ def synthetic_diurnal_trace(intervals: int = 1440, low: float = 105.0,
     is clamped so the noise cannot push past ~6% above the nominal peak.
     """
     rng = random.Random(seed)
-    times, rates = [], []
+    rates = []
     ceiling = high * 1.06
     floor = low * 0.85
     for t in range(intervals):
@@ -97,7 +96,6 @@ def synthetic_diurnal_trace(intervals: int = 1440, low: float = 105.0,
         nominal = low + (high - low) * hump
         value = nominal * (1.0 + rng.gauss(0.0, noise))
         value = min(max(value, floor), ceiling)
-        times.append(t)
         rates.append(int(math.floor(value + 0.5)))
-    return Trace(times=times, rates=rates, interval_seconds=60.0)
+    return Trace(rates=rates, interval_seconds=60.0)
 

@@ -1,0 +1,45 @@
+"""Inputs the tests build in code: the shop stack, its config and traces."""
+
+from brownsim.model import ContainerSpec, PolicyConfig, SimConfig
+from brownsim.workload import Trace
+
+
+def shop_services(replicas):
+    """The shop stack: web and db mandatory, recommender and rec-cache
+    optional and tied by the tag `rec`, ads optional."""
+    return [
+        ContainerSpec(id="web", service="shop", weight=0.35, replicas=replicas),
+        ContainerSpec(id="db", service="shop", weight=0.25, replicas=replicas),
+        ContainerSpec(id="recommender", service="shop", weight=0.25, optional=True,
+                      connection_tag="rec", replicas=replicas),
+        ContainerSpec(id="rec-cache", service="shop", weight=0.05, optional=True,
+                      connection_tag="rec", replicas=replicas),
+        ContainerSpec(id="ads", service="shop", weight=0.10, optional=True, replicas=replicas),
+    ]
+
+
+def shop_cfg(policy="LUCF", hosts=10, pct=0.4, ut=0.8, seed=42, **policy_overrides):
+    """The shop stack on every one of `hosts` hosts; other policy fields by keyword."""
+    policy_cfg = PolicyConfig(overloaded_threshold_u_t=ut, optional_util_pct=pct, seed=seed)
+    for key, value in policy_overrides.items():
+        setattr(policy_cfg, key, value)
+    return SimConfig(policy_name=policy, host_count=hosts, services=shop_services(hosts),
+                     policy=policy_cfg, trace_path="unused.csv")
+
+
+def flat_trace(rates, interval_seconds=60.0):
+    return Trace(rates=list(rates), interval_seconds=interval_seconds)
+
+
+def spike_trace(intervals: int = 240, baseline: float = 35.0, spike: float = 375.0,
+                spike_start: int = 80, spike_len: int = 40) -> Trace:
+    """Flat baseline with one rectangular overload spike; deterministic."""
+    return flat_trace([int(spike if spike_start <= t < spike_start + spike_len else baseline)
+                       for t in range(intervals)])
+
+
+def write_trace_csv(trace: Trace, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write("t,requests\n")
+        for t, r in enumerate(trace.rates):
+            fh.write(f"{t},{r}\n")

@@ -30,7 +30,7 @@ class State(NamedTuple):
     """What one host yields in one interval."""
     utilization: float
     power_w: float
-    utilizations: tuple  # per container
+    demand: float  # assigned requests / n_o
     overloaded: bool
     group: tuple  # (response_ms, served)
     errors: int
@@ -38,11 +38,12 @@ class State(NamedTuple):
 
 def derive(cfg: SimConfig, host: HostState, assigned: int) -> State:
     serving = host.mode is ACTIVE
-    load, utilizations = derive_utilization(host, assigned, cfg.policy.capacity_n_o)
+    demand = assigned / cfg.policy.capacity_n_o
+    load = derive_utilization(host, demand)
     utilization = min(max(load, 0.0), 1.0)
     response_ms, served, errors = (synthesize_response(load, assigned, cfg.base_response_ms)
                                    if serving else (0.0, 0, 0))
-    return State(utilization, hum(cfg.power_profile, host.mode, utilization), utilizations,
+    return State(utilization, hum(cfg.power_profile, host.mode, utilization), demand,
                  serving and over_threshold(utilization, cfg.policy.overloaded_threshold_u_t),
                  (response_ms, served), errors)
 
@@ -94,20 +95,18 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
             for i, (h, s) in enumerate(zip(hosts, states)):
                 mask = h.active
                 if s.overloaded:  # shed: each host picks alone
-                    offer = [OptionalItem(j, u, spec.connection_tag) for j, (spec, on, u)
-                             in enumerate(zip(h.containers, h.active, s.utilizations))
+                    offer = [OptionalItem(j, min(s.demand * spec.weight, 1.0), spec.connection_tag)
+                             for j, (spec, on) in enumerate(zip(h.containers, h.active))
                              if on and spec.optional]
                     target = expected_reduction(s.utilization, s.power_w, theta, profile)
                     if offer and (off := set(SELECTORS[cfg.policy_name](offer, target, rng))):
                         mask = tuple([on and j not in off for j, on in enumerate(h.active)])
                 elif not overloaded and h.mode is ACTIVE and not all(h.active):  # restore
-                    mask = restore_mask(h, s.utilization, alloc[h.id] / pol.capacity_n_o,
-                                        pol.overloaded_threshold_u_t)
+                    mask = restore_mask(h, s.utilization, s.demand, pol.overloaded_threshold_u_t)
                 if mask != h.active:
                     h.active = mask
                     states[i] = derive(cfg, h, alloc[h.id])
 
-        errors = rate if rate > 0 and not serving else sum(s.errors for s in states)
         for s in states:
             energy_wh += s.power_w * cfg.interval_seconds / 3600.0
         fractions = []
@@ -118,10 +117,9 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
                              if total > 0 else 1.0)
         records.append(IntervalRecord(
             t=t, requests=rate, active_hosts=len(serving),
-            per_host=[(h.id, s.utilization, s.power_w, s.overloaded)
-                      for h, s in zip(hosts, states)],
+            per_host=[(h.id, s.power_w, s.overloaded) for h, s in zip(hosts, states)],
             response_groups=[s.group for s in states if s.group[1]],
-            errors=errors,
+            errors=sum(s.errors for s in states),
             deactivated_containers=sum(h.active.count(False) for h in serving)))
         history.append(float(rate))
 

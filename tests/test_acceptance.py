@@ -9,18 +9,11 @@ from pathlib import Path
 from brownsim import policies
 from brownsim.cli import main as cli_main
 from brownsim.engine import Simulation
-from brownsim.model import (
-    DEFAULT_BREAKPOINTS,
-    ContainerSpec,
-    PolicyConfig,
-    PowerProfile,
-    SimConfig,
-    dump_config,
-)
+from brownsim.model import DEFAULT_BREAKPOINTS, PowerProfile, dump_config
 from brownsim.policies import OptionalItem, autoscale, dimmer, select_lucf, select_mncf
 from brownsim.power import hpm, hum
 from brownsim.workload import load_trace, predict_rate
-from trace_helpers import spike_trace
+from builders import shop_cfg, spike_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 ACCEPT_TRACE = load_trace(str(ROOT / "data" / "diurnal_day.csv"), 1.0, 60.0)
@@ -29,32 +22,13 @@ SPIKE_TRACE = spike_trace()
 _RUNS = {}
 
 
-def accept_services(replicas):
-    return [
-        ContainerSpec(id="web", service="shop", weight=0.35, replicas=replicas),
-        ContainerSpec(id="db", service="shop", weight=0.25, replicas=replicas),
-        ContainerSpec(id="recommender", service="shop", weight=0.25, optional=True,
-                      connection_tag="rec", replicas=replicas),
-        ContainerSpec(id="rec-cache", service="shop", weight=0.05, optional=True,
-                      connection_tag="rec", replicas=replicas),
-        ContainerSpec(id="ads", service="shop", weight=0.10, optional=True, replicas=replicas),
-    ]
-
-
-def accept_cfg(policy, hosts=10, pct=0.4, ut=0.8, seed=42):
-    return SimConfig(policy_name=policy, host_count=hosts, services=accept_services(hosts),
-                     policy=PolicyConfig(overloaded_threshold_u_t=ut, optional_util_pct=pct,
-                                         seed=seed),
-                     trace_path="unused.csv")
-
-
 def run_sim(policy, hosts=10, pct=0.4, ut=0.8, seed=42, spike=False):
     """Cached simulation run; returns (result, wall seconds of the original run)."""
     key = (policy, hosts, pct, ut, seed, spike)
     if key not in _RUNS:
         trace = SPIKE_TRACE if spike else ACCEPT_TRACE
         start = time.perf_counter()
-        result = Simulation(accept_cfg(policy, hosts, pct, ut, seed), trace).run()
+        result = Simulation(shop_cfg(policy, hosts, pct, ut, seed), trace).run()
         _RUNS[key] = (result, time.perf_counter() - start)
     return _RUNS[key]
 
@@ -221,7 +195,7 @@ def test_criterion_7_spike_reactivation():
 
 
 def test_criterion_8_byte_determinism(tmp_path):
-    cfg = accept_cfg("LUCF")
+    cfg = shop_cfg("LUCF")
     cfg.trace_path = str(ROOT / "data" / "diurnal_day.csv")
     dump_config(cfg, str(tmp_path / "config.json"))
     for sub in ("a", "b"):
@@ -251,7 +225,7 @@ def test_criterion_9_fleet_scaling():
         for hosts in sizes:
             calls = []
             policies.SELECTORS["LUCF"] = _spying(orig, calls)
-            result = Simulation(accept_cfg("LUCF", hosts=hosts, pct=0.3), ACCEPT_TRACE).run()
+            result = Simulation(shop_cfg("LUCF", hosts=hosts, pct=0.3), ACCEPT_TRACE).run()
             policies.SELECTORS["LUCF"] = orig
             energy.append(result.energy_kwh)
             avg.append(result.avg_response_ms)

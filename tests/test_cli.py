@@ -5,16 +5,14 @@ import pytest
 from brownsim.cli import main
 from brownsim.engine import Simulation
 from brownsim.model import ContainerSpec, PolicyConfig, SimConfig, dump_config
-from brownsim.workload import Trace
-from trace_helpers import write_trace_csv
+from builders import flat_trace, write_trace_csv
 
 
 @pytest.fixture
 def workdir(tmp_path):
     """Small config plus a 40-interval trace, both on disk."""
     rates = [30 + (t % 8) * 25 for t in range(40)]
-    write_trace_csv(Trace(times=list(range(40)), rates=rates, interval_seconds=60.0),
-                    str(tmp_path / "trace.csv"))
+    write_trace_csv(flat_trace(rates), str(tmp_path / "trace.csv"))
     cfg = SimConfig(
         policy_name="LUCF",
         host_count=4,

@@ -6,7 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from brownsim import engine, policies
 from brownsim.policies import FEAS_EPS
@@ -28,38 +28,14 @@ from brownsim.model import (
     load_config,
     with_values,
 )
-from brownsim.workload import Trace, load_trace
+from brownsim.workload import load_trace
+from builders import flat_trace, shop_cfg, spike_trace
 import reference_engine
 from test_golden import DENSE_STACK
-from trace_helpers import spike_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
 DIURNAL = load_trace(str(DATA / "diurnal_day.csv"), 1.0, 60.0)
-
-
-def make_services(replicas):
-    return [
-        ContainerSpec(id="web", service="shop", weight=0.35, replicas=replicas),
-        ContainerSpec(id="db", service="shop", weight=0.25, replicas=replicas),
-        ContainerSpec(id="recommender", service="shop", weight=0.25, optional=True,
-                      connection_tag="rec", replicas=replicas),
-        ContainerSpec(id="rec-cache", service="shop", weight=0.05, optional=True,
-                      connection_tag="rec", replicas=replicas),
-        ContainerSpec(id="ads", service="shop", weight=0.10, optional=True, replicas=replicas),
-    ]
-
-
-def make_cfg(policy="LUCF", hosts=10, pct=0.4, ut=0.8, seed=42, **policy_overrides):
-    policy_cfg = PolicyConfig(overloaded_threshold_u_t=ut, optional_util_pct=pct, seed=seed)
-    for key, value in policy_overrides.items():
-        setattr(policy_cfg, key, value)
-    return SimConfig(policy_name=policy, host_count=hosts, services=make_services(hosts),
-                     policy=policy_cfg, trace_path="unused.csv")
-
-
-def flat_trace(rates):
-    return Trace(times=list(range(len(rates))), rates=list(rates), interval_seconds=60.0)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +76,7 @@ def test_route_remainder_follows_the_order_given():
 
 
 def test_a_fleet_past_h99_keeps_index_order():
-    sim = Simulation(make_cfg(policy="AUTOS", hosts=120, pct=0.0), flat_trace([1212, 1212]))
+    sim = Simulation(shop_cfg(policy="AUTOS", hosts=120, pct=0.0), flat_trace([1212, 1212]))
     fleet = [host_id(i) for i in range(120)]
     assert [h.id for h in sim.hosts] == fleet
     # 1212 = 120 x 10 + 12: the remainder goes to h00-h11, not to h100
@@ -113,7 +89,7 @@ def test_a_fleet_past_h99_keeps_index_order():
 
 
 def test_per_host_otr_follows_host_order_past_h99():
-    result = Simulation(make_cfg(policy="LUCF", hosts=120, pct=0.0), flat_trace([6000] * 3)).run()
+    result = Simulation(shop_cfg(policy="LUCF", hosts=120, pct=0.0), flat_trace([6000] * 3)).run()
     assert list(result.per_host_otr) == [host_id(i) for i in range(120)]
     assert 0 < result.otr_mean, "some hosts must be overloaded"
 
@@ -134,33 +110,34 @@ def derive_host(deactivate=()):
 
 
 def test_derive_full_stack():
-    host = derive_host()
-    load, utilizations = derive_utilization(host, 20, 25.0)
-    assert load == pytest.approx(0.8)
-    assert utilizations == pytest.approx((0.48, 0.16, 0.16))
+    # demand 0.8 (20 requests at n_o 25) over weights 0.6, 0.2 and 0.2
+    assert derive_utilization(derive_host(), 0.8) == pytest.approx(0.8)
 
 
 def test_derive_with_deactivated_optionals():
     host = derive_host(deactivate=("o1", "o2"))
-    load, utilizations = derive_utilization(host, 20, 25.0)
-    assert load == pytest.approx(0.48)
-    assert utilizations[0] == pytest.approx(0.48)
-    assert utilizations[1:] == (0.0, 0.0), "deactivated containers do no work"
+    assert derive_utilization(host, 0.8) == pytest.approx(0.48), "deactivated containers do no work"
+    host = derive_host(deactivate=("o1",))
+    assert derive_utilization(host, 0.8) == 0.8 * 0.6 + 0.8 * 0.2, "the kept ones in stack order"
 
 
 def test_derive_clamps_overload():
-    host = derive_host()
-    load, utilizations = derive_utilization(host, 38, 25.0)  # demand 1.52
-    assert load == pytest.approx(1.52), "the load itself is not clamped"
-    assert utilizations == pytest.approx((0.912, 0.304, 0.304))
-    load, utilizations = derive_utilization(host, 50, 25.0)  # demand 2
-    assert utilizations[0] == 1.0, "a container is capped at 1"
+    # the load stays raw; a class clamps its utilization at 1, and its offer
+    # caps each container at 1
+    assert derive_utilization(derive_host(), 1.52) == pytest.approx(1.52)
+    cfg = SimConfig(policy_name="LUCF", host_count=1, services=list(derive_host().containers),
+                    policy=PolicyConfig(capacity_n_o=25.0), trace_path="unused.csv")
+    sim = Simulation(cfg, flat_trace([150]))
+    sim.step(0, 150)  # demand 6
+    cls = next(c for c in sim.classes.values() if c.offer is not None)
+    assert (cls.demand, cls.utilization) == (6.0, 1.0)
+    assert [item.utilization for item in cls.offer] == [1.0, 1.0]
 
 
 def test_derive_inactive_host_is_idle():
     host = derive_host()
     host.mode = HostMode.SLEEP
-    assert derive_utilization(host, 20, 25.0) == (0.0, (0.0, 0.0, 0.0))
+    assert derive_utilization(host, 0.8) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +197,7 @@ def test_aggregate_response_keeps_the_jittered_model_within_five_percent(policy)
 def test_peak_memory_is_flat_in_trace_scale():
     peaks = {}
     for scale in (1.0, 4.0):
-        sim = Simulation(make_cfg(hosts=10), load_trace(str(DATA / "diurnal_day.csv"), scale, 60.0))
+        sim = Simulation(shop_cfg(hosts=10), load_trace(str(DATA / "diurnal_day.csv"), scale, 60.0))
         tracemalloc.start()
         try:
             sim.run()
@@ -235,31 +212,31 @@ def test_peak_memory_is_flat_in_trace_scale():
 
 
 def test_invalid_config_raises_with_violations():
-    cfg = make_cfg(policy="BOGUS")
+    cfg = shop_cfg(policy="BOGUS")
     with pytest.raises(ConfigError) as err:
         Simulation(cfg, flat_trace([10]))
     assert err.value.violations
 
 
 def test_npa_keeps_the_whole_fleet_active():
-    result = Simulation(make_cfg(policy="NPA", hosts=6, pct=0.0), flat_trace([50] * 30)).run()
+    result = Simulation(shop_cfg(policy="NPA", hosts=6, pct=0.0), flat_trace([50] * 30)).run()
     assert result.active_host_series == [6] * 30
 
 
 def test_autoscaler_drops_to_min_active_on_zero_rate():
-    result = Simulation(make_cfg(policy="AUTOS", pct=0.0), flat_trace([0] * 10)).run()
+    result = Simulation(shop_cfg(policy="AUTOS", pct=0.0), flat_trace([0] * 10)).run()
     assert result.active_host_series[0] == 10, "full fleet carries the warm-up interval"
     assert result.active_host_series[1:] == [1] * 9
 
 
 def test_min_active_hosts_respected():
-    result = Simulation(make_cfg(policy="AUTOS", pct=0.0, min_active_hosts=3),
+    result = Simulation(shop_cfg(policy="AUTOS", pct=0.0, min_active_hosts=3),
                         flat_trace([0] * 10)).run()
     assert all(n >= 3 for n in result.active_host_series)
 
 
 def test_interval_conservation_and_error_bound():
-    result = Simulation(make_cfg(), DIURNAL).run()
+    result = Simulation(shop_cfg(), DIURNAL).run()
     for rec in result.interval_records:
         assert sum(served for _, served in rec.response_groups) + rec.errors == rec.requests
         assert rec.errors <= rec.requests
@@ -267,15 +244,18 @@ def test_interval_conservation_and_error_bound():
 
 
 def test_overloaded_flag_matches_threshold():
-    result = Simulation(make_cfg(ut=0.7), DIURNAL).run()
-    for rec in result.interval_records:
-        for _, utilization, _, overloaded in rec.per_host:
-            assert overloaded == (utilization > 0.7)
+    sim = Simulation(shop_cfg(ut=0.7), DIURNAL)
+    flagged = 0
+    for t, rate in enumerate(DIURNAL.rates):
+        for hid, _, overloaded in sim.step(t, rate).per_host:
+            assert overloaded == (sim.class_of[hid].utilization > 0.7)
+            flagged += overloaded
+    assert flagged > 0
 
 
 def test_brownout_is_offered_exactly_the_overloaded_serving_hosts(monkeypatch):
     # the overload test lives in the host classes; brownout_step trusts it
-    sim = Simulation(make_cfg(ut=0.7), DIURNAL)
+    sim = Simulation(shop_cfg(ut=0.7), DIURNAL)
     offered, real = [], engine.brownout_step
 
     def spy(fleet, *args):
@@ -295,8 +275,8 @@ def test_brownout_is_offered_exactly_the_overloaded_serving_hosts(monkeypatch):
 
 
 def test_determinism_same_seed_same_run():
-    a = Simulation(make_cfg(seed=7), DIURNAL).run()
-    b = Simulation(make_cfg(seed=7), DIURNAL).run()
+    a = Simulation(shop_cfg(seed=7), DIURNAL).run()
+    b = Simulation(shop_cfg(seed=7), DIURNAL).run()
     assert a.energy_kwh == b.energy_kwh
     assert a.active_host_series == b.active_host_series
     assert a.slavr == b.slavr
@@ -307,7 +287,7 @@ def test_determinism_same_seed_same_run():
 
 def test_avg_below_p95_on_standard_runs():
     for policy in ("AUTOS", "LUCF"):
-        result = Simulation(make_cfg(policy=policy), DIURNAL).run()
+        result = Simulation(shop_cfg(policy=policy), DIURNAL).run()
         assert result.avg_response_ms <= result.p_kth_response_ms, policy
 
 
@@ -318,7 +298,7 @@ def test_state_machine_legality():
         (HostMode.SLEEP, HostMode.ACTIVE),  # boot completed within the interval
         (HostMode.BOOTING, HostMode.ACTIVE),
     }
-    cfg = make_cfg()
+    cfg = shop_cfg()
     trace = DIURNAL
     sim = Simulation(cfg, trace)
     modes = {h.id: h.mode for h in sim.hosts}
@@ -331,42 +311,45 @@ def test_state_machine_legality():
 
 
 def test_host_invariants_hold_throughout():
-    cfg = make_cfg()
+    cfg = shop_cfg()
     trace = spike_trace()
     sim = Simulation(cfg, trace)
     for t in range(len(trace)):
         sim.step(t, trace.rates[t])
         for h in sim.hosts:
             cls = sim.class_of[h.id]
-            assert len(cls.instance_utilizations) == len(h.containers) == len(h.active)
+            assert len(h.containers) == len(h.active)
             assert type(h.active) is tuple and all(type(on) is bool for on in h.active)
             if h.mode is not HostMode.ACTIVE:
                 assert cls.utilization == 0.0
             if h.mode is HostMode.BOOTING:
                 assert h.boot_remaining > 0
-            for spec, on, utilization in zip(h.containers, h.active, cls.instance_utilizations):
-                if not spec.optional:
-                    assert on, "mandatory container deactivated"
-                if not on:
-                    assert utilization == 0.0
+            for spec, on in zip(h.containers, h.active):
+                assert on or spec.optional, "mandatory container deactivated"
+            if h.mode is HostMode.ACTIVE:  # a container that is off does no work
+                working = sum(spec.weight for spec, on in zip(h.containers, h.active) if on)
+                assert cls.utilization == pytest.approx(min(cls.demand * working, 1.0))
 
 
 def test_boot_delay_two_serves_after_booting():
-    cfg = make_cfg(policy="AUTOS", hosts=3, pct=0.0, boot_delay=2)
+    cfg = shop_cfg(policy="AUTOS", hosts=3, pct=0.0, boot_delay=2)
     trace = flat_trace([10, 10, 10, 200, 200, 200, 200])
     sim = Simulation(cfg, trace)
-    records = [sim.step(t, trace.rates[t]) for t in range(len(trace))]
+    records = []
+    for t, rate in enumerate(trace.rates):
+        records.append(sim.step(t, rate))
+        if t == 4:
+            assert [sim.class_of[hid].utilization for hid in ("h01", "h02")] == [0.0, 0.0]
     assert records[1].active_hosts == 1, "scaler sleeps the idle hosts"
     assert records[4].active_hosts == 1, "woken hosts are still booting"
     booting_entries = [p for p in records[4].per_host if p[0] in ("h01", "h02")]
-    for _, utilization, power, _ in booting_entries:
-        assert utilization == 0.0
+    for _, power, _ in booting_entries:
         assert power == pytest.approx(201.0), "booting host draws idle power"
     assert records[5].active_hosts == 3, "boot completes after two intervals"
 
 
 def test_boot_delay_one_serves_immediately():
-    cfg = make_cfg(policy="AUTOS", hosts=3, pct=0.0, boot_delay=1)
+    cfg = shop_cfg(policy="AUTOS", hosts=3, pct=0.0, boot_delay=1)
     trace = flat_trace([10, 10, 10, 200, 200, 200, 200])
     sim = Simulation(cfg, trace)
     records = [sim.step(t, trace.rates[t]) for t in range(len(trace))]
@@ -374,7 +357,7 @@ def test_boot_delay_one_serves_immediately():
 
 
 def test_spike_sheds_then_restores():
-    result = Simulation(make_cfg(), spike_trace()).run()
+    result = Simulation(shop_cfg(), spike_trace()).run()
     deact = [r.deactivated_containers for r in result.interval_records]
     overload = [r.overloaded_hosts for r in result.interval_records]
     spike = range(80, 120)
@@ -396,10 +379,10 @@ def test_hosts_in_one_state_derive_it_once(monkeypatch, rate, states):
         return real(host, *args)
 
     monkeypatch.setattr(engine, "derive_utilization", spy)
-    result = Simulation(make_cfg(policy="NPA", hosts=20), flat_trace([rate] * 10)).run()
+    result = Simulation(shop_cfg(policy="NPA", hosts=20), flat_trace([rate] * 10)).run()
     assert len(calls) == states
     for rec in result.interval_records:
-        assert len({(u, p) for _, u, p, _ in rec.per_host}) == states
+        assert len({p for _, p, _ in rec.per_host}) == states
         assert sum(served for _, served in rec.response_groups) == rate
         assert len(rec.response_groups) == 20
 
@@ -431,10 +414,10 @@ BIG_DAY = load_trace(str(DATA / "diurnal_day.csv"), 12.0, 60.0)  # the day for 1
 ] + [
     pytest.param(dense_cfg(p), DIURNAL, id=f"{p}-dense") for p in ("LUCF", "MNCF", "RSC")
 ] + [
-    pytest.param(make_cfg(policy=p, pct=0.5), PARTIAL_DAY, id=f"{p}-partial")
+    pytest.param(shop_cfg(policy=p, pct=0.5), PARTIAL_DAY, id=f"{p}-partial")
     for p in ("LUCF", "MNCF", "RSC")
 ] + [
-    pytest.param(make_cfg(policy=p, hosts=120), BIG_DAY, id=f"{p}-120-hosts")
+    pytest.param(shop_cfg(policy=p, hosts=120), BIG_DAY, id=f"{p}-120-hosts")
     for p in ("LUCF", "RSC")
 ])
 def test_run_wide_classes_and_shared_picks_equal_a_per_interval_per_host_run(cfg, trace):
@@ -450,7 +433,7 @@ def test_run_wide_classes_and_shared_picks_equal_a_per_interval_per_host_run(cfg
 
 def test_the_partial_day_tells_the_selectors_apart():
     deactivations = {sum(r.deactivated_containers for r in Simulation(
-        make_cfg(policy=p, pct=0.5), PARTIAL_DAY).run().interval_records)
+        shop_cfg(policy=p, pct=0.5), PARTIAL_DAY).run().interval_records)
         for p in ("LUCF", "MNCF", "RSC")}
     assert len(deactivations) == 3, deactivations
 
@@ -713,7 +696,7 @@ def checked_run(sim):
             assert all(on for spec, on in zip(host.containers, host.active)
                        if not spec.optional), (t, host.id)
         modes = {host.id: host.mode for host in sim.hosts}
-        assert all(modes[hid] is HostMode.ACTIVE for hid, _, _, over in record.per_host if over), t
+        assert all(modes[hid] is HostMode.ACTIVE for hid, _, over in record.per_host if over), t
     return sim._result()
 
 
@@ -732,7 +715,7 @@ def run_with_restores(sim):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "brownout_step", step)
         result = checked_run(sim)
-    flagged = {(r.t, hid) for r in result.interval_records for hid, _, _, over in r.per_host if over}
+    flagged = {(r.t, hid) for r in result.interval_records for hid, _, over in r.per_host if over}
     return result, len(restored), sorted({t for t, hid in restored if (t, hid) in flagged})
 
 
@@ -776,7 +759,7 @@ def test_restorable_is_asked_at_most_once_per_distinct_serving_state(monkeypatch
 
 
 def test_wrapped_rsc_selector_runs_identically(monkeypatch):
-    plain = Simulation(make_cfg(policy="RSC"), spike_trace()).run()
+    plain = Simulation(shop_cfg(policy="RSC"), spike_trace()).run()
     inner, calls = policies.SELECTORS["RSC"], []
 
     def passthrough(items, target, rng=None):
@@ -784,21 +767,21 @@ def test_wrapped_rsc_selector_runs_identically(monkeypatch):
         return inner(items, target, rng)
 
     monkeypatch.setitem(policies.SELECTORS, "RSC", passthrough)
-    wrapped = Simulation(make_cfg(policy="RSC"), spike_trace()).run()
+    wrapped = Simulation(shop_cfg(policy="RSC"), spike_trace()).run()
     assert calls, "the spike must reach the selector"
     assert wrapped.interval_records == plain.interval_records
     assert wrapped.energy_kwh == plain.energy_kwh
 
 
 def test_capacity_credit_saves_energy():
-    eager = Simulation(make_cfg(capacity_credit=0.35), DIURNAL).run()
-    frozen = Simulation(make_cfg(capacity_credit=0.0), DIURNAL).run()
+    eager = Simulation(shop_cfg(capacity_credit=0.35), DIURNAL).run()
+    frozen = Simulation(shop_cfg(capacity_credit=0.0), DIURNAL).run()
     assert eager.energy_kwh < frozen.energy_kwh, (
         f"crediting shed capacity should cut energy ({eager.energy_kwh} vs {frozen.energy_kwh})")
 
 
 def test_slavr_none_only_when_no_requests():
-    result = Simulation(make_cfg(policy="NPA", pct=0.0), flat_trace([0] * 5)).run()
+    result = Simulation(shop_cfg(policy="NPA", pct=0.0), flat_trace([0] * 5)).run()
     assert result.slavr is None
     assert result.total_requests == 0
 
@@ -817,8 +800,8 @@ def test_energy_is_the_recorded_power_over_the_run(policy):
 
 
 def test_idle_day_on_thirteen_hosts_draws_idle_power():
-    cfg = dataclasses.replace(make_cfg(policy="NPA", hosts=13), interval_seconds=3600.0)
-    day = Trace(times=list(range(24)), rates=[0] * 24, interval_seconds=3600.0)
+    cfg = dataclasses.replace(shop_cfg(policy="NPA", hosts=13), interval_seconds=3600.0)
+    day = flat_trace([0] * 24, 3600.0)
     assert Simulation(cfg, day).run().energy_kwh == pytest.approx(62.712, abs=1e-9)
 
 
@@ -837,7 +820,7 @@ def _capacity_factor_from_instances(sim):
 
 def test_capacity_factor_matches_the_hosts_instances_at_every_step():
     trace = spike_trace()
-    sim = Simulation(make_cfg(capacity_credit=0.35), trace)
+    sim = Simulation(shop_cfg(capacity_credit=0.35), trace)
     factors = []
     for t in range(len(trace)):
         sim.step(t, trace.rates[t])
@@ -901,7 +884,9 @@ def checking_selectors(mp):
         mp.setitem(policies.SELECTORS, policy, spy)
 
 
-@settings(max_examples=30, deadline=None)
+# No shrinking: shrinking a failure reruns five policies on both engines per
+# candidate, about a minute where a passing run takes under a second.
+@settings(max_examples=30, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(small_runs())
 def test_generated_runs_keep_their_invariants(run):
     base, trace = run
@@ -917,6 +902,7 @@ def test_generated_runs_keep_their_invariants(run):
             result, _, overloaded = run_with_restores(Simulation(cfg, trace))
         for rec in result.interval_records:
             assert sum(served for _, served in rec.response_groups) + rec.errors == rec.requests
+            assert rec.active_hosts >= 1, "every interval has a serving host"
         assert profile.sleep_power_w * kwh * (1 - 1e-12) <= result.energy_kwh
         assert result.energy_kwh <= profile.max_power_w * kwh * (1 + 1e-12)
         assert overloaded == [], f"{policy}: a restore landed in an overloaded class"

@@ -23,22 +23,11 @@ from brownsim.model import (
     validate_config,
     with_values,
 )
-
-
-def sample_services(replicas=4):
-    return [
-        ContainerSpec(id="web", service="shop", weight=0.35, replicas=replicas),
-        ContainerSpec(id="db", service="shop", weight=0.25, replicas=replicas),
-        ContainerSpec(id="recommender", service="shop", weight=0.25, optional=True,
-                      connection_tag="rec", replicas=replicas),
-        ContainerSpec(id="rec-cache", service="shop", weight=0.05, optional=True,
-                      connection_tag="rec", replicas=replicas),
-        ContainerSpec(id="ads", service="shop", weight=0.10, optional=True, replicas=replicas),
-    ]
+from builders import shop_services
 
 
 def sample_config(**overrides):
-    cfg = SimConfig(policy_name="LUCF", host_count=4, services=sample_services(),
+    cfg = SimConfig(policy_name="LUCF", host_count=4, services=shop_services(4),
                     trace_path="trace.csv")
     for key, value in overrides.items():
         setattr(cfg, key, value)
@@ -55,7 +44,7 @@ def test_unknown_policy_flagged():
 
 
 def test_weights_must_sum_to_one():
-    services = sample_services()
+    services = shop_services(4)
     services[0] = ContainerSpec(id="web", service="shop", weight=0.30, replicas=4)
     violations = validate_config(sample_config(services=services))
     assert any("sum to 1" in v for v in violations)
@@ -71,7 +60,7 @@ def test_every_service_needs_a_mandatory_container():
 
 
 def test_connection_tag_requires_optional():
-    services = sample_services()
+    services = shop_services(4)
     services[0] = ContainerSpec(id="web", service="shop", weight=0.35,
                                 connection_tag="x", replicas=4)
     violations = validate_config(sample_config(services=services))
@@ -79,7 +68,7 @@ def test_connection_tag_requires_optional():
 
 
 def test_duplicate_ids_flagged():
-    services = sample_services() + [ContainerSpec(id="web", service="other", weight=1.0)]
+    services = shop_services(4) + [ContainerSpec(id="web", service="other", weight=1.0)]
     violations = validate_config(sample_config(services=services))
     assert any("duplicate" in v for v in violations)
 
@@ -137,7 +126,7 @@ def test_min_active_hosts_within_fleet():
 
 def test_scaled_services_moves_weight_to_requested_share():
     for pct in (0.1, 0.2, 0.3, 0.4):
-        scaled = scaled_services(sample_services(), pct)
+        scaled = scaled_services(shop_services(4), pct)
         opt = sum(s.weight for s in scaled if s.optional)
         total = sum(s.weight for s in scaled)
         assert opt == pytest.approx(pct, abs=1e-9)
@@ -145,7 +134,7 @@ def test_scaled_services_moves_weight_to_requested_share():
 
 
 def test_scaled_services_zero_keeps_weights():
-    original = sample_services()
+    original = shop_services(4)
     assert scaled_services(original, 0.0) == original
 
 
@@ -232,7 +221,7 @@ def _section(section):
 @settings(max_examples=150, deadline=None)
 @given(own=_section(""), policy=_section("policy."))
 def test_schema_round_trip(own, policy):
-    cfg = SimConfig(**own, services=sample_services(), policy=PolicyConfig(**policy))
+    cfg = SimConfig(**own, services=shop_services(4), policy=PolicyConfig(**policy))
     assert config_from_dict(config_to_dict(cfg)) == cfg
     text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
     again = config_from_dict(json.loads(text))

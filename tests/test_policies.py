@@ -260,15 +260,14 @@ class HostClassStub(SimpleNamespace):
 
 def make_host(idx, utilization, specs, deactivate=()):
     """An active host at `utilization` and its class, as the engine passes
-    them to brownout_step: the stack is the specs in order, and the class
-    restores nothing and has no offer yet."""
+    them to brownout_step: the stack is the specs in order, the class's
+    demand is its utilization, and it restores nothing and has no offer yet."""
     host = HostState(id=f"h{idx:02d}", mode=HostMode.ACTIVE,
                      containers=tuple(specs.values()),
                      active=tuple(spec.id not in deactivate for spec in specs.values()))
     state = HostClassStub(
         utilization=utilization, power_w=hum(PROFILE, HostMode.ACTIVE, utilization),
-        instance_utilizations=tuple(utilization * spec.weight for spec in specs.values()),
-        overloaded=utilization > 0.8, restore=host.active, offer=None)
+        demand=utilization, overloaded=utilization > 0.8, restore=host.active, offer=None)
     return host, state
 
 
@@ -293,7 +292,7 @@ def shed_ids(moves):
 
 def offered(host, state):
     """The optional items brownout_step offers for the host, named by position."""
-    return [I(j, u) for j, (spec, u) in enumerate(zip(host.containers, state.instance_utilizations))
+    return [I(j, min(state.demand * spec.weight, 1.0)) for j, spec in enumerate(host.containers)
             if spec.optional]
 
 

@@ -16,11 +16,11 @@ from brownsim.qos import (
 def test_overload_ratios_spans_all_hosts_and_intervals():
     records = [
         IntervalRecord(t=0, requests=10, active_hosts=3,
-                       per_host=[("h00", 0.9, 233.0, True), ("h01", 0.3, 213.0, False),
-                                 ("h02", 1.0, 237.0, True)]),
+                       per_host=[("h00", 233.0, True), ("h01", 213.0, False),
+                                 ("h02", 237.0, True)]),
         IntervalRecord(t=1, requests=10, active_hosts=2,
-                       per_host=[("h00", 0.5, 221.0, False), ("h01", 0.0, 10.0, False),
-                                 ("h02", 1.0, 237.0, True)]),
+                       per_host=[("h00", 221.0, False), ("h01", 10.0, False),
+                                 ("h02", 237.0, True)]),
     ]
     ratios = overload_ratios(records)
     assert ratios == {"h00": 0.5, "h01": 0.0, "h02": 1.0}
@@ -31,7 +31,7 @@ def test_overload_ratios_keep_the_records_host_order():
     # h100 follows h99 in the fleet, not h10 as it would by id string
     hosts = ["h09", "h10", "h99", "h100", "h101"]
     records = [IntervalRecord(t=0, requests=5, active_hosts=5,
-                              per_host=[(h, 0.9, 233.0, h == "h100") for h in hosts])]
+                              per_host=[(h, 233.0, h == "h100") for h in hosts])]
     assert list(overload_ratios(records)) == hosts
 
 

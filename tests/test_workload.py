@@ -2,13 +2,8 @@ import random
 
 import pytest
 
-from brownsim.workload import (
-    Trace,
-    load_trace,
-    predict_rate,
-    synthetic_diurnal_trace,
-)
-from trace_helpers import spike_trace, write_trace_csv
+from brownsim.workload import load_trace, predict_rate, synthetic_diurnal_trace
+from builders import flat_trace, spike_trace, write_trace_csv
 
 
 def write_rows(tmp_path, rows, header="t,requests"):
@@ -43,7 +38,7 @@ def test_load_keeps_the_first_row_after_a_byte_order_mark(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("\ufeff0,120\n1,130\n2,140\n", encoding="utf-8")
     trace = load_trace(str(path), 1.0, 60.0)
-    assert (trace.times, trace.rates) == ([0, 1, 2], [120, 130, 140])
+    assert trace.rates == [120, 130, 140]
     path.write_text("\ufefft,requests\n0,7\n", encoding="utf-8")
     assert load_trace(str(path), 1.0, 60.0).rates == [7]
 
@@ -62,6 +57,16 @@ def test_load_rejects_non_monotonic_time(tmp_path):
     with pytest.raises(ValueError) as err:
         load_trace(path, 1.0, 60.0)
     assert "line 4" in str(err.value)
+
+
+def test_load_orders_fractional_times_as_written(tmp_path):
+    # t is compared as parsed: 0.2 < 0.7 < 1.4 increases although 0.2 and
+    # 0.7 share an integer part
+    path = write_rows(tmp_path, [(0.2, 10), (0.7, 12), (1.4, 9)])
+    assert load_trace(path, 1.0, 60.0).rates == [10, 12, 9]
+    path = write_rows(tmp_path, [(0.2, 10), (0.7, 12), (0.7, 9)])
+    with pytest.raises(ValueError, match="line 4: time 0.7 not strictly increasing"):
+        load_trace(path, 1.0, 60.0)
 
 
 def test_load_rejects_negative_rate(tmp_path):
@@ -151,7 +156,7 @@ def test_spike_trace_shape():
 
 
 def test_write_read_roundtrip(tmp_path):
-    trace = Trace(times=[0, 1, 2], rates=[4, 9, 2], interval_seconds=60.0)
+    trace = flat_trace([4, 9, 2])
     path = tmp_path / "out.csv"
     write_trace_csv(trace, str(path))
     back = load_trace(str(path), 1.0, 60.0)
