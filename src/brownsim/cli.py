@@ -5,11 +5,18 @@ sweep axes (threshold, optional utilization share, repetitions), and
 rebuild the comparison summary from files on disk.  Exit codes: 0 on
 success, 2 for config problems, 3 for trace/result file problems,
 including an --out that cannot be written.
+
+`compare` runs its cells in min(cells, usable CPUs) forked worker
+processes, each writing its own cells' files; its output is byte-identical
+to running them one after another.  One cell, or a process limited to one
+CPU (`taskset -c 0 brownsim compare ...`, say, for profiling), runs them
+in this process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -175,9 +182,7 @@ def cmd_compare(args) -> int:
     trace = _read_trace(base)  # no sweep axis touches the trace path, scale or interval
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any cell
-    for name, rep, cfg in cells:
-        result = Simulation(cfg, trace).run()
-        _write_result_files(out / name, cfg, result, rep=rep)
+    _run_cells(trace, [(out / name, rep, cfg) for name, rep, cfg in cells])
     return cmd_report(args)
 
 
@@ -238,6 +243,55 @@ def _split(args, dest: str, kind, default) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Sweep cells
+
+
+def _worker_count(cells: int, cpus: int) -> int:
+    """One worker process per cell, at most one per usable CPU, at least one."""
+    return max(1, min(cells, cpus))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_cells(trace, cells: list) -> None:
+    """Run each (directory, rep, config) cell and write its files.
+
+    Several workers are forked before the pool starts its threads.  Each
+    writes its own cells' files, so no result travels back.  imap hands
+    outcomes back in cell order, so the first failing cell raises here, as
+    it would in one process, and the pool is terminated.
+    """
+    run = functools.partial(_run_cell, trace)
+    workers = _worker_count(len(cells), _usable_cpus())
+    if workers == 1:
+        for cell in cells:
+            run(cell)
+        return
+    import multiprocessing  # here, not at the top: every CLI start would pay its import
+
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        for _ in pool.imap(run, cells):
+            pass
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+
+
+def _run_cell(trace, cell: tuple) -> None:
+    out, rep, cfg = cell
+    _write_result_files(out, cfg, Simulation(cfg, trace).run(), rep=rep)
+
+
+# ---------------------------------------------------------------------------
 # Output files
 
 
@@ -245,7 +299,7 @@ def _write_result_files(out: Path, cfg: SimConfig, result, rep: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
     payload = _result_payload(cfg, result, rep)
     _atomic_write(out / "result.json",
-                  json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                  json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     _atomic_write(out / "intervals.csv", _intervals_csv(result.interval_records))
 
 

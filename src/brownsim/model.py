@@ -41,6 +41,7 @@ DEFAULT_BREAKPOINTS = (
     (1.0, 237.0),
 )
 DEFAULT_SLEEP_POWER_W = 10.0
+BREAKPOINT_WATTS = "[0, 1e9]"  # bounded, so that no energy total overflows
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +123,8 @@ class PowerProfile:
             out.append(f"hosts.sleep_power_w: must be finite and >= 0 (got {self.sleep_power_w})")
         elif not out and self.sleep_power_w >= self.idle_power_w:
             out.append(f"hosts.sleep_power_w: must be below idle power ({self.idle_power_w} W)")
+        out += [f"{prefix}: watts must be within {BREAKPOINT_WATTS} (got {w})"
+                for _, w in bps if not _in_range(w, BREAKPOINT_WATTS)][:1]
         return out
 
 
@@ -189,8 +192,8 @@ class SimConfig:
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     trace_path: str = _knob("", key="trace.path")
     trace_scale: float = _knob(1.0, "(0, inf)", key="trace.scale")
-    interval_seconds: float = _knob(60.0, "(0, inf)", key="trace.interval_seconds")
-    base_response_ms: float = _knob(100.0, "(0, inf)")
+    interval_seconds: float = _knob(60.0, "(0, 1e9]", key="trace.interval_seconds")
+    base_response_ms: float = _knob(100.0, "(0, 1e9]")
 
 
 # (section, field, JSON key) per scalar knob; section "" holds SimConfig's

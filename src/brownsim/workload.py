@@ -6,6 +6,10 @@ import math
 import random
 from dataclasses import dataclass
 
+# The largest scaled request count a trace row may hold: beyond 2**53 a float
+# no longer holds every integer, and near 1e308 the response model overflows.
+MAX_REQUESTS = 2 ** 53
+
 
 @dataclass
 class Trace:
@@ -26,8 +30,8 @@ def load_trace(path: str, scale: float = 1.0, interval_seconds: float = 60.0) ->
 
     t must be strictly increasing; only its order is read, so it may be
     fractional.  A byte-order mark and a header (line 1 with no numeric
-    field) are skipped; malformed data raises ValueError naming the
-    offending line.
+    field) are skipped; malformed data, or a scaled count above
+    MAX_REQUESTS, raises ValueError naming the offending line.
     """
     last, rates = -math.inf, []
     with open(path, encoding="utf-8-sig") as fh:
@@ -46,8 +50,9 @@ def load_trace(path: str, scale: float = 1.0, interval_seconds: float = 60.0) ->
             r = float(parts[1])
             if r < 0:
                 raise ValueError(f"line {lineno}: negative request count {r}")
-            if not (math.isfinite(t) and math.isfinite(r * scale)):
-                raise ValueError(f"line {lineno}: {line!r} at scale {scale} is not finite")
+            if not (math.isfinite(t) and r * scale <= MAX_REQUESTS):  # NaN fails too
+                raise ValueError(f"line {lineno}: {line!r} at scale {scale} is not finite "
+                                 f"or above 2**53 requests")
             if t <= last:
                 raise ValueError(f"line {lineno}: time {parts[0].strip()} not strictly increasing")
             last = t

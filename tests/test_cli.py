@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 
 import pytest
 
+from brownsim import cli
 from brownsim.cli import main
 from brownsim.engine import Simulation
 from brownsim.model import ContainerSpec, PolicyConfig, SimConfig, dump_config
@@ -78,6 +80,13 @@ def _drop_weight(raw):
                  id="null breakpoints"),
     pytest.param(_put("hosts.power_breakpoints", []), "hosts.power_breakpoints",
                  id="empty breakpoints"),
+    # huge but finite: each once passed, and could overflow a result to Infinity
+    pytest.param(_put("base_response_ms", 1e308), "base_response_ms",
+                 id="huge base_response_ms"),
+    pytest.param(_put("hosts.power_breakpoints", [[0.0, 201.0], [1.0, 1e308]]),
+                 "hosts.power_breakpoints", id="huge breakpoint watts"),
+    pytest.param(_put("trace.interval_seconds", 1e300), "trace.interval_seconds",
+                 id="huge interval_seconds"),
 ])
 def test_bad_input_exits_two_naming_the_key(workdir, capsys, edit, key):
     raw = json.loads((workdir / "config.json").read_text())
@@ -150,6 +159,46 @@ def test_overflowing_trace_scale_exits_three(workdir, capsys):
         err = capsys.readouterr().err
         assert "line 2" in err and "Traceback" not in err
         assert not (workdir / command).exists()
+
+
+def _huge_trace_exits_three(workdir, capsys, monkeypatch, command, rows, scale):
+    runs = _counting_runs(monkeypatch)
+    trace = workdir / "huge.csv"
+    trace.write_text("t,requests\n" + "".join(f"{t},{r}\n" for t, r in enumerate(rows)))
+    out = workdir / command
+    assert main([command, "--config", str(workdir / "config.json"), "--trace", str(trace),
+                 "--scale", scale, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "line 3" in err and "2**53" in err and "Traceback" not in err
+    assert not out.exists() and not runs
+
+
+def test_run_with_a_huge_trace_row_exits_three(workdir, capsys, monkeypatch):
+    # finite, but it once overflowed the response model into a traceback
+    _huge_trace_exits_three(workdir, capsys, monkeypatch, "run", ["10", "1e308"], "1")
+
+
+def test_compare_with_a_huge_trace_scale_exits_three(workdir, capsys, monkeypatch):
+    _huge_trace_exits_three(workdir, capsys, monkeypatch, "compare", ["0", "10"], "1e300")
+
+
+def test_largest_valid_inputs_write_finite_json(workdir):
+    raw = json.loads((workdir / "config.json").read_text())
+    raw["base_response_ms"] = 1e9
+    raw["hosts"].update(power_breakpoints=[[0.0, 1e9], [1.0, 1e9]], sleep_power_w=0.0)
+    raw["trace"]["interval_seconds"] = 1e9
+    (workdir / "big.json").write_text(json.dumps(raw))
+    trace = workdir / "big.csv"
+    trace.write_text(f"t,requests\n0,{2 ** 53}\n1,{2 ** 53}\n2,100\n")
+    out = workdir / "out"
+    assert main(["run", "--config", str(workdir / "big.json"), "--trace", str(trace),
+                 "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise AssertionError(f"result.json holds {constant}")
+
+    payload = json.loads((out / "result.json").read_text(), parse_constant=refuse)
+    assert payload["total_requests"] == 2 ** 54 + 100
 
 
 def test_half_numeric_first_trace_row_exits_three(workdir, capsys):
@@ -303,3 +352,78 @@ def test_compare_rejects_bad_reps(workdir, capsys):
     assert main(["compare", "--config", str(workdir / "config.json"),
                  "--reps", "0", "--out", str(workdir / "cmp")]) == 2
     assert "--reps" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# compare's worker processes.  Each test allows at most 2 CPUs, so it starts
+# at most 2 processes.
+
+
+def _compare_on(cpus, workdir, out, *flags):
+    """Run compare as if the process could use `cpus` CPUs; return its exit
+    code and the Simulation.run calls made in this process."""
+    with pytest.MonkeyPatch.context() as mp:
+        runs = _counting_runs(mp)
+        mp.setattr(cli, "_usable_cpus", lambda: cpus)
+        code = main(["compare", "--config", str(workdir / "config.json"), *flags,
+                     "--out", str(out)])
+    return code, runs
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+SWEEP = ("--policy", "NPA,LUCF,RSC", "--u-threshold", "0.7,0.8")
+
+
+def test_parallel_compare_is_byte_identical_to_in_process(workdir, capsys):
+    code, runs = _compare_on(2, workdir, workdir / "par", *SWEEP)
+    assert code == 0 and not runs, "the workers ran every cell"
+    assert multiprocessing.active_children() == []
+    parallel = capsys.readouterr().out
+    code, runs = _compare_on(1, workdir, workdir / "one", *SWEEP)
+    assert code == 0 and len(runs) == 6, "one CPU runs every cell in this process"
+    assert capsys.readouterr().out == parallel
+    tree = _tree(workdir / "par")
+    assert len(tree) == 2 * 6 + 2  # each cell's two files and the two summaries
+    assert tree == _tree(workdir / "one")
+
+
+def test_parallel_cells_match_run(workdir):
+    out = workdir / "cmp"
+    assert _compare_on(2, workdir, out, *SWEEP)[0] == 0
+    for policy in ("NPA", "LUCF", "RSC"):
+        for u_t in ("0.7", "0.8"):
+            single = workdir / f"run_{policy}_{u_t}"
+            assert main(["run", "--config", str(workdir / "config.json"), "--policy", policy,
+                         "--u-threshold", u_t, "--out", str(single)]) == 0
+            assert _tree(single) == _tree(out / f"{policy}_u{u_t}_p0.4_r0")
+
+
+def test_cell_directory_taken_by_a_file_exits_three(workdir, capsys):
+    out = workdir / "cmp"
+    out.mkdir()
+    (out / "LUCF_u0.8_p0.4_r0").write_text("not a directory\n")
+    code, _ = _compare_on(2, workdir, out, "--policy", "NPA,LUCF")
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "cannot write output" in captured.err and "LUCF_u0.8_p0.4_r0" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cells, cpus, workers", [
+    (20, 2, 2), (1, 8, 1), (3, 8, 3), (5, 1, 1), (0, 4, 1)])
+def test_worker_count_is_cells_capped_by_cpus(cells, cpus, workers):
+    assert cli._worker_count(cells, cpus) == workers
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert cli._usable_cpus() == 3
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
+    assert cli._usable_cpus() == 6
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1

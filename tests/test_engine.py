@@ -838,7 +838,7 @@ def small_runs(draw):
     """A small valid config, policy left to the caller, and a trace with
     spikes: 1-20 hosts, every mandatory replica on each host, 1-6 optional
     containers (weights in twentieths, some tagged, 1 replica to one per
-    host)."""
+    host), boots of 1-4 intervals and a floor of 1 to every host."""
     hosts = draw(st.integers(1, 20))
     n = draw(st.integers(1, 6))
     weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
@@ -849,7 +849,9 @@ def small_runs(draw):
                       replicas=draw(st.integers(1, hosts)))
         for i, w in enumerate(weights)]
     policy = PolicyConfig(overloaded_threshold_u_t=draw(st.sampled_from([0.6, 0.7, 0.8, 1.0])),
-                          optional_util_pct=draw(st.sampled_from([0.0, 0.2, 0.4])))
+                          optional_util_pct=draw(st.sampled_from([0.0, 0.2, 0.4])),
+                          boot_delay=draw(st.integers(1, 4)),
+                          min_active_hosts=draw(st.integers(1, hosts)))
     cfg = SimConfig(host_count=hosts, services=services, policy=policy, trace_path="unused.csv")
     intervals = draw(st.integers(10, 40))
     rates = [draw(st.integers(0, 25 * hosts))] * intervals
