@@ -16,6 +16,7 @@ in this process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -261,10 +262,12 @@ def _usable_cpus() -> int:
 def _run_cells(trace, cells: list) -> None:
     """Run each (directory, rep, config) cell and write its files.
 
-    Several workers are forked before the pool starts its threads.  Each
-    writes its own cells' files, so no result travels back.  imap hands
-    outcomes back in cell order, so the first failing cell raises here, as
-    it would in one process, and the pool is terminated.
+    Forked workers split the cells round-robin, run theirs in sweep order,
+    report each one written and stop at their first failure; no result
+    travels back and no thread starts.  The first cell in sweep order left
+    unwritten decides: its exception is raised here, as in one process, or,
+    if its worker died (killed, say), compare exits 3 naming every cell left
+    unwritten.
     """
     run = functools.partial(_run_cell, trace)
     workers = _worker_count(len(cells), _usable_cpus())
@@ -274,16 +277,41 @@ def _run_cells(trace, cells: list) -> None:
         return
     import multiprocessing  # here, not at the top: every CLI start would pay its import
 
-    pool = multiprocessing.get_context("fork").Pool(workers)
+    context, started, reports = multiprocessing.get_context("fork"), [], {}
     try:
-        for _ in pool.imap(run, cells):
-            pass
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
+        for w in range(workers):
+            receive, send = context.Pipe(duplex=False)
+            started.append((context.Process(target=_run_share, daemon=True, args=(
+                run, cells, range(w, len(cells), workers), send)), receive))
+            started[-1][0].start()
+            send.close()  # so that the pipe ends with the worker
+        for _, receive in started:
+            with receive, contextlib.suppress(EOFError, OSError):
+                while True:
+                    index, err = receive.recv()
+                    reports[index] = err  # None once the cell is written
     finally:
-        pool.join()
+        for worker, _ in started:
+            if worker.is_alive():
+                worker.kill()
+            worker.join()
+    left = [i for i in range(len(cells)) if i not in reports or reports[i] is not None]
+    if left and left[0] in reports:
+        raise reports[left[0]]
+    if left:
+        raise _CliExit(EXIT_TRACE, "a compare worker died; cells left unwritten: "
+                       + ", ".join(cells[i][0].name for i in left))
+
+
+def _run_share(run, cells: list, indices: range, send) -> None:
+    """A worker's cells: send (index, None) for each one written and
+    (index, exception) for the first that raises, then stop."""
+    for i in indices:
+        try:
+            run(cells[i])
+        except Exception as err:
+            return send.send((i, err))
+        send.send((i, None))
 
 
 def _run_cell(trace, cell: tuple) -> None:
@@ -315,10 +343,12 @@ def _result_payload(cfg: SimConfig, result, rep: int) -> dict:
 
 
 def _intervals_csv(records: list) -> str:
+    powers = [r.total_power_w for r in records]
+    json.dumps(powers, allow_nan=False)  # result.json's rule: raise on Infinity or NaN
     buf = io.StringIO()
     buf.write(",".join(INTERVALS_HEADER) + "\n")
-    for r in records:
-        buf.write(f"{r.t},{r.requests},{r.active_hosts},{r.total_power_w:.6f},"
+    for r, power in zip(records, powers):
+        buf.write(f"{r.t},{r.requests},{r.active_hosts},{power:.6f},"
                   f"{r.overloaded_hosts},{r.errors},{r.deactivated_containers}\n")
     return buf.getvalue()
 
@@ -358,6 +388,7 @@ def _collect_rows(out: Path) -> list:
             missing = [c.key for c in COLUMNS if c.key not in data]
             if missing:
                 raise ValueError(f"missing key {', '.join(missing)}")
+            json.dumps(data, allow_nan=False)  # as written: no Infinity or NaN
             rows.append(([run] + [_cell(c.csv, data, c.key, "") for c in COLUMNS],
                          [run] + [_cell(c.text, data, c.key, "-") for c in COLUMNS]))
         except (OSError, ValueError) as err:

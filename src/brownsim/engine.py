@@ -7,26 +7,29 @@ or restore optional containers, give each serving host one (response_ms,
 served) group and its errors, and account energy.  One run is
 single-threaded and deterministic for a given config, trace, and seed.
 
-A host's containers are its placement stack, a tuple of specs shared by its
-placement's hosts, in which a container is its position, and one active
-mask over it, a tuple that brownout replaces when it sheds or restores
-containers.  Steps 5-9 run per host class: hosts that share a placement
-stack, a mode, an active mask and a request count are in one state.  Its
-utilization, power, watt-hours, active-weight fraction, response group and
-restore mask are functions of that key and the run's constants, so a class
-is derived once per run and kept; each interval maps every host to one.
-The records, the controller, the energy total and the next capacity factor
-read the classes.  One `policies.brownout_step` call per interval decides
-to shed or restore and returns (hosts, mask) moves; the engine only applies
-them.  The loops whose float sums depend on order keep host order: the
-records, the energy additions and the capacity mean.  Host order is
-placement index order, so h100 follows h99.
+Each host keeps its mode, boot countdown and active mask (a tuple over its
+placement stack, in which a container is its position).  The rest of a step
+works on runs of consecutive hosts, in placement index order (h100 follows
+h99), that share a stack, a mode and a mask; routing's remainder splits at
+most one run.  Each piece's state (its run's key and request count) has one
+class: utilization, power, watt-hours, active-weight fraction, response
+group and restore mask, derived once per run.  `policies.brownout_step`
+takes the (hosts, class) pieces and returns (hosts, mask) moves.  Per host
+are only the pass that cuts the runs, the hosts scaling wakes or sleeps, the
+masks moves set and RSC's draws.  Records keep (class, count) pieces.  The
+float sums a per-host loop made (energy, capacity mean, a record's power,
+the average response) repeat each piece's value once per host, in host
+order, and so give its results.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from functools import reduce
+from itertools import accumulate, chain, groupby, islice, pairwise, repeat
+from operator import add
 
 from .model import (
     HostMode,
@@ -143,8 +146,11 @@ class Simulation:
             stack, containers = stacks[ids]
             self.hosts.append(HostState(hid, stack=stack, containers=containers,
                                         active=(True,) * len(ids)))
+        self.host_ids = tuple([h.id for h in self.hosts])
+        self.stack_ends = _run_ends([h.stack for h in self.hosts])  # placement fixes them
         self.classes = {}  # state -> HostClass, for the whole run
-        self.class_of = {}  # host id -> its HostClass, in host order
+        self.pieces = []  # the last interval's (start, stop, requests each, class)
+        self.booting = []  # the hosts that scaling woke and that still boot
 
         self.rng_policy = random.Random(cfg.policy.seed ^ POLICY_RNG_SALT)
         self.history = []
@@ -157,57 +163,61 @@ class Simulation:
         return self._result()
 
     def step(self, t: int, rate: int) -> IntervalRecord:
-        pol = self.cfg.policy
+        pol, hosts = self.cfg.policy, self.hosts
 
         # 1-2: predict and resize.  The scaler waits for history, so the
         # full fleet carries the first interval.
         if self.scaling and self.history:
             predicted = predict_rate(self.history, pol.window_size_L_w)
             capacity = pol.capacity_n_o / self._capacity_factor()
-            target = autoscale(predicted, capacity, len(self.hosts), pol.min_active_hosts)
+            target = autoscale(predicted, capacity, len(hosts), pol.min_active_hosts)
             self._apply_scaling(target)
 
         # 3: advance boots; a host woken this interval with boot_delay 1
         # serves this interval.
-        for h in self.hosts:
-            if h.mode is BOOTING:
-                h.boot_remaining -= 1
-                if h.boot_remaining <= 0:
-                    h.mode = ACTIVE
-                    h.boot_remaining = 0
+        for h in self.booting:
+            h.boot_remaining -= 1
+            if h.boot_remaining <= 0:
+                h.mode = ACTIVE
+                h.boot_remaining = 0
+        self.booting = [h for h in self.booting if h.mode is BOOTING]
 
-        # 4: route.
-        serving = [h for h in self.hosts if h.mode is ACTIVE]
-        alloc = route_demand(rate, [h.id for h in serving])
+        # 4-5: cut the fleet into runs of one stack, mode and mask, route,
+        # and give each piece the class of its state.
+        ends = {*self.stack_ends, *_run_ends([(h.mode, h.active) for h in hosts])}
+        runs = list(pairwise([0, *sorted(ends)]))
+        serving = sum([b - a for a, b in runs if hosts[a].mode is ACTIVE])
+        share, extra = divmod(rate, serving) if serving else (0, 0)
+        pieces = []
+        for a, b in runs:
+            if hosts[a].mode is not ACTIVE:
+                pieces.append((a, b, 0, self._class(hosts[a], 0)))
+                continue
+            if (cut := min(a + extra, b)) > a:  # the first `extra` serving hosts take one more
+                extra -= cut - a
+                pieces.append((a, cut, share + 1, self._class(hosts[a], share + 1)))
+            if cut < b:
+                pieces.append((cut, b, share, self._class(hosts[cut], share)))
 
-        # 5: map hosts to the classes of their states; a state new to the run
-        # derives utilization, power and its response group once.
-        self.class_of = {}
-        self._refresh(self.hosts, alloc)
-
-        # 6-7: brownout controller (shed or restore), then move what it
-        # touched to new classes.
+        # 6-7: brownout controller (shed or restore), then re-cut what moved.
         if self.brownout:
-            for hosts, mask in brownout_step(list(zip(self.hosts, self.class_of.values())),
-                                             self.profile, self.cfg.policy_name, self.rng_policy):
-                self._move(hosts, mask, alloc)
+            moves = brownout_step([(hosts[a:b], cls) for a, b, _, cls in pieces],
+                                  self.profile, self.cfg.policy_name, self.rng_policy)
+            if moves:
+                masks = [hosts[a].active for a, *_ in pieces]
+                for moved, mask in moves:
+                    for h in moved:
+                        h.active = mask
+                pieces = self._recut(pieces, masks)
+        self.pieces = pieces
 
-        # 8-9: responses, errors and energy, from each host's final class.
-        classes = list(self.class_of.values())  # filled in host order at step 5
-        groups = [c.group for c in classes if c.group[1]]
-        for c in classes:
-            self.energy_wh += c.energy_wh
-
-        # 10: record.
+        # 8-10: energy, errors and the record, from each piece's final class.
+        counted = [(cls, b - a) for a, b, _, cls in pieces]
+        self._add_energy(counted)
         record = IntervalRecord(
-            t=t,
-            requests=rate,
-            active_hosts=len(serving),
-            per_host=[(hid, c.power_w, c.overloaded) for hid, c in self.class_of.items()],
-            response_groups=groups,
-            errors=sum([c.errors for c in classes]),
-            deactivated_containers=sum([c.deactivated for c in classes]),
-        )
+            t=t, requests=rate, active_hosts=serving, hosts=self.host_ids, pieces=counted,
+            errors=sum([cls.errors * n for cls, n in counted]),
+            deactivated_containers=sum([cls.deactivated * n for cls, n in counted]))
         self.records.append(record)
         self.history.append(float(rate))
         return record
@@ -219,34 +229,42 @@ class Simulation:
 
         Active hosts running a reduced stack absorb more requests per unit
         of utilization; capacity_credit sets how much of that headroom the
-        scaler banks on.  Full stacks give exactly 1.  Read from the classes
-        the last interval ended with: no host changes mode or mask between
-        then and the scaling that asks.
+        scaler banks on.  Full stacks give exactly 1.  Read from the pieces
+        the last interval ended with: no mode or mask changed since.
         """
-        fractions = [c.fraction for c in self.class_of.values() if c.fraction is not None]
-        if not fractions:
+        serving = [(cls.fraction, b - a) for a, b, _, cls in self.pieces
+                   if cls.fraction is not None]
+        if not serving:
             return 1.0
-        mean_fraction = sum(fractions) / len(fractions)
+        mean_fraction = (sum(chain.from_iterable([repeat(f, n) for f, n in serving]))
+                         / sum([n for _, n in serving]))
         return 1.0 - self.cfg.policy.capacity_credit * (1.0 - mean_fraction)
 
+    def _add_energy(self, counted: list) -> None:
+        """Add each host's watt-hours in host order, one addition per host."""
+        self.energy_wh = reduce(add, chain.from_iterable(
+            [repeat(cls.energy_wh, n) for cls, n in counted]), self.energy_wh)
+
     def _apply_scaling(self, target: int) -> None:
-        active = [h for h in self.hosts if h.mode is ACTIVE]
-        booting = [h for h in self.hosts if h.mode is BOOTING]
-        committed = len(active) + len(booting)
-        # self.hosts is in index order
+        """Wake sleeping hosts lowest index first or sleep active ones highest
+        first, found through the last interval's pieces (no mode changed since)."""
+        hosts = self.hosts
+        active = [(a, b) for a, b, _, _ in self.pieces if hosts[a].mode is ACTIVE]
+        committed = sum([b - a for a, b in active]) + len(self.booting)
         if target > committed:
-            pool = [h for h in self.hosts if h.mode is SLEEP]
-            for h in pool[:target - committed]:
-                h.mode = BOOTING
-                h.boot_remaining = self.cfg.policy.boot_delay
+            asleep = [range(a, b) for a, b, _, _ in self.pieces if hosts[a].mode is SLEEP]
+            for i in islice(chain.from_iterable(asleep), target - committed):
+                hosts[i].mode = BOOTING
+                hosts[i].boot_remaining = self.cfg.policy.boot_delay
+                self.booting.append(hosts[i])
         elif target < committed:
             # Booting hosts cannot be put to sleep; keep one server alive in
             # case the in-flight boots do not finish this interval.
-            excess = committed - target
-            finishing = sum(1 for h in booting if h.boot_remaining <= 1)
-            allowed = max(0, len(active) - max(0, 1 - finishing))
-            for h in active[::-1][:min(excess, allowed)]:
-                self._sleep(h)
+            finishing = sum(1 for h in self.booting if h.boot_remaining <= 1)
+            allowed = max(0, committed - len(self.booting) - max(0, 1 - finishing))
+            top_down = chain.from_iterable([range(b - 1, a - 1, -1) for a, b in reversed(active)])
+            for i in islice(top_down, min(committed - target, allowed)):
+                self._sleep(hosts[i])
 
     def _sleep(self, host: HostState) -> None:
         host.mode = SLEEP
@@ -255,50 +273,62 @@ class Simulation:
         # with its full configured stack.
         host.active = (True,) * len(host.containers)
 
-    def _move(self, hosts: list, mask: tuple, alloc: dict) -> None:
-        """Give hosts of one class one new mask: the first finds the class it
-        moves to, the others take that class without rebuilding their keys."""
-        for host in hosts:
-            host.active = mask
-        self._refresh(hosts[:1], alloc)
-        self.class_of.update(dict.fromkeys([h.id for h in hosts[1:]], self.class_of[hosts[0].id]))
+    def _recut(self, pieces: list, masks: list) -> list:
+        """The pieces after brownout's moves, given each one's mask before
+        them.  Restores and LUCF's and MNCF's sheds move whole pieces; RSC
+        draws per host, so an overloaded piece is cut where its hosts' masks
+        now differ."""
+        out = []
+        for (a, b, assigned, cls), mask in zip(pieces, masks):
+            if self.hosts[a].active is mask and not cls.overloaded:
+                out.append((a, b, assigned, cls))
+                continue
+            ends = _run_ends([h.active for h in self.hosts[a:b]], a) if cls.overloaded else [b]
+            out += [(x, y, assigned, self._class(self.hosts[x], assigned))
+                    for x, y in pairwise([a, *ends])]
+        return out
 
-    def _refresh(self, hosts: list, alloc: dict) -> None:
-        """Put each host in the class of its current state; the first host in
-        a state this run derives the class, the others reuse it."""
-        pol, classes, class_of = self.cfg.policy, self.classes, self.class_of
-        u_t = pol.overloaded_threshold_u_t
-        for host in hosts:
-            hid, serving = host.id, host.mode is ACTIVE
-            assigned = alloc.get(hid, 0)
-            # a host off the serving set is idle whatever its mask
-            mask = host.active if serving else ()
-            cls = classes.get(key := (host.stack, host.mode, mask, assigned))
-            if cls is None:
-                demand = assigned / pol.capacity_n_o
-                load = derive_utilization(host, demand)
-                utilization = min(max(load, 0.0), 1.0)
-                power_w = hum(self.profile, host.mode, utilization)
-                response_ms, served, errors = (synthesize_response(
-                    load, assigned, self.cfg.base_response_ms) if serving else (0.0, 0, 0))
-                fraction, restore = None, host.active  # off the serving set nothing is off
-                if serving:
-                    weights = [spec.weight for spec in host.containers]
-                    total = sum(weights)
-                    fraction = (sum([w for w, on in zip(weights, mask) if on]) / total
-                                if total > 0 else 1.0)
-                    restore = restore_mask(host, utilization, demand, u_t)
-                cls = classes[key] = HostClass(
-                    utilization, power_w, power_w * self.cfg.interval_seconds / 3600.0,
-                    demand, serving and over_threshold(utilization, u_t),
-                    (response_ms, served), errors, mask.count(False), fraction, restore, None)
-            class_of[hid] = cls
+    def _class(self, host: HostState, assigned: int) -> HostClass:
+        """The class of the host's state with `assigned` requests; the first
+        host in a state this run derives it, the others reuse it."""
+        serving = host.mode is ACTIVE
+        # a host off the serving set is idle whatever its mask
+        mask = host.active if serving else ()
+        cls = self.classes.get(key := (host.stack, host.mode, mask, assigned))
+        if cls is None:
+            pol = self.cfg.policy
+            u_t = pol.overloaded_threshold_u_t
+            demand = assigned / pol.capacity_n_o
+            load = derive_utilization(host, demand)
+            utilization = min(max(load, 0.0), 1.0)
+            power_w = hum(self.profile, host.mode, utilization)
+            response_ms, served, errors = (synthesize_response(
+                load, assigned, self.cfg.base_response_ms) if serving else (0.0, 0, 0))
+            fraction, restore = None, host.active  # off the serving set nothing is off
+            if serving:
+                weights = [spec.weight for spec in host.containers]
+                total = sum(weights)
+                fraction = (sum([w for w, on in zip(weights, mask) if on]) / total
+                            if total > 0 else 1.0)
+                restore = restore_mask(host, utilization, demand, u_t)
+            cls = self.classes[key] = HostClass(
+                utilization, power_w, power_w * self.cfg.interval_seconds / 3600.0,
+                demand, serving and over_threshold(utilization, u_t),
+                (response_ms, served), errors, mask.count(False), fraction, restore, None)
+        return cls
 
     def _result(self) -> RunResult:
         per_host_otr = overload_ratios(self.records)
         otr_mean = sum(per_host_otr.values()) / len(per_host_otr) if per_host_otr else 0.0
-        groups = [g for r in self.records for g in r.response_groups]
-        served = sum(count for _, count in groups)
+        # each serving class's group, counted once per host, and its
+        # response-time mass, once per host in record and host order
+        groups, mass = Counter(), []
+        for r in self.records:
+            for cls, n in r.pieces:
+                if cls.group[1]:
+                    groups[cls.group] += n
+                    mass.append(repeat(cls.group[0] * cls.group[1], n))
+        served = sum([count * n for (_, count), n in groups.items()])
         total_requests = sum(r.requests for r in self.records)
         total_errors = sum(r.errors for r in self.records)
         return RunResult(
@@ -306,7 +336,7 @@ class Simulation:
             seed=self.cfg.policy.seed,
             energy_kwh=self.energy_wh / 1000.0,
             otr_mean=otr_mean,
-            avg_response_ms=sum(v * count for v, count in groups) / served if served else 0.0,
+            avg_response_ms=sum(chain.from_iterable(mass)) / served if served else 0.0,
             p_kth_response_ms=(nearest_rank_percentile(groups, self.cfg.policy.percentile_k)
                                if served else 0.0),
             slavr=slavr(total_errors, total_requests),
@@ -316,3 +346,8 @@ class Simulation:
             total_requests=total_requests,
             total_errors=total_errors,
         )
+
+
+def _run_ends(values: list, start: int = 0) -> list:
+    """start + the index after each run of equal consecutive values."""
+    return list(accumulate([len(list(same)) for _, same in groupby(values)], initial=start))[1:]

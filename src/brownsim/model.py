@@ -12,9 +12,12 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 
 WEIGHT_SUM_TOL = 1e-9
+EXACT_SEARCH_LIMIT = 16  # optional units a placement may carry; LUCF and MNCF search every subset
 
 
 class HostMode(str, Enum):
@@ -168,7 +171,8 @@ class PolicyConfig:
     overloaded_threshold_u_t: float = _knob(0.8, "[0.5, 1]")
     optional_util_pct: float = _knob(0.0, "[0, 0.5]")  # 0 keeps the configured weights untouched
     window_size_L_w: int = _knob(5, "[1, inf)")
-    capacity_n_o: float = _knob(25.0, "(0, inf)")  # requests per interval one host absorbs before overload
+    # requests per interval one host absorbs; bounded so that 2**53 / n_o is finite
+    capacity_n_o: float = _knob(25.0, "[1e-9, inf)")
     min_active_hosts: int = _knob(1, "[1, inf)")  # and at most hosts.count
     boot_delay: int = _knob(1, "[1, inf)", key="hosts.boot_delay")
     sla_alpha: float = _knob(0.1, "[0, 1]")
@@ -210,23 +214,37 @@ def with_values(cfg: SimConfig, values: dict) -> SimConfig:
     return replace(cfg, policy=policy, **{name: v for section, name, v in given if not section})
 
 
-@dataclass
+@dataclass(eq=False)
 class IntervalRecord:
+    """One interval's totals and its fleet as (class, count) pieces in host
+    order: the next `count` hosts of `hosts` (the fleet's ids) ended the
+    interval in `class`, read for its power_w, overloaded flag and
+    (response_ms, served) group.  The per-host views are built on demand,
+    and records are equal when their views are."""
+
     t: int
     requests: int
     active_hosts: int
-    per_host: list = field(default_factory=list)  # (host_id, power_w, overloaded)
-    response_groups: list = field(default_factory=list)  # (response_ms, served), per serving host
+    hosts: tuple = field(default=(), repr=False)
+    pieces: list = field(default_factory=list, repr=False)
     errors: int = 0
     deactivated_containers: int = 0
 
-    @property
-    def total_power_w(self) -> float:
-        return sum(p[1] for p in self.per_host)
+    def _each(self, attr: str):
+        return chain.from_iterable([repeat(getattr(cls, attr), n) for cls, n in self.pieces])
 
-    @property
-    def overloaded_hosts(self) -> int:
-        return sum(1 for p in self.per_host if p[2])
+    # (host_id, power_w, overloaded) per host; (response_ms, served) per serving host
+    per_host = property(lambda r: list(zip(r.hosts, r._each("power_w"), r._each("overloaded"))))
+    response_groups = property(lambda r: [group for group in r._each("group") if group[1]])
+    total_power_w = property(lambda r: sum(r._each("power_w")))
+    overloaded_hosts = property(lambda r: sum([n for cls, n in r.pieces if cls.overloaded]))
+
+    def __eq__(self, other):
+        return type(other) is IntervalRecord and _RECORD_VIEW(self) == _RECORD_VIEW(other)
+
+
+_RECORD_VIEW = attrgetter("t", "requests", "active_hosts", "errors", "deactivated_containers",
+                          "per_host", "response_groups")
 
 
 @dataclass
@@ -267,7 +285,10 @@ def _spanning_violations(cfg: SimConfig) -> list:
     floor, fleet = cfg.policy.min_active_hosts, cfg.host_count
     if type(floor) is int and type(fleet) is int and floor > fleet:
         v.append(f"policy.min_active_hosts: must be at most hosts.count {fleet} (got {floor})")
-    return v + cfg.power_profile.violations() + _services_violations(cfg.services)
+    services = _services_violations(cfg.services)
+    if not services and type(fleet) is int and fleet >= 1:
+        services = _placement_violations(cfg.services, fleet)
+    return v + cfg.power_profile.violations() + services
 
 
 def _services_violations(specs: list) -> list:
@@ -293,6 +314,18 @@ def _services_violations(specs: list) -> list:
         if all(s.optional for s in group):
             v.append(f"services ({name}): needs at least one mandatory container")
     return v
+
+
+def _placement_violations(specs: list, fleet: int) -> list:
+    """Round-robin placement gives h00 the most replicas of every spec, so its
+    optional units (a connection tag counts once) bound every placement's."""
+    optional = [s for s in specs if s.optional]
+    units = len({s.connection_tag for s in optional} - {None}) + sum(
+        -(-s.replicas // fleet) for s in optional if s.connection_tag is None)
+    if units <= EXACT_SEARCH_LIMIT:
+        return []
+    return [f"services: {host_id(0)} carries {units} optional units (a connection tag counts "
+            f"once), more than the {EXACT_SEARCH_LIMIT} that LUCF and MNCF search exactly"]
 
 
 def scaled_services(services: list, optional_util_pct: float) -> list:

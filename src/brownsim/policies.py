@@ -14,16 +14,18 @@ and a selector picks which optional containers to deactivate to meet it:
   RSC   random picks until the target is covered.
 
 Every selector is called as (items, target, rng); only RSC uses the rng.
-Up to EXACT_SEARCH_LIMIT units, LUCF and MNCF scan a table of every subset's
-total with C-level filters.  Ties break on the items' ids alone, which the
-controller sets to stack positions, so a pick is memoised on the
-utilizations and positions, across classes and runs.
+LUCF and MNCF scan a table of every subset's total with C-level filters;
+`model.validate_config` keeps a placement within EXACT_SEARCH_LIMIT units,
+so the search is exact at every stack size.  Ties break on the items' ids
+alone, which the controller sets to stack positions, so a pick is memoised
+on the utilizations and positions, across classes and runs.
 
 `brownout_step` is the controller, called once per interval on the whole
-fleet: it sheds while a host is overloaded and restores otherwise.  Its
-(hosts, mask) moves are one LUCF or MNCF pick per overloaded host class
-(their picks depend on the offer alone), one RSC draw per overloaded host,
-or each class's `restore_mask`.
+fleet, cut into pieces of consecutive hosts in one class: it sheds while a
+host is overloaded and restores otherwise.  Its (hosts, mask) moves are one
+LUCF or MNCF pick per overloaded host class (their picks depend on the
+offer alone), one RSC draw per overloaded host, or each class's
+`restore_mask`.
 Optional containers sharing a connection tag on one host only work as a
 group, so `group_units` bundles them into single units for both decisions.
 Hosts of one placement share their stack, so each class keeps one `Offer`
@@ -39,10 +41,9 @@ from itertools import compress, repeat
 from operator import add
 from typing import NamedTuple
 
-from .model import HostState, PowerProfile
+from .model import EXACT_SEARCH_LIMIT, HostState, PowerProfile
 from .power import hpm
 
-EXACT_SEARCH_LIMIT = 16  # beyond this many units, selectors fall back to greedy
 FEAS_EPS = 1e-9  # subset sums near the target must not flip on rounding order
 
 
@@ -165,6 +166,9 @@ def _best_pick(utilizations: tuple, groups: tuple, bound: float, lucf: bool) -> 
     """Sorted ids of LUCF's pick (largest total <= bound, then fewest units)
     or MNCF's (fewest units with total >= bound, then largest total) among
     the units, () if none; remaining ties go to the smallest sorted ids."""
+    if len(utilizations) > EXACT_SEARCH_LIMIT:
+        raise ValueError(f"{len(utilizations)} units, more than the {EXACT_SEARCH_LIMIT} "
+                         "searched exactly")
     totals = _subset_totals(utilizations)
     total, masks = totals.__getitem__, range(1, len(totals))
     if lucf:
@@ -176,10 +180,6 @@ def _best_pick(utilizations: tuple, groups: tuple, bound: float, lucf: bool) -> 
         masks = _keep(masks, total, max(map(total, masks)).__eq__)
     return min(tuple(sorted(i for k, ids in enumerate(groups) if m >> k & 1 for i in ids))
                for m in masks)
-
-
-def _largest_first(units: list) -> list:
-    return sorted(units, key=lambda u: (-u.utilization, u.ids))
 
 
 def _ids(units: list) -> list:
@@ -198,15 +198,7 @@ def select_lucf(items: list, target: float, rng: random.Random | None = None) ->
         return []
     if units[0].utilization >= target:
         return list(units[0].ids)
-    limit = target + FEAS_EPS
-    if len(units) <= EXACT_SEARCH_LIMIT:
-        return list(_best_pick(*zip(*units), limit, True))
-    chosen, total = [], 0.0
-    for u in _largest_first(units):
-        if total + u.utilization <= limit:
-            chosen.append(u)
-            total += u.utilization
-    return _ids(chosen)
+    return list(_best_pick(*zip(*units), target + FEAS_EPS, True))
 
 
 def select_mncf(items: list, target: float, rng: random.Random | None = None) -> list:
@@ -218,16 +210,7 @@ def select_mncf(items: list, target: float, rng: random.Random | None = None) ->
     units = group_units(items)
     if not units or target <= 0:
         return []
-    need = target - FEAS_EPS
-    if len(units) <= EXACT_SEARCH_LIMIT:
-        return list(_best_pick(*zip(*units), need, False)) or _ids(units)
-    chosen, total = [], 0.0
-    for u in _largest_first(units):
-        chosen.append(u)
-        total += u.utilization
-        if total >= need:
-            return _ids(chosen)
-    return _ids(units)
+    return list(_best_pick(*zip(*units), target - FEAS_EPS, False)) or _ids(units)
 
 
 def select_rsc(items: list, target: float, rng: random.Random) -> list:
@@ -256,7 +239,8 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
     """Decide the interval's brownout for the whole fleet and return its
     moves: (hosts, mask) pairs, hosts of one class and the mask they take.
 
-    `fleet` holds one (host, class) pair per host, in host order.  While any
+    `fleet` holds (hosts, class) pieces in host order, the hosts of a piece
+    consecutive and sharing their stack, mode, mask and class.  While any
     class is overloaded, each overloaded class gets a target from the shared
     dimmer and an offer of the optional containers its mask keeps on, each
     at the class's demand times its weight, capped at 1; the policy's
@@ -265,28 +249,31 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
     order for RSC, so RSC's draws stay put.
     Hosts of one class share their stack positions, so the class builds its
     offer once per run, at its first overload, and keeps it in `cls.offer`.
-    Otherwise every host whose class's restore mask differs from its own
-    takes it, grouped by class in first-member order.
+    Otherwise every piece whose class's restore mask differs from its own
+    mask takes it, grouped by class in first-member order.
     """
     members, moves = {}, []
-    overloaded = [(host, cls) for host, cls in fleet if cls.overloaded]
+    overloaded = [(hosts, cls) for hosts, cls in fleet if cls.overloaded]
     if not overloaded:
-        for host, cls in fleet:
-            if cls.restore != host.active:
-                members.setdefault(cls, []).append(host)
+        for hosts, cls in fleet:
+            if cls.restore != hosts[0].active:
+                members.setdefault(cls, []).extend(hosts)
         return [(hosts, cls.restore) for cls, hosts in members.items()]
-    theta, select, targets = dimmer(len(overloaded), len(fleet)), SELECTORS[policy], {}
-    for host, cls in overloaded:
-        members.setdefault(cls, []).append(host)
-    for cls, (host, *_) in members.items():
+    theta = dimmer(sum([len(hosts) for hosts, _ in overloaded]),
+                   sum([len(hosts) for hosts, _ in fleet]))
+    select, targets = SELECTORS[policy], {}
+    for hosts, cls in overloaded:
+        members.setdefault(cls, []).extend(hosts)
+    for cls, hosts in members.items():
         if cls.offer is None:
             cls.offer = Offer([
                 OptionalItem(id=j, utilization=min(cls.demand * spec.weight, 1.0),
                              connection_tag=spec.connection_tag)
-                for j, (spec, on) in enumerate(zip(host.containers, host.active))
+                for j, (spec, on) in enumerate(zip(hosts[0].containers, hosts[0].active))
                 if on and spec.optional])
         targets[cls] = expected_reduction(cls.utilization, cls.power_w, theta, profile)
-    picks = [(c, [h]) for h, c in overloaded] if policy == "RSC" else members.items()
+    picks = ([(c, [h]) for hosts, c in overloaded for h in hosts] if policy == "RSC"
+             else members.items())
     for cls, hosts in picks:
         if cls.offer and (off := set(select(cls.offer, targets[cls], rng))):
             moves.append((hosts, tuple([on and j not in off
@@ -309,7 +296,7 @@ def restore_mask(host: HostState, utilization: float, demand: float, u_t: float)
         for j, (spec, on) in enumerate(zip(host.containers, host.active)) if not on
     ])
     u, back = utilization, set()
-    for unit in _largest_first(units):
+    for unit in sorted(units, key=lambda u: (-u.utilization, u.ids)):
         delta = demand * unit.utilization
         if not over_threshold(u + delta, u_t):
             back.update(unit.ids)

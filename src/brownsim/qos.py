@@ -11,20 +11,24 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 
 def overload_ratios(interval_records: list) -> dict:
-    """Per-host overloaded time ratio across a run's interval records, in
-    the records' host order.
-
-    Intervals a host spends asleep count as not overloaded; every host in
-    the records shares the same denominator.
-    """
-    seen, overloaded = Counter(), Counter()
+    """Per-host overloaded time ratio across a run's interval records, which
+    share one fleet (`hosts`), in host order.  Intervals a host spends asleep
+    count as not overloaded.  An overloaded piece adds 1 where it starts and
+    -1 where it ends; a running sum gives each host's count."""
+    if not interval_records:
+        return {}
+    hosts = interval_records[0].hosts
+    steps = [0] * (len(hosts) + 1)
     for rec in interval_records:
-        seen.update([host_id for host_id, _, _ in rec.per_host])
-        overloaded.update([host_id for host_id, _, flag in rec.per_host if flag])
-    return {host_id: overloaded[host_id] / n for host_id, n in seen.items()}
+        for end, (cls, n) in zip(accumulate([n for _, n in rec.pieces]), rec.pieces):
+            if cls.overloaded:
+                steps[end - n] += 1
+                steps[end] -= 1
+    return {host_id: k / len(interval_records) for host_id, k in zip(hosts, accumulate(steps))}
 
 
 def slavr(errors: int, total: int) -> float | None:
@@ -36,8 +40,9 @@ def slavr(errors: int, total: int) -> float | None:
     return errors / total
 
 
-def nearest_rank_percentile(groups: list, k: int) -> float:
-    """Sample at rank ceil(k/100 * N) of N samples given as (value, count) groups."""
+def nearest_rank_percentile(groups, k: int) -> float:
+    """Sample at rank ceil(k/100 * N) of N samples given as (value, count)
+    groups: a list, or a mapping from each group to how often it occurs."""
     if not (1 <= k <= 100):
         raise ValueError(f"percentile k must be within [1, 100] (got {k})")
     tally = Counter(groups)  # hosts of one class repeat a group; sort each once

@@ -115,10 +115,9 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
             total = sum(weights)
             fractions.append(sum(w for w, on in zip(weights, h.active) if on) / total
                              if total > 0 else 1.0)
-        records.append(IntervalRecord(
-            t=t, requests=rate, active_hosts=len(serving),
-            per_host=[(h.id, s.power_w, s.overloaded) for h, s in zip(hosts, states)],
-            response_groups=[s.group for s in states if s.group[1]],
+        records.append(IntervalRecord(  # a piece of one host per host
+            t=t, requests=rate, active_hosts=len(serving), hosts=tuple(h.id for h in hosts),
+            pieces=[(s, 1) for s in states],
             errors=sum(s.errors for s in states),
             deactivated_containers=sum(h.active.count(False) for h in serving)))
         history.append(float(rate))

@@ -1,12 +1,17 @@
 import json
+import math
 import multiprocessing
+import os
+import signal
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from brownsim import cli
 from brownsim.cli import main
 from brownsim.engine import Simulation
-from brownsim.model import ContainerSpec, PolicyConfig, SimConfig, dump_config
+from brownsim.model import ContainerSpec, IntervalRecord, PolicyConfig, SimConfig, dump_config
 from builders import flat_trace, write_trace_csv
 
 
@@ -44,6 +49,11 @@ def _drop_weight(raw):
     del raw["services"][0]["weight"]
 
 
+def _seventeen_units(raw):
+    raw["services"][1:] = [{"id": f"o{i}", "service": "shop", "weight": 0.5 / 17,
+                            "optional": True, "replicas": 4} for i in range(17)]
+
+
 @pytest.mark.parametrize("edit, key", [
     pytest.param(_put("policy.overload_threshold", 0.5), "policy.overload_threshold", id="typo key"),
     pytest.param(_put("policy.boot_delay", 2), "policy.boot_delay", id="policy.boot_delay"),
@@ -57,6 +67,8 @@ def _drop_weight(raw):
     pytest.param(_put("services.0.replicas", 2.7), "services[0].replicas", id="fractional replicas"),
     pytest.param(_put("services.0.colour", "red"), "services[0].colour", id="unknown service key"),
     pytest.param(_drop_weight, "services[0].weight", id="missing weight"),
+    pytest.param(_seventeen_units, "services: h00 carries 17 optional units",
+                 id="more optional units than the exact search"),
     pytest.param(_put("hosts.sleep_power_w", float("nan")), "hosts.sleep_power_w", id="nan sleep power"),
     pytest.param(lambda raw: raw["hosts"].update(power_breakpoints=[[0, 100], [1, 300]],
                                                  linear_power=True),
@@ -187,6 +199,7 @@ def test_largest_valid_inputs_write_finite_json(workdir):
     raw["base_response_ms"] = 1e9
     raw["hosts"].update(power_breakpoints=[[0.0, 1e9], [1.0, 1e9]], sleep_power_w=0.0)
     raw["trace"]["interval_seconds"] = 1e9
+    raw["policy"]["capacity_n_o"] = 1e-9
     (workdir / "big.json").write_text(json.dumps(raw))
     trace = workdir / "big.csv"
     trace.write_text(f"t,requests\n0,{2 ** 53}\n1,{2 ** 53}\n2,100\n")
@@ -199,6 +212,30 @@ def test_largest_valid_inputs_write_finite_json(workdir):
 
     payload = json.loads((out / "result.json").read_text(), parse_constant=refuse)
     assert payload["total_requests"] == 2 ** 54 + 100
+
+
+def test_tiny_capacity_n_o_exits_two(workdir, capsys):
+    # 5e-324 once passed "(0, inf)" and made a host's demand infinite, which
+    # ended in a NaN traceback; the bound keeps 2**53 requests over it finite
+    raw = json.loads((workdir / "config.json").read_text())
+    for value in (1e-320, 5e-324, 9.99e-10):
+        raw["policy"]["capacity_n_o"] = value
+        (workdir / "tiny.json").write_text(json.dumps(raw))
+        for command in ("validate", "run", "compare"):
+            extra = [] if command == "validate" else ["--out", str(workdir / command)]
+            assert main([command, "--config", str(workdir / "tiny.json")] + extra) == 2
+            captured = capsys.readouterr()
+            output = captured.out + captured.err
+            assert "policy.capacity_n_o: must be within [1e-9, inf)" in output, output
+            assert "Traceback" not in output
+            assert not (workdir / command).exists()
+
+
+def test_non_finite_interval_power_is_never_written():
+    hot = SimpleNamespace(power_w=math.inf, overloaded=False, group=(0.0, 0))
+    record = IntervalRecord(t=0, requests=1, active_hosts=1, hosts=("h00",), pieces=[(hot, 1)])
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        cli._intervals_csv([record])
 
 
 def test_half_numeric_first_trace_row_exits_three(workdir, capsys):
@@ -335,6 +372,11 @@ def test_report_without_results_exits_three(workdir, capsys):
     pytest.param(lambda data: json.dumps({**data, "energy_kwh": "lots"}),
                  "energy_kwh: Unknown format", id="ill-typed value"),
     pytest.param(lambda data: "{", "Expecting property name", id="not json"),
+    # json reads both, but no summary may hold them
+    pytest.param(lambda data: json.dumps({**data, "energy_kwh": "X"}).replace('"X"', "1e999"),
+                 "Out of range float values are not JSON compliant", id="overflowing number"),
+    pytest.param(lambda data: json.dumps({**data, "otr_mean": "X"}).replace('"X"', "NaN"),
+                 "Out of range float values are not JSON compliant", id="NaN"),
 ])
 def test_report_on_malformed_result_exits_three(workdir, capsys, edit, message):
     out = workdir / "cmp"
@@ -411,6 +453,48 @@ def test_cell_directory_taken_by_a_file_exits_three(workdir, capsys):
     assert "cannot write output" in captured.err and "LUCF_u0.8_p0.4_r0" in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert multiprocessing.active_children() == []
+
+
+_KILLED_CELL, _RUN_CELL = "LUCF_u0.7_p0.4_r0", cli._run_cell
+
+
+def _run_cell_or_die(trace, cell):
+    """`cli._run_cell`, except that the process given the chosen cell kills
+    itself; module level, so that a pool could pickle it."""
+    if cell[0].name == _KILLED_CELL:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _RUN_CELL(trace, cell)
+
+
+def test_a_killed_worker_ends_compare_with_exit_three(workdir, capsys, monkeypatch):
+    # The worker that reaches the chosen cell kills itself (the fork inherits
+    # the patch).  compare must neither wait for it forever nor leave a
+    # process behind, and must name the cells it left unwritten: the dead
+    # worker's (cells 2 and 4 of 6, round-robin over 2 workers).
+    def hung(signum, frame):  # not an OSError, which compare may handle
+        raise AssertionError("compare still waits 60 s after a worker died")
+
+    monkeypatch.setattr(cli, "_run_cell", _run_cell_or_die)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        start = time.monotonic()
+        code, runs = _compare_on(2, workdir, workdir / "cmp", *SWEEP)
+        waited = time.monotonic() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3 and not runs and waited < 30
+    captured = capsys.readouterr()
+    unwritten = [_KILLED_CELL, "RSC_u0.7_p0.4_r0"]
+    assert f"cells left unwritten: {', '.join(unwritten)}" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child of this process is left, not even a zombie
+    written = {p.parent.name for p in (workdir / "cmp").glob("*/result.json")}
+    assert written == {f"{policy}_u{u_t}_p0.4_r0" for policy in ("NPA", "LUCF", "RSC")
+                       for u_t in ("0.7", "0.8")} - set(unwritten)
 
 
 @pytest.mark.parametrize("cells, cpus, workers", [

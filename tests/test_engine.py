@@ -3,6 +3,7 @@ import gc
 import math
 import random
 import tracemalloc
+from itertools import chain, repeat
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,13 @@ from test_golden import DENSE_STACK
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
 DIURNAL = load_trace(str(DATA / "diurnal_day.csv"), 1.0, 60.0)
+
+
+def class_of(sim):
+    """Host id -> the class it ended the last interval in, from the pieces of
+    that interval's record."""
+    record = sim.records[-1]
+    return dict(zip(record.hosts, chain.from_iterable(repeat(c, n) for c, n in record.pieces)))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +90,7 @@ def test_a_fleet_past_h99_keeps_index_order():
     # 1212 = 120 x 10 + 12: the remainder goes to h00-h11, not to h100
     record = sim.step(0, 1212)
     assert [hid for hid, *_ in record.per_host] == fleet
-    assert [sim.class_of[hid].group[1] for hid in ("h11", "h100")] == [11, 10]
+    assert [class_of(sim)[hid].group[1] for hid in ("h11", "h100")] == [11, 10]
     # the scaler keeps ceil(1212 / 25) = 49 hosts and sleeps from h119 down
     sim.step(1, 1212)
     assert [h.id for h in sim.hosts if h.mode is HostMode.ACTIVE] == fleet[:49]
@@ -207,6 +215,24 @@ def test_peak_memory_is_flat_in_trace_scale():
     assert peaks[4.0] <= 1.2 * peaks[1.0], peaks
 
 
+def test_peak_memory_follows_runs_of_hosts_not_hosts():
+    # A record keeps (class, count) pieces, not one entry per host, so ten
+    # times the fleet on ten times the trace (every host loaded) must not
+    # take ten times the memory
+    sample, peaks = load_config(str(ROOT / "configs" / "sample.json")), {}
+    for hosts, scale in ((100, 10.0), (1000, 100.0)):
+        cfg = dataclasses.replace(sample, policy_name="LUCF", host_count=hosts, services=[
+            dataclasses.replace(s, replicas=hosts) for s in sample.services])
+        sim = Simulation(cfg, load_trace(str(DATA / "diurnal_day.csv"), scale, 60.0))
+        tracemalloc.start()
+        try:
+            sim.run()
+            peaks[hosts] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1000] <= 2 * peaks[100], peaks
+
+
 # ---------------------------------------------------------------------------
 # simulation behavior
 
@@ -248,7 +274,7 @@ def test_overloaded_flag_matches_threshold():
     flagged = 0
     for t, rate in enumerate(DIURNAL.rates):
         for hid, _, overloaded in sim.step(t, rate).per_host:
-            assert overloaded == (sim.class_of[hid].utilization > 0.7)
+            assert overloaded == (class_of(sim)[hid].utilization > 0.7)
             flagged += overloaded
     assert flagged > 0
 
@@ -259,11 +285,17 @@ def test_brownout_is_offered_exactly_the_overloaded_serving_hosts(monkeypatch):
     offered, real = [], engine.brownout_step
 
     def spy(fleet, *args):
-        assert [h for h, _ in fleet] == sim.hosts, "the whole fleet, in host order"
-        assert all(state is sim.class_of[h.id] for h, state in fleet)
+        assert [h for hosts, _ in fleet for h in hosts] == sim.hosts, "the fleet, in host order"
+        # each piece's class is the state of each of its hosts, routed host by host
+        alloc = route_demand(sim.trace.rates[len(sim.records)],
+                             [h.id for h in sim.hosts if h.mode is HostMode.ACTIVE])
+        state_of = {h.id: state for hosts, state in fleet for h in hosts}
+        assert all(state_of[h.id] is sim.classes[
+            (h.stack, h.mode, h.active if h.mode is HostMode.ACTIVE else (), alloc.get(h.id, 0))]
+            for h in sim.hosts)
         want = [h.id for h in sim.hosts
-                if h.mode is HostMode.ACTIVE and sim.class_of[h.id].utilization > 0.7]
-        assert [h.id for h, state in fleet if state.overloaded] == want
+                if h.mode is HostMode.ACTIVE and state_of[h.id].utilization > 0.7]
+        assert [h.id for hosts, state in fleet if state.overloaded for h in hosts] == want
         offered.append(len(want))
         return real(fleet, *args)
 
@@ -317,7 +349,7 @@ def test_host_invariants_hold_throughout():
     for t in range(len(trace)):
         sim.step(t, trace.rates[t])
         for h in sim.hosts:
-            cls = sim.class_of[h.id]
+            cls = class_of(sim)[h.id]
             assert len(h.containers) == len(h.active)
             assert type(h.active) is tuple and all(type(on) is bool for on in h.active)
             if h.mode is not HostMode.ACTIVE:
@@ -339,7 +371,7 @@ def test_boot_delay_two_serves_after_booting():
     for t, rate in enumerate(trace.rates):
         records.append(sim.step(t, rate))
         if t == 4:
-            assert [sim.class_of[hid].utilization for hid in ("h01", "h02")] == [0.0, 0.0]
+            assert [class_of(sim)[hid].utilization for hid in ("h01", "h02")] == [0.0, 0.0]
     assert records[1].active_hosts == 1, "scaler sleeps the idle hosts"
     assert records[4].active_hosts == 1, "woken hosts are still booting"
     booting_entries = [p for p in records[4].per_host if p[0] in ("h01", "h02")]
@@ -471,7 +503,7 @@ def _spy_selections(monkeypatch, policy):
     evaluations, real_step, real_select = [], engine.brownout_step, policies.SELECTORS[policy]
 
     def step(fleet, *args):
-        evaluations.append(([(h.id, c) for h, c in fleet if c.overloaded], []))
+        evaluations.append(([(h.id, c) for hosts, c in fleet if c.overloaded for h in hosts], []))
         return real_step(fleet, *args)
 
     def select(items, target, rng=None):
@@ -589,7 +621,7 @@ def test_partial_restore_takes_the_largest_units_that_fit():
     assert {spec.id for spec, on in zip(host.containers, host.active) if on} == {
         "web", "p1", "p2", "small"}
     assert record.deactivated_containers == 1
-    assert sim.class_of[host.id].utilization == pytest.approx(0.97 * 0.8)
+    assert class_of(sim)[host.id].utilization == pytest.approx(0.97 * 0.8)
 
 
 def test_two_replicas_on_one_host_are_shed_and_restored_by_position():
@@ -677,9 +709,9 @@ def test_restore_takes_back_what_fits_and_leaves_off_only_what_does_not(data):
     sim.step(0, rate)
     assert all(now or not was for now, was in zip(host.active, before))
     assert all(on for spec, on in zip(host.containers, host.active) if not spec.optional)
-    utilization = sim.class_of[host.id].utilization
+    utilization = class_of(sim)[host.id].utilization
     assert utilization <= ut + 1e-12
-    assert not sim.class_of[host.id].overloaded, "restored into an overloaded class"
+    assert not class_of(sim)[host.id].overloaded, "restored into an overloaded class"
     for unit in policies.group_units([
             policies.OptionalItem(j, spec.weight, spec.connection_tag)
             for j, (spec, on) in enumerate(zip(host.containers, host.active)) if not on]):
@@ -836,14 +868,15 @@ def test_capacity_factor_matches_the_hosts_instances_at_every_step():
 @st.composite
 def small_runs(draw):
     """A small valid config, policy left to the caller, and a trace with
-    spikes: 1-20 hosts, every mandatory replica on each host, 1-6 optional
+    spikes: 1-20 hosts, 1 mandatory replica to one per host and 1-6 optional
     containers (weights in twentieths, some tagged, 1 replica to one per
-    host), boots of 1-4 intervals and a floor of 1 to every host."""
+    host), so that full, partial and empty stacks sit side by side, boots of
+    1-4 intervals and a floor of 1 to every host."""
     hosts = draw(st.integers(1, 20))
     n = draw(st.integers(1, 6))
     weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     services = [ContainerSpec(id="web", service="s", weight=(20 - sum(weights)) / 20,
-                              replicas=hosts)] + [
+                              replicas=draw(st.integers(1, hosts)))] + [
         ContainerSpec(id=f"o{i}", service="s", weight=w / 20, optional=True,
                       connection_tag=draw(st.sampled_from([None, "a", "b"])),
                       replicas=draw(st.integers(1, hosts)))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from brownsim.model import (
     _KNOWN_KEYS,
+    EXACT_SEARCH_LIMIT,
     SCHEMA,
     ContainerSpec,
     PolicyConfig,
@@ -154,6 +155,40 @@ def test_place_replicas_round_robin_overflow():
     assert len(placement["h00"]) == 10, "first host takes the wrapped replicas"
     assert len(placement["h01"]) == 5
     assert len(placement["h02"]) == 5
+
+
+def _optional_units(cfg):
+    """The most optional units (a connection tag counts once) on any host of
+    `place_replicas`' placement."""
+    specs = {s.id: s for s in cfg.services}
+    most = 0
+    for ids in place_replicas(cfg).values():
+        placed = [specs[sid] for sid in ids if specs[sid].optional]
+        tags = {s.connection_tag for s in placed} - {None}
+        most = max(most, len(tags) + sum(s.connection_tag is None for s in placed))
+    return most
+
+
+@pytest.mark.parametrize("untagged, replicas, tagged, hosts, units", [
+    (16, 1, 0, 1, 16), (17, 1, 0, 1, 17), (16, 1, 2, 1, 17), (15, 1, 3, 1, 16),
+    (9, 2, 0, 1, 18), (9, 2, 0, 2, 9), (9, 3, 0, 2, 18), (9, 3, 0, 3, 9)])
+def test_placement_beyond_exact_search_limit_is_rejected(untagged, replicas, tagged, hosts,
+                                                          units):
+    # LUCF and MNCF search every subset of a host's units exactly, so no
+    # placement may carry more than EXACT_SEARCH_LIMIT; a connection tag
+    # counts once, and a spec with more replicas than hosts counts on h00
+    # once per replica it places there
+    weight = 0.5 / (untagged + tagged)
+    services = [ContainerSpec(id="web", service="s", weight=0.5, replicas=hosts)] + [
+        ContainerSpec(id=f"o{i}", service="s", weight=weight, optional=True, replicas=replicas)
+        for i in range(untagged)] + [
+        ContainerSpec(id=f"t{i}", service="s", weight=weight, optional=True, replicas=replicas,
+                      connection_tag="pair") for i in range(tagged)]
+    cfg = sample_config(host_count=hosts, services=services)
+    assert _optional_units(cfg) == units
+    violations = [v for v in validate_config(cfg) if "optional units" in v]
+    assert bool(violations) == (units > EXACT_SEARCH_LIMIT)
+    assert all(v.startswith("services: ") and f"{units} optional units" in v for v in violations)
 
 
 def test_config_roundtrip_through_dict():

@@ -237,15 +237,17 @@ def test_tag_closure_property():
                     assert it.id in picked, f"tag sibling {it.id} left behind in {picked}"
 
 
-def test_greedy_fallback_beyond_exact_limit():
-    items = [I(f"c{i:02d}", 0.01 + 0.001 * i) for i in range(20)]
-    target = 0.1
-    got = select_lucf(items, target)
-    total = sum(it.utilization for it in items if it.id in got)
-    assert 0 < total <= target
-    got_m = select_mncf(items, target)
-    total_m = sum(it.utilization for it in items if it.id in got_m)
-    assert total_m >= target
+def test_selectors_search_no_more_than_the_validated_limit():
+    # validate_config keeps a placement within EXACT_SEARCH_LIMIT units (see
+    # test_model), so LUCF and MNCF have one exact meaning; past it they
+    # refuse instead of switching to a greedy pick
+    items = [I(f"c{i:02d}", 0.01 + 0.001 * i) for i in range(policies.EXACT_SEARCH_LIMIT + 1)]
+    for select in (select_lucf, select_mncf):
+        with pytest.raises(ValueError, match="searched exactly"):
+            select(items, 0.1)
+    items = items[:policies.EXACT_SEARCH_LIMIT]
+    assert sum(it.utilization for it in items if it.id in select_lucf(items, 0.1)) <= 0.1
+    assert sum(it.utilization for it in items if it.id in select_mncf(items, 0.1)) >= 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +285,11 @@ SPECS = {s.id: s for s in [
 ]}
 
 
+def step(pairs, policy, rng=None):
+    """brownout_step over the (host, class) pairs, each host a piece alone."""
+    return brownout_step([([host], state) for host, state in pairs], PROFILE, policy, rng)
+
+
 def shed_ids(moves):
     """Host id -> the spec ids its new mask turns off, from brownout's (hosts, mask) moves."""
     return {host.id: sorted(spec.id for spec, on, keep in zip(host.containers, host.active, mask)
@@ -315,8 +322,8 @@ def spy_dimmer(monkeypatch):
 
 def test_brownout_no_overload_is_reactivation_directive():
     # no overloaded host and nothing to restore: no moves
-    assert brownout_step([], PROFILE, "LUCF") == []
-    assert brownout_step(with_calm([], 4), PROFILE, "LUCF") == []
+    assert step([], "LUCF") == []
+    assert step(with_calm([], 4), "LUCF") == []
 
 
 @pytest.mark.parametrize("policy", ["LUCF", "MNCF", "RSC"])
@@ -331,12 +338,12 @@ def test_brownout_restores_when_no_host_is_overloaded(policy):
     fleet = [(h0, one), (h1, both), (h2, one), (h3, kept)]
     rng = random.Random(3)
     state = rng.getstate()
-    assert brownout_step(fleet, PROFILE, policy, rng) == [
+    assert step(fleet, policy, rng) == [
         ([h0, h2], (True, False, True)), ([h1], (True, True, True))]
     assert rng.getstate() == state, "restoring draws nothing"
     # one overloaded pair turns the interval into a shed: no restore move
     hot, hot_state = make_host(4, 1.0, SPECS)
-    moves = brownout_step(fleet + [(hot, hot_state)], PROFILE, policy, rng)
+    moves = step(fleet + [(hot, hot_state)], policy, rng)
     assert [[h.id for h in hosts] for hosts, _ in moves] == [["h04"]]
 
 
@@ -346,7 +353,7 @@ def test_brownout_only_overloaded_hosts_selected(monkeypatch):
     # dimmer is the overloaded share of the whole fleet
     seen = spy_dimmer(monkeypatch)
     host, state = make_host(0, 0.9, SPECS)
-    moves = brownout_step(with_calm([(host, state)], 4), PROFILE, "LUCF")
+    moves = step(with_calm([(host, state)], 4), "LUCF")
     assert seen == [pytest.approx(math.sqrt(1 / 4))]
     assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00"]]
     target = expected_reduction(0.9, state.power_w, math.sqrt(1 / 4), PROFILE)
@@ -356,7 +363,7 @@ def test_brownout_only_overloaded_hosts_selected(monkeypatch):
 def test_brownout_all_overloaded_full_dimmer(monkeypatch):
     seen = spy_dimmer(monkeypatch)
     pairs = [make_host(i, 0.95, SPECS) for i in range(4)]
-    moves = brownout_step(pairs, PROFILE, "LUCF")
+    moves = step(pairs, "LUCF")
     assert seen == [pytest.approx(1.0)]
     assert set(shed_ids(moves)) == {h.id for h, _ in pairs}
 
@@ -365,7 +372,7 @@ def test_brownout_never_touches_mandatory():
     rng = random.Random(47)
     pairs = [make_host(i, rng.uniform(0.81, 1.0), SPECS) for i in range(4)]
     for policy in ("LUCF", "MNCF", "RSC"):
-        moves = brownout_step(pairs, PROFILE, policy, rng)
+        moves = step(pairs, policy, rng)
         assert moves, policy
         for hosts, mask in moves:
             for host in hosts:
@@ -375,7 +382,7 @@ def test_brownout_never_touches_mandatory():
 
 def test_brownout_full_dimmer_sheds_everything_optional():
     pairs = [make_host(i, 1.0, SPECS) for i in range(4)]
-    moves = brownout_step(pairs, PROFILE, "LUCF")
+    moves = step(pairs, "LUCF")
     for host, _ in pairs:
         assert shed_ids(moves)[host.id] == sorted(
             spec.id for spec in host.containers if spec.optional)
@@ -392,11 +399,11 @@ def test_brownout_per_host_holds_both_tag_siblings():
     pairs = with_calm([make_host(0, 1.0, specs)], 100)
     # one overloaded host in 100 asks for 0.69 of its 1.0: LUCF fits the
     # 0.4 pair plus one 0.2 single under it, not all three units (0.8)
-    moves = brownout_step(pairs, PROFILE, "LUCF")
+    moves = step(pairs, "LUCF")
     assert shed_ids(moves) == {"h00": ["ads", "cache", "rec"]}
     rng = random.Random(53)
     for policy in ("MNCF", "RSC"):
-        picked = set(shed_ids(brownout_step(pairs, PROFILE, policy, rng))["h00"])
+        picked = set(shed_ids(step(pairs, policy, rng))["h00"])
         assert ("rec" in picked) == ("cache" in picked), (policy, picked)
 
 
@@ -407,11 +414,11 @@ def test_brownout_decides_once_per_class_and_rsc_once_per_host():
     (h0, hot), (h1, _), (h2, warm), (h3, _) = [make_host(i, 1.0, SPECS) for i in range(4)]
     warm.utilization = 0.9
     pairs = [(h0, hot), (h1, hot), (h2, warm), (h3, hot)]
-    moves = brownout_step(pairs, PROFILE, "LUCF")
+    moves = step(pairs, "LUCF")
     assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00", "h01", "h03"], ["h02"]]
     assert shed_ids(moves)["h03"] == ["ads", "rec"]
     rng, draws = random.Random(5), random.Random(5)
-    moves = brownout_step(pairs, PROFILE, "RSC", rng)
+    moves = step(pairs, "RSC", rng)
     assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00"], ["h01"], ["h02"], ["h03"]]
     target = {id(hot): expected_reduction(1.0, hot.power_w, 1.0, PROFILE),
               id(warm): expected_reduction(0.9, warm.power_w, 1.0, PROFILE)}
@@ -419,6 +426,23 @@ def test_brownout_decides_once_per_class_and_rsc_once_per_host():
         assert shed_ids(moves)[host.id] == spec_ids(
             host, select_rsc(offered(host, state), target[id(state)], draws))
     assert rng.getstate() == draws.getstate()
+
+
+@pytest.mark.parametrize("policy", ["LUCF", "MNCF", "RSC"])
+def test_pieces_of_several_hosts_decide_as_hosts_alone(policy):
+    # The engine hands brownout_step runs of consecutive hosts in one class;
+    # the moves, the order of RSC's draws and the restores are those of the
+    # same hosts handed over one by one.
+    (h0, hot), (h1, _), (h2, warm), (h3, _) = [make_host(i, 1.0, SPECS) for i in range(4)]
+    warm.utilization = 0.9
+    pairs = [(h0, hot), (h1, hot), (h2, warm), (h3, hot)]
+    pieces = [([h0, h1], hot), ([h2], warm), ([h3], hot)]
+    alone, runs = random.Random(9), random.Random(9)
+    assert brownout_step(pieces, PROFILE, policy, runs) == step(pairs, policy, alone)
+    assert runs.getstate() == alone.getstate()
+    calm = [make_host(i, 0.5, SPECS, deactivate=("rec",)) for i in range(4)]
+    assert (brownout_step([([h for h, _ in calm[:3]], calm[0][1]), ([calm[3][0]], calm[3][1])],
+                          PROFILE, policy) == step(calm, policy))
 
 
 def test_a_kept_offer_gives_each_pick_its_own_mask():
@@ -434,9 +458,9 @@ def test_a_kept_offer_gives_each_pick_its_own_mask():
     host, kept = make_host(0, 1.0, specs)
     masks, offers = [], set()
     for fleet in (100, 1, 100, 1):  # the dimmer reads 0.1, then 1
-        moves = brownout_step(with_calm([(host, kept)], fleet), PROFILE, "LUCF")
+        moves = step(with_calm([(host, kept)], fleet), "LUCF")
         fresh = HostClassStub(**{**vars(kept), "offer": None})
-        assert moves == brownout_step(with_calm([(host, fresh)], fleet), PROFILE, "LUCF")
+        assert moves == step(with_calm([(host, fresh)], fleet), "LUCF")
         masks.append(moves[0][1])
         offers.add(id(kept.offer))
     assert masks[0] == masks[2] != masks[1] == masks[3]
@@ -454,5 +478,5 @@ def test_ties_break_on_stack_position():
     host, state = make_host(0, 1.0, specs)
     target = expected_reduction(1.0, state.power_w, math.sqrt(1 / 400), PROFILE)
     assert 0 < target <= 0.45
-    moves = brownout_step(with_calm([(host, state)], 400), PROFILE, "LUCF")
+    moves = step(with_calm([(host, state)], 400), "LUCF")
     assert shed_ids(moves) == {"h00": ["zeta"]}

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,14 +14,19 @@ from brownsim.qos import (
 )
 
 
+def record(t, per_host):
+    """An interval record from (host_id, power_w, overloaded) triples, one
+    piece per host."""
+    return IntervalRecord(
+        t=t, requests=10, active_hosts=len(per_host), hosts=tuple(h for h, _, _ in per_host),
+        pieces=[(SimpleNamespace(power_w=p, overloaded=o, group=(0.0, 0)), 1)
+                for _, p, o in per_host])
+
+
 def test_overload_ratios_spans_all_hosts_and_intervals():
     records = [
-        IntervalRecord(t=0, requests=10, active_hosts=3,
-                       per_host=[("h00", 233.0, True), ("h01", 213.0, False),
-                                 ("h02", 237.0, True)]),
-        IntervalRecord(t=1, requests=10, active_hosts=2,
-                       per_host=[("h00", 221.0, False), ("h01", 10.0, False),
-                                 ("h02", 237.0, True)]),
+        record(0, [("h00", 233.0, True), ("h01", 213.0, False), ("h02", 237.0, True)]),
+        record(1, [("h00", 221.0, False), ("h01", 10.0, False), ("h02", 237.0, True)]),
     ]
     ratios = overload_ratios(records)
     assert ratios == {"h00": 0.5, "h01": 0.0, "h02": 1.0}
@@ -30,9 +36,21 @@ def test_overload_ratios_spans_all_hosts_and_intervals():
 def test_overload_ratios_keep_the_records_host_order():
     # h100 follows h99 in the fleet, not h10 as it would by id string
     hosts = ["h09", "h10", "h99", "h100", "h101"]
-    records = [IntervalRecord(t=0, requests=5, active_hosts=5,
-                              per_host=[(h, 233.0, h == "h100") for h in hosts])]
+    records = [record(0, [(h, 233.0, h == "h100") for h in hosts])]
     assert list(overload_ratios(records)) == hosts
+
+
+def test_overload_ratios_count_pieces_of_several_hosts():
+    hot, calm = (SimpleNamespace(power_w=233.0, overloaded=flag, group=(0.0, 0))
+                 for flag in (True, False))
+    hosts = ("h00", "h01", "h02", "h03")
+    records = [IntervalRecord(t=0, requests=0, active_hosts=4, hosts=hosts,
+                              pieces=[(calm, 1), (hot, 2), (calm, 1)]),
+               IntervalRecord(t=1, requests=0, active_hosts=4, hosts=hosts,
+                              pieces=[(hot, 3), (calm, 1)])]
+    assert overload_ratios(records) == {"h00": 0.5, "h01": 1.0, "h02": 1.0, "h03": 0.0}
+    assert overload_ratios(records) == overload_ratios(
+        [record(r.t, r.per_host) for r in records])
 
 
 def test_slavr_examples():
