@@ -4,7 +4,7 @@ Each interval runs a fixed pipeline: predict the request rate, resize the
 active fleet, advance booting hosts, spread requests over active hosts,
 derive host utilization and power, let the brownout controller deactivate
 or restore optional containers, give each serving host one (response_ms,
-served) group and its errors, and account energy.  One run is
+served) group and its errors, and record the interval.  One run is
 single-threaded and deterministic for a given config, trace, and seed.
 
 Each host keeps its mode, boot countdown and active mask (a tuple over its
@@ -16,10 +16,12 @@ class: utilization, power, watt-hours, active-weight fraction, response
 group and restore mask, derived once per run.  `policies.brownout_step`
 takes the (hosts, class) pieces and returns (hosts, mask) moves.  Per host
 are only the pass that cuts the runs, the hosts scaling wakes or sleeps, the
-masks moves set and RSC's draws.  Records keep (class, count) pieces.  The
-float sums a per-host loop made (energy, capacity mean, a record's power,
-the average response) repeat each piece's value once per host, in host
-order, and so give its results.
+masks moves set and RSC's draws.  Records keep (class, count) pieces, and
+are a step's only memory of earlier intervals: the scaler reads their rates
+and the last one's pieces; the result folds their energy.  The float sums a
+per-host loop made (energy, capacity mean, a record's power, the average
+response) repeat each piece's value once per host, in host order, and so
+give its results.
 """
 
 from __future__ import annotations
@@ -149,13 +151,10 @@ class Simulation:
         self.host_ids = tuple([h.id for h in self.hosts])
         self.stack_ends = _run_ends([h.stack for h in self.hosts])  # placement fixes them
         self.classes = {}  # state -> HostClass, for the whole run
-        self.pieces = []  # the last interval's (start, stop, requests each, class)
         self.booting = []  # the hosts that scaling woke and that still boot
 
         self.rng_policy = random.Random(cfg.policy.seed ^ POLICY_RNG_SALT)
-        self.history = []
-        self.energy_wh = 0.0
-        self.records = []
+        self.records = []  # all a step reads of earlier intervals
 
     def run(self) -> RunResult:
         for t in range(len(self.trace)):
@@ -167,9 +166,12 @@ class Simulation:
 
         # 1-2: predict and resize.  The scaler waits for history, so the
         # full fleet carries the first interval.
-        if self.scaling and self.history:
-            predicted = predict_rate(self.history, pol.window_size_L_w)
-            capacity = pol.capacity_n_o / self._capacity_factor()
+        if self.scaling and self.records:
+            window = pol.window_size_L_w
+            predicted = predict_rate([float(r.requests) for r in self.records[-window:]], window)
+            factor = self._capacity_factor()
+            # 0 (credit 1, every serving stack shed) is the limit: any rate fits a host
+            capacity = pol.capacity_n_o / factor if factor else math.inf
             target = autoscale(predicted, capacity, len(hosts), pol.min_active_hosts)
             self._apply_scaling(target)
 
@@ -199,27 +201,26 @@ class Simulation:
             if cut < b:
                 pieces.append((cut, b, share, self._class(hosts[cut], share)))
 
-        # 6-7: brownout controller (shed or restore), then re-cut what moved.
+        # 6-7: brownout controller (shed or restore).  After a move each piece takes its
+        # hosts' class again; RSC draws per host, so an overloaded piece is cut by mask.
         if self.brownout:
             moves = brownout_step([(hosts[a:b], cls) for a, b, _, cls in pieces],
                                   self.profile, self.cfg.policy_name, self.rng_policy)
+            for moved, mask in moves:
+                for h in moved:
+                    h.active = mask
             if moves:
-                masks = [hosts[a].active for a, *_ in pieces]
-                for moved, mask in moves:
-                    for h in moved:
-                        h.active = mask
-                pieces = self._recut(pieces, masks)
-        self.pieces = pieces
+                pieces = [(x, y, n, self._class(hosts[x], n)) for a, b, n, cls in pieces
+                          for x, y in (pairwise([a, *_run_ends([h.active for h in hosts[a:b]], a)])
+                                       if cls.overloaded else [(a, b)])]
 
-        # 8-10: energy, errors and the record, from each piece's final class.
+        # 8-9: errors and the record, from each piece's final class.
         counted = [(cls, b - a) for a, b, _, cls in pieces]
-        self._add_energy(counted)
         record = IntervalRecord(
             t=t, requests=rate, active_hosts=serving, hosts=self.host_ids, pieces=counted,
             errors=sum([cls.errors * n for cls, n in counted]),
             deactivated_containers=sum([cls.deactivated * n for cls, n in counted]))
         self.records.append(record)
-        self.history.append(float(rate))
         return record
 
     # -- helpers -----------------------------------------------------------
@@ -232,7 +233,7 @@ class Simulation:
         scaler banks on.  Full stacks give exactly 1.  Read from the pieces
         the last interval ended with: no mode or mask changed since.
         """
-        serving = [(cls.fraction, b - a) for a, b, _, cls in self.pieces
+        serving = [(cls.fraction, n) for cls, n in self.records[-1].pieces
                    if cls.fraction is not None]
         if not serving:
             return 1.0
@@ -240,19 +241,14 @@ class Simulation:
                          / sum([n for _, n in serving]))
         return 1.0 - self.cfg.policy.capacity_credit * (1.0 - mean_fraction)
 
-    def _add_energy(self, counted: list) -> None:
-        """Add each host's watt-hours in host order, one addition per host."""
-        self.energy_wh = reduce(add, chain.from_iterable(
-            [repeat(cls.energy_wh, n) for cls, n in counted]), self.energy_wh)
-
     def _apply_scaling(self, target: int) -> None:
         """Wake sleeping hosts lowest index first or sleep active ones highest
         first, found through the last interval's pieces (no mode changed since)."""
-        hosts = self.hosts
-        active = [(a, b) for a, b, _, _ in self.pieces if hosts[a].mode is ACTIVE]
-        committed = sum([b - a for a, b in active]) + len(self.booting)
+        hosts, last = self.hosts, self.records[-1]
+        runs = list(pairwise(accumulate([n for _, n in last.pieces], initial=0)))
+        committed = last.active_hosts + len(self.booting)
         if target > committed:
-            asleep = [range(a, b) for a, b, _, _ in self.pieces if hosts[a].mode is SLEEP]
+            asleep = [range(a, b) for a, b in runs if hosts[a].mode is SLEEP]
             for i in islice(chain.from_iterable(asleep), target - committed):
                 hosts[i].mode = BOOTING
                 hosts[i].boot_remaining = self.cfg.policy.boot_delay
@@ -261,32 +257,14 @@ class Simulation:
             # Booting hosts cannot be put to sleep; keep one server alive in
             # case the in-flight boots do not finish this interval.
             finishing = sum(1 for h in self.booting if h.boot_remaining <= 1)
-            allowed = max(0, committed - len(self.booting) - max(0, 1 - finishing))
-            top_down = chain.from_iterable([range(b - 1, a - 1, -1) for a, b in reversed(active)])
+            allowed = max(0, last.active_hosts - max(0, 1 - finishing))
+            top_down = chain.from_iterable([range(b - 1, a - 1, -1) for a, b in reversed(runs)
+                                            if hosts[a].mode is ACTIVE])
             for i in islice(top_down, min(committed - target, allowed)):
-                self._sleep(hosts[i])
-
-    def _sleep(self, host: HostState) -> None:
-        host.mode = SLEEP
-        host.boot_remaining = 0
-        # Replicas are dropped with the host; when it wakes it comes back
-        # with its full configured stack.
-        host.active = (True,) * len(host.containers)
-
-    def _recut(self, pieces: list, masks: list) -> list:
-        """The pieces after brownout's moves, given each one's mask before
-        them.  Restores and LUCF's and MNCF's sheds move whole pieces; RSC
-        draws per host, so an overloaded piece is cut where its hosts' masks
-        now differ."""
-        out = []
-        for (a, b, assigned, cls), mask in zip(pieces, masks):
-            if self.hosts[a].active is mask and not cls.overloaded:
-                out.append((a, b, assigned, cls))
-                continue
-            ends = _run_ends([h.active for h in self.hosts[a:b]], a) if cls.overloaded else [b]
-            out += [(x, y, assigned, self._class(self.hosts[x], assigned))
-                    for x, y in pairwise([a, *ends])]
-        return out
+                # Replicas are dropped with the host; when it wakes it comes
+                # back with its full configured stack.
+                h = hosts[i]
+                h.mode, h.boot_remaining, h.active = SLEEP, 0, (True,) * len(h.containers)
 
     def _class(self, host: HostState, assigned: int) -> HostClass:
         """The class of the host's state with `assigned` requests; the first
@@ -320,10 +298,12 @@ class Simulation:
     def _result(self) -> RunResult:
         per_host_otr = overload_ratios(self.records)
         otr_mean = sum(per_host_otr.values()) / len(per_host_otr) if per_host_otr else 0.0
-        # each serving class's group, counted once per host, and its
-        # response-time mass, once per host in record and host order
-        groups, mass = Counter(), []
+        # once per host in record and host order: each class's watt-hours,
+        # and each serving class's group (counted) and response-time mass
+        energy_wh, groups, mass = 0.0, Counter(), []
         for r in self.records:
+            energy_wh = reduce(add, chain.from_iterable(
+                [repeat(cls.energy_wh, n) for cls, n in r.pieces]), energy_wh)
             for cls, n in r.pieces:
                 if cls.group[1]:
                     groups[cls.group] += n
@@ -334,7 +314,7 @@ class Simulation:
         return RunResult(
             policy_name=self.cfg.policy_name,
             seed=self.cfg.policy.seed,
-            energy_kwh=self.energy_wh / 1000.0,
+            energy_kwh=energy_wh / 1000.0,
             otr_mean=otr_mean,
             avg_response_ms=sum(chain.from_iterable(mass)) / served if served else 0.0,
             p_kth_response_ms=(nearest_rank_percentile(groups, self.cfg.policy.percentile_k)

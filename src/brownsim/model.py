@@ -68,6 +68,14 @@ def _in_range(value, within: str) -> bool:
     return above and below
 
 
+def _float(value) -> float:
+    """A JSON number as a float; an integer beyond the float range is infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _field_problem(f, value) -> str | None:
     """What is wrong with a schema field's value: type, finiteness, range."""
     kind, _, nullable = f.type.partition(" | ")
@@ -75,8 +83,8 @@ def _field_problem(f, value) -> str | None:
         return None
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _TYPES[kind]):
         return f"expected {kind}, got {type(value).__name__} {value!r}"
-    if isinstance(value, float) and not math.isfinite(value):
-        return f"must be finite (got {value})"
+    if kind == "float" and not math.isfinite(number := _float(value)):
+        return f"must be finite (got {number})"
     within = f.metadata.get("within")
     if within and not _in_range(value, within):
         return f"must be within {within} (got {value})"
@@ -143,7 +151,7 @@ class ContainerSpec:
 
     id: str
     service: str
-    weight: float = _knob(within="(0, 1]")
+    weight: float = _knob(within="[1e-9, 1]")  # scaled_services divides by weight sums
     optional: bool = False
     connection_tag: str | None = None
     replicas: int = _knob(1, "[1, inf)")
@@ -448,7 +456,7 @@ def _number(value, key: str) -> float:
     """A JSON number as a float; anything else raises ValueError naming key."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key}: expected float, got {type(value).__name__} {value!r}")
-    return float(value)
+    return _float(value)
 
 
 def load_config(path: str) -> SimConfig:

@@ -11,6 +11,7 @@ engine that changes a result shows as a difference from `run`.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import NamedTuple
 
@@ -77,8 +78,10 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
             factor = 1.0
             if fractions:
                 factor -= pol.capacity_credit * (1.0 - sum(fractions) / len(fractions))
+            # a factor of 0 is the limit: any rate fits a host
+            capacity = pol.capacity_n_o / factor if factor else math.inf
             resize(hosts, autoscale(predict_rate(history, pol.window_size_L_w),
-                                    pol.capacity_n_o / factor, len(hosts), pol.min_active_hosts),
+                                    capacity, len(hosts), pol.min_active_hosts),
                    pol.boot_delay)
         for h in hosts:
             if h.mode is BOOTING:

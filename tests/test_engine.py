@@ -861,6 +861,29 @@ def test_capacity_factor_matches_the_hosts_instances_at_every_step():
     assert min(factors) < 1.0, "the spike must shed containers"
 
 
+def test_a_zero_capacity_factor_asks_for_the_floor():
+    # Only h00 carries the mandatory container.  Once it sleeps, the two
+    # optional-only hosts shed everything, so at credit 1 the factor is
+    # 1 - 1 * (1 - 0) = 0; its limit is a host that absorbs any rate.
+    cfg = SimConfig(policy_name="LUCF", host_count=3, trace_path="unused.csv", services=[
+        ContainerSpec(id="web", service="s", weight=0.844, replicas=1),
+        ContainerSpec(id="o0", service="s", weight=0.083, optional=True, replicas=3),
+        ContainerSpec(id="o1", service="s", weight=0.039, optional=True, replicas=1),
+        ContainerSpec(id="o2", service="s", weight=0.034, optional=True, replicas=3),
+    ], policy=PolicyConfig(capacity_credit=1.0, boot_delay=2, window_size_L_w=1,
+                           capacity_n_o=10.0, optional_util_pct=0.3, seed=1))
+    trace = flat_trace([71, 5, 108, 18, 78, 80, 11, 36])
+    sim = Simulation(cfg, trace)
+    for t in range(5):
+        sim.step(t, trace.rates[t])
+    assert sim._capacity_factor() == 0.0
+    sim.step(5, trace.rates[5])
+    assert [h.mode for h in sim.hosts] == [HostMode.SLEEP, HostMode.ACTIVE, HostMode.SLEEP]
+    for t in range(6, len(trace)):
+        sim.step(t, trace.rates[t])
+    assert sim._result() == reference_engine.run(cfg, trace)
+
+
 # ---------------------------------------------------------------------------
 # properties of generated configs
 
@@ -871,7 +894,8 @@ def small_runs(draw):
     spikes: 1-20 hosts, 1 mandatory replica to one per host and 1-6 optional
     containers (weights in twentieths, some tagged, 1 replica to one per
     host), so that full, partial and empty stacks sit side by side, boots of
-    1-4 intervals and a floor of 1 to every host."""
+    1-4 intervals, a floor of 1 to every host and a capacity credit of 0,
+    0.35 or 1."""
     hosts = draw(st.integers(1, 20))
     n = draw(st.integers(1, 6))
     weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
@@ -884,7 +908,8 @@ def small_runs(draw):
     policy = PolicyConfig(overloaded_threshold_u_t=draw(st.sampled_from([0.6, 0.7, 0.8, 1.0])),
                           optional_util_pct=draw(st.sampled_from([0.0, 0.2, 0.4])),
                           boot_delay=draw(st.integers(1, 4)),
-                          min_active_hosts=draw(st.integers(1, hosts)))
+                          min_active_hosts=draw(st.integers(1, hosts)),
+                          capacity_credit=draw(st.sampled_from([0.0, 0.35, 1.0])))
     cfg = SimConfig(host_count=hosts, services=services, policy=policy, trace_path="unused.csv")
     intervals = draw(st.integers(10, 40))
     rates = [draw(st.integers(0, 25 * hosts))] * intervals

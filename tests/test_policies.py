@@ -91,6 +91,39 @@ def test_expected_reduction_clamps_to_idle():
     assert got == pytest.approx(1.0, abs=1e-9)
 
 
+def _reach(utilization, share):
+    """The largest theta (within 1e-12) whose target for a host at
+    `utilization` on the shipped curve stays below `share`, read as the
+    utilization the optional containers of a full stack carry."""
+    power = hum(PROFILE, HostMode.ACTIVE, utilization)
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = (lo + hi) / 2
+        if expected_reduction(utilization, power, mid, PROFILE) < share:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_the_dimmer_asks_for_less_than_the_optional_share_only_on_large_fleets():
+    # The controller's reach today, from the dimmer, the target and the
+    # shipped curve alone: the curve spans 201-237 W, so a small power cut
+    # is a large utilization cut.  A change that lets a selector leave some
+    # optional load on moves these numbers; show the old and new side by side.
+    utilizations = [0.8 + k / 100 for k in range(1, 21)]  # overloaded at u_t 0.8, up to 1
+    reach = {share: [_reach(u, share) for u in utilizations] for share in (0.1, 0.2, 0.3, 0.4)}
+    bands = {share: (min(thetas), max(thetas)) for share, thetas in reach.items()}
+    assert bands == {0.1: pytest.approx((0.008584, 0.024221), abs=1e-6),
+                     0.2: pytest.approx((0.025316, 0.034602), abs=1e-6),
+                     0.3: pytest.approx((0.042918, 0.050633), abs=1e-6),
+                     0.4: pytest.approx((0.051502, 0.063581), abs=1e-6)}
+    # theta = sqrt(overloaded / fleet): one overloaded host gets a target
+    # below a 0.4 share only in a fleet of at least this many hosts
+    fleets = [next(n for n in range(1, 1000) if dimmer(1, n) <= theta) for theta in reach[0.4]]
+    assert (min(fleets), max(fleets)) == (248, 378)
+
+
 def test_expected_reduction_bounded():
     rng = random.Random(9)
     for _ in range(300):
