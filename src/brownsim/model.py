@@ -17,7 +17,7 @@ from operator import attrgetter
 from pathlib import Path
 
 WEIGHT_SUM_TOL = 1e-9
-EXACT_SEARCH_LIMIT = 16  # optional units a placement may carry; LUCF and MNCF search every subset
+EXACT_SEARCH_LIMIT = 16  # optional units a placement may carry; LUCF and MNCF search them exactly
 
 
 class HostMode(str, Enum):
@@ -154,7 +154,7 @@ class ContainerSpec:
     weight: float = _knob(within="[1e-9, 1]")  # scaled_services divides by weight sums
     optional: bool = False
     connection_tag: str | None = None
-    replicas: int = _knob(1, "[1, inf)")
+    replicas: int = _knob(1, "[1, 100000]")
 
 
 @dataclass
@@ -198,7 +198,7 @@ class PolicyConfig:
 @dataclass
 class SimConfig:
     policy_name: str = "AUTOS"
-    host_count: int = _knob(10, "[1, inf)", key="hosts.count")
+    host_count: int = _knob(10, "[1, 100000]", key="hosts.count")
     power_profile: PowerProfile = field(default_factory=PowerProfile)
     services: list = field(default_factory=list)
     policy: PolicyConfig = field(default_factory=PolicyConfig)

@@ -14,11 +14,12 @@ and a selector picks which optional containers to deactivate to meet it:
   RSC   random picks until the target is covered.
 
 Every selector is called as (items, target, rng); only RSC uses the rng.
-LUCF and MNCF scan a table of every subset's total with C-level filters;
-`model.validate_config` keeps a placement within EXACT_SEARCH_LIMIT units,
-so the search is exact at every stack size.  Ties break on the items' ids
-alone, which the controller sets to stack positions, so a pick is memoised
-on the utilizations and positions, across classes and runs.
+LUCF and MNCF scan a table with C-level filters, one total per count vector
+(how many units of each utilization a pick takes: equal units are
+interchangeable); `model.validate_config` keeps a placement within
+EXACT_SEARCH_LIMIT units, so the search is exact at every stack size.  Ties
+break on the items' ids alone, which the controller sets to stack positions,
+so a pick is memoised on the utilizations and positions, across classes and runs.
 
 `brownout_step` is the controller, called once per interval on the whole
 fleet, cut into pieces of consecutive hosts in one class: it sheds while a
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, count, groupby, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -146,19 +147,35 @@ def group_units(items: list) -> list | tuple:
     return units
 
 
-def _subset_totals(utilizations: tuple) -> list:
-    """Every subset's total by bitmask, adding its units highest index first."""
-    totals = [0.0]
-    for u in reversed(utilizations):
-        grown = [0.0] * (2 * len(totals))
-        grown[0::2] = totals
-        grown[1::2] = map(add, totals, repeat(u))
-        totals = grown
-    return totals
+def _count_table(utilizations: tuple) -> tuple:
+    """Totals by unit count: `layers[k]` holds one per count vector (units
+    taken from each run of equal utilizations) taking k units; its subsets
+    all share that total, summed highest index first.  `runs` keeps each
+    run's first index and the layer sizes before it, for `_taken`."""
+    layers, runs, end = [[0.0]], [], len(utilizations)
+    for u, run in groupby(reversed(utilizations)):
+        end -= (m := len(list(run)))
+        runs.append((end, list(map(len, layers))))
+        added, top = [layers], len(layers) - 1
+        for _ in range(m):
+            added.append([list(map(add, layer, repeat(u))) for layer in added[-1]])
+        layers = [list(chain.from_iterable(added[c][k - c] for c in range(m + 1) if 0 <= k - c <= top))
+                  for k in range(top + m + 1)]
+    return layers, runs
 
 
-def _keep(masks, key, test) -> list:
-    return list(compress(masks, map(test, map(key, masks))))
+def _taken(groups: tuple, runs: list, k: int, p: int) -> tuple:
+    """Sorted ids of entry p of layers[k]: the first units of each run, the
+    smallest ids of the subsets its count vector stands for."""
+    ids = []
+    for start, sizes in reversed(runs):
+        c = max(0, k - len(sizes) + 1)
+        while p >= sizes[k - c]:
+            p -= sizes[k - c]
+            c += 1
+        ids += [i for unit in groups[start:start + c] for i in unit]
+        k -= c
+    return tuple(sorted(ids))
 
 
 @lru_cache(maxsize=1024)
@@ -169,17 +186,15 @@ def _best_pick(utilizations: tuple, groups: tuple, bound: float, lucf: bool) -> 
     if len(utilizations) > EXACT_SEARCH_LIMIT:
         raise ValueError(f"{len(utilizations)} units, more than the {EXACT_SEARCH_LIMIT} "
                          "searched exactly")
-    totals = _subset_totals(utilizations)
-    total, masks = totals.__getitem__, range(1, len(totals))
+    layers, runs = _count_table(utilizations)
     if lucf:
-        masks = _keep(masks, total, max(filter(bound.__ge__, totals[1:])).__eq__)
-    elif not (masks := _keep(masks, total, bound.__le__)):
+        best = max(filter(bound.__ge__, chain.from_iterable(layers[1:])))
+        k = next(k for k in range(1, len(layers)) if best in layers[k])
+    elif (k := next((k for k in range(1, len(layers)) if bound <= max(layers[k])), 0)):
+        best = max(layers[k])
+    else:
         return ()
-    masks = _keep(masks, int.bit_count, min(map(int.bit_count, masks)).__eq__)
-    if not lucf:
-        masks = _keep(masks, total, max(map(total, masks)).__eq__)
-    return min(tuple(sorted(i for k, ids in enumerate(groups) if m >> k & 1 for i in ids))
-               for m in masks)
+    return min(_taken(groups, runs, k, p) for p in compress(count(), map(best.__eq__, layers[k])))
 
 
 def _ids(units: list) -> list:

@@ -260,9 +260,9 @@ ODD_VALUES = st.one_of(st.sampled_from([
     0, 1, -1, 0.5, 5e-324, 1e-9, 1e308, HUGE, -HUGE, math.nan, math.inf, -math.inf,
     True, None, "5", [], {}, [[0, 201], [1, HUGE]]]), st.floats(), st.integers(-2, 30))
 DROP = object()
-# hosts.count and replicas are never mutated: neither has an upper bound, and
-# a huge value exhausts memory.
-MUTABLE_KEYS = [key for _, _, key in SCHEMA if key != "hosts.count"] + [
+# Every schema key may take an odd value: hosts.count is bounded at 100000,
+# and no odd integer that passes its range exceeds 30.
+MUTABLE_KEYS = [key for _, _, key in SCHEMA] + [
     "hosts.sleep_power_w", "hosts.power_breakpoints", "unknown", "services.0.id",
     "services.0.weight", "services.0.optional", "services.0.connection_tag"]
 
@@ -414,6 +414,20 @@ def test_validate_reports_violations(workdir, capsys):
     (workdir / "bad.json").write_text(json.dumps(raw))
     assert main(["validate", "--config", str(workdir / "bad.json")]) == 2
     assert "policy_name" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, name", [("hosts.count", "hosts.count"),
+                                       ("services.0.replicas", "services[0].replicas")])
+def test_fleet_size_past_its_bound_exits_two_naming_the_key(workdir, capsys, key, name):
+    # 10**9 hosts once passed validate and then exhausted memory placing
+    # replicas; validate only, so that no such fleet is ever built
+    raw = json.loads((workdir / "config.json").read_text())
+    for value, code in ((100000, 0), (100001, 2), (10 ** 9, 2), (HUGE, 2)):
+        _put(key, value)(raw)
+        (workdir / "big.json").write_text(json.dumps(raw))
+        assert main(["validate", "--config", str(workdir / "big.json")]) == code, value
+        out = capsys.readouterr().out
+        assert (f"{name}: must be within [1, 100000] (got {value})" in out) == bool(code), out
 
 
 def test_missing_config_exits_two(workdir, capsys):

@@ -4,7 +4,7 @@
 import json
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brownsim import policies
 from brownsim.engine import Simulation
@@ -93,8 +93,17 @@ def offers(draw):
     return items, target, draw(st.permutations(ids))
 
 
+# runs of equal units beside a tagged pair that totals one of them, so that
+# at 0.5 LUCF's two-unit vectors {0.25, 0.25} and {0.375, 0.125} tie on total
+# and count, and ids decide between them
+TIED_VECTORS = [OptionalItem("1", 0.375), OptionalItem("x", 0.25),
+                OptionalItem("@", 0.125, "p"), OptionalItem("+", 0.125, "p"),
+                OptionalItem("0", 0.125), OptionalItem("h", 0.125), OptionalItem("x1", 0.0)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(offers())
+@example((TIED_VECTORS, 0.5, [it.id for it in reversed(TIED_VECTORS)]))
 def test_exact_search_picks_what_the_per_mask_loop_picked(offer):
     items, target, shuffled = offer
     policies._best_pick.cache_clear()
@@ -115,6 +124,25 @@ def test_sixteen_equal_units_tie_on_ids():
         assert select_mncf(items, target) == reference_mncf(items, target)
 
 
+def test_equal_units_build_one_entry_per_count(monkeypatch):
+    # sixteen units of one utilization are 17 count vectors (0 to 16 units
+    # taken), where a table of every subset would hold 65,536 totals
+    items = [OptionalItem(f"c@h1+{k}", 0.025) for k in range(16)]
+    entries, real_table = [], policies._count_table
+
+    def table(utilizations):
+        layers, runs = real_table(utilizations)
+        entries.append(sum(map(len, layers)))
+        return layers, runs
+
+    monkeypatch.setattr(policies, "_count_table", table)
+    for target in (0.1, 0.2501):
+        policies._best_pick.cache_clear()
+        assert select_lucf(items, target) == reference_lucf(items, target)
+        assert select_mncf(items, target) == reference_mncf(items, target)
+    assert entries == [17] * 4
+
+
 # ---------------------------------------------------------------------------
 # one search per distinct key
 
@@ -127,7 +155,7 @@ def test_a_dense_stack_day_searches_once_per_distinct_offer(monkeypatch):
     cfg = config_from_dict(raw, base_dir=str(ROOT / "configs"))
     trace = load_trace(cfg.trace_path, cfg.trace_scale, cfg.interval_seconds)
     searches, offered, tables = [], set(), []
-    real_select, real_totals = policies.select_lucf, policies._subset_totals
+    real_select, real_table = policies.select_lucf, policies._count_table
 
     def select(items, target, rng=None):
         units = group_units(items)
@@ -137,12 +165,12 @@ def test_a_dense_stack_day_searches_once_per_distinct_offer(monkeypatch):
                          target + FEAS_EPS))
         return real_select(items, target, rng)
 
-    def totals(*args):
+    def table(*args):
         tables.append(args)
-        return real_totals(*args)
+        return real_table(*args)
 
     monkeypatch.setitem(policies.SELECTORS, "LUCF", select)
-    monkeypatch.setattr(policies, "_subset_totals", totals)
+    monkeypatch.setattr(policies, "_count_table", table)
     policies._best_pick.cache_clear()
     Simulation(cfg, trace).run()
     assert len(tables) == len(offered) < len(searches) / 2
