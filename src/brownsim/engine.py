@@ -12,16 +12,16 @@ placement stack, in which a container is its position).  The rest of a step
 works on runs of consecutive hosts, in placement index order (h100 follows
 h99), that share a stack, a mode and a mask; routing's remainder splits at
 most one run.  Each piece's state (its run's key and request count) has one
-class: utilization, power, watt-hours, active-weight fraction, response
-group and restore mask, derived once per run.  `policies.brownout_step`
+class: utilization, power, active-weight fraction, response group and
+restore mask, derived once per run.  `policies.brownout_step`
 takes the (hosts, class) pieces and returns (hosts, mask) moves.  Per host
 are only the pass that cuts the runs, the hosts scaling wakes or sleeps, the
 masks moves set and RSC's draws.  Records keep (class, count) pieces, and
 are a step's only memory of earlier intervals: the scaler reads their rates
-and the last one's pieces; the result folds their energy.  The float sums a
-per-host loop made (energy, capacity mean, a record's power, the average
-response) repeat each piece's value once per host, in host order, and so
-give its results.
+and the last one's pieces; the result sums their power.  Every float total
+(energy, capacity mean, a record's power, the average response, the mean
+overload ratio) is `model.exact_sum`, exactly rounded, so it depends on the
+simulated states alone, not on host order or on how the runs are cut.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from functools import reduce
-from itertools import accumulate, chain, groupby, islice, pairwise, repeat
-from operator import add
+from itertools import accumulate, chain, groupby, islice, pairwise
 
 from .model import (
     HostMode,
@@ -39,6 +37,7 @@ from .model import (
     IntervalRecord,
     RunResult,
     SimConfig,
+    exact_sum,
     place_replicas,
     scaled_services,
     validate_config,
@@ -108,18 +107,18 @@ class HostClass:
     requests; the mask is () off the serving set) yields in any interval.
 
     Every field is a function of that key and of the run's constants (u_t,
-    n_o, interval length, power profile, base response), so a class lasts
-    the run.  `demand` is assigned requests / n_o, a container's load per
-    unit of weight; `group` is (response_ms, served), with served 0 off the
-    serving set; `fraction` is the active share of the stack's weight, None
-    off the serving set; `restore` is the mask, by position, that a member
-    takes once no host is overloaded, from `restore_mask`; `offer` is its
-    `policies.Offer` from its first overload on (None before).  A plain
-    class, because building a dataclass slows every package import.
+    n_o, power profile, base response), so a class lasts the run; totals
+    count its `power_w` once per member.  `demand` is assigned requests /
+    n_o, a container's load per unit of weight; `group` is (response_ms,
+    served), with served 0 off the serving set; `fraction` is the active
+    share of the stack's weight, None off the serving set; `restore` is the
+    mask, by position, that a member takes once no host is overloaded, from
+    `restore_mask`; `offer` is its `policies.Offer` from its first overload
+    on (None before).  A plain class: a dataclass slows the package import.
     """
 
-    __slots__ = ("utilization", "power_w", "energy_wh", "demand", "overloaded", "group",
-                 "errors", "deactivated", "fraction", "restore", "offer")
+    __slots__ = ("utilization", "power_w", "demand", "overloaded", "group", "errors",
+                 "deactivated", "fraction", "restore", "offer")
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -237,8 +236,7 @@ class Simulation:
                    if cls.fraction is not None]
         if not serving:
             return 1.0
-        mean_fraction = (sum(chain.from_iterable([repeat(f, n) for f, n in serving]))
-                         / sum([n for _, n in serving]))
+        mean_fraction = exact_sum(serving) / sum([n for _, n in serving])
         return 1.0 - self.cfg.policy.capacity_credit * (1.0 - mean_fraction)
 
     def _apply_scaling(self, target: int) -> None:
@@ -290,33 +288,28 @@ class Simulation:
                             if total > 0 else 1.0)
                 restore = restore_mask(host, utilization, demand, u_t)
             cls = self.classes[key] = HostClass(
-                utilization, power_w, power_w * self.cfg.interval_seconds / 3600.0,
-                demand, serving and over_threshold(utilization, u_t),
+                utilization, power_w, demand, serving and over_threshold(utilization, u_t),
                 (response_ms, served), errors, mask.count(False), fraction, restore, None)
         return cls
 
     def _result(self) -> RunResult:
         per_host_otr = overload_ratios(self.records)
-        otr_mean = sum(per_host_otr.values()) / len(per_host_otr) if per_host_otr else 0.0
-        # once per host in record and host order: each class's watt-hours,
-        # and each serving class's group (counted) and response-time mass
-        energy_wh, groups, mass = 0.0, Counter(), []
-        for r in self.records:
-            energy_wh = reduce(add, chain.from_iterable(
-                [repeat(cls.energy_wh, n) for cls, n in r.pieces]), energy_wh)
-            for cls, n in r.pieces:
-                if cls.group[1]:
-                    groups[cls.group] += n
-                    mass.append(repeat(cls.group[0] * cls.group[1], n))
+        groups = Counter()  # (response_ms, served) -> serving host-intervals
+        for cls, n in chain.from_iterable([r.pieces for r in self.records]):
+            if cls.group[1]:
+                groups[cls.group] += n
         served = sum([count * n for (_, count), n in groups.items()])
+        drawn_w = exact_sum((cls.power_w, n) for r in self.records for cls, n in r.pieces)
         total_requests = sum(r.requests for r in self.records)
         total_errors = sum(r.errors for r in self.records)
         return RunResult(
             policy_name=self.cfg.policy_name,
             seed=self.cfg.policy.seed,
-            energy_kwh=energy_wh / 1000.0,
-            otr_mean=otr_mean,
-            avg_response_ms=sum(chain.from_iterable(mass)) / served if served else 0.0,
+            energy_kwh=drawn_w * self.cfg.interval_seconds / 3.6e6,
+            otr_mean=(exact_sum(Counter(per_host_otr.values()).items()) / len(per_host_otr)
+                      if per_host_otr else 0.0),
+            avg_response_ms=(exact_sum([(ms * count, n) for (ms, count), n in groups.items()])
+                             / served if served else 0.0),
             p_kth_response_ms=(nearest_rank_percentile(groups, self.cfg.policy.percentile_k)
                                if served else 0.0),
             slavr=slavr(total_errors, total_requests),

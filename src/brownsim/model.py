@@ -222,6 +222,13 @@ def with_values(cfg: SimConfig, values: dict) -> SimConfig:
     return replace(cfg, policy=policy, **{name: v for section, name, v in given if not section})
 
 
+def exact_sum(pairs) -> float:
+    """Each (value, count) pair's value repeated count times, summed exactly
+    rounded (`math.fsum`, after Shewchuk 1997): a run's every float total,
+    so it depends on the values alone, not on order or on how hosts are cut."""
+    return math.fsum(chain.from_iterable(repeat(value, count) for value, count in pairs))
+
+
 @dataclass(eq=False)
 class IntervalRecord:
     """One interval's totals and its fleet as (class, count) pieces in host
@@ -244,7 +251,7 @@ class IntervalRecord:
     # (host_id, power_w, overloaded) per host; (response_ms, served) per serving host
     per_host = property(lambda r: list(zip(r.hosts, r._each("power_w"), r._each("overloaded"))))
     response_groups = property(lambda r: [group for group in r._each("group") if group[1]])
-    total_power_w = property(lambda r: sum(r._each("power_w")))
+    total_power_w = property(lambda r: exact_sum([(cls.power_w, n) for cls, n in r.pieces]))
     overloaded_hosts = property(lambda r: sum([n for cls, n in r.pieces if cls.overloaded]))
 
     def __eq__(self, other):

@@ -4,9 +4,10 @@ test oracle for `brownsim.engine.Simulation`.
 It keeps no host classes, offers or memo and shares no decision between
 hosts.  Every interval it derives each host's state afresh, calls the
 policy's selector once per overloaded host in host order on a plain item
-list, restores host by host, and adds energy and the capacity mean in host
-order.  It reuses only the unit-tested leaf formulas, so any cache in the
-engine that changes a result shows as a difference from `run`.
+list, restores host by host, and sums energy, the capacity mean, the
+average response's numerator and the mean overload ratio with `math.fsum`
+over per-host lists.  It reuses only the unit-tested leaf formulas, so any
+cache in the engine that changes a result shows as a difference from `run`.
 """
 
 from __future__ import annotations
@@ -72,12 +73,12 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
                        active=(True,) * len(ids))
              for hid, ids in place_replicas(cfg).items()]
     rng = random.Random(pol.seed ^ POLICY_RNG_SALT)
-    history, records, energy_wh, fractions = [], [], 0.0, []
+    history, records, powers_w, fractions = [], [], [], []
     for t, rate in enumerate(trace.rates):
         if cfg.policy_name != "NPA" and history:
             factor = 1.0
             if fractions:
-                factor -= pol.capacity_credit * (1.0 - sum(fractions) / len(fractions))
+                factor -= pol.capacity_credit * (1.0 - math.fsum(fractions) / len(fractions))
             # a factor of 0 is the limit: any rate fits a host
             capacity = pol.capacity_n_o / factor if factor else math.inf
             resize(hosts, autoscale(predict_rate(history, pol.window_size_L_w),
@@ -110,8 +111,7 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
                     h.active = mask
                     states[i] = derive(cfg, h, alloc[h.id])
 
-        for s in states:
-            energy_wh += s.power_w * cfg.interval_seconds / 3600.0
+        powers_w += [s.power_w for s in states]
         fractions = []
         for h in serving:
             weights = [spec.weight for spec in h.containers]
@@ -133,9 +133,9 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
     return RunResult(
         policy_name=cfg.policy_name,
         seed=pol.seed,
-        energy_kwh=energy_wh / 1000.0,
-        otr_mean=sum(per_host_otr.values()) / len(per_host_otr) if per_host_otr else 0.0,
-        avg_response_ms=sum(v * count for v, count in groups) / served if served else 0.0,
+        energy_kwh=math.fsum(powers_w) * cfg.interval_seconds / 3.6e6,
+        otr_mean=math.fsum(per_host_otr.values()) / len(per_host_otr) if per_host_otr else 0.0,
+        avg_response_ms=math.fsum(v * count for v, count in groups) / served if served else 0.0,
         p_kth_response_ms=nearest_rank_percentile(groups, pol.percentile_k) if served else 0.0,
         slavr=slavr(total_errors, total_requests),
         active_host_series=[r.active_hosts for r in records],

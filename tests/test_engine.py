@@ -827,8 +827,11 @@ def test_energy_is_the_recorded_power_over_the_run(policy):
     cfg = dataclasses.replace(load_config(str(ROOT / "configs" / "sample.json")),
                               policy_name=policy)
     result = Simulation(cfg, DIURNAL).run()
-    drawn = sum(r.total_power_w for r in result.interval_records)
-    assert result.energy_kwh == pytest.approx(drawn * cfg.interval_seconds / 3.6e6, rel=1e-12)
+    # exactly rounded sums, so the totals are equal, not close
+    drawn = math.fsum([w for r in result.interval_records for _, w, _ in r.per_host])
+    assert result.energy_kwh == drawn * cfg.interval_seconds / 3.6e6
+    for r in result.interval_records:
+        assert r.total_power_w == math.fsum([w for _, w, _ in r.per_host]), r.t
 
 
 def test_idle_day_on_thirteen_hosts_draws_idle_power():
@@ -847,7 +850,7 @@ def _capacity_factor_from_instances(sim):
             fractions.append(active / total if total > 0 else 1.0)
     if not fractions:
         return 1.0
-    return 1.0 - sim.cfg.policy.capacity_credit * (1.0 - sum(fractions) / len(fractions))
+    return 1.0 - sim.cfg.policy.capacity_credit * (1.0 - math.fsum(fractions) / len(fractions))
 
 
 def test_capacity_factor_matches_the_hosts_instances_at_every_step():

@@ -45,31 +45,31 @@ def _dense(raw):
 CASES = {
     # configs/sample.json at u_t 0.7, one case per policy
     "NPA": ("NPA", None,
-        "c83488537376d7e29ec77b0d4b24f9b787b3750e7c5348b39be7726f17756090",
+        "579f63359e7cf0334b65506b1abb90e2cd2d767524d0af29f566c2b0fd4f10f5",
         "6b0b8ddf5c305868196cd0f28dbb851c826f2df12fe175c9906ea5297ba7b437"),
     "AUTOS": ("AUTOS", None,
-        "56ed6ba4d1e530d9439a4673cc8eea3fdf2c06002fcd2a156f7d0692c3a5bc20",
+        "e837076cbad3359e29ad942a13886eedaf7429d2a81c36f724f7dfc3c01a00b6",
         "a695c4f555d0731b2c0cfab35fed7200f67cd3c88227dc7bd208b2a91ed64ce2"),
     "LUCF": ("LUCF", None,
-        "77f9a5921ab4503bdc70aec56a3cbc8001696d3075175fe09e245883c6cca16f",
+        "0b75ba1b6c147475f66face2904ac81647ade8739b31d2ead0f508f02548b638",
         "346b6ca4d7d9a9c1d0d316bb35a0185541c2106d98bbb2fbe59cb5cb09e35ca7"),
     "MNCF": ("MNCF", None,
-        "dc5bdea80ed3d1b85abe91d75343221f2dcae452d16e3952660a093d07d2bf9b",
+        "2cbf41d46b0ba9a0ddb52aaa1047ffb1c26963a7238e2ac2da3c19cbc01a549a",
         "346b6ca4d7d9a9c1d0d316bb35a0185541c2106d98bbb2fbe59cb5cb09e35ca7"),
     "RSC": ("RSC", None,
-        "b8ae10b8eff5eca769eb0c69059740455772f36dd145b5273aaa3008c3cc6d45",
+        "96e29624cd1aab2b2b9c74dc1caba07f90ea33aff905ad685cd248f11ac7a408",
         "346b6ca4d7d9a9c1d0d316bb35a0185541c2106d98bbb2fbe59cb5cb09e35ca7"),
     "LUCF-20-hosts": ("LUCF", _twenty_hosts,
-        "d024d0c6d1d0f2d3a9860f4616bd3e0f71a1c0acf40c5b3568ff6fb3098bca19",
+        "0ae66408cdf62a002cb9b2bac7c6d47508c6dac6d755874b59a8d96aae441a56",
         "8aade7435cd4b6d76b06459b7b020b07e9a677a6f63925f429eda79afce9c4fe"),
     "LUCF-dense-stack": ("LUCF", _dense,
-        "867c7c86d2f709bcb423bd4a450dd9378f7b0721f29841c887b6202842059d7b",
+        "d4e7f81a8de1c7244b9c115fa9a21e9bafe463d8c89c041f4f12bd878f3c34c7",
         "c36292a0dc538ea1abec30bc26e48c013ca3dd0d36efdd454d0ee8a1536dbad0"),
     "MNCF-dense-stack": ("MNCF", _dense,
-        "313dbfa1b6109e00bcea477bfcf1f1e0ad4b60d3d6317b0ad028b782ed947bd4",
+        "4e8a1ef2f9d585a355096b997a5517ec04b3d4f3dce7763df787fa3fd8ced7be",
         "c36292a0dc538ea1abec30bc26e48c013ca3dd0d36efdd454d0ee8a1536dbad0"),
     "RSC-dense-stack": ("RSC", _dense,
-        "09db3a30696603e7a998fe6325ee3168f6b2fcb0c8ef11a36617712c3f67b8db",
+        "48e68a50801d9d9919731fc1623d4f2fe39d360c1d32950a8793d91c498dbbf8",
         "c36292a0dc538ea1abec30bc26e48c013ca3dd0d36efdd454d0ee8a1536dbad0"),
 }
 

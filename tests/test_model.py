@@ -1,5 +1,7 @@
 import copy
 import json
+import math
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from brownsim.model import (
     config_from_dict,
     config_to_dict,
     dump_config,
+    exact_sum,
     host_id,
     load_config,
     place_replicas,
@@ -292,3 +295,27 @@ def test_readme_config_tables_list_exactly_the_known_keys():
     config_keys, service_keys = tables
     assert sorted(config_keys) == sorted(_KNOWN_KEYS)
     assert service_keys == [f.name for f in fields(ContainerSpec)]
+
+
+# Finite values from subnormal to 1e300, both signs; counts as a piece's hosts.
+PAIRS = st.lists(st.tuples(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+                           st.integers(min_value=0, max_value=1000)), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=PAIRS, rng=st.randoms(use_true_random=False), data=st.data())
+def test_exact_sum_depends_on_the_values_alone(pairs, rng, data):
+    total = exact_sum(pairs)
+    assert total == math.fsum([value for value, count in pairs for _ in range(count)])
+    shuffled = list(pairs)
+    rng.shuffle(shuffled)
+    assert exact_sum(shuffled) == total
+    if pairs:  # one piece cut in two
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        value, count = pairs[i]
+        k = data.draw(st.integers(0, count))
+        assert exact_sum(pairs[:i] + [(value, k), (value, count - k)] + pairs[i + 1:]) == total
+    merged = Counter()  # pieces of one value joined
+    for value, count in pairs:
+        merged[value] += count
+    assert exact_sum(merged.items()) == total
