@@ -7,16 +7,16 @@ or restore optional containers, give each serving host one (response_ms,
 served) group and its errors, and record the interval.  One run is
 single-threaded and deterministic for a given config, trace, and seed.
 
-Each host keeps its mode, boot countdown and active mask (a tuple over its
-placement stack, in which a container is its position).  The rest of a step
-works on runs of consecutive hosts, in placement index order (h100 follows
-h99), that share a stack, a mode and a mask; routing's remainder splits at
-most one run.  Each piece's state (its run's key and request count) has one
-class: utilization, power, active-weight fraction, response group and
-restore mask, derived once per run.  `policies.brownout_step`
-takes the (hosts, class) pieces and returns (hosts, mask) moves.  Per host
-are only the pass that cuts the runs, the hosts scaling wakes or sleeps, the
-masks moves set and RSC's draws.  Records keep (class, count) pieces, and
+The fleet is its runs: `model.HostState`s of consecutive hosts, in placement
+index order (h100 follows h99), that share a stack, a mode, a boot countdown
+and a mask (a tuple over the stack, in which a container is its position).
+Scaling splits at most one run each way, boots count down per run, equal
+neighbours merge, routing's remainder splits one run, and brownout sets each
+run's mask; only RSC's per-host draws split a run further.  Each piece's
+state (its run's key and request count) has one class: utilization, power,
+active-weight fraction, response group and restore mask, derived once per
+run.  `policies.brownout_step` takes the (run, class) pieces and returns
+each one's (count, mask) segments.  Records keep (class, count) pieces, and
 are a step's only memory of earlier intervals: the scaler reads their rates
 and the last one's pieces; the result sums their power.  Every float total
 (energy, capacity mean, a record's power, the average response, the mean
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from itertools import accumulate, chain, groupby, islice, pairwise
+from itertools import chain, groupby
 
 from .model import (
     HostMode,
@@ -59,20 +59,6 @@ class ConfigError(ValueError):
     def __init__(self, violations: list):
         super().__init__("; ".join(violations))
         self.violations = violations
-
-
-def route_demand(requests: int, active_host_ids: list) -> dict:
-    """Spread requests evenly, remainder to the first hosts in the order given."""
-    if requests < 0:
-        raise ValueError(f"requests must be >= 0 (got {requests})")
-    alloc = dict.fromkeys(active_host_ids, 0)
-    if not alloc or requests == 0:
-        return alloc
-    share, remainder = divmod(requests, len(alloc))
-    alloc.update(dict.fromkeys(alloc, share))
-    for hid in list(alloc)[:remainder]:
-        alloc[hid] += 1
-    return alloc
 
 
 def derive_utilization(host: HostState, demand: float) -> float:
@@ -138,19 +124,18 @@ class Simulation:
         self.scaling = cfg.policy_name != "NPA"
         self.brownout = cfg.policy_name in SELECTORS
 
-        self.hosts = []
+        self.runs = []  # the fleet: runs of consecutive hosts in one state, in host order
         specs = {s.id: s for s in scaled_services(cfg.services, cfg.policy.optional_util_pct)}
         stacks = {}  # distinct placement -> its index and specs, one tuple for its hosts
-        for hid, ids in place_replicas(cfg).items():  # in index order: h100 comes after h99
-            if (ids := tuple(ids)) not in stacks:
+        placement = place_replicas(cfg)
+        for ids, same in groupby(map(tuple, placement.values())):  # h100 comes after h99
+            if ids not in stacks:
                 stacks[ids] = len(stacks), tuple([specs[sid] for sid in ids])
             stack, containers = stacks[ids]
-            self.hosts.append(HostState(hid, stack=stack, containers=containers,
-                                        active=(True,) * len(ids)))
-        self.host_ids = tuple([h.id for h in self.hosts])
-        self.stack_ends = _run_ends([h.stack for h in self.hosts])  # placement fixes them
+            self.runs.append(HostState(len(list(same)), stack=stack, containers=containers,
+                                       active=(True,) * len(ids)))
+        self.host_ids = tuple(placement)
         self.classes = {}  # state -> HostClass, for the whole run
-        self.booting = []  # the hosts that scaling woke and that still boot
 
         self.rng_policy = random.Random(cfg.policy.seed ^ POLICY_RNG_SALT)
         self.records = []  # all a step reads of earlier intervals
@@ -161,7 +146,7 @@ class Simulation:
         return self._result()
 
     def step(self, t: int, rate: int) -> IntervalRecord:
-        pol, hosts = self.cfg.policy, self.hosts
+        pol = self.cfg.policy
 
         # 1-2: predict and resize.  The scaler waits for history, so the
         # full fleet carries the first interval.
@@ -171,50 +156,51 @@ class Simulation:
             factor = self._capacity_factor()
             # 0 (credit 1, every serving stack shed) is the limit: any rate fits a host
             capacity = pol.capacity_n_o / factor if factor else math.inf
-            target = autoscale(predicted, capacity, len(hosts), pol.min_active_hosts)
+            target = autoscale(predicted, capacity, len(self.host_ids), pol.min_active_hosts)
             self._apply_scaling(target)
 
-        # 3: advance boots; a host woken this interval with boot_delay 1
-        # serves this interval.
-        for h in self.booting:
-            h.boot_remaining -= 1
-            if h.boot_remaining <= 0:
-                h.mode = ACTIVE
-                h.boot_remaining = 0
-        self.booting = [h for h in self.booting if h.mode is BOOTING]
+        # 3: advance boots (a run woken this interval with boot_delay 1 serves
+        # this interval) and join each run to the one before it in one state.
+        runs = []
+        for run in self.runs:
+            if run.mode is BOOTING:
+                run.boot_remaining -= 1
+                if run.boot_remaining <= 0:
+                    run.mode, run.boot_remaining = ACTIVE, 0
+            if runs and runs[-1] == run:  # HostState equality ignores the count
+                runs[-1].count += run.count
+            else:
+                runs.append(run)
 
-        # 4-5: cut the fleet into runs of one stack, mode and mask, route,
-        # and give each piece the class of its state.
-        ends = {*self.stack_ends, *_run_ends([(h.mode, h.active) for h in hosts])}
-        runs = list(pairwise([0, *sorted(ends)]))
-        serving = sum([b - a for a, b in runs if hosts[a].mode is ACTIVE])
+        # 4-5: route and give each run the class of its state.  The first
+        # `extra` serving hosts take one request more: routing splits one run.
+        self.runs = runs
+        serving = sum([run.count for run in runs if run.mode is ACTIVE])
         share, extra = divmod(rate, serving) if serving else (0, 0)
         pieces = []
-        for a, b in runs:
-            if hosts[a].mode is not ACTIVE:
-                pieces.append((a, b, 0, self._class(hosts[a], 0)))
-                continue
-            if (cut := min(a + extra, b)) > a:  # the first `extra` serving hosts take one more
-                extra -= cut - a
-                pieces.append((a, cut, share + 1, self._class(hosts[a], share + 1)))
-            if cut < b:
-                pieces.append((cut, b, share, self._class(hosts[cut], share)))
+        for i, run in enumerate(runs):  # a split inserts the run's rest next
+            n = 0
+            if run.mode is ACTIVE:
+                _split(runs, i, extra)
+                n = share + 1 if extra else share
+                extra = max(0, extra - run.count)
+            pieces.append((run, n, self._class(run, n)))
 
-        # 6-7: brownout controller (shed or restore).  After a move each piece takes its
-        # hosts' class again; RSC draws per host, so an overloaded piece is cut by mask.
+        # 6-7: brownout controller (shed or restore).  Each piece's run takes
+        # its (count, mask) segments, top one first so that a split (RSC's
+        # differing draws) leaves the runs below in place, and its class again.
         if self.brownout:
-            moves = brownout_step([(hosts[a:b], cls) for a, b, _, cls in pieces],
-                                  self.profile, self.cfg.policy_name, self.rng_policy)
-            for moved, mask in moves:
-                for h in moved:
-                    h.active = mask
-            if moves:
-                pieces = [(x, y, n, self._class(hosts[x], n)) for a, b, n, cls in pieces
-                          for x, y in (pairwise([a, *_run_ends([h.active for h in hosts[a:b]], a)])
-                                       if cls.overloaded else [(a, b)])]
+            segments = brownout_step([(run, cls) for run, _, cls in pieces],
+                                     self.profile, self.cfg.policy_name, self.rng_policy)
+            cut = []
+            for i in range(len(pieces) - 1, -1, -1):
+                for count, mask in reversed(segments[i]):
+                    (run := _split(runs, i, runs[i].count - count)).active = mask
+                    cut.append((run, pieces[i][1], self._class(run, pieces[i][1])))
+            pieces = cut[::-1]
 
         # 8-9: errors and the record, from each piece's final class.
-        counted = [(cls, b - a) for a, b, _, cls in pieces]
+        counted = [(cls, run.count) for run, _, cls in pieces]
         record = IntervalRecord(
             t=t, requests=rate, active_hosts=serving, hosts=self.host_ids, pieces=counted,
             errors=sum([cls.errors * n for cls, n in counted]),
@@ -241,28 +227,28 @@ class Simulation:
 
     def _apply_scaling(self, target: int) -> None:
         """Wake sleeping hosts lowest index first or sleep active ones highest
-        first, found through the last interval's pieces (no mode changed since)."""
-        hosts, last = self.hosts, self.records[-1]
-        runs = list(pairwise(accumulate([n for _, n in last.pieces], initial=0)))
-        committed = last.active_hosts + len(self.booting)
-        if target > committed:
-            asleep = [range(a, b) for a, b in runs if hosts[a].mode is SLEEP]
-            for i in islice(chain.from_iterable(asleep), target - committed):
-                hosts[i].mode = BOOTING
-                hosts[i].boot_remaining = self.cfg.policy.boot_delay
-                self.booting.append(hosts[i])
+        first; each direction splits at most one run, where it stops."""
+        runs, active = self.runs, self.records[-1].active_hosts  # no mode changed since
+        booting = [run for run in runs if run.mode is BOOTING]
+        committed = active + sum([run.count for run in booting])
+        if (wake := target - committed) > 0:
+            for i, run in enumerate(runs):
+                if run.mode is SLEEP and wake > 0:
+                    _split(runs, i, wake)
+                    run.mode, run.boot_remaining = BOOTING, self.cfg.policy.boot_delay
+                    wake -= run.count
         elif target < committed:
             # Booting hosts cannot be put to sleep; keep one server alive in
             # case the in-flight boots do not finish this interval.
-            finishing = sum(1 for h in self.booting if h.boot_remaining <= 1)
-            allowed = max(0, last.active_hosts - max(0, 1 - finishing))
-            top_down = chain.from_iterable([range(b - 1, a - 1, -1) for a, b in reversed(runs)
-                                            if hosts[a].mode is ACTIVE])
-            for i in islice(top_down, min(committed - target, allowed)):
-                # Replicas are dropped with the host; when it wakes it comes
-                # back with its full configured stack.
-                h = hosts[i]
-                h.mode, h.boot_remaining, h.active = SLEEP, 0, (True,) * len(h.containers)
+            finishing = sum([run.count for run in booting if run.boot_remaining <= 1])
+            drop = min(committed - target, max(0, active - max(0, 1 - finishing)))
+            for i in range(len(runs) - 1, -1, -1):
+                if runs[i].mode is ACTIVE and drop > 0:
+                    run = _split(runs, i, runs[i].count - drop)
+                    # Replicas are dropped with the host; when it wakes it
+                    # comes back with its full configured stack.
+                    run.mode, run.active = SLEEP, (True,) * len(run.containers)
+                    drop -= run.count
 
     def _class(self, host: HostState, assigned: int) -> HostClass:
         """The class of the host's state with `assigned` requests; the first
@@ -294,18 +280,18 @@ class Simulation:
 
     def _result(self) -> RunResult:
         per_host_otr = overload_ratios(self.records)
-        groups = Counter()  # (response_ms, served) -> serving host-intervals
+        groups, drawn = Counter(), Counter()  # (response_ms, served) or watts -> host-intervals
         for cls, n in chain.from_iterable([r.pieces for r in self.records]):
+            drawn[cls.power_w] += n
             if cls.group[1]:
                 groups[cls.group] += n
         served = sum([count * n for (_, count), n in groups.items()])
-        drawn_w = exact_sum((cls.power_w, n) for r in self.records for cls, n in r.pieces)
         total_requests = sum(r.requests for r in self.records)
         total_errors = sum(r.errors for r in self.records)
         return RunResult(
             policy_name=self.cfg.policy_name,
             seed=self.cfg.policy.seed,
-            energy_kwh=drawn_w * self.cfg.interval_seconds / 3.6e6,
+            energy_kwh=exact_sum(drawn.items()) * self.cfg.interval_seconds / 3.6e6,
             otr_mean=(exact_sum(Counter(per_host_otr.values()).items()) / len(per_host_otr)
                       if per_host_otr else 0.0),
             avg_response_ms=(exact_sum([(ms * count, n) for (ms, count), n in groups.items()])
@@ -321,6 +307,11 @@ class Simulation:
         )
 
 
-def _run_ends(values: list, start: int = 0) -> list:
-    """start + the index after each run of equal consecutive values."""
-    return list(accumulate([len(list(same)) for _, same in groupby(values)], initial=start))[1:]
+def _split(runs: list, i: int, head: int) -> HostState:
+    """Cut runs[i] after its first `head` hosts, if both parts keep some; return its top part."""
+    run = runs[i]
+    if 0 < head < run.count:
+        runs.insert(i + 1, run := HostState(run.count - head, run.mode, run.boot_remaining,
+                                            run.stack, run.containers, run.active))
+        runs[i].count = head
+    return run

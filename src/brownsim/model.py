@@ -159,12 +159,12 @@ class ContainerSpec:
 
 @dataclass
 class HostState:
-    """A host's mode and one active mask over its placement: `containers` is
-    the placement's ContainerSpecs, one tuple per distinct placement, whose
-    index is `stack`, and `active` one on/off flag per container, a tuple
-    the engine replaces and never edits.  A container is its position."""
+    """A run: `count` consecutive hosts in one mode, boot countdown and active
+    mask.  `containers` is their placement's ContainerSpecs, one tuple per
+    distinct placement, whose index is `stack`, and `active` one on/off flag
+    per container, a tuple the engine replaces.  A container is its position."""
 
-    id: str
+    count: int = field(default=1, compare=False)  # equal runs: hosts in one state
     mode: HostMode = HostMode.ACTIVE
     boot_remaining: int = 0
     stack: int = 0
@@ -225,8 +225,14 @@ def with_values(cfg: SimConfig, values: dict) -> SimConfig:
 def exact_sum(pairs) -> float:
     """Each (value, count) pair's value repeated count times, summed exactly
     rounded (`math.fsum`, after Shewchuk 1997): a run's every float total,
-    so it depends on the values alone, not on order or on how hosts are cut."""
-    return math.fsum(chain.from_iterable(repeat(value, count) for value, count in pairs))
+    so it depends on the values alone, not on order or on how hosts are cut.
+    Exact for |value| below about 1.3e300 and counts below 2**52 (Dekker 1971)."""
+    parts = []  # four exact products per pair, from 26-bit halves of value and count
+    for value, count in pairs:
+        hi = (c := 134217729.0 * value) - (c - value)  # 2**27 + 1
+        lo, high, low = value - hi, count >> 26, count & 67108863
+        parts += (hi * low, lo * low, hi * high * 67108864.0, lo * high * 67108864.0)
+    return math.fsum(parts)
 
 
 @dataclass(eq=False)

@@ -22,10 +22,10 @@ break on the items' ids alone, which the controller sets to stack positions,
 so a pick is memoised on the utilizations and positions, across classes and runs.
 
 `brownout_step` is the controller, called once per interval on the whole
-fleet, cut into pieces of consecutive hosts in one class: it sheds while a
-host is overloaded and restores otherwise.  Its (hosts, mask) moves are one
-LUCF or MNCF pick per overloaded host class (their picks depend on the
-offer alone), one RSC draw per overloaded host, or each class's
+fleet, cut into runs of consecutive hosts in one class: it sheds while a
+host is overloaded and restores otherwise.  Each run's (count, mask) segments
+come from one LUCF or MNCF pick per overloaded host class (their picks depend
+on the offer alone), one RSC draw per overloaded host, or each class's
 `restore_mask`.
 Optional containers sharing a connection tag on one host only work as a
 group, so `group_units` bundles them into single units for both decisions.
@@ -251,49 +251,52 @@ SELECTORS = {"LUCF": select_lucf, "MNCF": select_mncf, "RSC": select_rsc}
 
 def brownout_step(fleet: list, profile: PowerProfile, policy: str,
                   rng: random.Random | None = None) -> list:
-    """Decide the interval's brownout for the whole fleet and return its
-    moves: (hosts, mask) pairs, hosts of one class and the mask they take.
+    """Decide the interval's brownout for the whole fleet and return each
+    piece's masks: (count, mask) segments that cover its hosts in order.
 
-    `fleet` holds (hosts, class) pieces in host order, the hosts of a piece
-    consecutive and sharing their stack, mode, mask and class.  While any
-    class is overloaded, each overloaded class gets a target from the shared
-    dimmer and an offer of the optional containers its mask keeps on, each
-    at the class's demand times its weight, capped at 1; the policy's
+    `fleet` holds (run, class) pieces in host order, each a `HostState` run
+    of consecutive hosts sharing their stack, mode, mask and class.  While
+    any class is overloaded, each overloaded class gets a target from the
+    shared dimmer and an offer of the optional containers its mask keeps on,
+    each at the class's demand times its weight, capped at 1; the policy's
     selector (SELECTORS[policy]) picks once per class for LUCF and MNCF,
     whose pick is a function of the offer alone, and once per host in host
-    order for RSC, so RSC's draws stay put.
-    Hosts of one class share their stack positions, so the class builds its
-    offer once per run, at its first overload, and keeps it in `cls.offer`.
-    Otherwise every piece whose class's restore mask differs from its own
-    mask takes it, grouped by class in first-member order.
+    order for RSC, so RSC's draws stay put; a piece splits only where they
+    differ, and other pieces keep their mask.  Otherwise every piece takes
+    its class's restore mask.  Hosts of one class share their stack
+    positions, so the class builds its offer once per run, at its first
+    overload, and keeps it in `cls.offer`.
     """
-    members, moves = {}, []
-    overloaded = [(hosts, cls) for hosts, cls in fleet if cls.overloaded]
-    if not overloaded:
-        for hosts, cls in fleet:
-            if cls.restore != hosts[0].active:
-                members.setdefault(cls, []).extend(hosts)
-        return [(hosts, cls.restore) for cls, hosts in members.items()]
-    theta = dimmer(sum([len(hosts) for hosts, _ in overloaded]),
-                   sum([len(hosts) for hosts, _ in fleet]))
-    select, targets = SELECTORS[policy], {}
-    for hosts, cls in overloaded:
-        members.setdefault(cls, []).extend(hosts)
-    for cls, hosts in members.items():
-        if cls.offer is None:
+    if not any(cls.overloaded for _, cls in fleet):
+        return [[(run.count, cls.restore)] for run, cls in fleet]
+    theta = dimmer(sum([run.count for run, cls in fleet if cls.overloaded]),
+                   sum([run.count for run, _ in fleet]))
+    select, picks, out = SELECTORS[policy], {}, []
+    for run, cls in fleet:
+        if cls.overloaded and cls.offer is None:
             cls.offer = Offer([
                 OptionalItem(id=j, utilization=min(cls.demand * spec.weight, 1.0),
                              connection_tag=spec.connection_tag)
-                for j, (spec, on) in enumerate(zip(hosts[0].containers, hosts[0].active))
+                for j, (spec, on) in enumerate(zip(run.containers, run.active))
                 if on and spec.optional])
-        targets[cls] = expected_reduction(cls.utilization, cls.power_w, theta, profile)
-    picks = ([(c, [h]) for hosts, c in overloaded for h in hosts] if policy == "RSC"
-             else members.items())
-    for cls, hosts in picks:
-        if cls.offer and (off := set(select(cls.offer, targets[cls], rng))):
-            moves.append((hosts, tuple([on and j not in off
-                                        for j, on in enumerate(hosts[0].active)])))
-    return moves
+        if not (cls.overloaded and cls.offer):
+            out.append([(run.count, run.active)])
+            continue
+        target = expected_reduction(cls.utilization, cls.power_w, theta, profile)
+        if policy == "RSC":
+            draws = [_shed(run.active, select(cls.offer, target, rng)) for _ in range(run.count)]
+            out.append([(len(list(same)), mask) for mask, same in groupby(draws)])
+        else:
+            if cls not in picks:
+                picks[cls] = _shed(run.active, select(cls.offer, target, rng))
+            out.append([(run.count, picks[cls])])
+    return out
+
+
+def _shed(active: tuple, off: list) -> tuple:
+    """The mask with the containers at the positions in `off` turned off."""
+    off = set(off)
+    return tuple([on and j not in off for j, on in enumerate(active)]) if off else active
 
 
 def restore_mask(host: HostState, utilization: float, demand: float, u_t: float) -> tuple:

@@ -1,4 +1,7 @@
-"""Inputs the tests build in code: the shop stack, its config and traces."""
+"""Inputs the tests build in code: the shop stack, its config and traces;
+and a simulation's fleet read host by host."""
+
+from itertools import chain, repeat
 
 from brownsim.model import ContainerSpec, PolicyConfig, SimConfig
 from brownsim.workload import Trace
@@ -43,3 +46,10 @@ def write_trace_csv(trace: Trace, path: str) -> None:
         fh.write("t,requests\n")
         for t, r in enumerate(trace.rates):
             fh.write(f"{t},{r}\n")
+
+
+def hosts_of(sim) -> list:
+    """(host id, run) per host of the simulation's fleet, in host order: each
+    run of `sim.runs` repeated once per host it counts."""
+    assert sum(run.count for run in sim.runs) == len(sim.host_ids), "the runs cover the fleet"
+    return list(zip(sim.host_ids, chain.from_iterable(repeat(run, run.count) for run in sim.runs)))

@@ -8,6 +8,7 @@ list, restores host by host, and sums energy, the capacity mean, the
 average response's numerator and the mean overload ratio with `math.fsum`
 over per-host lists.  It reuses only the unit-tested leaf formulas, so any
 cache in the engine that changes a result shows as a difference from `run`.
+It routes host by host with its own `route_demand`; the engine routes runs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import random
 from typing import NamedTuple
 
-from brownsim.engine import POLICY_RNG_SALT, derive_utilization, route_demand, synthesize_response
+from brownsim.engine import POLICY_RNG_SALT, derive_utilization, synthesize_response
 from brownsim.model import (HostMode, HostState, IntervalRecord, RunResult, SimConfig,
                             place_replicas, scaled_services)
 from brownsim.policies import (SELECTORS, OptionalItem, autoscale, dimmer, expected_reduction,
@@ -36,6 +37,20 @@ class State(NamedTuple):
     overloaded: bool
     group: tuple  # (response_ms, served)
     errors: int
+
+
+def route_demand(requests: int, active_host_ids: list) -> dict:
+    """Spread requests evenly, remainder to the first hosts in the order given."""
+    if requests < 0:
+        raise ValueError(f"requests must be >= 0 (got {requests})")
+    alloc = dict.fromkeys(active_host_ids, 0)
+    if not alloc or requests == 0:
+        return alloc
+    share, remainder = divmod(requests, len(alloc))
+    alloc.update(dict.fromkeys(alloc, share))
+    for hid in list(alloc)[:remainder]:
+        alloc[hid] += 1
+    return alloc
 
 
 def derive(cfg: SimConfig, host: HostState, assigned: int) -> State:
@@ -69,9 +84,11 @@ def resize(hosts: list, target: int, boot_delay: int) -> None:
 def run(cfg: SimConfig, trace: Trace) -> RunResult:
     pol, profile = cfg.policy, cfg.power_profile
     specs = {s.id: s for s in scaled_services(cfg.services, pol.optional_util_pct)}
-    hosts = [HostState(hid, containers=tuple([specs[sid] for sid in ids]),
-                       active=(True,) * len(ids))
-             for hid, ids in place_replicas(cfg).items()]
+    placement = place_replicas(cfg)
+    ids = tuple(placement)  # hosts[i] is ids[i], a run of one host
+    hosts = [HostState(1, containers=tuple([specs[sid] for sid in stack]),
+                       active=(True,) * len(stack))
+             for stack in placement.values()]
     rng = random.Random(pol.seed ^ POLICY_RNG_SALT)
     history, records, powers_w, fractions = [], [], [], []
     for t, rate in enumerate(trace.rates):
@@ -90,8 +107,9 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
                 if h.boot_remaining <= 0:
                     h.mode, h.boot_remaining = ACTIVE, 0
         serving = [h for h in hosts if h.mode is ACTIVE]
-        alloc = route_demand(rate, [h.id for h in serving])
-        states = [derive(cfg, h, alloc.get(h.id, 0)) for h in hosts]
+        alloc = route_demand(rate, [hid for hid, h in zip(ids, hosts) if h.mode is ACTIVE])
+        assigned = [alloc.get(hid, 0) for hid in ids]
+        states = [derive(cfg, h, n) for h, n in zip(hosts, assigned)]
 
         if cfg.policy_name in SELECTORS:
             overloaded = sum(s.overloaded for s in states)
@@ -109,7 +127,7 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
                     mask = restore_mask(h, s.utilization, s.demand, pol.overloaded_threshold_u_t)
                 if mask != h.active:
                     h.active = mask
-                    states[i] = derive(cfg, h, alloc[h.id])
+                    states[i] = derive(cfg, h, assigned[i])
 
         powers_w += [s.power_w for s in states]
         fractions = []
@@ -119,7 +137,7 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
             fractions.append(sum(w for w, on in zip(weights, h.active) if on) / total
                              if total > 0 else 1.0)
         records.append(IntervalRecord(  # a piece of one host per host
-            t=t, requests=rate, active_hosts=len(serving), hosts=tuple(h.id for h in hosts),
+            t=t, requests=rate, active_hosts=len(serving), hosts=ids,
             pieces=[(s, 1) for s in states],
             errors=sum(s.errors for s in states),
             deactivated_containers=sum(h.active.count(False) for h in serving)))

@@ -3,7 +3,7 @@ import gc
 import math
 import random
 import tracemalloc
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,6 @@ from brownsim.engine import (
     ConfigError,
     Simulation,
     derive_utilization,
-    route_demand,
     synthesize_response,
 )
 from brownsim.model import (
@@ -30,8 +29,9 @@ from brownsim.model import (
     with_values,
 )
 from brownsim.workload import load_trace
-from builders import flat_trace, shop_cfg, spike_trace
+from builders import flat_trace, hosts_of, shop_cfg, spike_trace
 import reference_engine
+from reference_engine import route_demand
 from test_golden import DENSE_STACK
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,14 +86,14 @@ def test_route_remainder_follows_the_order_given():
 def test_a_fleet_past_h99_keeps_index_order():
     sim = Simulation(shop_cfg(policy="AUTOS", hosts=120, pct=0.0), flat_trace([1212, 1212]))
     fleet = [host_id(i) for i in range(120)]
-    assert [h.id for h in sim.hosts] == fleet
+    assert [hid for hid, _ in hosts_of(sim)] == fleet
     # 1212 = 120 x 10 + 12: the remainder goes to h00-h11, not to h100
     record = sim.step(0, 1212)
     assert [hid for hid, *_ in record.per_host] == fleet
     assert [class_of(sim)[hid].group[1] for hid in ("h11", "h100")] == [11, 10]
     # the scaler keeps ceil(1212 / 25) = 49 hosts and sleeps from h119 down
     sim.step(1, 1212)
-    assert [h.id for h in sim.hosts if h.mode is HostMode.ACTIVE] == fleet[:49]
+    assert [hid for hid, h in hosts_of(sim) if h.mode is HostMode.ACTIVE] == fleet[:49]
 
 
 def test_per_host_otr_follows_host_order_past_h99():
@@ -112,7 +112,7 @@ def derive_host(deactivate=()):
         ContainerSpec(id="o1", service="s", weight=0.2, optional=True),
         ContainerSpec(id="o2", service="s", weight=0.2, optional=True),
     ]
-    return HostState(id="h00", mode=HostMode.ACTIVE,
+    return HostState(1, mode=HostMode.ACTIVE,
                      containers=tuple(specs),
                      active=tuple(s.id not in deactivate for s in specs))
 
@@ -216,21 +216,25 @@ def test_peak_memory_is_flat_in_trace_scale():
 
 
 def test_peak_memory_follows_runs_of_hosts_not_hosts():
-    # A record keeps (class, count) pieces, not one entry per host, so ten
-    # times the fleet on ten times the trace (every host loaded) must not
-    # take ten times the memory
-    sample, peaks = load_config(str(ROOT / "configs" / "sample.json")), {}
+    # The fleet is runs of hosts in one state and a record keeps (class,
+    # count) pieces, not one entry per host, so ten times the fleet on ten
+    # times the trace (every host loaded) must not take ten times the memory,
+    # and the runs stay a handful after every step at either size
+    sample, peaks, runs = load_config(str(ROOT / "configs" / "sample.json")), {}, {}
     for hosts, scale in ((100, 10.0), (1000, 100.0)):
         cfg = dataclasses.replace(sample, policy_name="LUCF", host_count=hosts, services=[
             dataclasses.replace(s, replicas=hosts) for s in sample.services])
         sim = Simulation(cfg, load_trace(str(DATA / "diurnal_day.csv"), scale, 60.0))
         tracemalloc.start()
         try:
-            sim.run()
+            runs[hosts] = max(len(sim.runs) for t, rate in enumerate(sim.trace.rates)
+                              if sim.step(t, rate))
+            sim._result()
             peaks[hosts] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peaks[1000] <= 2 * peaks[100], peaks
+    assert max(runs.values()) <= 6, runs
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +289,20 @@ def test_brownout_is_offered_exactly_the_overloaded_serving_hosts(monkeypatch):
     offered, real = [], engine.brownout_step
 
     def spy(fleet, *args):
-        assert [h for hosts, _ in fleet for h in hosts] == sim.hosts, "the fleet, in host order"
+        assert [id(run) for run, _ in fleet] == [id(run) for run in sim.runs], (
+            "the fleet, in host order")
+        hosts = hosts_of(sim)
         # each piece's class is the state of each of its hosts, routed host by host
         alloc = route_demand(sim.trace.rates[len(sim.records)],
-                             [h.id for h in sim.hosts if h.mode is HostMode.ACTIVE])
-        state_of = {h.id: state for hosts, state in fleet for h in hosts}
-        assert all(state_of[h.id] is sim.classes[
-            (h.stack, h.mode, h.active if h.mode is HostMode.ACTIVE else (), alloc.get(h.id, 0))]
-            for h in sim.hosts)
-        want = [h.id for h in sim.hosts
-                if h.mode is HostMode.ACTIVE and state_of[h.id].utilization > 0.7]
-        assert [h.id for hosts, state in fleet if state.overloaded for h in hosts] == want
+                             [hid for hid, h in hosts if h.mode is HostMode.ACTIVE])
+        state_of = dict(zip(sim.host_ids, chain.from_iterable(
+            repeat(state, run.count) for run, state in fleet)))
+        assert all(state_of[hid] is sim.classes[
+            (h.stack, h.mode, h.active if h.mode is HostMode.ACTIVE else (), alloc.get(hid, 0))]
+            for hid, h in hosts)
+        want = [hid for hid, h in hosts
+                if h.mode is HostMode.ACTIVE and state_of[hid].utilization > 0.7]
+        assert [hid for hid, _ in hosts if state_of[hid].overloaded] == want
         offered.append(len(want))
         return real(fleet, *args)
 
@@ -303,7 +310,8 @@ def test_brownout_is_offered_exactly_the_overloaded_serving_hosts(monkeypatch):
     sim.run()
     assert len(offered) == len(DIURNAL)
     assert 0 < sum(n > 0 for n in offered) < len(offered), "calm and overloaded intervals"
-    assert any(0 < n < len(sim.hosts) for n in offered), "some intervals overload part of the fleet"
+    assert any(0 < n < len(sim.host_ids) for n in offered), (
+        "some intervals overload part of the fleet")
 
 
 def test_determinism_same_seed_same_run():
@@ -333,13 +341,13 @@ def test_state_machine_legality():
     cfg = shop_cfg()
     trace = DIURNAL
     sim = Simulation(cfg, trace)
-    modes = {h.id: h.mode for h in sim.hosts}
+    modes = {hid: h.mode for hid, h in hosts_of(sim)}
     for t in range(len(trace)):
         sim.step(t, trace.rates[t])
-        for h in sim.hosts:
-            pair = (modes[h.id], h.mode)
+        for hid, h in hosts_of(sim):
+            pair = (modes[hid], h.mode)
             assert pair[0] == pair[1] or pair in legal, f"illegal transition {pair}"
-            modes[h.id] = h.mode
+            modes[hid] = h.mode
 
 
 def test_host_invariants_hold_throughout():
@@ -348,8 +356,8 @@ def test_host_invariants_hold_throughout():
     sim = Simulation(cfg, trace)
     for t in range(len(trace)):
         sim.step(t, trace.rates[t])
-        for h in sim.hosts:
-            cls = class_of(sim)[h.id]
+        for hid, h in hosts_of(sim):
+            cls = class_of(sim)[hid]
             assert len(h.containers) == len(h.active)
             assert type(h.active) is tuple and all(type(on) is bool for on in h.active)
             if h.mode is not HostMode.ACTIVE:
@@ -407,7 +415,7 @@ def test_hosts_in_one_state_derive_it_once(monkeypatch, rate, states):
     calls, real = [], engine.derive_utilization
 
     def spy(host, *args):
-        calls.append(host.id)
+        calls.append(host)
         return real(host, *args)
 
     monkeypatch.setattr(engine, "derive_utilization", spy)
@@ -498,12 +506,13 @@ def test_brownout_with_nothing_to_do_equals_autoscaling(policy, ut, pct, service
 
 
 def _spy_selections(monkeypatch, policy):
-    """Per brownout evaluation, the overloaded (host id, class) pairs and the
-    class whose offer each selector call is handed."""
+    """Per brownout evaluation, the overloaded (run, class) pairs, one per
+    host, and the class whose offer each selector call is handed."""
     evaluations, real_step, real_select = [], engine.brownout_step, policies.SELECTORS[policy]
 
     def step(fleet, *args):
-        evaluations.append(([(h.id, c) for hosts, c in fleet if c.overloaded for h in hosts], []))
+        overloaded = [(run, c) for run, c in fleet if c.overloaded for _ in range(run.count)]
+        evaluations.append((overloaded, []))
         return real_step(fleet, *args)
 
     def select(items, target, rng=None):
@@ -611,17 +620,18 @@ def test_partial_restore_takes_the_largest_units_that_fit():
                     policy=PolicyConfig(overloaded_threshold_u_t=0.8, capacity_n_o=100.0),
                     trace_path="unused.csv")
     sim = Simulation(cfg, flat_trace([97]))
-    host = sim.hosts[0]
+    [(hid, host)] = hosts_of(sim)
     host.active = tuple(spec.id == "web" for spec in host.containers)
     # demand 0.97 puts web alone at 0.388, under u_t, so the host restores:
     # the pair (0.3) first, to 0.679; "big" (0.2) would reach 0.873 and is
     # skipped; "small" (0.1) still fits, to 0.776.  Smallest first would
     # have taken "small" and "big" and left the pair out.
     record = sim.step(0, 97)
+    [(hid, host)] = hosts_of(sim)
     assert {spec.id for spec, on in zip(host.containers, host.active) if on} == {
         "web", "p1", "p2", "small"}
     assert record.deactivated_containers == 1
-    assert class_of(sim)[host.id].utilization == pytest.approx(0.97 * 0.8)
+    assert class_of(sim)[hid].utilization == pytest.approx(0.97 * 0.8)
 
 
 def test_two_replicas_on_one_host_are_shed_and_restored_by_position():
@@ -635,7 +645,7 @@ def test_two_replicas_on_one_host_are_shed_and_restored_by_position():
                     trace_path="unused.csv")
     trace = flat_trace([90, 90, 40])
     sim = Simulation(cfg, trace)
-    host = sim.hosts[0]
+    [(_, host)] = hosts_of(sim)
     # a container is its position in the stack, so the two ads are told apart
     assert [spec.id for spec in host.containers] == ["web", "ads", "ads", "rec"]
     # 90 overloads the full stack and the lone host's dimmer of 1 sheds every
@@ -644,6 +654,7 @@ def test_two_replicas_on_one_host_are_shed_and_restored_by_position():
     masks = []
     for t, rate in enumerate(trace.rates):
         sim.step(t, rate)
+        [(_, host)] = hosts_of(sim)
         masks.append(host.active)
     T, F = True, False
     assert masks == [(T, F, F, F), (T, T, F, F), (T, T, T, T)]
@@ -671,7 +682,7 @@ def test_restore_skips_a_host_whose_lightest_container_cannot_fit(monkeypatch):
                     policy=PolicyConfig(overloaded_threshold_u_t=0.8, capacity_n_o=100.0),
                     trace_path="unused.csv")
     sim = Simulation(cfg, flat_trace([97]))
-    host = sim.hosts[0]
+    [(_, host)] = hosts_of(sim)
     host.active = tuple(spec.id == "web" for spec in host.containers)
     asked = _spy_restore_mask(monkeypatch)
     # web alone is at 0.485, under u_t, so the host is in the restore path;
@@ -704,14 +715,15 @@ def test_restore_takes_back_what_fits_and_leaves_off_only_what_does_not(data):
                     policy=PolicyConfig(overloaded_threshold_u_t=ut, capacity_n_o=100.0),
                     trace_path="unused.csv")
     sim = Simulation(cfg, flat_trace([rate]))
-    host = sim.hosts[0]
+    [(_, host)] = hosts_of(sim)
     host.active = before
     sim.step(0, rate)
+    [(hid, host)] = hosts_of(sim)
     assert all(now or not was for now, was in zip(host.active, before))
     assert all(on for spec, on in zip(host.containers, host.active) if not spec.optional)
-    utilization = class_of(sim)[host.id].utilization
+    utilization = class_of(sim)[hid].utilization
     assert utilization <= ut + 1e-12
-    assert not class_of(sim)[host.id].overloaded, "restored into an overloaded class"
+    assert not class_of(sim)[hid].overloaded, "restored into an overloaded class"
     for unit in policies.group_units([
             policies.OptionalItem(j, spec.weight, spec.connection_tag)
             for j, (spec, on) in enumerate(zip(host.containers, host.active)) if not on]):
@@ -724,10 +736,10 @@ def checked_run(sim):
     ACTIVE hosts are flagged overloaded."""
     for t, rate in enumerate(sim.trace.rates):
         record = sim.step(t, rate)
-        for host in sim.hosts:
+        for hid, host in hosts_of(sim):
             assert all(on for spec, on in zip(host.containers, host.active)
-                       if not spec.optional), (t, host.id)
-        modes = {host.id: host.mode for host in sim.hosts}
+                       if not spec.optional), (t, hid)
+        modes = {hid: host.mode for hid, host in hosts_of(sim)}
         assert all(modes[hid] is HostMode.ACTIVE for hid, _, over in record.per_host if over), t
     return sim._result()
 
@@ -739,10 +751,12 @@ def run_with_restores(sim):
     restored, real = [], engine.brownout_step
 
     def step(fleet, *args):
-        moves = real(fleet, *args)
-        if not any(cls.overloaded for _, cls in fleet):
-            restored.extend((len(sim.records), host.id) for hosts, _ in moves for host in hosts)
-        return moves
+        segments = real(fleet, *args)
+        if not any(cls.overloaded for _, cls in fleet):  # a restore: name the hosts it moves
+            ids = iter(sim.host_ids)
+            restored.extend((len(sim.records), hid) for (run, _), masks in zip(fleet, segments)
+                            for n, mask in masks for hid in islice(ids, n) if mask != run.active)
+        return segments
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "brownout_step", step)
@@ -843,7 +857,7 @@ def test_idle_day_on_thirteen_hosts_draws_idle_power():
 def _capacity_factor_from_instances(sim):
     """The capacity factor recomputed host by host from the containers."""
     fractions = []
-    for h in sim.hosts:
+    for _, h in hosts_of(sim):
         if h.mode is HostMode.ACTIVE:
             total = sum(spec.weight for spec in h.containers)
             active = sum(spec.weight for spec, on in zip(h.containers, h.active) if on)
@@ -881,7 +895,7 @@ def test_a_zero_capacity_factor_asks_for_the_floor():
         sim.step(t, trace.rates[t])
     assert sim._capacity_factor() == 0.0
     sim.step(5, trace.rates[5])
-    assert [h.mode for h in sim.hosts] == [HostMode.SLEEP, HostMode.ACTIVE, HostMode.SLEEP]
+    assert [h.mode for _, h in hosts_of(sim)] == [HostMode.SLEEP, HostMode.ACTIVE, HostMode.SLEEP]
     for t in range(6, len(trace)):
         sim.step(t, trace.rates[t])
     assert sim._result() == reference_engine.run(cfg, trace)
@@ -956,7 +970,7 @@ def test_generated_runs_keep_their_invariants(run):
     profile = base.power_profile
     kwh = base.host_count * len(trace) * base.interval_seconds / 3.6e6
     stacks = {}
-    for host in Simulation(base, trace).hosts:  # one shared spec tuple per placement
+    for _, host in hosts_of(Simulation(base, trace)):  # one shared spec tuple per placement
         assert stacks.setdefault(host.stack, host.containers) is host.containers
     for policy in POLICY_NAMES:
         cfg = dataclasses.replace(base, policy_name=policy)

@@ -3,6 +3,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -319,3 +320,36 @@ def test_exact_sum_depends_on_the_values_alone(pairs, rng, data):
     for value, count in pairs:
         merged[value] += count
     assert exact_sum(merged.items()) == total
+
+
+def exactly_rounded(pairs):
+    """The sum of each value repeated count times in exact rational
+    arithmetic, rounded to a float once."""
+    return float(sum([Fraction(value) * count for value, count in pairs], Fraction(0)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+                                st.integers(min_value=0, max_value=100_000)), max_size=3))
+def test_exact_sum_is_the_repeated_sum_up_to_100000_hosts(pairs):
+    assert exact_sum(pairs) == math.fsum([value for value, count in pairs for _ in range(count)])
+
+
+# Counts past 2**26, where one half of a value times the whole count could
+# round; values kept small enough that value * 2**50 stays finite.
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(min_value=-1e250, max_value=1e250, allow_nan=False),
+                                st.integers(min_value=2**26, max_value=2**50)),
+                      min_size=1, max_size=8))
+def test_exact_sum_is_exactly_rounded_for_counts_up_to_2_50(pairs):
+    assert exact_sum(pairs) == exactly_rounded(pairs)
+
+
+@pytest.mark.parametrize("value", [5e-324, -5e-324, 1e300, -1e300])
+@pytest.mark.parametrize("count", [1, 3, 2**26 - 1, 2**26, 2**26 + 1, 10**8])
+def test_exact_sum_holds_at_both_ends_of_its_range(value, count):
+    # the smallest subnormal and the largest magnitude the docstring promises
+    for pairs in ([(value, count)], [(value, count), (0.1, 7)],
+                  [(value, count), (-value, count - 1)]):
+        assert exact_sum(pairs) == exactly_rounded(pairs), pairs
+    assert exact_sum([(value, count), (-value, count - 1)]) == value

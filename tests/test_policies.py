@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ from brownsim.model import (
     HostMode,
     HostState,
     PowerProfile,
+    host_id,
 )
 from brownsim.policies import (
     OptionalItem,
@@ -295,9 +297,10 @@ class HostClassStub(SimpleNamespace):
 
 def make_host(idx, utilization, specs, deactivate=()):
     """An active host at `utilization` and its class, as the engine passes
-    them to brownout_step: the stack is the specs in order, the class's
-    demand is its utilization, and it restores nothing and has no offer yet."""
-    host = HostState(id=f"h{idx:02d}", mode=HostMode.ACTIVE,
+    them to brownout_step: a run of one host whose stack is the specs in
+    order; the class's demand is its utilization, and it restores nothing and
+    has no offer yet.  A host's id is its position in the fleet (`idx`)."""
+    host = HostState(1, mode=HostMode.ACTIVE,
                      containers=tuple(specs.values()),
                      active=tuple(spec.id not in deactivate for spec in specs.values()))
     state = HostClassStub(
@@ -319,15 +322,30 @@ SPECS = {s.id: s for s in [
 
 
 def step(pairs, policy, rng=None):
-    """brownout_step over the (host, class) pairs, each host a piece alone."""
-    return brownout_step([([host], state) for host, state in pairs], PROFILE, policy, rng)
+    """brownout_step over the (host, class) pairs, each host a piece alone:
+    the (fleet, segments) that `moves` and `shed_ids` read."""
+    return pairs, brownout_step(pairs, PROFILE, policy, rng)
 
 
-def shed_ids(moves):
-    """Host id -> the spec ids its new mask turns off, from brownout's (hosts, mask) moves."""
-    return {host.id: sorted(spec.id for spec, on, keep in zip(host.containers, host.active, mask)
-                            if on and not keep)
-            for hosts, mask in moves for host in hosts}
+def masks_of(fleet, segments):
+    """(host id, host, mask it takes) per host of the fleet's (run, class)
+    pieces, from the (count, mask) segments brownout_step returned for them."""
+    hosts = [run for run, _ in fleet for _ in range(run.count)]
+    masks = [mask for piece in segments for n, mask in piece for _ in range(n)]
+    assert len(segments) == len(fleet) and len(masks) == len(hosts), "every host takes one mask"
+    return [(host_id(i), host, mask) for i, (host, mask) in enumerate(zip(hosts, masks))]
+
+
+def moves(decided):
+    """Host id -> the new mask of every host whose mask changes, in host order."""
+    return {hid: mask for hid, host, mask in masks_of(*decided) if mask != host.active}
+
+
+def shed_ids(decided):
+    """Host id -> the spec ids its new mask turns off, for every host it changes."""
+    return {hid: sorted(spec.id for spec, on, keep in zip(host.containers, host.active, mask)
+                        if on and not keep)
+            for hid, host, mask in masks_of(*decided) if mask != host.active}
 
 
 def offered(host, state):
@@ -355,29 +373,33 @@ def spy_dimmer(monkeypatch):
 
 def test_brownout_no_overload_is_reactivation_directive():
     # no overloaded host and nothing to restore: no moves
-    assert step([], "LUCF") == []
-    assert step(with_calm([], 4), "LUCF") == []
+    assert step([], "LUCF")[1] == []
+    calm = with_calm([], 4)
+    assert step(calm, "LUCF")[1] == [[(1, host.active)] for host, _ in calm]
+    assert moves(step(calm, "LUCF")) == {}
 
 
 @pytest.mark.parametrize("policy", ["LUCF", "MNCF", "RSC"])
 def test_brownout_restores_when_no_host_is_overloaded(policy):
     # h00 and h02 share a class that takes "ads" back, h01 is in a class
-    # that takes both back, h03's class keeps its mask: the moves are the
-    # hosts whose class's restore mask differs from their own, grouped by
-    # class in first-member order
+    # that takes both back, h03's class keeps its mask: every piece takes
+    # its class's restore mask, so the hosts that move are those whose
+    # class's restore mask differs from their own
     (h0, both), (h1, one), (h2, _), (h3, kept) = [
         make_host(i, 0.5, SPECS, deactivate=("rec", "ads")) for i in range(4)]
     both.restore, one.restore = (True, True, True), (True, False, True)
     fleet = [(h0, one), (h1, both), (h2, one), (h3, kept)]
     rng = random.Random(3)
     state = rng.getstate()
-    assert step(fleet, policy, rng) == [
-        ([h0, h2], (True, False, True)), ([h1], (True, True, True))]
+    decided = step(fleet, policy, rng)
+    assert decided[1] == [[(1, (True, False, True))], [(1, (True, True, True))],
+                          [(1, (True, False, True))], [(1, h3.active)]]
+    assert moves(decided) == {
+        "h00": (True, False, True), "h01": (True, True, True), "h02": (True, False, True)}
     assert rng.getstate() == state, "restoring draws nothing"
     # one overloaded pair turns the interval into a shed: no restore move
     hot, hot_state = make_host(4, 1.0, SPECS)
-    moves = step(fleet + [(hot, hot_state)], policy, rng)
-    assert [[h.id for h in hosts] for hosts, _ in moves] == [["h04"]]
+    assert list(moves(step(fleet + [(hot, hot_state)], policy, rng))) == ["h04"]
 
 
 def test_brownout_only_overloaded_hosts_selected(monkeypatch):
@@ -386,38 +408,37 @@ def test_brownout_only_overloaded_hosts_selected(monkeypatch):
     # dimmer is the overloaded share of the whole fleet
     seen = spy_dimmer(monkeypatch)
     host, state = make_host(0, 0.9, SPECS)
-    moves = step(with_calm([(host, state)], 4), "LUCF")
+    decided = step(with_calm([(host, state)], 4), "LUCF")
     assert seen == [pytest.approx(math.sqrt(1 / 4))]
-    assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00"]]
+    assert list(moves(decided)) == ["h00"]
     target = expected_reduction(0.9, state.power_w, math.sqrt(1 / 4), PROFILE)
-    assert shed_ids(moves)["h00"] == spec_ids(host, select_lucf(offered(host, state), target))
+    assert shed_ids(decided)["h00"] == spec_ids(host, select_lucf(offered(host, state), target))
 
 
 def test_brownout_all_overloaded_full_dimmer(monkeypatch):
     seen = spy_dimmer(monkeypatch)
     pairs = [make_host(i, 0.95, SPECS) for i in range(4)]
-    moves = step(pairs, "LUCF")
+    decided = step(pairs, "LUCF")
     assert seen == [pytest.approx(1.0)]
-    assert set(shed_ids(moves)) == {h.id for h, _ in pairs}
+    assert set(shed_ids(decided)) == {host_id(i) for i in range(len(pairs))}
 
 
 def test_brownout_never_touches_mandatory():
     rng = random.Random(47)
     pairs = [make_host(i, rng.uniform(0.81, 1.0), SPECS) for i in range(4)]
     for policy in ("LUCF", "MNCF", "RSC"):
-        moves = step(pairs, policy, rng)
-        assert moves, policy
-        for hosts, mask in moves:
-            for host in hosts:
-                for spec, keep in zip(host.containers, mask):
-                    assert keep or spec.optional, f"mandatory {spec.id} in decision"
+        decided = step(pairs, policy, rng)
+        assert moves(decided), policy
+        for _, host, mask in masks_of(*decided):
+            for spec, keep in zip(host.containers, mask):
+                assert keep or spec.optional, f"mandatory {spec.id} in decision"
 
 
 def test_brownout_full_dimmer_sheds_everything_optional():
     pairs = [make_host(i, 1.0, SPECS) for i in range(4)]
-    moves = step(pairs, "LUCF")
-    for host, _ in pairs:
-        assert shed_ids(moves)[host.id] == sorted(
+    decided = step(pairs, "LUCF")
+    for i, (host, _) in enumerate(pairs):
+        assert shed_ids(decided)[host_id(i)] == sorted(
             spec.id for spec in host.containers if spec.optional)
 
 
@@ -432,8 +453,7 @@ def test_brownout_per_host_holds_both_tag_siblings():
     pairs = with_calm([make_host(0, 1.0, specs)], 100)
     # one overloaded host in 100 asks for 0.69 of its 1.0: LUCF fits the
     # 0.4 pair plus one 0.2 single under it, not all three units (0.8)
-    moves = step(pairs, "LUCF")
-    assert shed_ids(moves) == {"h00": ["ads", "cache", "rec"]}
+    assert shed_ids(step(pairs, "LUCF")) == {"h00": ["ads", "cache", "rec"]}
     rng = random.Random(53)
     for policy in ("MNCF", "RSC"):
         picked = set(shed_ids(step(pairs, policy, rng))["h00"])
@@ -442,21 +462,23 @@ def test_brownout_per_host_holds_both_tag_siblings():
 
 def test_brownout_decides_once_per_class_and_rsc_once_per_host():
     # h00, h01 and h03 share one state; h02 is in another.  LUCF picks once
-    # for the class and every member takes its mask.
+    # for the class and every member takes its mask, the same object.
     # RSC draws per host, in host order, each over its class's offer.
     (h0, hot), (h1, _), (h2, warm), (h3, _) = [make_host(i, 1.0, SPECS) for i in range(4)]
     warm.utilization = 0.9
     pairs = [(h0, hot), (h1, hot), (h2, warm), (h3, hot)]
-    moves = step(pairs, "LUCF")
-    assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00", "h01", "h03"], ["h02"]]
-    assert shed_ids(moves)["h03"] == ["ads", "rec"]
+    decided = step(pairs, "LUCF")
+    picked = moves(decided)
+    assert list(picked) == ["h00", "h01", "h02", "h03"]
+    assert picked["h00"] is picked["h01"] is picked["h03"] is not picked["h02"]
+    assert shed_ids(decided)["h03"] == ["ads", "rec"]
     rng, draws = random.Random(5), random.Random(5)
-    moves = step(pairs, "RSC", rng)
-    assert [[h.id for h in hosts] for hosts, _ in moves] == [["h00"], ["h01"], ["h02"], ["h03"]]
+    decided = step(pairs, "RSC", rng)
+    assert list(moves(decided)) == ["h00", "h01", "h02", "h03"]
     target = {id(hot): expected_reduction(1.0, hot.power_w, 1.0, PROFILE),
               id(warm): expected_reduction(0.9, warm.power_w, 1.0, PROFILE)}
-    for (host, state), (_, mask) in zip(pairs, moves):
-        assert shed_ids(moves)[host.id] == spec_ids(
+    for i, (host, state) in enumerate(pairs):
+        assert shed_ids(decided)[host_id(i)] == spec_ids(
             host, select_rsc(offered(host, state), target[id(state)], draws))
     assert rng.getstate() == draws.getstate()
 
@@ -464,18 +486,21 @@ def test_brownout_decides_once_per_class_and_rsc_once_per_host():
 @pytest.mark.parametrize("policy", ["LUCF", "MNCF", "RSC"])
 def test_pieces_of_several_hosts_decide_as_hosts_alone(policy):
     # The engine hands brownout_step runs of consecutive hosts in one class;
-    # the moves, the order of RSC's draws and the restores are those of the
+    # the masks, the order of RSC's draws and the restores are those of the
     # same hosts handed over one by one.
     (h0, hot), (h1, _), (h2, warm), (h3, _) = [make_host(i, 1.0, SPECS) for i in range(4)]
     warm.utilization = 0.9
     pairs = [(h0, hot), (h1, hot), (h2, warm), (h3, hot)]
-    pieces = [([h0, h1], hot), ([h2], warm), ([h3], hot)]
+    pieces = [(dataclasses.replace(h0, count=2), hot), (h2, warm), (h3, hot)]
     alone, runs = random.Random(9), random.Random(9)
-    assert brownout_step(pieces, PROFILE, policy, runs) == step(pairs, policy, alone)
+    in_runs = masks_of(pieces, brownout_step(pieces, PROFILE, policy, runs))
+    assert [mask for *_, mask in in_runs] == [mask for *_, mask in masks_of(*step(
+        pairs, policy, alone))]
     assert runs.getstate() == alone.getstate()
     calm = [make_host(i, 0.5, SPECS, deactivate=("rec",)) for i in range(4)]
-    assert (brownout_step([([h for h, _ in calm[:3]], calm[0][1]), ([calm[3][0]], calm[3][1])],
-                          PROFILE, policy) == step(calm, policy))
+    pieces = [(dataclasses.replace(calm[0][0], count=3), calm[0][1]), calm[3]]
+    assert ([mask for *_, mask in masks_of(pieces, brownout_step(pieces, PROFILE, policy))]
+            == [mask for *_, mask in masks_of(*step(calm, policy))])
 
 
 def test_a_kept_offer_gives_each_pick_its_own_mask():
@@ -491,10 +516,10 @@ def test_a_kept_offer_gives_each_pick_its_own_mask():
     host, kept = make_host(0, 1.0, specs)
     masks, offers = [], set()
     for fleet in (100, 1, 100, 1):  # the dimmer reads 0.1, then 1
-        moves = step(with_calm([(host, kept)], fleet), "LUCF")
+        segments = step(with_calm([(host, kept)], fleet), "LUCF")[1]
         fresh = HostClassStub(**{**vars(kept), "offer": None})
-        assert moves == step(with_calm([(host, fresh)], fleet), "LUCF")
-        masks.append(moves[0][1])
+        assert segments == step(with_calm([(host, fresh)], fleet), "LUCF")[1]
+        masks.append(segments[0][0][1])
         offers.add(id(kept.offer))
     assert masks[0] == masks[2] != masks[1] == masks[3]
     assert len(offers) == 1, "the class must keep the offer it built first"
@@ -511,5 +536,4 @@ def test_ties_break_on_stack_position():
     host, state = make_host(0, 1.0, specs)
     target = expected_reduction(1.0, state.power_w, math.sqrt(1 / 400), PROFILE)
     assert 0 < target <= 0.45
-    moves = step(with_calm([(host, state)], 400), "LUCF")
-    assert shed_ids(moves) == {"h00": ["zeta"]}
+    assert shed_ids(step(with_calm([(host, state)], 400), "LUCF")) == {"h00": ["zeta"]}
