@@ -100,11 +100,13 @@ class HostClass:
     share of the stack's weight, None off the serving set; `restore` is the
     mask, by position, that a member takes once no host is overloaded, from
     `restore_mask`; `offer` is its `policies.Offer` from its first overload
-    on (None before).  A plain class: a dataclass slows the package import.
+    on (None before); `decided` holds the brownout decisions it has made,
+    per dimmer value (see `policies.brownout_step`), all functions of the
+    class too.  A plain class: a dataclass slows the package import.
     """
 
     __slots__ = ("utilization", "power_w", "demand", "overloaded", "group", "errors",
-                 "deactivated", "fraction", "restore", "offer")
+                 "deactivated", "fraction", "restore", "offer", "decided")
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -188,15 +190,20 @@ class Simulation:
 
         # 6-7: brownout controller (shed or restore).  Each piece's run takes
         # its (count, mask) segments, top one first so that a split (RSC's
-        # differing draws) leaves the runs below in place, and its class again.
+        # differing draws) leaves the runs below in place, and its class again;
+        # a piece whose one segment is its own mask keeps its run and class.
         if self.brownout:
             segments = brownout_step([(run, cls) for run, _, cls in pieces],
                                      self.profile, self.cfg.policy_name, self.rng_policy)
             cut = []
             for i in range(len(pieces) - 1, -1, -1):
+                run, n, _ = pieces[i]
+                if segments[i] == [(run.count, run.active)]:  # kept whole: same run, same class
+                    cut.append(pieces[i])
+                    continue
                 for count, mask in reversed(segments[i]):
                     (run := _split(runs, i, runs[i].count - count)).active = mask
-                    cut.append((run, pieces[i][1], self._class(run, pieces[i][1])))
+                    cut.append((run, n, self._class(run, n)))
             pieces = cut[::-1]
 
         # 8-9: errors and the record, from each piece's final class.
@@ -275,7 +282,7 @@ class Simulation:
                 restore = restore_mask(host, utilization, demand, u_t)
             cls = self.classes[key] = HostClass(
                 utilization, power_w, demand, serving and over_threshold(utilization, u_t),
-                (response_ms, served), errors, mask.count(False), fraction, restore, None)
+                (response_ms, served), errors, mask.count(False), fraction, restore, None, {})
         return cls
 
     def _result(self) -> RunResult:

@@ -374,12 +374,15 @@ def place_replicas(cfg: SimConfig) -> dict:
     """Round-robin the replicas of each spec across the fleet.
 
     Returns host_id -> list of spec ids.  Every replica lands on exactly one
-    host; hosts are filled lowest index first, in the dict's order.
+    host; hosts are filled lowest index first, in the dict's order: each host
+    takes replicas // hosts copies of a spec, the first replicas % hosts one more.
     """
-    placement = {host_id(i): [] for i in range(cfg.host_count)}
-    for s in cfg.services:
-        for r in range(s.replicas):
-            placement[host_id(r % cfg.host_count)].append(s.id)
+    fleet, placement = cfg.host_count, {}
+    cuts = sorted({0, fleet} | {s.replicas % fleet for s in cfg.services})
+    for lo, hi in zip(cuts, cuts[1:]):
+        ids = [sid for s in cfg.services
+               for sid in [s.id] * (s.replicas // fleet + (lo < s.replicas % fleet))]
+        placement.update({host_id(i): ids.copy() for i in range(lo, hi)})
     return placement
 
 

@@ -24,9 +24,9 @@ so a pick is memoised on the utilizations and positions, across classes and runs
 `brownout_step` is the controller, called once per interval on the whole
 fleet, cut into runs of consecutive hosts in one class: it sheds while a
 host is overloaded and restores otherwise.  Each run's (count, mask) segments
-come from one LUCF or MNCF pick per overloaded host class (their picks depend
-on the offer alone), one RSC draw per overloaded host, or each class's
-`restore_mask`.
+come from one LUCF or MNCF pick per overloaded host class and dimmer value
+per run (their picks depend on the offer alone), one RSC draw per overloaded
+host, masked once per distinct pick, or the class's `restore_mask`.
 Optional containers sharing a connection tag on one host only work as a
 group, so `group_units` bundles them into single units for both decisions.
 Hosts of one placement share their stack, so each class keeps one `Offer`
@@ -265,13 +265,15 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
     differ, and other pieces keep their mask.  Otherwise every piece takes
     its class's restore mask.  Hosts of one class share their stack
     positions, so the class builds its offer once per run, at its first
-    overload, and keeps it in `cls.offer`.
+    overload, and keeps it in `cls.offer`.  It keeps its decisions for the
+    run in `cls.decided`: (policy, theta) -> the LUCF or MNCF mask or the
+    RSC target, and an RSC pick's positions -> its mask.
     """
     if not any(cls.overloaded for _, cls in fleet):
         return [[(run.count, cls.restore)] for run, cls in fleet]
     theta = dimmer(sum([run.count for run, cls in fleet if cls.overloaded]),
                    sum([run.count for run, _ in fleet]))
-    select, picks, out = SELECTORS[policy], {}, []
+    select, out = SELECTORS[policy], []
     for run, cls in fleet:
         if cls.overloaded and cls.offer is None:
             cls.offer = Offer([
@@ -282,14 +284,17 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
         if not (cls.overloaded and cls.offer):
             out.append([(run.count, run.active)])
             continue
-        target = expected_reduction(cls.utilization, cls.power_w, theta, profile)
+        memo = cls.decided
+        if (policy, theta) not in memo:
+            target = expected_reduction(cls.utilization, cls.power_w, theta, profile)
+            memo[policy, theta] = (target if policy == "RSC" else
+                                   _shed(run.active, select(cls.offer, target, rng)))
         if policy == "RSC":
-            draws = [_shed(run.active, select(cls.offer, target, rng)) for _ in range(run.count)]
-            out.append([(len(list(same)), mask) for mask, same in groupby(draws)])
+            picks = [tuple(select(cls.offer, memo[policy, theta], rng)) for _ in range(run.count)]
+            memo.update({off: _shed(run.active, off) for off in set(picks) - memo.keys()})
+            out.append([(len(list(same)), memo[off]) for off, same in groupby(picks)])
         else:
-            if cls not in picks:
-                picks[cls] = _shed(run.active, select(cls.offer, target, rng))
-            out.append([(run.count, picks[cls])])
+            out.append([(run.count, memo[policy, theta])])
     return out
 
 
@@ -307,7 +312,8 @@ def restore_mask(host: HostState, utilization: float, demand: float, u_t: float)
     weighted by their specs' weights, and a unit brings back demand times
     its weight.  Units come back largest first, ties by positions, as long
     as the host stays out of `over_threshold`; a unit that does not fit is
-    skipped and a smaller one after it may still fit.
+    skipped and a smaller one after it may still fit.  If none comes back,
+    the host's own mask is returned.
     """
     units = group_units([
         OptionalItem(id=j, utilization=spec.weight, connection_tag=spec.connection_tag)
@@ -319,4 +325,4 @@ def restore_mask(host: HostState, utilization: float, demand: float, u_t: float)
         if not over_threshold(u + delta, u_t):
             back.update(unit.ids)
             u += delta
-    return tuple([on or j in back for j, on in enumerate(host.active)])
+    return tuple([on or j in back for j, on in enumerate(host.active)]) if back else host.active

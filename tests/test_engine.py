@@ -527,14 +527,71 @@ def _spy_selections(monkeypatch, policy):
 
 @pytest.mark.parametrize("policy", ["LUCF", "MNCF"])
 def test_lucf_and_mncf_pick_once_per_overloaded_class(monkeypatch, policy):
+    # A class's pick is a function of the class and the dimmer value alone:
+    # each (class, value) picks at the first evaluation that overloads the
+    # class at that value, in first-member order, and never again that run.
     evaluations = _spy_selections(monkeypatch, policy)
+    thetas, real_dimmer = [], policies.dimmer
+
+    def dimmer(overloaded, fleet):
+        thetas.append(real_dimmer(overloaded, fleet))
+        return thetas[-1]
+
+    monkeypatch.setattr(policies, "dimmer", dimmer)
     Simulation(dense_cfg(policy), DIURNAL).run()
-    shared = 0
+    decided, shared, kept, values = set(), 0, 0, iter(thetas)
     for overloaded, calls in evaluations:
         classes = list(dict.fromkeys(cls for _, cls in overloaded))  # in first-member order
-        assert calls == classes
+        theta = next(values) if overloaded else None
+        assert calls == [cls for cls in classes if (cls, theta) not in decided]
+        decided.update((cls, theta) for cls in classes)
         shared += len(overloaded) - len(classes)
+        kept += len(classes) - len(calls)
+    assert next(values, None) is None, "one dimmer value per evaluation that sheds"
     assert shared > 0, "some evaluations must find classes of several hosts"
+    assert kept > 0, "some evaluations must reuse a pick made earlier in the run"
+
+
+@pytest.mark.parametrize("policy", ["LUCF", "MNCF", "RSC"])
+def test_brownout_decides_once_per_class_and_dimmer_value(monkeypatch, policy):
+    # Over one run, a target is computed once per (overloaded class with an
+    # offer, dimmer value), a LUCF or MNCF mask is built once per such pair,
+    # and RSC, which still draws per host, builds one mask per distinct
+    # (class, positions picked).
+    wanted, picks, calls = set(), set(), {"reductions": 0, "sheds": 0, "draws": 0}
+    real_step, real_select = engine.brownout_step, policies.SELECTORS[policy]
+    real_reduction, real_shed = policies.expected_reduction, policies._shed
+
+    def step(fleet, *args):
+        segments = real_step(fleet, *args)
+        if any(cls.overloaded for _, cls in fleet):
+            theta = policies.dimmer(sum([run.count for run, c in fleet if c.overloaded]),
+                                    sum([run.count for run, _ in fleet]))
+            wanted.update((cls, theta) for _, cls in fleet if cls.overloaded and cls.offer)
+        return segments
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    def select(items, target, rng=None):
+        picked = real_select(items, target, rng)
+        picks.add((id(items), tuple(picked)))
+        calls["draws"] += 1
+        return picked
+
+    monkeypatch.setattr(engine, "brownout_step", step)
+    monkeypatch.setattr(policies, "expected_reduction", counted("reductions", real_reduction))
+    monkeypatch.setattr(policies, "_shed", counted("sheds", real_shed))
+    monkeypatch.setitem(policies.SELECTORS, policy, select)
+    Simulation(dense_cfg(policy), DIURNAL).run()
+    assert calls["reductions"] == len(wanted) > 0
+    if policy == "RSC":
+        assert calls["sheds"] == len(picks) < calls["draws"]
+    else:
+        assert calls["sheds"] == calls["draws"] == len(wanted)
 
 
 def test_rsc_draws_once_per_overloaded_host_in_host_order(monkeypatch):

@@ -20,6 +20,7 @@ from brownsim.policies import (
     dimmer,
     expected_reduction,
     group_units,
+    restore_mask,
     select_lucf,
     select_mncf,
     select_rsc,
@@ -305,7 +306,8 @@ def make_host(idx, utilization, specs, deactivate=()):
                      active=tuple(spec.id not in deactivate for spec in specs.values()))
     state = HostClassStub(
         utilization=utilization, power_w=hum(PROFILE, HostMode.ACTIVE, utilization),
-        demand=utilization, overloaded=utilization > 0.8, restore=host.active, offer=None)
+        demand=utilization, overloaded=utilization > 0.8, restore=host.active, offer=None,
+        decided={})
     return host, state
 
 
@@ -460,18 +462,29 @@ def test_brownout_per_host_holds_both_tag_siblings():
         assert ("rec" in picked) == ("cache" in picked), (policy, picked)
 
 
-def test_brownout_decides_once_per_class_and_rsc_once_per_host():
+def test_brownout_decides_once_per_class_and_rsc_once_per_host(monkeypatch):
     # h00, h01 and h03 share one state; h02 is in another.  LUCF picks once
-    # for the class and every member takes its mask, the same object.
-    # RSC draws per host, in host order, each over its class's offer.
+    # per (class, dimmer value) for the run: every member takes its mask, the
+    # same object, in this evaluation and in a later one at the same value.
+    # RSC draws per host, in host order, each over its class's offer, and the
+    # hosts of one class that shed the same positions take one mask object.
     (h0, hot), (h1, _), (h2, warm), (h3, _) = [make_host(i, 1.0, SPECS) for i in range(4)]
     warm.utilization = 0.9
     pairs = [(h0, hot), (h1, hot), (h2, warm), (h3, hot)]
+    offered_to, real = [], policies.SELECTORS["LUCF"]
+    monkeypatch.setitem(policies.SELECTORS, "LUCF",
+                        lambda items, *args: offered_to.append(items) or real(items, *args))
     decided = step(pairs, "LUCF")
     picked = moves(decided)
     assert list(picked) == ["h00", "h01", "h02", "h03"]
     assert picked["h00"] is picked["h01"] is picked["h03"] is not picked["h02"]
     assert shed_ids(decided)["h03"] == ["ads", "rec"]
+    assert len(offered_to) == 2 and offered_to[0] is hot.offer and offered_to[1] is warm.offer
+    again = moves(step(pairs, "LUCF"))
+    assert again == picked and again["h00"] is picked["h00"] and len(offered_to) == 2
+    diluted = with_calm(pairs, 1600)  # a target that rec alone, or rec and ads, covers
+    step(diluted, "LUCF")  # a new dimmer value: each class picks again
+    assert len(offered_to) == 4
     rng, draws = random.Random(5), random.Random(5)
     decided = step(pairs, "RSC", rng)
     assert list(moves(decided)) == ["h00", "h01", "h02", "h03"]
@@ -481,6 +494,10 @@ def test_brownout_decides_once_per_class_and_rsc_once_per_host():
         assert shed_ids(decided)[host_id(i)] == spec_ids(
             host, select_rsc(offered(host, state), target[id(state)], draws))
     assert rng.getstate() == draws.getstate()
+    hot_masks = [mask for _ in range(10) for (_, state), (*_, mask)
+                 in zip(diluted, masks_of(*step(diluted, "RSC", rng))) if state is hot]
+    assert len(set(hot_masks)) > 1
+    assert len({id(mask) for mask in hot_masks}) == len(set(hot_masks))
 
 
 @pytest.mark.parametrize("policy", ["LUCF", "MNCF", "RSC"])
@@ -517,12 +534,24 @@ def test_a_kept_offer_gives_each_pick_its_own_mask():
     masks, offers = [], set()
     for fleet in (100, 1, 100, 1):  # the dimmer reads 0.1, then 1
         segments = step(with_calm([(host, kept)], fleet), "LUCF")[1]
-        fresh = HostClassStub(**{**vars(kept), "offer": None})
+        fresh = HostClassStub(**{**vars(kept), "offer": None, "decided": {}})
         assert segments == step(with_calm([(host, fresh)], fleet), "LUCF")[1]
         masks.append(segments[0][0][1])
         offers.add(id(kept.offer))
     assert masks[0] == masks[2] != masks[1] == masks[3]
+    assert masks[0] is masks[2], "the class must keep the mask it picked at a dimmer value"
     assert len(offers) == 1, "the class must keep the offer it built first"
+
+
+def test_restore_mask_returns_the_host_mask_itself_when_nothing_comes_back():
+    # rec (0.3) would lift the host past u_t 0.8, ads (0.1) fits; a host
+    # that takes nothing back keeps its own mask object, so the engine can
+    # see that its piece stays whole
+    host, _ = make_host(0, 0.6, SPECS, deactivate=("rec", "ads"))
+    assert restore_mask(host, 0.6, 1.0, 0.8) == (True, False, True)
+    assert restore_mask(host, 0.75, 1.0, 0.8) is host.active
+    full, _ = make_host(1, 0.6, SPECS)
+    assert restore_mask(full, 0.6, 1.0, 0.8) is full.active
 
 
 def test_ties_break_on_stack_position():
