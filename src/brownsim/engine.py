@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from itertools import chain, groupby
+from itertools import chain
 
 from .model import (
     HostMode,
@@ -38,6 +38,7 @@ from .model import (
     RunResult,
     SimConfig,
     exact_sum,
+    host_id,
     place_replicas,
     scaled_services,
     validate_config,
@@ -126,17 +127,11 @@ class Simulation:
         self.scaling = cfg.policy_name != "NPA"
         self.brownout = cfg.policy_name in SELECTORS
 
-        self.runs = []  # the fleet: runs of consecutive hosts in one state, in host order
         specs = {s.id: s for s in scaled_services(cfg.services, cfg.policy.optional_util_pct)}
-        stacks = {}  # distinct placement -> its index and specs, one tuple for its hosts
-        placement = place_replicas(cfg)
-        for ids, same in groupby(map(tuple, placement.values())):  # h100 comes after h99
-            if ids not in stacks:
-                stacks[ids] = len(stacks), tuple([specs[sid] for sid in ids])
-            stack, containers = stacks[ids]
-            self.runs.append(HostState(len(list(same)), stack=stack, containers=containers,
-                                       active=(True,) * len(ids)))
-        self.host_ids = tuple(placement)
+        self.runs = [HostState(count, stack=i, containers=tuple([specs[sid] for sid in ids]),
+                               active=(True,) * len(ids))  # the fleet, in host order
+                     for i, (count, ids) in enumerate(place_replicas(cfg))]
+        self.host_ids = tuple(map(host_id, range(cfg.host_count)))
         self.classes = {}  # state -> HostClass, for the whole run
 
         self.rng_policy = random.Random(cfg.policy.seed ^ POLICY_RNG_SALT)

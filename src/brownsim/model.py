@@ -370,20 +370,19 @@ def scaled_services(services: list, optional_util_pct: float) -> list:
     return out
 
 
-def place_replicas(cfg: SimConfig) -> dict:
+def place_replicas(cfg: SimConfig) -> list:
     """Round-robin the replicas of each spec across the fleet.
 
-    Returns host_id -> list of spec ids.  Every replica lands on exactly one
-    host; hosts are filled lowest index first, in the dict's order: each host
-    takes replicas // hosts copies of a spec, the first replicas % hosts one more.
+    Returns (count, spec ids) stretches of consecutive hosts, lowest index
+    first, that cover the fleet: each host takes replicas // hosts copies of
+    a spec, the first replicas % hosts one more.  Each cut lowers some spec's
+    copies by one, and copies never rise with the index: no two stretches are equal.
     """
-    fleet, placement = cfg.host_count, {}
+    fleet = cfg.host_count
     cuts = sorted({0, fleet} | {s.replicas % fleet for s in cfg.services})
-    for lo, hi in zip(cuts, cuts[1:]):
-        ids = [sid for s in cfg.services
-               for sid in [s.id] * (s.replicas // fleet + (lo < s.replicas % fleet))]
-        placement.update({host_id(i): ids.copy() for i in range(lo, hi)})
-    return placement
+    return [(hi - lo, tuple([s.id for s in cfg.services
+                             for _ in range(s.replicas // fleet + (lo < s.replicas % fleet))]))
+            for lo, hi in zip(cuts, cuts[1:])]
 
 
 def host_id(index: int) -> str:

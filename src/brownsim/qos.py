@@ -8,7 +8,6 @@ total energy is the optimization objective, not a bound, so it has no check.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -46,7 +45,7 @@ def nearest_rank_percentile(groups, k: int) -> float:
     if not (1 <= k <= 100):
         raise ValueError(f"percentile k must be within [1, 100] (got {k})")
     tally = Counter(groups)  # hosts of one class repeat a group; sort each once
-    rank = math.ceil(k / 100 * sum(count * times for (_, count), times in tally.items()))
+    rank = -(-k * sum(count * times for (_, count), times in tally.items()) // 100)
     if rank < 1:
         raise ValueError("no samples to take a percentile of")
     for (value, count), times in sorted(tally.items()):

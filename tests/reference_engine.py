@@ -8,7 +8,8 @@ list, restores host by host, and sums energy, the capacity mean, the
 average response's numerator and the mean overload ratio with `math.fsum`
 over per-host lists.  It reuses only the unit-tested leaf formulas, so any
 cache in the engine that changes a result shows as a difference from `run`.
-It routes host by host with its own `route_demand`; the engine routes runs.
+It places and routes host by host with its own `place` and `route_demand`;
+the engine places and routes runs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 from brownsim.engine import POLICY_RNG_SALT, derive_utilization, synthesize_response
 from brownsim.model import (HostMode, HostState, IntervalRecord, RunResult, SimConfig,
-                            place_replicas, scaled_services)
+                            host_id, scaled_services)
 from brownsim.policies import (SELECTORS, OptionalItem, autoscale, dimmer, expected_reduction,
                                over_threshold, restore_mask)
 from brownsim.power import hum
@@ -37,6 +38,16 @@ class State(NamedTuple):
     overloaded: bool
     group: tuple  # (response_ms, served)
     errors: int
+
+
+def place(cfg: SimConfig) -> list:
+    """Each host's spec ids, in host order: replica r of a spec goes to host
+    r % fleet, spec by spec."""
+    stacks = [[] for _ in range(cfg.host_count)]
+    for s in cfg.services:
+        for r in range(s.replicas):
+            stacks[r % cfg.host_count].append(s.id)
+    return stacks
 
 
 def route_demand(requests: int, active_host_ids: list) -> dict:
@@ -84,11 +95,10 @@ def resize(hosts: list, target: int, boot_delay: int) -> None:
 def run(cfg: SimConfig, trace: Trace) -> RunResult:
     pol, profile = cfg.policy, cfg.power_profile
     specs = {s.id: s for s in scaled_services(cfg.services, pol.optional_util_pct)}
-    placement = place_replicas(cfg)
-    ids = tuple(placement)  # hosts[i] is ids[i], a run of one host
+    ids = tuple(map(host_id, range(cfg.host_count)))  # hosts[i] is ids[i], a run of one host
     hosts = [HostState(1, containers=tuple([specs[sid] for sid in stack]),
                        active=(True,) * len(stack))
-             for stack in placement.values()]
+             for stack in place(cfg)]
     rng = random.Random(pol.seed ^ POLICY_RNG_SALT)
     history, records, powers_w, fractions = [], [], [], []
     for t, rate in enumerate(trace.rates):

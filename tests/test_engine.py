@@ -26,6 +26,7 @@ from brownsim.model import (
     SimConfig,
     host_id,
     load_config,
+    place_replicas,
     with_values,
 )
 from brownsim.workload import load_trace
@@ -100,6 +101,22 @@ def test_per_host_otr_follows_host_order_past_h99():
     result = Simulation(shop_cfg(policy="LUCF", hosts=120, pct=0.0), flat_trace([6000] * 3)).run()
     assert list(result.per_host_otr) == [host_id(i) for i in range(120)]
     assert 0 < result.otr_mean, "some hosts must be overloaded"
+
+
+@pytest.mark.parametrize("stagger", [0, 9973])
+def test_a_100000_host_fleet_is_built_from_its_stretches(stagger):
+    # the validated bound; stagger 0 puts one of each spec on every host, and
+    # otherwise spec i places 100,000 - (i + 1) x stagger replicas, one cut each
+    cfg = dataclasses.replace(SAMPLE_CFG, host_count=100_000, services=[
+        dataclasses.replace(s, replicas=100_000 - (i + 1) * stagger)
+        for i, s in enumerate(SAMPLE_CFG.services)])
+    stretches = place_replicas(cfg)
+    assert len(stretches) == (len(cfg.services) + 1 if stagger else 1)
+    sim = Simulation(cfg, flat_trace([1]))
+    assert [(run.count, run.stack, tuple(s.id for s in run.containers), run.mode, run.active)
+            for run in sim.runs] == [(count, i, ids, HostMode.ACTIVE, (True,) * len(ids))
+                                     for i, (count, ids) in enumerate(stretches)]
+    assert sim.host_ids == tuple(f"h{i:02d}" for i in range(100_000))
 
 
 # ---------------------------------------------------------------------------

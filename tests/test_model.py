@@ -21,7 +21,6 @@ from brownsim.model import (
     config_to_dict,
     dump_config,
     exact_sum,
-    host_id,
     load_config,
     place_replicas,
     scaled_services,
@@ -29,6 +28,7 @@ from brownsim.model import (
     with_values,
 )
 from builders import shop_services
+from reference_engine import place
 
 
 def sample_config(**overrides):
@@ -143,22 +143,25 @@ def test_scaled_services_zero_keeps_weights():
     assert scaled_services(original, 0.0) == original
 
 
-def test_place_replicas_covers_every_replica_once():
-    cfg = sample_config()
-    placement = place_replicas(cfg)
-    placed = sum(len(specs) for specs in placement.values())
-    assert placed == sum(s.replicas for s in cfg.services)
-    for hid, specs in placement.items():
-        assert hid == host_id(int(hid[1:]))
-        assert len(specs) == 5, "4 replicas over 4 hosts puts one of each spec per host"
+@settings(max_examples=60, deadline=None)
+@given(replicas=st.lists(st.integers(1, 120), min_size=1, max_size=6), fleet=st.integers(1, 50))
+def test_place_replicas_matches_per_host_round_robin(replicas, fleet):
+    services = [ContainerSpec(id=f"c{i}", service="s", weight=1 / len(replicas), replicas=r)
+                for i, r in enumerate(replicas)]
+    cfg = sample_config(host_count=fleet, services=services)
+    stretches = place_replicas(cfg)
+    assert [list(ids) for count, ids in stretches for _ in range(count)] == place(cfg)
+    assert all(count >= 1 for count, _ in stretches)
+    assert len({ids for _, ids in stretches}) == len(stretches), "stretches are pairwise distinct"
+    assert sum(count for count, _ in stretches) == fleet
+    assert sum(count * len(ids) for count, ids in stretches) == sum(replicas)
 
 
 def test_place_replicas_round_robin_overflow():
-    cfg = sample_config(host_count=3)
-    placement = place_replicas(cfg)
-    assert len(placement["h00"]) == 10, "first host takes the wrapped replicas"
-    assert len(placement["h01"]) == 5
-    assert len(placement["h02"]) == 5
+    cfg = sample_config(host_count=3)  # 4 replicas of each of 5 specs
+    twice = tuple(s.id for s in cfg.services for _ in range(2))
+    assert place_replicas(cfg) == [(1, twice), (2, twice[::2])], (
+        "first host takes the wrapped replicas")
 
 
 def _optional_units(cfg):
@@ -166,7 +169,7 @@ def _optional_units(cfg):
     `place_replicas`' placement."""
     specs = {s.id: s for s in cfg.services}
     most = 0
-    for ids in place_replicas(cfg).values():
+    for _, ids in place_replicas(cfg):
         placed = [specs[sid] for sid in ids if specs[sid].optional]
         tags = {s.connection_tag for s in placed} - {None}
         most = max(most, len(tags) + sum(s.connection_tag is None for s in placed))

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -85,6 +86,12 @@ def test_percentile_examples():
     assert nearest_rank_percentile(singles([10, 10, 10, 1000]), 50) == 10
 
 
+@pytest.mark.parametrize("n, k, rank", [(100, 55, 55), (100, 7, 7), (25, 28, 7)])
+def test_percentile_rank_is_an_exact_ceiling(n, k, rank):
+    # ceil(k/100 * N) in floats lands one rank high here: 55/100 * 100 is 55.00000000000001
+    assert nearest_rank_percentile(singles(range(1, n + 1)), k) == rank
+
+
 def test_percentile_rejects_empty_or_bad_k():
     with pytest.raises(ValueError):
         nearest_rank_percentile([], 95)
@@ -111,7 +118,7 @@ def test_percentile_monotone_and_bounded():
 def test_percentile_of_groups_is_the_percentile_of_their_samples(groups, k):
     # the reference: nearest rank over the sorted list of expanded samples
     ordered = sorted(value for value, count in groups for _ in range(count))
-    expected = ordered[math.ceil(k / 100 * len(ordered)) - 1]
+    expected = ordered[math.ceil(Fraction(k, 100) * len(ordered)) - 1]
     assert nearest_rank_percentile(groups, k) == expected
 
 
