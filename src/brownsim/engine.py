@@ -12,16 +12,17 @@ index order (h100 follows h99), that share a stack, a mode, a boot countdown
 and a mask (a tuple over the stack, in which a container is its position).
 Scaling splits at most one run each way, boots count down per run, equal
 neighbours merge, routing's remainder splits one run, and brownout sets each
-run's mask; only RSC's per-host draws split a run further.  Each piece's
-state (its run's key and request count) has one class: utilization, power,
-active-weight fraction, response group and restore mask, derived once per
-run.  `policies.brownout_step` takes the (run, class) pieces and returns
-each one's (count, mask) segments.  Records keep (class, count) pieces, and
-are a step's only memory of earlier intervals: the scaler reads their rates
-and the last one's pieces; the result sums their power.  Every float total
-(energy, capacity mean, a record's power, the average response, the mean
-overload ratio) is `model.exact_sum`, exactly rounded, so it depends on the
-simulated states alone, not on host order or on how the runs are cut.
+run's mask; only RSC's per-host draws, made where a draw can change the
+pick, split a run further.  Each piece's state (its run's key and request
+count) has one class: utilization, power, active-weight fraction, response
+group and restore mask, derived once per run.  `policies.brownout_step`
+takes the (run, class) pieces and returns each one's (count, mask)
+segments.  Records keep (class, count) pieces, and are a step's only memory
+of earlier intervals: the scaler reads their rates and the last one's
+pieces; the result sums their power.  Every float total (energy, capacity
+mean, a record's power, the average response, the mean overload ratio) is
+`model.exact_sum`, exactly rounded, so it depends on the simulated states
+alone, not on host order or on how the runs are cut.
 """
 
 from __future__ import annotations

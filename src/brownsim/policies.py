@@ -11,9 +11,12 @@ and a selector picks which optional containers to deactivate to meet it:
         expand LUCF as "Lowest Utilization Component First", recalled and
         not checked against the paper),
   MNCF  fewest containers whose combined utilization covers the target,
-  RSC   random picks until the target is covered.
+  RSC   random picks until the target is covered; when every draw order
+        would take the whole offer (`takes_every_unit`), all of it, undrawn:
+        a forced pick.
 
-Every selector is called as (items, target, rng); only RSC uses the rng.
+Every selector is called as (items, target, rng); only RSC uses the rng, and
+only for picks that a draw can change.
 LUCF and MNCF scan a table with C-level filters, one total per count vector
 (how many units of each utilization a pick takes: equal units are
 interchangeable); `model.validate_config` keeps a placement within
@@ -24,9 +27,10 @@ so a pick is memoised on the utilizations and positions, across classes and runs
 `brownout_step` is the controller, called once per interval on the whole
 fleet, cut into runs of consecutive hosts in one class: it sheds while a
 host is overloaded and restores otherwise.  Each run's (count, mask) segments
-come from one LUCF or MNCF pick per overloaded host class and dimmer value
-per run (their picks depend on the offer alone), one RSC draw per overloaded
-host, masked once per distinct pick, or the class's `restore_mask`.
+come from one LUCF, MNCF or forced RSC pick per overloaded host class and
+dimmer value per run (these depend on the offer alone), else from one RSC
+draw per overloaded host, masked once per distinct pick, or from the class's
+`restore_mask`.
 Optional containers sharing a connection tag on one host only work as a
 group, so `group_units` bundles them into single units for both decisions.
 Hosts of one placement share their stack, so each class keeps one `Offer`
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from functools import lru_cache
 from itertools import chain, compress, count, groupby, repeat
 from operator import add
@@ -228,11 +233,25 @@ def select_mncf(items: list, target: float, rng: random.Random | None = None) ->
     return list(_best_pick(*zip(*units), target - FEAS_EPS, False)) or _ids(units)
 
 
+def takes_every_unit(units: tuple, target: float) -> bool:
+    """Whether RSC's draws take every unit whatever their order: all units but
+    the smallest, summed exactly, fall short of the target by more than any
+    float running total of them can round (a margin in proportion to their
+    count), so no proper subset covers it.  `units` as `group_units` sorts them."""
+    rest = math.fsum([u.utilization for u in units[1:]])
+    return rest * (1.0 + len(units) * sys.float_info.epsilon) < target - FEAS_EPS
+
+
 def select_rsc(items: list, target: float, rng: random.Random) -> list:
-    """Random units until the target is covered or nothing is left."""
+    """Random units until the target is covered or nothing is left.
+
+    When every unit goes whatever the draw order (`takes_every_unit`), every
+    unit is returned and the rng is not touched."""
     units = group_units(items)
     if not units or target <= 0:
         return []
+    if takes_every_unit(units, target):
+        return _ids(units)
     pool = list(units)
     chosen, total = [], 0.0
     while pool and total < target - FEAS_EPS:
@@ -260,14 +279,17 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
     shared dimmer and an offer of the optional containers its mask keeps on,
     each at the class's demand times its weight, capped at 1; the policy's
     selector (SELECTORS[policy]) picks once per class for LUCF and MNCF,
-    whose pick is a function of the offer alone, and once per host in host
-    order for RSC, so RSC's draws stay put; a piece splits only where they
-    differ, and other pieces keep their mask.  Otherwise every piece takes
-    its class's restore mask.  Hosts of one class share their stack
-    positions, so the class builds its offer once per run, at its first
-    overload, and keeps it in `cls.offer`.  It keeps its decisions for the
-    run in `cls.decided`: (policy, theta) -> the LUCF or MNCF mask or the
-    RSC target, and an RSC pick's positions -> its mask.
+    whose pick is a function of the offer alone.  RSC's pick is one too when
+    every unit goes whatever the draw order (`takes_every_unit`): the class
+    sheds its whole offer, with no selector call and no draw.  Otherwise RSC
+    draws once per host in host order, so its draws stay put; a piece splits
+    only where they differ, and other pieces keep their mask.  While no
+    class is overloaded, every piece takes its class's restore mask.  Hosts
+    of one class share their stack positions, so the class builds its offer
+    once per run, at its first overload, and keeps it in `cls.offer`.  It
+    keeps its decisions for the run in `cls.decided`: (policy, theta) -> the
+    LUCF, MNCF or forced RSC mask, or the target RSC draws for, and a drawn
+    pick's positions -> its mask.
     """
     if not any(cls.overloaded for _, cls in fleet):
         return [[(run.count, cls.restore)] for run, cls in fleet]
@@ -287,14 +309,19 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
         memo = cls.decided
         if (policy, theta) not in memo:
             target = expected_reduction(cls.utilization, cls.power_w, theta, profile)
-            memo[policy, theta] = (target if policy == "RSC" else
-                                   _shed(run.active, select(cls.offer, target, rng)))
-        if policy == "RSC":
-            picks = [tuple(select(cls.offer, memo[policy, theta], rng)) for _ in range(run.count)]
+            if policy != "RSC":
+                memo[policy, theta] = _shed(run.active, select(cls.offer, target, rng))
+            elif takes_every_unit(cls.offer.units, target):
+                memo[policy, theta] = _shed(run.active, _ids(cls.offer.units))
+            else:
+                memo[policy, theta] = target  # RSC draws for each host
+        decided = memo[policy, theta]
+        if type(decided) is tuple:  # a mask for the whole run
+            out.append([(run.count, decided)])
+        else:
+            picks = [tuple(select(cls.offer, decided, rng)) for _ in range(run.count)]
             memo.update({off: _shed(run.active, off) for off in set(picks) - memo.keys()})
             out.append([(len(list(same)), memo[off]) for off, same in groupby(picks)])
-        else:
-            out.append([(run.count, memo[policy, theta])])
     return out
 
 

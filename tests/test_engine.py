@@ -459,9 +459,13 @@ def dense_cfg(policy):
 
 
 # Ten hosts that swing between saturation and calm.  A saturated host's
-# optional utilizations sum above 1, so no target takes every unit and the
-# three selectors pick differently; the only fixed day where they do.
+# full offer sums above 1, so no target takes all of it and the three
+# selectors pick differently; the only fixed day where they do.  (A host
+# left with one unit to offer sheds it whatever RSC draws.)
 PARTIAL_DAY = flat_trace(([700] * 5 + [150] * 5) * 4)
+# The same hosts loaded just past u_t, where RSC's every draw order sheds
+# the whole offer, then saturated, where its draws decide, then calm.
+MIXED_DAY = flat_trace(([220] * 5 + [700] * 5 + [150] * 5) * 2)
 BIG_DAY = load_trace(str(DATA / "diurnal_day.csv"), 12.0, 60.0)  # the day for 120 hosts
 
 
@@ -473,6 +477,8 @@ BIG_DAY = load_trace(str(DATA / "diurnal_day.csv"), 12.0, 60.0)  # the day for 1
 ] + [
     pytest.param(shop_cfg(policy=p, pct=0.5), PARTIAL_DAY, id=f"{p}-partial")
     for p in ("LUCF", "MNCF", "RSC")
+] + [
+    pytest.param(shop_cfg(policy="RSC", pct=0.5), MIXED_DAY, id="RSC-mixed")
 ] + [
     pytest.param(shop_cfg(policy=p, hosts=120), BIG_DAY, id=f"{p}-120-hosts")
     for p in ("LUCF", "RSC")
@@ -486,6 +492,18 @@ def test_run_wide_classes_and_shared_picks_equal_a_per_interval_per_host_run(cfg
     assert len(kept.classes) < sum(r.active_hosts > 0 for r in result.interval_records), (
         "the run must revisit states")
     assert result == reference_engine.run(cfg, trace)
+
+
+def test_the_mixed_day_forces_some_rsc_picks_and_draws_others(monkeypatch):
+    # The reference comparison on the mixed day checks the rng stream that
+    # forced picks no longer advance, so both kinds of pick must occur there,
+    # forced ones of more than one unit among them.
+    asked, real = [], policies.takes_every_unit
+    monkeypatch.setattr(policies, "takes_every_unit",
+                        lambda units, target: asked.append((len(units) > 1, real(units, target)))
+                        or asked[-1][1])
+    Simulation(shop_cfg(policy="RSC", pct=0.5), MIXED_DAY).run()
+    assert {(True, True), (True, False)} <= set(asked)
 
 
 def test_the_partial_day_tells_the_selectors_apart():
@@ -569,15 +587,20 @@ def test_lucf_and_mncf_pick_once_per_overloaded_class(monkeypatch, policy):
     assert kept > 0, "some evaluations must reuse a pick made earlier in the run"
 
 
-@pytest.mark.parametrize("policy", ["LUCF", "MNCF", "RSC"])
-def test_brownout_decides_once_per_class_and_dimmer_value(monkeypatch, policy):
+@pytest.mark.parametrize("policy, cfg, day", [
+    pytest.param(p, dense_cfg(p), DIURNAL, id=p) for p in ("LUCF", "MNCF", "RSC")
+] + [pytest.param("RSC", shop_cfg(policy="RSC", pct=0.5), PARTIAL_DAY, id="RSC-partial")])
+def test_brownout_decides_once_per_class_and_dimmer_value(monkeypatch, policy, cfg, day):
     # Over one run, a target is computed once per (overloaded class with an
-    # offer, dimmer value), a LUCF or MNCF mask is built once per such pair,
-    # and RSC, which still draws per host, builds one mask per distinct
-    # (class, positions picked).
-    wanted, picks, calls = set(), set(), {"reductions": 0, "sheds": 0, "draws": 0}
+    # offer, dimmer value), and so is a LUCF or MNCF mask, or an RSC mask
+    # for a pick that every draw order makes (all of the dense day's); RSC
+    # draws per host otherwise, and builds one mask per distinct (class,
+    # positions drawn).
+    wanted, picks = set(), set()
+    calls = {"reductions": 0, "sheds": 0, "draws": 0, "forced": 0}
     real_step, real_select = engine.brownout_step, policies.SELECTORS[policy]
     real_reduction, real_shed = policies.expected_reduction, policies._shed
+    real_forced = policies.takes_every_unit
 
     def step(fleet, *args):
         segments = real_step(fleet, *args)
@@ -593,6 +616,10 @@ def test_brownout_decides_once_per_class_and_dimmer_value(monkeypatch, policy):
             return fn(*args)
         return spy
 
+    def forced(units, target):  # asked once per RSC decision, again by each draw
+        calls["forced"] += (answer := real_forced(units, target))
+        return answer
+
     def select(items, target, rng=None):
         picked = real_select(items, target, rng)
         picks.add((id(items), tuple(picked)))
@@ -602,29 +629,77 @@ def test_brownout_decides_once_per_class_and_dimmer_value(monkeypatch, policy):
     monkeypatch.setattr(engine, "brownout_step", step)
     monkeypatch.setattr(policies, "expected_reduction", counted("reductions", real_reduction))
     monkeypatch.setattr(policies, "_shed", counted("sheds", real_shed))
+    monkeypatch.setattr(policies, "takes_every_unit", forced)
     monkeypatch.setitem(policies.SELECTORS, policy, select)
-    Simulation(dense_cfg(policy), DIURNAL).run()
+    Simulation(cfg, day).run()
     assert calls["reductions"] == len(wanted) > 0
-    if policy == "RSC":
-        assert calls["sheds"] == len(picks) < calls["draws"]
-    else:
+    if policy != "RSC":
         assert calls["sheds"] == calls["draws"] == len(wanted)
+    elif day is DIURNAL:
+        assert calls["sheds"] == calls["forced"] == len(wanted) and calls["draws"] == 0
+    else:
+        assert calls["sheds"] == calls["forced"] + len(picks)
+        assert 0 < calls["forced"] < len(wanted) and len(picks) < calls["draws"]
+
+
+def _rsc_draws(cls, theta, profile):
+    """Whether an overloaded host of the class draws its RSC pick: the class
+    offers units that not every draw order takes whole."""
+    target = policies.expected_reduction(cls.utilization, cls.power_w, theta, profile)
+    return bool(cls.offer) and not policies.takes_every_unit(cls.offer.units, target)
 
 
 def test_rsc_draws_once_per_overloaded_host_in_host_order(monkeypatch):
-    # each draw is over the offer of the host's class
+    # each draw is over the offer of the host's class; on the partial day a
+    # saturated host's offer covers its target before it runs out, but one
+    # unit alone goes whatever the draw, so such a host draws nothing
     evaluations = _spy_selections(monkeypatch, "RSC")
-    Simulation(dense_cfg("RSC"), DIURNAL).run()
-    assert any(len(overloaded) > len({c for _, c in overloaded}) for overloaded, _ in evaluations)
+    sim = Simulation(cfg := shop_cfg(policy="RSC", pct=0.5), PARTIAL_DAY)
+    sim.run()
+    drawn = skipped = 0
     for overloaded, calls in evaluations:
-        assert calls == [cls for _, cls in overloaded]
+        theta = policies.dimmer(len(overloaded), cfg.host_count) if overloaded else None
+        assert calls == [cls for _, cls in overloaded if _rsc_draws(cls, theta, sim.profile)]
+        drawn += len(calls) > len(set(calls))
+        skipped += len(calls) < len(overloaded)
+    assert drawn > 0, "some evaluations must draw for several hosts of one class"
+    assert skipped > 0, "some evaluations must skip a forced pick"
 
 
-@pytest.mark.parametrize("policy", ["LUCF", "RSC"])
-def test_each_class_builds_one_offer_per_run(monkeypatch, policy):
+def test_forced_rsc_picks_leave_the_rng_and_the_runs_alone(monkeypatch):
+    # Every RSC pick of the dense day takes the whole offer whatever the draw
+    # order: no selector is called, the rng does not move, and each
+    # overloaded run takes one segment, one mask for its whole length.
+    runs, real_step = [], engine.brownout_step
+
+    def step(fleet, profile, policy, rng):
+        before = rng.getstate()
+        segments = real_step(fleet, profile, policy, rng)
+        assert rng.getstate() == before
+        for (run, cls), segs in zip(fleet, segments):
+            if cls.overloaded and cls.offer:
+                assert segs == [(run.count, segs[0][1])] and segs[0][1] != run.active
+                runs.append(run.count)
+        return segments
+
+    def select(items, target, rng=None):
+        raise AssertionError("a forced pick calls no selector")
+
+    monkeypatch.setattr(engine, "brownout_step", step)
+    monkeypatch.setitem(policies.SELECTORS, "RSC", select)
+    Simulation(dense_cfg("RSC"), DIURNAL).run()
+    assert max(runs) > 1, "some overloaded runs must hold several hosts"
+
+
+@pytest.mark.parametrize("policy, cfg, day", [
+    pytest.param("LUCF", dense_cfg("LUCF"), DIURNAL, id="LUCF"),
+    pytest.param("RSC", shop_cfg(policy="RSC", pct=0.5), PARTIAL_DAY, id="RSC")])
+def test_each_class_builds_one_offer_per_run(monkeypatch, policy, cfg, day):
     # An offer lasts the run: the items and their grouping are built once
     # per class that ever offers, however many evaluations and RSC draws use
-    # them, and every selector call is handed a kept offer.
+    # them, and every selector call is handed a kept offer.  On the partial
+    # day only RSC's single-unit offers go to no selector: every draw order
+    # takes them whole.
     offering, groupings, offered, inside = set(), [], [], []
     real_step, real_group = engine.brownout_step, policies.group_units
     real_select = policies.SELECTORS[policy]
@@ -649,11 +724,12 @@ def test_each_class_builds_one_offer_per_run(monkeypatch, policy):
     monkeypatch.setattr(engine, "brownout_step", step)
     monkeypatch.setattr(policies, "group_units", group)
     monkeypatch.setitem(policies.SELECTORS, policy, select)
-    sim = Simulation(dense_cfg(policy), DIURNAL)
+    sim = Simulation(cfg, day)
     sim.run()
     kept = [cls.offer for cls in sim.classes.values() if cls.offer is not None]
     assert len(groupings) == len(kept) == len(offering)
-    assert {id(items) for items in offered} == {id(offer) for offer in kept if offer}
+    assert {id(items) for items in offered} == {
+        id(offer) for offer in kept if len(offer.units) > (policy == "RSC")}
     assert len(offered) > 2 * len(offering), "the run must reuse its offers"
 
 

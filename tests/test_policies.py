@@ -1,9 +1,11 @@
 import dataclasses
 import math
 import random
+from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from brownsim import policies
 from brownsim.model import (
@@ -14,6 +16,7 @@ from brownsim.model import (
     host_id,
 )
 from brownsim.policies import (
+    FEAS_EPS,
     OptionalItem,
     autoscale,
     brownout_step,
@@ -24,6 +27,7 @@ from brownsim.policies import (
     select_lucf,
     select_mncf,
     select_rsc,
+    takes_every_unit,
 )
 from brownsim.power import hum
 from test_acceptance import brute_lucf_gap, brute_mncf_count
@@ -200,6 +204,73 @@ def test_rsc_covers_target_or_exhausts():
 
 def test_rsc_single_choice():
     assert select_rsc([I("a", 0.2)], 0.1, random.Random(1)) == ["a"]
+
+
+def drawing_loop(units, target, draw):
+    """RSC's pick as it drew every unit: random units until the target is
+    covered or nothing is left, `draw(n)` choosing among the n still in the pool."""
+    if not units or target <= 0:
+        return []
+    pool = list(units)
+    chosen, total = [], 0.0
+    while pool and total < target - FEAS_EPS:
+        u = pool.pop(draw(len(pool)))
+        chosen.append(u)
+        total += u.utilization
+    return sorted(i for u in chosen for i in u.ids)
+
+
+def _ulps(x, k):
+    """x moved k units in the last place."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# equal and tiny utilizations beside arbitrary ones
+RSC_UTILIZATION = st.one_of(st.sampled_from([0.0, 5e-324, 1e-17, FEAS_EPS, 0.025, 0.1, 1 / 3]),
+                            st.floats(0.0, 1.0))
+
+
+@st.composite
+def rsc_offers(draw):
+    """1-16 items, some tagged, and a target whose goal (target - FEAS_EPS)
+    lies within a few ulps of all the units but the smallest, or of all of them."""
+    equal = draw(RSC_UTILIZATION)
+    n = draw(st.integers(1, 16))
+    items = [I(k, draw(st.one_of(st.just(equal), st.just(equal), RSC_UTILIZATION)),
+               draw(st.sampled_from([None, None, None, "p", "q"])))
+             for k in range(n)]
+    units = group_units(items)
+    edge = math.fsum([u.utilization for u in units[draw(st.integers(0, 1)):]])
+    # a few ulps per unit: the predicate's margin grows with the unit count
+    target = _ulps(edge + draw(st.sampled_from([0.0, FEAS_EPS])), draw(st.integers(-3 * n, 3 * n)))
+    return items, draw(st.one_of(st.just(target), st.floats(0.0, 2.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rsc_offers(), st.integers(0, 2 ** 32))
+# (0.1 + 0.2) + 0.3 rounds to 0.6000000000000001, one ulp past their exact
+# sum, and reaches this goal before the 0.0 unit is drawn
+@example(([I(0, 0.0), I(1, 0.1), I(2, 0.2), I(3, 0.3)], 0.6000000000000001 + FEAS_EPS), 0)
+def test_rsc_skips_only_draws_that_cannot_change_its_pick(offer, seed):
+    items, target = offer
+    units = group_units(items)
+    if takes_every_unit(units, target):
+        every = sorted(it.id for it in items)
+        if len(units) <= 5:
+            picks = [drawing_loop(order, target, lambda n: 0) for order in permutations(units)]
+        else:
+            picks = [drawing_loop(units, target, random.Random(s).randrange) for s in range(20)]
+        assert all(pick == every for pick in picks)
+        rng = random.Random(seed)
+        state = rng.getstate()
+        assert select_rsc(items, target, rng) == every
+        assert rng.getstate() == state
+    else:
+        old, new = random.Random(seed), random.Random(seed)
+        assert select_rsc(items, target, new) == drawing_loop(units, target, old.randrange)
+        assert new.getstate() == old.getstate()
 
 
 def test_group_units_orders_by_utilization():
