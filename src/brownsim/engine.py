@@ -14,15 +14,16 @@ Scaling splits at most one run each way, boots count down per run, equal
 neighbours merge, routing's remainder splits one run, and brownout sets each
 run's mask; only RSC's per-host draws, made where a draw can change the
 pick, split a run further.  Each piece's state (its run's key and request
-count) has one class: utilization, power, active-weight fraction, response
-group and restore mask, derived once per run.  `policies.brownout_step`
-takes the (run, class) pieces and returns each one's (count, mask)
-segments.  Records keep (class, count) pieces, and are a step's only memory
-of earlier intervals: the scaler reads their rates and the last one's
-pieces; the result sums their power.  Every float total (energy, capacity
-mean, a record's power, the average response, the mean overload ratio) is
-`model.exact_sum`, exactly rounded, so it depends on the simulated states
-alone, not on host order or on how the runs are cut.
+count) has one class: utilization, power, active-weight fraction and
+response group, derived once per run.  `policies.brownout_step` takes the
+(run, class) pieces, makes every shed and restore decision, and returns
+each one's (count, mask) segments.  Records keep (class, count) pieces, and
+are a step's only memory of earlier intervals: the scaler reads their rates
+and the last one's pieces; the result sums their power and names hosts by
+index.  Every float total (energy, capacity mean, a record's power, the
+average response, the mean overload ratio) is `model.exact_sum`, exactly
+rounded, so it depends on the simulated states alone, not on host order or
+on how the runs are cut.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ from .model import (
     RunResult,
     SimConfig,
     exact_sum,
-    host_id,
     place_replicas,
     scaled_services,
     validate_config,
 )
-from .policies import SELECTORS, autoscale, brownout_step, over_threshold, restore_mask
+from .policies import SELECTORS, autoscale, brownout_step, over_threshold
 from .power import hum
 from .qos import nearest_rank_percentile, overload_ratios, slavr
 from .workload import Trace, predict_rate
@@ -99,16 +99,15 @@ class HostClass:
     count its `power_w` once per member.  `demand` is assigned requests /
     n_o, a container's load per unit of weight; `group` is (response_ms,
     served), with served 0 off the serving set; `fraction` is the active
-    share of the stack's weight, None off the serving set; `restore` is the
-    mask, by position, that a member takes once no host is overloaded, from
-    `restore_mask`; `offer` is its `policies.Offer` from its first overload
-    on (None before); `decided` holds the brownout decisions it has made,
-    per dimmer value (see `policies.brownout_step`), all functions of the
+    share of the stack's weight, None off the serving set; `offer` is its
+    `policies.Offer` from its first overload on (None before); `decided`
+    holds the brownout decisions it has made, keyed by dimmer value, its
+    restore mask at 0 (see `policies.brownout_step`), all functions of the
     class too.  A plain class: a dataclass slows the package import.
     """
 
     __slots__ = ("utilization", "power_w", "demand", "overloaded", "group", "errors",
-                 "deactivated", "fraction", "restore", "offer", "decided")
+                 "deactivated", "fraction", "offer", "decided")
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -132,7 +131,6 @@ class Simulation:
         self.runs = [HostState(count, stack=i, containers=tuple([specs[sid] for sid in ids]),
                                active=(True,) * len(ids))  # the fleet, in host order
                      for i, (count, ids) in enumerate(place_replicas(cfg))]
-        self.host_ids = tuple(map(host_id, range(cfg.host_count)))
         self.classes = {}  # state -> HostClass, for the whole run
 
         self.rng_policy = random.Random(cfg.policy.seed ^ POLICY_RNG_SALT)
@@ -154,7 +152,7 @@ class Simulation:
             factor = self._capacity_factor()
             # 0 (credit 1, every serving stack shed) is the limit: any rate fits a host
             capacity = pol.capacity_n_o / factor if factor else math.inf
-            target = autoscale(predicted, capacity, len(self.host_ids), pol.min_active_hosts)
+            target = autoscale(predicted, capacity, self.cfg.host_count, pol.min_active_hosts)
             self._apply_scaling(target)
 
         # 3: advance boots (a run woken this interval with boot_delay 1 serves
@@ -189,8 +187,8 @@ class Simulation:
         # differing draws) leaves the runs below in place, and its class again;
         # a piece whose one segment is its own mask keeps its run and class.
         if self.brownout:
-            segments = brownout_step([(run, cls) for run, _, cls in pieces],
-                                     self.profile, self.cfg.policy_name, self.rng_policy)
+            segments = brownout_step([(run, cls) for run, _, cls in pieces], self.cfg,
+                                     self.rng_policy)
             cut = []
             for i in range(len(pieces) - 1, -1, -1):
                 run, n, _ = pieces[i]
@@ -205,7 +203,7 @@ class Simulation:
         # 8-9: errors and the record, from each piece's final class.
         counted = [(cls, run.count) for run, _, cls in pieces]
         record = IntervalRecord(
-            t=t, requests=rate, active_hosts=serving, hosts=self.host_ids, pieces=counted,
+            t=t, requests=rate, active_hosts=serving, pieces=counted,
             errors=sum([cls.errors * n for cls, n in counted]),
             deactivated_containers=sum([cls.deactivated * n for cls, n in counted]))
         self.records.append(record)
@@ -269,16 +267,15 @@ class Simulation:
             power_w = hum(self.profile, host.mode, utilization)
             response_ms, served, errors = (synthesize_response(
                 load, assigned, self.cfg.base_response_ms) if serving else (0.0, 0, 0))
-            fraction, restore = None, host.active  # off the serving set nothing is off
+            fraction = None
             if serving:
                 weights = [spec.weight for spec in host.containers]
                 total = sum(weights)
                 fraction = (sum([w for w, on in zip(weights, mask) if on]) / total
                             if total > 0 else 1.0)
-                restore = restore_mask(host, utilization, demand, u_t)
             cls = self.classes[key] = HostClass(
                 utilization, power_w, demand, serving and over_threshold(utilization, u_t),
-                (response_ms, served), errors, mask.count(False), fraction, restore, None, {})
+                (response_ms, served), errors, mask.count(False), fraction, None, {})
         return cls
 
     def _result(self) -> RunResult:

@@ -12,7 +12,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -238,15 +238,14 @@ def exact_sum(pairs) -> float:
 @dataclass(eq=False)
 class IntervalRecord:
     """One interval's totals and its fleet as (class, count) pieces in host
-    order: the next `count` hosts of `hosts` (the fleet's ids) ended the
-    interval in `class`, read for its power_w, overloaded flag and
-    (response_ms, served) group.  The per-host views are built on demand,
-    and records are equal when their views are."""
+    order: the next `count` hosts, by index, ended the interval in `class`,
+    read for its power_w, overloaded flag and (response_ms, served) group.
+    The per-host views are built on demand, with each host's id from its
+    index (`host_id`), and records are equal when their views are."""
 
     t: int
     requests: int
     active_hosts: int
-    hosts: tuple = field(default=(), repr=False)
     pieces: list = field(default_factory=list, repr=False)
     errors: int = 0
     deactivated_containers: int = 0
@@ -255,7 +254,8 @@ class IntervalRecord:
         return chain.from_iterable([repeat(getattr(cls, attr), n) for cls, n in self.pieces])
 
     # (host_id, power_w, overloaded) per host; (response_ms, served) per serving host
-    per_host = property(lambda r: list(zip(r.hosts, r._each("power_w"), r._each("overloaded"))))
+    per_host = property(lambda r: list(zip(map(host_id, count()), r._each("power_w"),
+                                           r._each("overloaded"))))
     response_groups = property(lambda r: [group for group in r._each("group") if group[1]])
     total_power_w = property(lambda r: exact_sum([(cls.power_w, n) for cls, n in r.pieces]))
     overloaded_hosts = property(lambda r: sum([n for cls, n in r.pieces if cls.overloaded]))

@@ -29,8 +29,8 @@ fleet, cut into runs of consecutive hosts in one class: it sheds while a
 host is overloaded and restores otherwise.  Each run's (count, mask) segments
 come from one LUCF, MNCF or forced RSC pick per overloaded host class and
 dimmer value per run (these depend on the offer alone), else from one RSC
-draw per overloaded host, masked once per distinct pick, or from the class's
-`restore_mask`.
+draw per overloaded host, masked once per distinct pick, or, at dimmer value
+0, from the class's `restore_mask`.
 Optional containers sharing a connection tag on one host only work as a
 group, so `group_units` bundles them into single units for both decisions.
 Hosts of one placement share their stack, so each class keeps one `Offer`
@@ -47,7 +47,7 @@ from itertools import chain, compress, count, groupby, repeat
 from operator import add
 from typing import NamedTuple
 
-from .model import EXACT_SEARCH_LIMIT, HostState, PowerProfile
+from .model import EXACT_SEARCH_LIMIT, HostState, PowerProfile, SimConfig
 from .power import hpm
 
 FEAS_EPS = 1e-9  # subset sums near the target must not flip on rounding order
@@ -246,7 +246,7 @@ def select_rsc(items: list, target: float, rng: random.Random) -> list:
     """Random units until the target is covered or nothing is left.
 
     When every unit goes whatever the draw order (`takes_every_unit`), every
-    unit is returned and the rng is not touched."""
+    unit is returned and the rng is not touched: one call stands for a run."""
     units = group_units(items)
     if not units or target <= 0:
         return []
@@ -268,34 +268,31 @@ SELECTORS = {"LUCF": select_lucf, "MNCF": select_mncf, "RSC": select_rsc}
 # Fleet-level brownout step
 
 
-def brownout_step(fleet: list, profile: PowerProfile, policy: str,
-                  rng: random.Random | None = None) -> list:
+def brownout_step(fleet: list, cfg: SimConfig, rng: random.Random | None = None) -> list:
     """Decide the interval's brownout for the whole fleet and return each
     piece's masks: (count, mask) segments that cover its hosts in order.
 
     `fleet` holds (run, class) pieces in host order, each a `HostState` run
-    of consecutive hosts sharing their stack, mode, mask and class.  While
-    any class is overloaded, each overloaded class gets a target from the
-    shared dimmer and an offer of the optional containers its mask keeps on,
-    each at the class's demand times its weight, capped at 1; the policy's
-    selector (SELECTORS[policy]) picks once per class for LUCF and MNCF,
-    whose pick is a function of the offer alone.  RSC's pick is one too when
-    every unit goes whatever the draw order (`takes_every_unit`): the class
-    sheds its whole offer, with no selector call and no draw.  Otherwise RSC
-    draws once per host in host order, so its draws stay put; a piece splits
-    only where they differ, and other pieces keep their mask.  While no
-    class is overloaded, every piece takes its class's restore mask.  Hosts
-    of one class share their stack positions, so the class builds its offer
-    once per run, at its first overload, and keeps it in `cls.offer`.  It
-    keeps its decisions for the run in `cls.decided`: (policy, theta) -> the
-    LUCF, MNCF or forced RSC mask, or the target RSC draws for, and a drawn
-    pick's positions -> its mask.
+    of consecutive hosts sharing their stack, mode, mask and class; `cfg` is
+    the run's `SimConfig`.  While any class is overloaded, the shared dimmer
+    theta is above 0 and each overloaded class gets a target from it and an
+    offer of the optional containers its mask keeps on, each at the class's
+    demand times its weight, capped at 1.  The policy's selector picks once
+    per class and theta, except that RSC draws once per host in host order
+    where a draw can change its pick (not `takes_every_unit`); a piece splits
+    only where its draws differ, and other pieces keep their mask.  While no
+    class is overloaded, theta is 0 and every piece takes its class's
+    `restore_mask`.  A class builds its offer once per run, at its first
+    overload, and keeps it in `cls.offer`.  It keeps its decisions for the
+    run in `cls.decided`: theta -> its restore mask (at 0), its shed mask,
+    or the target RSC draws for; and a drawn pick's positions -> its mask.
+    A class is overloaded in every interval or in none, so it never holds
+    both a restore and a shed entry.
     """
-    if not any(cls.overloaded for _, cls in fleet):
-        return [[(run.count, cls.restore)] for run, cls in fleet]
-    theta = dimmer(sum([run.count for run, cls in fleet if cls.overloaded]),
-                   sum([run.count for run, _ in fleet]))
-    select, out = SELECTORS[policy], []
+    theta = (dimmer(sum([run.count for run, cls in fleet if cls.overloaded]),
+                    sum([run.count for run, _ in fleet]))
+             if any(cls.overloaded for _, cls in fleet) else 0.0)
+    select, out = SELECTORS[cfg.policy_name], []
     for run, cls in fleet:
         if cls.overloaded and cls.offer is None:
             cls.offer = Offer([
@@ -303,19 +300,20 @@ def brownout_step(fleet: list, profile: PowerProfile, policy: str,
                              connection_tag=spec.connection_tag)
                 for j, (spec, on) in enumerate(zip(run.containers, run.active))
                 if on and spec.optional])
-        if not (cls.overloaded and cls.offer):
+        # an overloaded class with nothing to offer, or a calm one while others shed
+        if not (cls.offer if cls.overloaded else not theta):
             out.append([(run.count, run.active)])
             continue
         memo = cls.decided
-        if (policy, theta) not in memo:
-            target = expected_reduction(cls.utilization, cls.power_w, theta, profile)
-            if policy != "RSC":
-                memo[policy, theta] = _shed(run.active, select(cls.offer, target, rng))
-            elif takes_every_unit(cls.offer.units, target):
-                memo[policy, theta] = _shed(run.active, _ids(cls.offer.units))
+        if theta not in memo:
+            if theta:
+                target = expected_reduction(cls.utilization, cls.power_w, theta, cfg.power_profile)
+                draws = cfg.policy_name == "RSC" and not takes_every_unit(cls.offer.units, target)
+                memo[theta] = target if draws else _shed(run.active, select(cls.offer, target, rng))
             else:
-                memo[policy, theta] = target  # RSC draws for each host
-        decided = memo[policy, theta]
+                memo[theta] = restore_mask(run, cls.utilization, cls.demand,
+                                           cfg.policy.overloaded_threshold_u_t)
+        decided = memo[theta]
         if type(decided) is tuple:  # a mask for the whole run
             out.append([(run.count, decided)])
         else:

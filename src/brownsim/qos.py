@@ -12,22 +12,25 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+from .model import host_id
+
 
 def overload_ratios(interval_records: list) -> dict:
     """Per-host overloaded time ratio across a run's interval records, which
-    share one fleet (`hosts`), in host order.  Intervals a host spends asleep
-    count as not overloaded.  An overloaded piece adds 1 where it starts and
-    -1 where it ends; a running sum gives each host's count."""
+    share one fleet, by host id in index order (h100 follows h99).  Intervals
+    a host spends asleep count as not overloaded.  An overloaded piece adds 1
+    where it starts and -1 where it ends; a running sum gives each host's
+    count."""
     if not interval_records:
         return {}
-    hosts = interval_records[0].hosts
-    steps = [0] * (len(hosts) + 1)
+    fleet = sum([n for _, n in interval_records[0].pieces])
+    steps = [0] * (fleet + 1)
     for rec in interval_records:
         for end, (cls, n) in zip(accumulate([n for _, n in rec.pieces]), rec.pieces):
             if cls.overloaded:
                 steps[end - n] += 1
                 steps[end] -= 1
-    return {host_id: k / len(interval_records) for host_id, k in zip(hosts, accumulate(steps))}
+    return {host_id(i): k / len(interval_records) for i, k in zip(range(fleet), accumulate(steps))}
 
 
 def slavr(errors: int, total: int) -> float | None:

@@ -1,9 +1,9 @@
 """Inputs the tests build in code: the shop stack, its config and traces;
 and a simulation's fleet read host by host."""
 
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 
-from brownsim.model import ContainerSpec, PolicyConfig, SimConfig
+from brownsim.model import ContainerSpec, PolicyConfig, SimConfig, host_id
 from brownsim.workload import Trace
 
 
@@ -50,6 +50,7 @@ def write_trace_csv(trace: Trace, path: str) -> None:
 
 def hosts_of(sim) -> list:
     """(host id, run) per host of the simulation's fleet, in host order: each
-    run of `sim.runs` repeated once per host it counts."""
-    assert sum(run.count for run in sim.runs) == len(sim.host_ids), "the runs cover the fleet"
-    return list(zip(sim.host_ids, chain.from_iterable(repeat(run, run.count) for run in sim.runs)))
+    run of `sim.runs` repeated once per host it counts, the ids by index."""
+    assert sum(run.count for run in sim.runs) == sim.cfg.host_count, "the runs cover the fleet"
+    return list(zip(map(host_id, count()),
+                    chain.from_iterable(repeat(run, run.count) for run in sim.runs)))

@@ -147,7 +147,7 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
             fractions.append(sum(w for w, on in zip(weights, h.active) if on) / total
                              if total > 0 else 1.0)
         records.append(IntervalRecord(  # a piece of one host per host
-            t=t, requests=rate, active_hosts=len(serving), hosts=ids,
+            t=t, requests=rate, active_hosts=len(serving),
             pieces=[(s, 1) for s in states],
             errors=sum(s.errors for s in states),
             deactivated_containers=sum(h.active.count(False) for h in serving)))

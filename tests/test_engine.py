@@ -3,7 +3,8 @@ import gc
 import math
 import random
 import tracemalloc
-from itertools import chain, islice, repeat
+from collections import Counter
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,8 @@ def class_of(sim):
     """Host id -> the class it ended the last interval in, from the pieces of
     that interval's record."""
     record = sim.records[-1]
-    return dict(zip(record.hosts, chain.from_iterable(repeat(c, n) for c, n in record.pieces)))
+    return dict(zip(map(host_id, count()),
+                    chain.from_iterable(repeat(c, n) for c, n in record.pieces)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +118,7 @@ def test_a_100000_host_fleet_is_built_from_its_stretches(stagger):
     assert [(run.count, run.stack, tuple(s.id for s in run.containers), run.mode, run.active)
             for run in sim.runs] == [(count, i, ids, HostMode.ACTIVE, (True,) * len(ids))
                                      for i, (count, ids) in enumerate(stretches)]
-    assert sim.host_ids == tuple(f"h{i:02d}" for i in range(100_000))
+    assert list(sim.run().per_host_otr) == [f"h{i:02d}" for i in range(100_000)]
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +314,7 @@ def test_brownout_is_offered_exactly_the_overloaded_serving_hosts(monkeypatch):
         # each piece's class is the state of each of its hosts, routed host by host
         alloc = route_demand(sim.trace.rates[len(sim.records)],
                              [hid for hid, h in hosts if h.mode is HostMode.ACTIVE])
-        state_of = dict(zip(sim.host_ids, chain.from_iterable(
+        state_of = dict(zip(map(host_id, count()), chain.from_iterable(
             repeat(state, run.count) for run, state in fleet)))
         assert all(state_of[hid] is sim.classes[
             (h.stack, h.mode, h.active if h.mode is HostMode.ACTIVE else (), alloc.get(hid, 0))]
@@ -327,7 +329,7 @@ def test_brownout_is_offered_exactly_the_overloaded_serving_hosts(monkeypatch):
     sim.run()
     assert len(offered) == len(DIURNAL)
     assert 0 < sum(n > 0 for n in offered) < len(offered), "calm and overloaded intervals"
-    assert any(0 < n < len(sim.host_ids) for n in offered), (
+    assert any(0 < n < sim.cfg.host_count for n in offered), (
         "some intervals overload part of the fleet")
 
 
@@ -593,21 +595,21 @@ def test_lucf_and_mncf_pick_once_per_overloaded_class(monkeypatch, policy):
 def test_brownout_decides_once_per_class_and_dimmer_value(monkeypatch, policy, cfg, day):
     # Over one run, a target is computed once per (overloaded class with an
     # offer, dimmer value), and so is a LUCF or MNCF mask, or an RSC mask
-    # for a pick that every draw order makes (all of the dense day's); RSC
-    # draws per host otherwise, and builds one mask per distinct (class,
+    # for a pick that every draw order makes (all of the dense day's): one
+    # selector call each, a forced RSC one leaving the rng where it was.
+    # RSC draws per host otherwise, and builds one mask per distinct (class,
     # positions drawn).
-    wanted, picks = set(), set()
-    calls = {"reductions": 0, "sheds": 0, "draws": 0, "forced": 0}
+    wanted, picks, forced, theta = set(), set(), [], [None]
+    calls = {"reductions": 0, "sheds": 0, "draws": 0}
     real_step, real_select = engine.brownout_step, policies.SELECTORS[policy]
     real_reduction, real_shed = policies.expected_reduction, policies._shed
-    real_forced = policies.takes_every_unit
 
     def step(fleet, *args):
-        segments = real_step(fleet, *args)
         if any(cls.overloaded for _, cls in fleet):
-            theta = policies.dimmer(sum([run.count for run, c in fleet if c.overloaded]),
-                                    sum([run.count for run, _ in fleet]))
-            wanted.update((cls, theta) for _, cls in fleet if cls.overloaded and cls.offer)
+            theta[0] = policies.dimmer(sum([run.count for run, c in fleet if c.overloaded]),
+                                       sum([run.count for run, _ in fleet]))
+        segments = real_step(fleet, *args)
+        wanted.update((cls, theta[0]) for _, cls in fleet if cls.overloaded and cls.offer)
         return segments
 
     def counted(name, fn):
@@ -616,30 +618,31 @@ def test_brownout_decides_once_per_class_and_dimmer_value(monkeypatch, policy, c
             return fn(*args)
         return spy
 
-    def forced(units, target):  # asked once per RSC decision, again by each draw
-        calls["forced"] += (answer := real_forced(units, target))
-        return answer
-
     def select(items, target, rng=None):
+        before = rng and rng.getstate()
         picked = real_select(items, target, rng)
-        picks.add((id(items), tuple(picked)))
+        if policy == "RSC" and policies.takes_every_unit(items.units, target):
+            assert rng.getstate() == before, "a forced pick draws nothing"
+            forced.append((id(items), theta[0]))
+        else:
+            picks.add((id(items), tuple(picked)))
         calls["draws"] += 1
         return picked
 
     monkeypatch.setattr(engine, "brownout_step", step)
     monkeypatch.setattr(policies, "expected_reduction", counted("reductions", real_reduction))
     monkeypatch.setattr(policies, "_shed", counted("sheds", real_shed))
-    monkeypatch.setattr(policies, "takes_every_unit", forced)
     monkeypatch.setitem(policies.SELECTORS, policy, select)
     Simulation(cfg, day).run()
     assert calls["reductions"] == len(wanted) > 0
+    assert len(set(forced)) == len(forced), "one selector call per forced (class, value)"
     if policy != "RSC":
         assert calls["sheds"] == calls["draws"] == len(wanted)
     elif day is DIURNAL:
-        assert calls["sheds"] == calls["forced"] == len(wanted) and calls["draws"] == 0
+        assert calls["sheds"] == calls["draws"] == len(forced) == len(wanted)
     else:
-        assert calls["sheds"] == calls["forced"] + len(picks)
-        assert 0 < calls["forced"] < len(wanted) and len(picks) < calls["draws"]
+        assert calls["sheds"] == len(forced) + len(picks)
+        assert 0 < len(forced) < len(wanted) and len(picks) < calls["draws"] - len(forced)
 
 
 def _rsc_draws(cls, theta, profile):
@@ -652,14 +655,23 @@ def _rsc_draws(cls, theta, profile):
 def test_rsc_draws_once_per_overloaded_host_in_host_order(monkeypatch):
     # each draw is over the offer of the host's class; on the partial day a
     # saturated host's offer covers its target before it runs out, but one
-    # unit alone goes whatever the draw, so such a host draws nothing
+    # unit alone goes whatever the draw, so such a host draws nothing: its
+    # class picks once per dimmer value for all its hosts
     evaluations = _spy_selections(monkeypatch, "RSC")
     sim = Simulation(cfg := shop_cfg(policy="RSC", pct=0.5), PARTIAL_DAY)
     sim.run()
     drawn = skipped = 0
+    forced = set()  # the (class, dimmer value) pairs already picked whole
     for overloaded, calls in evaluations:
         theta = policies.dimmer(len(overloaded), cfg.host_count) if overloaded else None
-        assert calls == [cls for _, cls in overloaded if _rsc_draws(cls, theta, sim.profile)]
+        want = []
+        for _, cls in overloaded:
+            if _rsc_draws(cls, theta, sim.profile):
+                want.append(cls)
+            elif cls.offer and (cls, theta) not in forced:
+                forced.add((cls, theta))
+                want.append(cls)
+        assert calls == want
         drawn += len(calls) > len(set(calls))
         skipped += len(calls) < len(overloaded)
     assert drawn > 0, "some evaluations must draw for several hosts of one class"
@@ -668,27 +680,36 @@ def test_rsc_draws_once_per_overloaded_host_in_host_order(monkeypatch):
 
 def test_forced_rsc_picks_leave_the_rng_and_the_runs_alone(monkeypatch):
     # Every RSC pick of the dense day takes the whole offer whatever the draw
-    # order: no selector is called, the rng does not move, and each
-    # overloaded run takes one segment, one mask for its whole length.
-    runs, real_step = [], engine.brownout_step
+    # order: the selector is called once per (class, dimmer value) and the
+    # rng does not move, and each overloaded run takes one segment, one mask
+    # for its whole length.
+    runs, decided, selected = [], set(), []
+    real_step, real_select = engine.brownout_step, policies.SELECTORS["RSC"]
 
-    def step(fleet, profile, policy, rng):
+    def step(fleet, cfg, rng):
         before = rng.getstate()
-        segments = real_step(fleet, profile, policy, rng)
+        segments = real_step(fleet, cfg, rng)
         assert rng.getstate() == before
+        overloaded = sum([run.count for run, cls in fleet if cls.overloaded])
         for (run, cls), segs in zip(fleet, segments):
             if cls.overloaded and cls.offer:
                 assert segs == [(run.count, segs[0][1])] and segs[0][1] != run.active
+                decided.add((cls, policies.dimmer(overloaded, cfg.host_count)))
                 runs.append(run.count)
         return segments
 
     def select(items, target, rng=None):
-        raise AssertionError("a forced pick calls no selector")
+        before = rng.getstate()
+        selected.append(items)
+        picked = real_select(items, target, rng)
+        assert rng.getstate() == before and len(picked) == len(items)
+        return picked
 
     monkeypatch.setattr(engine, "brownout_step", step)
     monkeypatch.setitem(policies.SELECTORS, "RSC", select)
     Simulation(dense_cfg("RSC"), DIURNAL).run()
     assert max(runs) > 1, "some overloaded runs must hold several hosts"
+    assert len(selected) == len(decided) < len(runs), "one call per (class, value), not per run"
 
 
 @pytest.mark.parametrize("policy, cfg, day", [
@@ -698,22 +719,28 @@ def test_each_class_builds_one_offer_per_run(monkeypatch, policy, cfg, day):
     # An offer lasts the run: the items and their grouping are built once
     # per class that ever offers, however many evaluations and RSC draws use
     # them, and every selector call is handed a kept offer.  On the partial
-    # day only RSC's single-unit offers go to no selector: every draw order
-    # takes them whole.
+    # day every offer goes to a selector; those of one unit once per dimmer
+    # value, as every draw order takes them whole.  Restores group the units
+    # a host has off, not an offer, so they are not counted.
     offering, groupings, offered, inside = set(), [], [], []
     real_step, real_group = engine.brownout_step, policies.group_units
-    real_select = policies.SELECTORS[policy]
+    real_select, real_restore = policies.SELECTORS[policy], policies.restore_mask
+
+    def within(flag, fn):
+        def spy(*args):
+            inside.append(flag)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return spy
 
     def step(fleet, *args):
         offering.update(cls for _, cls in fleet if cls.overloaded)
-        inside.append(True)
-        try:
-            return real_step(fleet, *args)
-        finally:
-            inside.pop()
+        return within(True, real_step)(fleet, *args)
 
     def group(items):
-        if inside and type(items) is not policies.Offer:
+        if inside and inside[-1] and type(items) is not policies.Offer:
             groupings.append(items)
         return real_group(items)
 
@@ -723,13 +750,13 @@ def test_each_class_builds_one_offer_per_run(monkeypatch, policy, cfg, day):
 
     monkeypatch.setattr(engine, "brownout_step", step)
     monkeypatch.setattr(policies, "group_units", group)
+    monkeypatch.setattr(policies, "restore_mask", within(False, real_restore))
     monkeypatch.setitem(policies.SELECTORS, policy, select)
     sim = Simulation(cfg, day)
     sim.run()
     kept = [cls.offer for cls in sim.classes.values() if cls.offer is not None]
     assert len(groupings) == len(kept) == len(offering)
-    assert {id(items) for items in offered} == {
-        id(offer) for offer in kept if len(offer.units) > (policy == "RSC")}
+    assert {id(items) for items in offered} == {id(offer) for offer in kept if offer}
     assert len(offered) > 2 * len(offering), "the run must reuse its offers"
 
 
@@ -812,14 +839,14 @@ def test_two_replicas_on_one_host_are_shed_and_restored_by_position():
 
 def _spy_restore_mask(monkeypatch):
     """Record (mask before, mask returned) for every `restore_mask` call."""
-    asked, real = [], engine.restore_mask
+    asked, real = [], policies.restore_mask
 
     def spy(host, *args):
         mask = real(host, *args)
         asked.append((host.active, mask))
         return mask
 
-    monkeypatch.setattr(engine, "restore_mask", spy)
+    monkeypatch.setattr(policies, "restore_mask", spy)
     return asked
 
 
@@ -903,7 +930,7 @@ def run_with_restores(sim):
     def step(fleet, *args):
         segments = real(fleet, *args)
         if not any(cls.overloaded for _, cls in fleet):  # a restore: name the hosts it moves
-            ids = iter(sim.host_ids)
+            ids = map(host_id, count())
             restored.extend((len(sim.records), hid) for (run, _), masks in zip(fleet, segments)
                             for n, mask in masks for hid in islice(ids, n) if mask != run.active)
         return segments
@@ -943,15 +970,68 @@ def test_no_restore_lands_a_host_in_an_overloaded_class(ut):
                                  dense_cfg("LUCF"), dense_cfg("RSC")],
                          ids=["LUCF-0.7", "LUCF-0.8", "LUCF-dense", "RSC-dense"])
 def test_restorable_is_asked_at_most_once_per_distinct_serving_state(monkeypatch, cfg):
-    # the restore mask is a class field: `restore_mask` runs when a serving
-    # state is first seen this run, never again, however often its hosts restore
+    # the restore mask is a class's decision at dimmer value 0: `restore_mask`
+    # runs when an interval with no overload first meets a class, never
+    # again, however often its hosts restore.  Every mask it returns is read:
+    # the class keeps it, and classes met only while others shed ask nothing.
     asked = _spy_restore_mask(monkeypatch)
     sim = Simulation(cfg, DIURNAL)
     sim.run()
     assert any(before != mask for before, mask in asked), "the day must restore something"
+    kept = [cls.decided[0.0] for cls in sim.classes.values() if 0.0 in cls.decided]
+    assert Counter([mask for _, mask in asked]) == Counter(kept)
     serving = [key for key in sim.classes if key[1] is HostMode.ACTIVE]
-    assert len(asked) <= len(serving)
+    assert len(asked) < len(serving), "a serving state that only sheds or sits out asks nothing"
     assert len(asked) < sum(r.active_hosts for r in sim.records), "asked per state, not per host"
+
+
+@pytest.mark.parametrize("cfg, day", [
+    pytest.param(dense_cfg("LUCF"), DIURNAL, id="LUCF-dense"),
+    pytest.param(sample_day_cfg("RSC", 0.7), DIURNAL, id="RSC-0.7"),
+    pytest.param(shop_cfg(policy="MNCF", pct=0.5), MIXED_DAY, id="MNCF-mixed")])
+def test_a_class_derives_its_restore_mask_once_in_its_first_calm_interval(monkeypatch, cfg, day):
+    # brownout_step derives a class's restore mask in the first interval
+    # with no overloaded class that meets it, from the class's own state,
+    # and keeps it as the class's only decision; an interval that sheds
+    # derives none
+    fleets, derived = [], []
+    real_step, real_restore = engine.brownout_step, policies.restore_mask
+
+    def step(fleet, *args):
+        fleets.append(fleet)
+        return real_step(fleet, *args)
+
+    def restore(host, *args):
+        [cls] = [cls for run, cls in fleets[-1] if run is host]
+        derived.append((cls, len(fleets) - 1, host, args, mask := real_restore(host, *args)))
+        return mask
+
+    monkeypatch.setattr(engine, "brownout_step", step)
+    monkeypatch.setattr(policies, "restore_mask", restore)
+    Simulation(cfg, day).run()
+    first, met = {}, 0  # class -> the first calm interval that meets it
+    for t, fleet in enumerate(fleets):
+        if not any(cls.overloaded for _, cls in fleet):
+            met += len(fleet)
+            for _, cls in fleet:
+                first.setdefault(cls, t)
+    assert [(cls, t) for cls, t, *_ in derived] == list(first.items())
+    assert 0 < len(derived) < met, "classes must meet calm intervals more than once"
+    assert any(mask != host.active for *_, host, _, mask in derived), "some class restores"
+    for cls, _, host, args, mask in derived:
+        assert args == (cls.utilization, cls.demand, cfg.policy.overloaded_threshold_u_t)
+        assert cls.decided == {0.0: mask}
+
+
+@pytest.mark.parametrize("policy", ["NPA", "AUTOS"])
+@pytest.mark.parametrize("ut", [0.7, 0.8])
+def test_runs_without_a_brownout_controller_derive_no_restore_mask(monkeypatch, policy, ut):
+    # without a selector nothing is ever shed, so no restore mask is read
+    asked = _spy_restore_mask(monkeypatch)
+    sim = Simulation(sample_day_cfg(policy, ut), DIURNAL)
+    sim.run()
+    assert asked == []
+    assert sum(key[1] is HostMode.ACTIVE for key in sim.classes) > 1, "serving states to ask"
 
 
 def test_wrapped_rsc_selector_runs_identically(monkeypatch):

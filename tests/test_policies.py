@@ -12,7 +12,9 @@ from brownsim.model import (
     ContainerSpec,
     HostMode,
     HostState,
+    PolicyConfig,
     PowerProfile,
+    SimConfig,
     host_id,
 )
 from brownsim.policies import (
@@ -367,18 +369,19 @@ class HostClassStub(SimpleNamespace):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
 
-def make_host(idx, utilization, specs, deactivate=()):
+def make_host(idx, utilization, specs, deactivate=(), demand=None):
     """An active host at `utilization` and its class, as the engine passes
     them to brownout_step: a run of one host whose stack is the specs in
-    order; the class's demand is its utilization, and it restores nothing and
-    has no offer yet.  A host's id is its position in the fleet (`idx`)."""
+    order; the class's demand is its utilization unless given, and it has no
+    offer and no decision yet.  A host's id is its position in the fleet
+    (`idx`)."""
     host = HostState(1, mode=HostMode.ACTIVE,
                      containers=tuple(specs.values()),
                      active=tuple(spec.id not in deactivate for spec in specs.values()))
     state = HostClassStub(
         utilization=utilization, power_w=hum(PROFILE, HostMode.ACTIVE, utilization),
-        demand=utilization, overloaded=utilization > 0.8, restore=host.active, offer=None,
-        decided={})
+        demand=utilization if demand is None else demand, overloaded=utilization > 0.8,
+        offer=None, decided={})
     return host, state
 
 
@@ -394,10 +397,17 @@ SPECS = {s.id: s for s in [
 ]}
 
 
+def config(policy):
+    """What brownout_step reads of a run's config: the policy, the power
+    profile and u_t 0.8, the threshold `make_host` flags overload at."""
+    return SimConfig(policy_name=policy, power_profile=PROFILE,
+                     policy=PolicyConfig(overloaded_threshold_u_t=0.8))
+
+
 def step(pairs, policy, rng=None):
     """brownout_step over the (host, class) pairs, each host a piece alone:
     the (fleet, segments) that `moves` and `shed_ids` read."""
-    return pairs, brownout_step(pairs, PROFILE, policy, rng)
+    return pairs, brownout_step(pairs, config(policy), rng)
 
 
 def masks_of(fleet, segments):
@@ -454,13 +464,15 @@ def test_brownout_no_overload_is_reactivation_directive():
 
 @pytest.mark.parametrize("policy", ["LUCF", "MNCF", "RSC"])
 def test_brownout_restores_when_no_host_is_overloaded(policy):
-    # h00 and h02 share a class that takes "ads" back, h01 is in a class
-    # that takes both back, h03's class keeps its mask: every piece takes
-    # its class's restore mask, so the hosts that move are those whose
-    # class's restore mask differs from their own
-    (h0, both), (h1, one), (h2, _), (h3, kept) = [
-        make_host(i, 0.5, SPECS, deactivate=("rec", "ads")) for i in range(4)]
-    both.restore, one.restore = (True, True, True), (True, False, True)
+    # web (0.6) alone runs, u_t is 0.8.  h00 and h02 share a class at demand
+    # 1 that takes "ads" (0.1) back but not "rec" (0.3); h01's class, at
+    # demand 0.5, takes both back; h03's, at 1.25, takes neither.  Every
+    # piece takes its class's restore mask, so the hosts that move are those
+    # whose class's restore mask differs from their own.
+    off = ("rec", "ads")
+    (h0, one), (h1, both), (h2, _), (h3, kept) = [
+        make_host(i, 0.6 * demand, SPECS, deactivate=off, demand=demand)
+        for i, demand in enumerate((1.0, 0.5, 1.0, 1.25))]
     fleet = [(h0, one), (h1, both), (h2, one), (h3, kept)]
     rng = random.Random(3)
     state = rng.getstate()
@@ -470,6 +482,9 @@ def test_brownout_restores_when_no_host_is_overloaded(policy):
     assert moves(decided) == {
         "h00": (True, False, True), "h01": (True, True, True), "h02": (True, False, True)}
     assert rng.getstate() == state, "restoring draws nothing"
+    # each class keeps its restore mask under dimmer value 0, and only it
+    for host, cls in fleet:
+        assert cls.decided == {0.0: restore_mask(host, cls.utilization, cls.demand, 0.8)}
     # one overloaded pair turns the interval into a shed: no restore move
     hot, hot_state = make_host(4, 1.0, SPECS)
     assert list(moves(step(fleet + [(hot, hot_state)], policy, rng))) == ["h04"]
@@ -539,9 +554,14 @@ def test_brownout_decides_once_per_class_and_rsc_once_per_host(monkeypatch):
     # same object, in this evaluation and in a later one at the same value.
     # RSC draws per host, in host order, each over its class's offer, and the
     # hosts of one class that shed the same positions take one mask object.
-    (h0, hot), (h1, _), (h2, warm), (h3, _) = [make_host(i, 1.0, SPECS) for i in range(4)]
-    warm.utilization = 0.9
-    pairs = [(h0, hot), (h1, hot), (h2, warm), (h3, hot)]
+    # A class's decisions are keyed by dimmer value alone (one run, one
+    # policy), so RSC gets classes of its own.
+    def fleet():
+        (h0, hot), (h1, _), (h2, warm), (h3, _) = [make_host(i, 1.0, SPECS) for i in range(4)]
+        warm.utilization = 0.9
+        return [(h0, hot), (h1, hot), (h2, warm), (h3, hot)], hot, warm
+
+    pairs, hot, warm = fleet()
     offered_to, real = [], policies.SELECTORS["LUCF"]
     monkeypatch.setitem(policies.SELECTORS, "LUCF",
                         lambda items, *args: offered_to.append(items) or real(items, *args))
@@ -556,6 +576,8 @@ def test_brownout_decides_once_per_class_and_rsc_once_per_host(monkeypatch):
     diluted = with_calm(pairs, 1600)  # a target that rec alone, or rec and ads, covers
     step(diluted, "LUCF")  # a new dimmer value: each class picks again
     assert len(offered_to) == 4
+    pairs, hot, warm = fleet()
+    diluted = with_calm(pairs, 1600)
     rng, draws = random.Random(5), random.Random(5)
     decided = step(pairs, "RSC", rng)
     assert list(moves(decided)) == ["h00", "h01", "h02", "h03"]
@@ -581,13 +603,13 @@ def test_pieces_of_several_hosts_decide_as_hosts_alone(policy):
     pairs = [(h0, hot), (h1, hot), (h2, warm), (h3, hot)]
     pieces = [(dataclasses.replace(h0, count=2), hot), (h2, warm), (h3, hot)]
     alone, runs = random.Random(9), random.Random(9)
-    in_runs = masks_of(pieces, brownout_step(pieces, PROFILE, policy, runs))
+    in_runs = masks_of(pieces, brownout_step(pieces, config(policy), runs))
     assert [mask for *_, mask in in_runs] == [mask for *_, mask in masks_of(*step(
         pairs, policy, alone))]
     assert runs.getstate() == alone.getstate()
     calm = [make_host(i, 0.5, SPECS, deactivate=("rec",)) for i in range(4)]
     pieces = [(dataclasses.replace(calm[0][0], count=3), calm[0][1]), calm[3]]
-    assert ([mask for *_, mask in masks_of(pieces, brownout_step(pieces, PROFILE, policy))]
+    assert ([mask for *_, mask in masks_of(pieces, brownout_step(pieces, config(policy)))]
             == [mask for *_, mask in masks_of(*step(calm, policy))])
 
 

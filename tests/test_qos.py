@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brownsim.model import IntervalRecord, PolicyConfig, RunResult
+from brownsim.model import IntervalRecord, PolicyConfig, RunResult, host_id
 from brownsim.qos import (
     check_constraints,
     nearest_rank_percentile,
@@ -17,9 +17,11 @@ from brownsim.qos import (
 
 def record(t, per_host):
     """An interval record from (host_id, power_w, overloaded) triples, one
-    piece per host."""
+    piece per host; a record names its hosts by index, so the ids must be
+    h00, h01, ... in order."""
+    assert [h for h, _, _ in per_host] == [host_id(i) for i in range(len(per_host))]
     return IntervalRecord(
-        t=t, requests=10, active_hosts=len(per_host), hosts=tuple(h for h, _, _ in per_host),
+        t=t, requests=10, active_hosts=len(per_host),
         pieces=[(SimpleNamespace(power_w=p, overloaded=o, group=(0.0, 0)), 1)
                 for _, p, o in per_host])
 
@@ -35,20 +37,21 @@ def test_overload_ratios_spans_all_hosts_and_intervals():
 
 
 def test_overload_ratios_keep_the_records_host_order():
-    # h100 follows h99 in the fleet, not h10 as it would by id string
-    hosts = ["h09", "h10", "h99", "h100", "h101"]
+    # the ids follow the hosts' indices: h100 follows h99, not h10 as it
+    # would by id string
+    hosts = [host_id(i) for i in range(102)]
     records = [record(0, [(h, 233.0, h == "h100") for h in hosts])]
-    assert list(overload_ratios(records)) == hosts
+    ratios = overload_ratios(records)
+    assert list(ratios) == hosts and hosts[98:] == ["h98", "h99", "h100", "h101"]
+    assert [h for h, r in ratios.items() if r] == ["h100"]
 
 
 def test_overload_ratios_count_pieces_of_several_hosts():
     hot, calm = (SimpleNamespace(power_w=233.0, overloaded=flag, group=(0.0, 0))
                  for flag in (True, False))
-    hosts = ("h00", "h01", "h02", "h03")
-    records = [IntervalRecord(t=0, requests=0, active_hosts=4, hosts=hosts,
+    records = [IntervalRecord(t=0, requests=0, active_hosts=4,
                               pieces=[(calm, 1), (hot, 2), (calm, 1)]),
-               IntervalRecord(t=1, requests=0, active_hosts=4, hosts=hosts,
-                              pieces=[(hot, 3), (calm, 1)])]
+               IntervalRecord(t=1, requests=0, active_hosts=4, pieces=[(hot, 3), (calm, 1)])]
     assert overload_ratios(records) == {"h00": 0.5, "h01": 1.0, "h02": 1.0, "h03": 0.0}
     assert overload_ratios(records) == overload_ratios(
         [record(r.t, r.per_host) for r in records])
