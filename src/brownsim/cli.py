@@ -188,8 +188,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
-    table = _summarize(Path(args.out))
-    print(table, end="")
+    print(_summarize(Path(args.out)), end="")
     return EXIT_OK
 
 

@@ -19,11 +19,11 @@ response group, derived once per run.  `policies.brownout_step` takes the
 (run, class) pieces, makes every shed and restore decision, and returns
 each one's (count, mask) segments.  Records keep (class, count) pieces, and
 are a step's only memory of earlier intervals: the scaler reads their rates
-and the last one's pieces; the result sums their power and names hosts by
-index.  Every float total (energy, capacity mean, a record's power, the
-average response, the mean overload ratio) is `model.exact_sum`, exactly
-rounded, so it depends on the simulated states alone, not on host order or
-on how the runs are cut.
+and the last one's pieces and serving count; the result tallies their pieces
+and names hosts by index.  Every float total (energy, capacity mean, a
+record's power, the average response, the mean overload ratio) is
+`model.exact_sum`, exactly rounded, so it depends on the simulated states
+alone, not on host order or on how the runs are cut.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ class Simulation:
         # full fleet carries the first interval.
         if self.scaling and self.records:
             window = pol.window_size_L_w
-            predicted = predict_rate([float(r.requests) for r in self.records[-window:]], window)
+            predicted = predict_rate([r.requests for r in self.records[-window:]], window)
             factor = self._capacity_factor()
             # 0 (credit 1, every serving stack shed) is the limit: any rate fits a host
             capacity = pol.capacity_n_o / factor if factor else math.inf
@@ -192,10 +192,10 @@ class Simulation:
             cut = []
             for i in range(len(pieces) - 1, -1, -1):
                 run, n, _ = pieces[i]
-                if segments[i] == [(run.count, run.active)]:  # kept whole: same run, same class
+                if len(seg := segments[i]) == 1 and seg[0][1] == run.active:  # same run, class
                     cut.append(pieces[i])
                     continue
-                for count, mask in reversed(segments[i]):
+                for count, mask in reversed(seg):
                     (run := _split(runs, i, runs[i].count - count)).active = mask
                     cut.append((run, n, self._class(run, n)))
             pieces = cut[::-1]
@@ -216,22 +216,21 @@ class Simulation:
 
         Active hosts running a reduced stack absorb more requests per unit
         of utilization; capacity_credit sets how much of that headroom the
-        scaler banks on.  Full stacks give exactly 1.  Read from the pieces
-        the last interval ended with: no mode or mask changed since.
+        scaler banks on.  Full stacks give exactly 1.  Read from the last
+        record's pieces and serving count: no mode or mask changed since.
         """
-        serving = [(cls.fraction, n) for cls, n in self.records[-1].pieces
-                   if cls.fraction is not None]
-        if not serving:
+        last = self.records[-1]
+        if not last.active_hosts:
             return 1.0
-        mean_fraction = exact_sum(serving) / sum([n for _, n in serving])
+        mean_fraction = exact_sum([(cls.fraction, n) for cls, n in last.pieces
+                                   if cls.fraction is not None]) / last.active_hosts
         return 1.0 - self.cfg.policy.capacity_credit * (1.0 - mean_fraction)
 
     def _apply_scaling(self, target: int) -> None:
         """Wake sleeping hosts lowest index first or sleep active ones highest
         first; each direction splits at most one run, where it stops."""
         runs, active = self.runs, self.records[-1].active_hosts  # no mode changed since
-        booting = [run for run in runs if run.mode is BOOTING]
-        committed = active + sum([run.count for run in booting])
+        committed = sum([run.count for run in runs if run.mode is not SLEEP])
         if (wake := target - committed) > 0:
             for i, run in enumerate(runs):
                 if run.mode is SLEEP and wake > 0:
@@ -241,7 +240,7 @@ class Simulation:
         elif target < committed:
             # Booting hosts cannot be put to sleep; keep one server alive in
             # case the in-flight boots do not finish this interval.
-            finishing = sum([run.count for run in booting if run.boot_remaining <= 1])
+            finishing = sum([r.count for r in runs if r.mode is BOOTING and r.boot_remaining <= 1])
             drop = min(committed - target, max(0, active - max(0, 1 - finishing)))
             for i in range(len(runs) - 1, -1, -1):
                 if runs[i].mode is ACTIVE and drop > 0:
@@ -281,10 +280,10 @@ class Simulation:
     def _result(self) -> RunResult:
         per_host_otr = overload_ratios(self.records)
         groups, drawn = Counter(), Counter()  # (response_ms, served) or watts -> host-intervals
-        for cls, n in chain.from_iterable([r.pieces for r in self.records]):
-            drawn[cls.power_w] += n
+        for (cls, n), k in Counter(chain.from_iterable([r.pieces for r in self.records])).items():
+            drawn[cls.power_w] += n * k  # k pieces of n hosts in class cls
             if cls.group[1]:
-                groups[cls.group] += n
+                groups[cls.group] += n * k
         served = sum([count * n for (_, count), n in groups.items()])
         total_requests = sum(r.requests for r in self.records)
         total_errors = sum(r.errors for r in self.records)

@@ -122,14 +122,10 @@ class PowerProfile:
             out.append(f"{prefix}: first breakpoint must be at utilization 0.0")
         if bps[-1][0] != 1.0:
             out.append(f"{prefix}: last breakpoint must be at utilization 1.0")
-        for i in range(1, len(bps)):
-            if bps[i][0] <= bps[i - 1][0]:
-                out.append(f"{prefix}: utilizations must be strictly increasing")
-                break
-        for i in range(1, len(bps)):
-            if bps[i][1] < bps[i - 1][1]:
-                out.append(f"{prefix}: power must be non-decreasing")
-                break
+        if any(b[0] <= a[0] for a, b in zip(bps, bps[1:])):
+            out.append(f"{prefix}: utilizations must be strictly increasing")
+        if any(b[1] < a[1] for a, b in zip(bps, bps[1:])):
+            out.append(f"{prefix}: power must be non-decreasing")
         if not (0.0 <= self.sleep_power_w < math.inf):
             out.append(f"hosts.sleep_power_w: must be finite and >= 0 (got {self.sleep_power_w})")
         elif not out and self.sleep_power_w >= self.idle_power_w:
@@ -227,11 +223,13 @@ def exact_sum(pairs) -> float:
     rounded (`math.fsum`, after Shewchuk 1997): a run's every float total,
     so it depends on the values alone, not on order or on how hosts are cut.
     Exact for |value| below about 1.3e300 and counts below 2**52 (Dekker 1971)."""
-    parts = []  # four exact products per pair, from 26-bit halves of value and count
+    parts = []  # exact products of 26-bit halves of value and count
     for value, count in pairs:
         hi = (c := 134217729.0 * value) - (c - value)  # 2**27 + 1
         lo, high, low = value - hi, count >> 26, count & 67108863
-        parts += (hi * low, lo * low, hi * high * 67108864.0, lo * high * 67108864.0)
+        parts += (hi * low, lo * low)
+        if high:  # only from 2**26 hosts; hosts.count is at most 100,000
+            parts += (hi * high * 67108864.0, lo * high * 67108864.0)
     return math.fsum(parts)
 
 

@@ -39,8 +39,6 @@ def hpm(profile: PowerProfile, power_w: float) -> float:
     for i in range(1, len(bps)):
         u0, p0 = bps[i - 1]
         u1, p1 = bps[i]
-        if power_w <= p1:
-            if p1 == p0:  # flat segment: lowest utilization that reaches it
-                return u0
-            return u0 + (u1 - u0) * (power_w - p0) / (p1 - p0)
+        if power_w <= p1:  # a flat segment gives the lowest utilization that reaches it
+            return u0 if p1 == p0 else u0 + (u1 - u0) * (power_w - p0) / (p1 - p0)
     return bps[-1][0]

@@ -4,12 +4,12 @@ test oracle for `brownsim.engine.Simulation`.
 It keeps no host classes, offers or memo and shares no decision between
 hosts.  Every interval it derives each host's state afresh, calls the
 policy's selector once per overloaded host in host order on a plain item
-list, restores host by host, and sums energy, the capacity mean, the
-average response's numerator and the mean overload ratio with `math.fsum`
-over per-host lists.  It reuses only the unit-tested leaf formulas, so any
-cache in the engine that changes a result shows as a difference from `run`.
-It places and routes host by host with its own `place` and `route_demand`;
-the engine places and routes runs.
+list, restores host by host with its own `restore`, and sums energy, the
+capacity mean, the average response's numerator and the mean overload ratio
+with `math.fsum` over per-host lists.  It reuses only the unit-tested leaf
+formulas, so any cache in the engine that changes a result shows as a
+difference from `run`.  It places and routes host by host with its own
+`place` and `route_demand`; the engine places and routes runs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from brownsim.engine import POLICY_RNG_SALT, derive_utilization, synthesize_resp
 from brownsim.model import (HostMode, HostState, IntervalRecord, RunResult, SimConfig,
                             host_id, scaled_services)
 from brownsim.policies import (SELECTORS, OptionalItem, autoscale, dimmer, expected_reduction,
-                               over_threshold, restore_mask)
+                               over_threshold)
 from brownsim.power import hum
 from brownsim.qos import nearest_rank_percentile, overload_ratios, slavr
 from brownsim.workload import Trace, predict_rate
@@ -74,6 +74,29 @@ def derive(cfg: SimConfig, host: HostState, assigned: int) -> State:
     return State(utilization, hum(cfg.power_profile, host.mode, utilization), demand,
                  serving and over_threshold(utilization, cfg.policy.overloaded_threshold_u_t),
                  (response_ms, served), errors)
+
+
+def restore(host: HostState, utilization: float, demand: float, u_t: float) -> tuple:
+    """The host's mask with the containers it takes back at `utilization`.
+
+    The containers its mask has off form units, same-tag ones together, each
+    weighing its containers' summed weights in stack order.  Units come back
+    largest first, ties by their positions, and a unit that would take the
+    host over `u_t` (demand times its weight added) is skipped.
+    """
+    units = {}  # tag, or position when untagged -> the positions it holds
+    for j, (spec, on) in enumerate(zip(host.containers, host.active)):
+        if not on:
+            tag = spec.connection_tag
+            units.setdefault(j if tag is None else tag, []).append(j)
+    weighed = [(sum([host.containers[j].weight for j in ids]), tuple(ids))
+               for ids in units.values()]
+    u, back = utilization, []
+    for weight, ids in sorted(weighed, key=lambda unit: (-unit[0], unit[1])):
+        if not over_threshold(u + demand * weight, u_t):
+            back += ids
+            u += demand * weight
+    return tuple([on or j in back for j, on in enumerate(host.active)])
 
 
 def resize(hosts: list, target: int, boot_delay: int) -> None:
@@ -134,7 +157,7 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
                     if offer and (off := set(SELECTORS[cfg.policy_name](offer, target, rng))):
                         mask = tuple([on and j not in off for j, on in enumerate(h.active)])
                 elif not overloaded and h.mode is ACTIVE and not all(h.active):  # restore
-                    mask = restore_mask(h, s.utilization, s.demand, pol.overloaded_threshold_u_t)
+                    mask = restore(h, s.utilization, s.demand, pol.overloaded_threshold_u_t)
                 if mask != h.active:
                     h.active = mask
                     states[i] = derive(cfg, h, assigned[i])

@@ -647,6 +647,18 @@ def test_restore_mask_returns_the_host_mask_itself_when_nothing_comes_back():
     assert restore_mask(full, 0.6, 1.0, 0.8) is full.active
 
 
+def test_the_kept_restore_order_belongs_to_the_placement_not_its_stack_index():
+    # Each run numbers its placements from 0, so two runs' stack 0 may hold
+    # different specs under one mask; each takes back what its own weights
+    # allow, in either order of first use.
+    a = tuple(SPECS.values())  # web 0.6, rec 0.3, ads 0.1
+    b = (a[0], dataclasses.replace(a[1], weight=0.1), dataclasses.replace(a[2], weight=0.3))
+    for containers, back in ((a, (True, False, True)), (b, (True, True, False)),
+                             (a, (True, False, True))):
+        host = HostState(stack=0, containers=containers, active=(True, False, False))
+        assert restore_mask(host, 0.6, 1.0, 0.8) == back
+
+
 def test_ties_break_on_stack_position():
     # zeta and alpha weigh the same and either meets the target alone: the
     # one placed first is shed, whatever the ids' alphabetical order
