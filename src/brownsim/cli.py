@@ -332,7 +332,8 @@ def _write_result_files(out: Path, cfg: SimConfig, result, rep: int) -> None:
 
 def _result_payload(cfg: SimConfig, result, rep: int) -> dict:
     report = check_constraints(result, cfg.policy)
-    known = {**vars(cfg.policy), **vars(result), "policy": result.policy_name, "rep": rep}
+    known = {**vars(cfg.policy), **vars(result), "per_host_otr": result.per_host_otr,
+             "policy": result.policy_name, "rep": rep}
     payload = {key: known[key] for key in RESULT_KEYS}
     payload["constraints"] = [
         {"name": c.name, "bound": c.bound, "actual": c.actual, "pass": c.passed}

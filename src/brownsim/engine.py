@@ -14,16 +14,16 @@ Scaling splits at most one run each way, boots count down per run, equal
 neighbours merge, routing's remainder splits one run, and brownout sets each
 run's mask; only RSC's per-host draws, made where a draw can change the
 pick, split a run further.  Each piece's state (its run's key and request
-count) has one class: utilization, power, active-weight fraction and
-response group, derived once per run.  `policies.brownout_step` takes the
-(run, class) pieces, makes every shed and restore decision, and returns
-each one's (count, mask) segments.  Records keep (class, count) pieces, and
-are a step's only memory of earlier intervals: the scaler reads their rates
-and the last one's pieces and serving count; the result tallies their pieces
-and names hosts by index.  Every float total (energy, capacity mean, a
-record's power, the average response, the mean overload ratio) is
-`model.exact_sum`, exactly rounded, so it depends on the simulated states
-alone, not on host order or on how the runs are cut.
+count) has one class: utilization, power, active-weight fraction, response
+group, errors and deactivated count, derived once per run.
+`policies.brownout_step` takes the (run, class) pieces, makes every shed and
+restore decision, and returns each one's (count, mask) segments.  Records
+keep only (class, count) pieces and counts of requests and serving hosts;
+the scaler reads their rates and the last one's pieces and serving count.
+Every other total is read from the pieces: a record's as a view, the
+result's from one tally, its overload ratios as runs of hosts named by index
+when read.  Every float total is `model.exact_sum`, exactly rounded, so it
+depends on the simulated states alone, not on host order or run cuts.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .workload import Trace, predict_rate
 
 POLICY_RNG_SALT = 0x517CC1B727220A95
 
-# Looking a member up on the enum class is slow in per-host loops.
+# Looking a member up on the enum class is slow in the per-run loops of each step.
 ACTIVE, BOOTING, SLEEP = HostMode.ACTIVE, HostMode.BOOTING, HostMode.SLEEP
 
 
@@ -200,12 +200,8 @@ class Simulation:
                     cut.append((run, n, self._class(run, n)))
             pieces = cut[::-1]
 
-        # 8-9: errors and the record, from each piece's final class.
-        counted = [(cls, run.count) for run, _, cls in pieces]
-        record = IntervalRecord(
-            t=t, requests=rate, active_hosts=serving, pieces=counted,
-            errors=sum([cls.errors * n for cls, n in counted]),
-            deactivated_containers=sum([cls.deactivated * n for cls, n in counted]))
+        # 8-9: the record, each piece's final class and count; its totals are views.
+        record = IntervalRecord(t, rate, serving, [(cls, run.count) for run, _, cls in pieces])
         self.records.append(record)
         return record
 
@@ -278,21 +274,21 @@ class Simulation:
         return cls
 
     def _result(self) -> RunResult:
-        per_host_otr = overload_ratios(self.records)
+        otr_runs = overload_ratios(self.records)
         groups, drawn = Counter(), Counter()  # (response_ms, served) or watts -> host-intervals
+        total_errors = 0
         for (cls, n), k in Counter(chain.from_iterable([r.pieces for r in self.records])).items():
             drawn[cls.power_w] += n * k  # k pieces of n hosts in class cls
+            total_errors += cls.errors * n * k
             if cls.group[1]:
                 groups[cls.group] += n * k
         served = sum([count * n for (_, count), n in groups.items()])
         total_requests = sum(r.requests for r in self.records)
-        total_errors = sum(r.errors for r in self.records)
         return RunResult(
             policy_name=self.cfg.policy_name,
             seed=self.cfg.policy.seed,
             energy_kwh=exact_sum(drawn.items()) * self.cfg.interval_seconds / 3.6e6,
-            otr_mean=(exact_sum(Counter(per_host_otr.values()).items()) / len(per_host_otr)
-                      if per_host_otr else 0.0),
+            otr_mean=exact_sum(otr_runs) / self.cfg.host_count,
             avg_response_ms=(exact_sum([(ms * count, n) for (ms, count), n in groups.items()])
                              / served if served else 0.0),
             p_kth_response_ms=(nearest_rank_percentile(groups, self.cfg.policy.percentile_k)
@@ -300,7 +296,7 @@ class Simulation:
             slavr=slavr(total_errors, total_requests),
             active_host_series=[r.active_hosts for r in self.records],
             interval_records=self.records,
-            per_host_otr=per_host_otr,
+            otr_runs=otr_runs,
             total_requests=total_requests,
             total_errors=total_errors,
         )

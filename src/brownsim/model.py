@@ -233,20 +233,26 @@ def exact_sum(pairs) -> float:
     return math.fsum(parts)
 
 
+class _Total(str):
+    """A record's sum, over its pieces, of the class attribute this names, kept
+    nowhere; not a property, so that bench/test_bench.py may override it by assignment."""
+
+    def __get__(self, rec, owner=None):
+        return self if rec is None else sum([getattr(cls, self) * n for cls, n in rec.pieces])
+
+
 @dataclass(eq=False)
 class IntervalRecord:
-    """One interval's totals and its fleet as (class, count) pieces in host
-    order: the next `count` hosts, by index, ended the interval in `class`,
-    read for its power_w, overloaded flag and (response_ms, served) group.
-    The per-host views are built on demand, with each host's id from its
-    index (`host_id`), and records are equal when their views are."""
+    """One interval's request and serving counts and its fleet as (class,
+    count) pieces in host order: the next `count` hosts, by index, ended the
+    interval in `class`.  Every total and per-host view reads the classes'
+    power_w, overloaded flag, (response_ms, served) group, errors and
+    deactivated count; hosts are named by index (`host_id`)."""
 
     t: int
     requests: int
     active_hosts: int
     pieces: list = field(default_factory=list, repr=False)
-    errors: int = 0
-    deactivated_containers: int = 0
 
     def _each(self, attr: str):
         return chain.from_iterable([repeat(getattr(cls, attr), n) for cls, n in self.pieces])
@@ -257,6 +263,8 @@ class IntervalRecord:
     response_groups = property(lambda r: [group for group in r._each("group") if group[1]])
     total_power_w = property(lambda r: exact_sum([(cls.power_w, n) for cls, n in r.pieces]))
     overloaded_hosts = property(lambda r: sum([n for cls, n in r.pieces if cls.overloaded]))
+    errors = _Total("errors")
+    deactivated_containers = _Total("deactivated")
 
     def __eq__(self, other):
         return type(other) is IntervalRecord and _RECORD_VIEW(self) == _RECORD_VIEW(other)
@@ -277,9 +285,13 @@ class RunResult:
     slavr: float | None  # None marks no requests at all (not zero violations)
     active_host_series: list
     interval_records: list
-    per_host_otr: dict
+    otr_runs: list  # overloaded time ratios: maximal (ratio, count) runs of hosts in host order
     total_requests: int
     total_errors: int
+
+    # the runs expanded to a dict by host id (h100 follows h99) when read
+    per_host_otr = property(lambda r: dict(zip(map(host_id, count()), chain.from_iterable(
+        [repeat(ratio, n) for ratio, n in r.otr_runs]))))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ host is overloaded and restores otherwise.  Each run's (count, mask) segments
 come from one LUCF, MNCF or forced RSC pick per overloaded host class and
 dimmer value per run (these depend on the offer alone), else from one RSC
 draw per overloaded host, masked once per distinct pick, or, at dimmer value
-0, from the class's `restore_mask`, whose unit order is kept per placement and mask.
+0, from the class's `restore_mask`, made once per class and kept in its memo.
 Optional containers sharing a connection tag on one host only work as a
 group, so `group_units` bundles them into single units for both decisions.
 Hosts of one placement share their stack, so each class keeps one `Offer`
@@ -339,20 +339,12 @@ def restore_mask(host: HostState, utilization: float, demand: float, u_t: float)
     skipped and a smaller one after it may still fit.  If none comes back,
     the host's own mask is returned.
     """
+    units = group_units([OptionalItem(j, spec.weight, spec.connection_tag) for j, (spec, on)
+                         in enumerate(zip(host.containers, host.active)) if not on])
     u, back = utilization, set()
-    for unit in _restore_order(host.containers, host.active):
+    for unit in sorted(units, key=lambda unit: (-unit.utilization, unit.ids)):
         delta = demand * unit.utilization
         if not over_threshold(u + delta, u_t):
             back.update(unit.ids)
             u += delta
     return tuple([on or j in back for j, on in enumerate(host.active)]) if back else host.active
-
-
-@lru_cache(maxsize=1024)
-def _restore_order(containers: tuple, active: tuple) -> tuple:
-    """`restore_mask`'s units for a placement's specs (not its `stack` index,
-    which is local to one run) and mask, largest first, ties by positions."""
-    return tuple(sorted(group_units([
-        OptionalItem(j, spec.weight, spec.connection_tag)
-        for j, (spec, on) in enumerate(zip(containers, active)) if not on]),
-        key=lambda u: (-u.utilization, u.ids)))

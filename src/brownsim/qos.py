@@ -1,6 +1,6 @@
 """QoS metrics and service-level constraint checks.
 
-Metrics: per-host overloaded time ratio, SLA violation ratio (failed
+Metrics: overloaded time ratio per run of hosts, SLA violation ratio (failed
 requests over total), and nearest-rank response-time percentiles.  The
 constraint checker compares a finished run against the configured bounds;
 total energy is the optimization objective, not a bound, so it has no check.
@@ -10,27 +10,25 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
-
-from .model import host_id
+from itertools import accumulate, groupby
 
 
-def overload_ratios(interval_records: list) -> dict:
-    """Per-host overloaded time ratio across a run's interval records, which
-    share one fleet, by host id in index order (h100 follows h99).  Intervals
-    a host spends asleep count as not overloaded.  An overloaded piece adds 1
-    where it starts and -1 where it ends; a running sum gives each host's
-    count."""
+def overload_ratios(interval_records: list) -> list:
+    """Overloaded time ratios across a run's interval records, which share
+    one fleet, as maximal (ratio, count) runs of hosts in host order.
+    Intervals a host spends asleep count as not overloaded.  An overloaded
+    piece adds 1 where it starts and -1 where it ends; a running sum gives
+    each host's count, and equal neighbours join."""
     if not interval_records:
-        return {}
-    fleet = sum([n for _, n in interval_records[0].pieces])
-    steps = [0] * (fleet + 1)
+        return []
+    steps = [0] * (sum([n for _, n in interval_records[0].pieces]) + 1)
     for rec in interval_records:
         for end, (cls, n) in zip(accumulate([n for _, n in rec.pieces]), rec.pieces):
             if cls.overloaded:
                 steps[end - n] += 1
                 steps[end] -= 1
-    return {host_id(i): k / len(interval_records) for i, k in zip(range(fleet), accumulate(steps))}
+    return [(k / len(interval_records), len(list(same)))
+            for k, same in groupby(accumulate(steps[:-1]))]
 
 
 def slavr(errors: int, total: int) -> float | None:

@@ -6,16 +6,19 @@ hosts.  Every interval it derives each host's state afresh, calls the
 policy's selector once per overloaded host in host order on a plain item
 list, restores host by host with its own `restore`, and sums energy, the
 capacity mean, the average response's numerator and the mean overload ratio
-with `math.fsum` over per-host lists.  It reuses only the unit-tested leaf
-formulas, so any cache in the engine that changes a result shows as a
-difference from `run`.  It places and routes host by host with its own
-`place` and `route_demand`; the engine places and routes runs.
+with `math.fsum` over per-host lists.  Each host's state carries its own
+errors and deactivated count, and each host's overloaded intervals are
+counted host by host.  It reuses only the unit-tested leaf formulas, so any
+cache in the engine that changes a result shows as a difference from `run`.
+It places and routes host by host with its own `place` and `route_demand`;
+the engine places and routes runs.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import groupby
 from typing import NamedTuple
 
 from brownsim.engine import POLICY_RNG_SALT, derive_utilization, synthesize_response
@@ -24,7 +27,7 @@ from brownsim.model import (HostMode, HostState, IntervalRecord, RunResult, SimC
 from brownsim.policies import (SELECTORS, OptionalItem, autoscale, dimmer, expected_reduction,
                                over_threshold)
 from brownsim.power import hum
-from brownsim.qos import nearest_rank_percentile, overload_ratios, slavr
+from brownsim.qos import nearest_rank_percentile, slavr
 from brownsim.workload import Trace, predict_rate
 
 ACTIVE, BOOTING, SLEEP = HostMode.ACTIVE, HostMode.BOOTING, HostMode.SLEEP
@@ -38,6 +41,7 @@ class State(NamedTuple):
     overloaded: bool
     group: tuple  # (response_ms, served)
     errors: int
+    deactivated: int  # containers its mask has off, 0 off the serving set
 
 
 def place(cfg: SimConfig) -> list:
@@ -73,7 +77,7 @@ def derive(cfg: SimConfig, host: HostState, assigned: int) -> State:
                                    if serving else (0.0, 0, 0))
     return State(utilization, hum(cfg.power_profile, host.mode, utilization), demand,
                  serving and over_threshold(utilization, cfg.policy.overloaded_threshold_u_t),
-                 (response_ms, served), errors)
+                 (response_ms, served), errors, host.active.count(False) if serving else 0)
 
 
 def restore(host: HostState, utilization: float, demand: float, u_t: float) -> tuple:
@@ -123,7 +127,8 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
                        active=(True,) * len(stack))
              for stack in place(cfg)]
     rng = random.Random(pol.seed ^ POLICY_RNG_SALT)
-    history, records, powers_w, fractions = [], [], [], []
+    history, records, powers_w, fractions, errors = [], [], [], [], []
+    hot = [0] * cfg.host_count  # intervals each host ended overloaded
     for t, rate in enumerate(trace.rates):
         if cfg.policy_name != "NPA" and history:
             factor = 1.0
@@ -163,6 +168,7 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
                     states[i] = derive(cfg, h, assigned[i])
 
         powers_w += [s.power_w for s in states]
+        hot = [k + s.overloaded for k, s in zip(hot, states)]
         fractions = []
         for h in serving:
             weights = [spec.weight for spec in h.containers]
@@ -170,28 +176,26 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
             fractions.append(sum(w for w, on in zip(weights, h.active) if on) / total
                              if total > 0 else 1.0)
         records.append(IntervalRecord(  # a piece of one host per host
-            t=t, requests=rate, active_hosts=len(serving),
-            pieces=[(s, 1) for s in states],
-            errors=sum(s.errors for s in states),
-            deactivated_containers=sum(h.active.count(False) for h in serving)))
+            t=t, requests=rate, active_hosts=len(serving), pieces=[(s, 1) for s in states]))
+        errors.append(sum(s.errors for s in states))
         history.append(float(rate))
 
-    per_host_otr = overload_ratios(records)
+    ratios = [k / len(records) for k in hot] if records else []
     groups = [g for r in records for g in r.response_groups]
     served = sum(count for _, count in groups)
     total_requests = sum(r.requests for r in records)
-    total_errors = sum(r.errors for r in records)
+    total_errors = sum(errors)
     return RunResult(
         policy_name=cfg.policy_name,
         seed=pol.seed,
         energy_kwh=math.fsum(powers_w) * cfg.interval_seconds / 3.6e6,
-        otr_mean=math.fsum(per_host_otr.values()) / len(per_host_otr) if per_host_otr else 0.0,
+        otr_mean=math.fsum(ratios) / len(ratios) if ratios else 0.0,
         avg_response_ms=math.fsum(v * count for v, count in groups) / served if served else 0.0,
         p_kth_response_ms=nearest_rank_percentile(groups, pol.percentile_k) if served else 0.0,
         slavr=slavr(total_errors, total_requests),
         active_host_series=[r.active_hosts for r in records],
         interval_records=records,
-        per_host_otr=per_host_otr,
+        otr_runs=[(ratio, len(list(same))) for ratio, same in groupby(ratios)],
         total_requests=total_requests,
         total_errors=total_errors,
     )

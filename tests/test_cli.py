@@ -374,7 +374,8 @@ def test_any_input_exits_zero_two_or_three_and_writes_finite_json(inputs):
 
 
 def test_non_finite_interval_power_is_never_written():
-    hot = SimpleNamespace(power_w=math.inf, overloaded=False, group=(0.0, 0))
+    hot = SimpleNamespace(power_w=math.inf, overloaded=False, group=(0.0, 0), errors=0,
+                          deactivated=0)
     record = IntervalRecord(t=0, requests=1, active_hosts=1, pieces=[(hot, 1)])
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         cli._intervals_csv([record])

@@ -101,7 +101,9 @@ def test_a_fleet_past_h99_keeps_index_order():
 
 def test_per_host_otr_follows_host_order_past_h99():
     result = Simulation(shop_cfg(policy="LUCF", hosts=120, pct=0.0), flat_trace([6000] * 3)).run()
+    # the view expands the runs in host order
     assert list(result.per_host_otr) == [host_id(i) for i in range(120)]
+    assert list(result.per_host_otr.values()) == [r for r, n in result.otr_runs for _ in range(n)]
     assert 0 < result.otr_mean, "some hosts must be overloaded"
 
 
@@ -118,7 +120,9 @@ def test_a_100000_host_fleet_is_built_from_its_stretches(stagger):
     assert [(run.count, run.stack, tuple(s.id for s in run.containers), run.mode, run.active)
             for run in sim.runs] == [(count, i, ids, HostMode.ACTIVE, (True,) * len(ids))
                                      for i, (count, ids) in enumerate(stretches)]
-    assert list(sim.run().per_host_otr) == [f"h{i:02d}" for i in range(100_000)]
+    result = sim.run()
+    assert sum([n for _, n in result.otr_runs]) == 100_000
+    assert list(result.per_host_otr) == [f"h{i:02d}" for i in range(100_000)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,13 +15,16 @@ from brownsim.model import (
     EXACT_SEARCH_LIMIT,
     SCHEMA,
     ContainerSpec,
+    IntervalRecord,
     PolicyConfig,
     PowerProfile,
+    RunResult,
     SimConfig,
     config_from_dict,
     config_to_dict,
     dump_config,
     exact_sum,
+    host_id,
     load_config,
     place_replicas,
     scaled_services,
@@ -346,6 +350,34 @@ def test_exact_sum_is_the_repeated_sum_up_to_100000_hosts(pairs):
                       min_size=1, max_size=8))
 def test_exact_sum_is_exactly_rounded_for_counts_up_to_2_50(pairs):
     assert exact_sum(pairs) == exactly_rounded(pairs)
+
+
+def test_an_interval_record_reads_every_total_from_its_pieces():
+    hot = SimpleNamespace(power_w=0.1, overloaded=True, group=(150.0, 20), errors=3,
+                          deactivated=2)
+    asleep = SimpleNamespace(power_w=10.0, overloaded=False, group=(0.0, 0), errors=0,
+                             deactivated=0)
+    calm = SimpleNamespace(power_w=221.5, overloaded=False, group=(120.0, 25), errors=1,
+                           deactivated=1)
+    record = IntervalRecord(t=4, requests=173, active_hosts=7,
+                            pieces=[(hot, 3), (asleep, 2), (calm, 4)])
+    assert [f.name for f in fields(IntervalRecord)] == ["t", "requests", "active_hosts", "pieces"]
+    assert record.errors == 3 * 3 + 1 * 4
+    assert record.deactivated_containers == 2 * 3 + 1 * 4
+    assert record.total_power_w == math.fsum([0.1] * 3 + [10.0] * 2 + [221.5] * 4)
+    assert record.overloaded_hosts == 3
+    assert record.response_groups == [(150.0, 20)] * 3 + [(120.0, 25)] * 4
+
+
+def test_per_host_otr_expands_the_runs_by_host_index():
+    result = RunResult(policy_name="LUCF", seed=1, energy_kwh=1.0, otr_mean=0.0,
+                       avg_response_ms=0.0, p_kth_response_ms=0.0, slavr=None,
+                       active_host_series=[], interval_records=[],
+                       otr_runs=[(0.0, 99), (0.5, 2), (0.0, 1)], total_requests=0,
+                       total_errors=0)
+    ratios = result.per_host_otr
+    assert list(ratios) == [host_id(i) for i in range(102)]
+    assert [h for h, r in ratios.items() if r] == ["h99", "h100"] and ratios["h100"] == 0.5
 
 
 @pytest.mark.parametrize("value", [5e-324, -5e-324, 1e300, -1e300])

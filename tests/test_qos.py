@@ -31,30 +31,35 @@ def test_overload_ratios_spans_all_hosts_and_intervals():
         record(0, [("h00", 233.0, True), ("h01", 213.0, False), ("h02", 237.0, True)]),
         record(1, [("h00", 221.0, False), ("h01", 10.0, False), ("h02", 237.0, True)]),
     ]
-    ratios = overload_ratios(records)
-    assert ratios == {"h00": 0.5, "h01": 0.0, "h02": 1.0}
-    assert overload_ratios([]) == {}, "no records, no hosts"
+    assert overload_ratios(records) == [(0.5, 1), (0.0, 1), (1.0, 1)]
+    assert overload_ratios([]) == [], "no records, no hosts"
 
 
 def test_overload_ratios_keep_the_records_host_order():
-    # the ids follow the hosts' indices: h100 follows h99, not h10 as it
-    # would by id string
+    # host 100 (h100, which by id string would sort after h10) alone is
+    # overloaded, between a run of 100 hosts and a run of one
     hosts = [host_id(i) for i in range(102)]
     records = [record(0, [(h, 233.0, h == "h100") for h in hosts])]
-    ratios = overload_ratios(records)
-    assert list(ratios) == hosts and hosts[98:] == ["h98", "h99", "h100", "h101"]
-    assert [h for h, r in ratios.items() if r] == ["h100"]
+    assert overload_ratios(records) == [(0.0, 100), (1.0, 1), (0.0, 1)]
 
 
 def test_overload_ratios_count_pieces_of_several_hosts():
     hot, calm = (SimpleNamespace(power_w=233.0, overloaded=flag, group=(0.0, 0))
                  for flag in (True, False))
-    records = [IntervalRecord(t=0, requests=0, active_hosts=4,
-                              pieces=[(calm, 1), (hot, 2), (calm, 1)]),
-               IntervalRecord(t=1, requests=0, active_hosts=4, pieces=[(hot, 3), (calm, 1)])]
-    assert overload_ratios(records) == {"h00": 0.5, "h01": 1.0, "h02": 1.0, "h03": 0.0}
-    assert overload_ratios(records) == overload_ratios(
-        [record(r.t, r.per_host) for r in records])
+    records = [IntervalRecord(t=0, requests=0, active_hosts=6,
+                              pieces=[(calm, 1), (hot, 2), (calm, 1), (hot, 2)]),
+               IntervalRecord(t=1, requests=0, active_hosts=6,
+                              pieces=[(hot, 3), (calm, 1), (hot, 1), (calm, 1)])]
+    # h01-h02 and h04 are hot twice, h00 and h05 once, h03 never
+    runs = overload_ratios(records)
+    assert runs == [(0.5, 1), (1.0, 2), (0.0, 1), (1.0, 1), (0.5, 1)]
+    assert runs == overload_ratios([record(r.t, r.per_host) for r in records])
+    # a cut between equal ratios bounds no run
+    adjacent = [IntervalRecord(t=0, requests=0, active_hosts=4, pieces=[(hot, 1), (hot, 3)])]
+    assert overload_ratios(adjacent) == [(1.0, 4)]
+    crossed = [IntervalRecord(t=0, requests=0, active_hosts=4, pieces=[(hot, 2), (calm, 2)]),
+               IntervalRecord(t=1, requests=0, active_hosts=4, pieces=[(calm, 2), (hot, 2)])]
+    assert overload_ratios(crossed) == [(0.5, 4)]
 
 
 def test_slavr_examples():
@@ -129,7 +134,7 @@ def result_with(otr_mean=0.05, avg=300.0, p95=800.0, slavr_value=0.001):
     return RunResult(policy_name="LUCF", seed=1, energy_kwh=40.0, otr_mean=otr_mean,
                      avg_response_ms=avg, p_kth_response_ms=p95, slavr=slavr_value,
                      active_host_series=[], interval_records=[],
-                     per_host_otr={"h00": otr_mean}, total_requests=1000, total_errors=1)
+                     otr_runs=[(otr_mean, 1)], total_requests=1000, total_errors=1)
 
 
 def test_constraints_pass_case():
