@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import json
 import os
 import sys
@@ -343,14 +342,16 @@ def _result_payload(cfg: SimConfig, result, rep: int) -> dict:
 
 
 def _intervals_csv(records: list) -> str:
-    powers = [r.total_power_w for r in records]
+    """One row per record; a row's last four cells are totals of its pieces, so
+    they are read and formatted once per distinct piece list."""
+    keys = [tuple(r.pieces) for r in records]
+    holders = dict(zip(keys, records))  # a record of each distinct piece list
+    powers = [r.total_power_w for r in holders.values()]
     json.dumps(powers, allow_nan=False)  # result.json's rule: raise on Infinity or NaN
-    buf = io.StringIO()
-    buf.write(",".join(INTERVALS_HEADER) + "\n")
-    for r, power in zip(records, powers):
-        buf.write(f"{r.t},{r.requests},{r.active_hosts},{power:.6f},"
-                  f"{r.overloaded_hosts},{r.errors},{r.deactivated_containers}\n")
-    return buf.getvalue()
+    tails = {key: f",{power:.6f},{r.overloaded_hosts},{r.errors},{r.deactivated_containers}\n"
+             for (key, r), power in zip(holders.items(), powers)}
+    return "".join([",".join(INTERVALS_HEADER) + "\n"] + [
+        f"{r.t},{r.requests},{r.active_hosts}{tails[key]}" for r, key in zip(records, keys)])
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -13,7 +13,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain, count, repeat
-from operator import attrgetter
 from pathlib import Path
 
 WEIGHT_SUM_TOL = 1e-9
@@ -246,8 +245,8 @@ class IntervalRecord:
     """One interval's request and serving counts and its fleet as (class,
     count) pieces in host order: the next `count` hosts, by index, ended the
     interval in `class`.  Every total and per-host view reads the classes'
-    power_w, overloaded flag, (response_ms, served) group, errors and
-    deactivated count; hosts are named by index (`host_id`)."""
+    power_w, overloaded flag, errors and deactivated count; hosts are named
+    by index (`host_id`)."""
 
     t: int
     requests: int
@@ -257,21 +256,13 @@ class IntervalRecord:
     def _each(self, attr: str):
         return chain.from_iterable([repeat(getattr(cls, attr), n) for cls, n in self.pieces])
 
-    # (host_id, power_w, overloaded) per host; (response_ms, served) per serving host
+    # (host_id, power_w, overloaded) per host
     per_host = property(lambda r: list(zip(map(host_id, count()), r._each("power_w"),
                                            r._each("overloaded"))))
-    response_groups = property(lambda r: [group for group in r._each("group") if group[1]])
     total_power_w = property(lambda r: exact_sum([(cls.power_w, n) for cls, n in r.pieces]))
     overloaded_hosts = property(lambda r: sum([n for cls, n in r.pieces if cls.overloaded]))
     errors = _Total("errors")
     deactivated_containers = _Total("deactivated")
-
-    def __eq__(self, other):
-        return type(other) is IntervalRecord and _RECORD_VIEW(self) == _RECORD_VIEW(other)
-
-
-_RECORD_VIEW = attrgetter("t", "requests", "active_hosts", "errors", "deactivated_containers",
-                          "per_host", "response_groups")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Inputs the tests build in code: the shop stack, its config and traces;
-and a simulation's fleet read host by host."""
+a simulation's fleet read host by host; and the views that interval records
+and run results are compared by."""
 
 from itertools import chain, count, repeat
 
@@ -54,3 +55,28 @@ def hosts_of(sim) -> list:
     assert sum(run.count for run in sim.runs) == sim.cfg.host_count, "the runs cover the fleet"
     return list(zip(map(host_id, count()),
                     chain.from_iterable(repeat(run, run.count) for run in sim.runs)))
+
+
+def response_groups(record) -> list:
+    """(response_ms, served) of each serving host of an interval record, in host order."""
+    return [cls.group for cls, n in record.pieces if cls.group[1] for _ in range(n)]
+
+
+def record_view(record) -> tuple:
+    """What two interval records must share to be equal: their type, their t,
+    request, serving, error and deactivated counts, and their per-host views."""
+    return (type(record), record.t, record.requests, record.active_hosts, record.errors,
+            record.deactivated_containers, record.per_host, response_groups(record))
+
+
+def same_records(a: list, b: list) -> bool:
+    """Whether two record lists are equal record for record, by `record_view`."""
+    return [record_view(r) for r in a] == [record_view(r) for r in b]
+
+
+def result_view(result) -> tuple:
+    """A run result's type and fields, each interval record as its
+    `record_view`: two results are equal when these are (records themselves
+    compare by identity)."""
+    return type(result), {**vars(result), "interval_records": [
+        record_view(r) for r in result.interval_records]}

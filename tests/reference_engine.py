@@ -29,6 +29,7 @@ from brownsim.policies import (SELECTORS, OptionalItem, autoscale, dimmer, expec
 from brownsim.power import hum
 from brownsim.qos import nearest_rank_percentile, slavr
 from brownsim.workload import Trace, predict_rate
+from builders import response_groups
 
 ACTIVE, BOOTING, SLEEP = HostMode.ACTIVE, HostMode.BOOTING, HostMode.SLEEP
 
@@ -181,7 +182,7 @@ def run(cfg: SimConfig, trace: Trace) -> RunResult:
         history.append(float(rate))
 
     ratios = [k / len(records) for k in hot] if records else []
-    groups = [g for r in records for g in r.response_groups]
+    groups = [g for r in records for g in response_groups(r)]
     served = sum(count for _, count in groups)
     total_requests = sum(r.requests for r in records)
     total_errors = sum(errors)

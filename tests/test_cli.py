@@ -7,7 +7,6 @@ import signal
 import tempfile
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +16,8 @@ from brownsim.cli import main
 from brownsim.engine import Simulation
 from brownsim.model import (POLICY_NAMES, SCHEMA, ContainerSpec, IntervalRecord, PolicyConfig,
                             SimConfig, dump_config)
-from builders import flat_trace, write_trace_csv
+from builders import flat_trace, shop_cfg, write_trace_csv
+from test_engine import DIURNAL, MIXED_DAY, dense_cfg, sample_day_records
 
 HUGE = 10 ** 400  # a JSON integer beyond the float range
 
@@ -373,12 +373,61 @@ def test_any_input_exits_zero_two_or_three_and_writes_finite_json(inputs):
                 _finite_json(path.read_text())
 
 
+class _Class:
+    """A host class stub: the attributes a record's views read; hashed by
+    identity, as the engine's classes are."""
+
+    def __init__(self, power_w, overloaded=False, errors=0, deactivated=0):
+        self.power_w, self.overloaded, self.group = power_w, overloaded, (0.0, 0)
+        self.errors, self.deactivated = errors, deactivated
+
+
 def test_non_finite_interval_power_is_never_written():
-    hot = SimpleNamespace(power_w=math.inf, overloaded=False, group=(0.0, 0), errors=0,
-                          deactivated=0)
-    record = IntervalRecord(t=0, requests=1, active_hosts=1, pieces=[(hot, 1)])
-    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
-        cli._intervals_csv([record])
+    calm, hot = _Class(200.0), _Class(math.inf)
+    for pieces in ([[(hot, 1)]],  # and on a later record whose piece list repeats:
+                   [[(calm, 1)], [(calm, 1)], [(hot, 1)], [(hot, 1)]]):
+        records = [IntervalRecord(t=t, requests=1, active_hosts=1, pieces=list(p))
+                   for t, p in enumerate(pieces)]
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            cli._intervals_csv(records)
+
+
+def _rows_by_record(records: list) -> list:
+    """intervals.csv's lines, each record's views read and formatted on its own."""
+    return [",".join(cli.INTERVALS_HEADER)] + [
+        f"{r.t},{r.requests},{r.active_hosts},{r.total_power_w:.6f},"
+        f"{r.overloaded_hosts},{r.errors},{r.deactivated_containers}" for r in records]
+
+
+@pytest.mark.parametrize("day", [
+    pytest.param(lambda: sample_day_records("LUCF", 0.7), id="LUCF-sample-u0.7"),
+    pytest.param(lambda: Simulation(shop_cfg(policy="RSC", pct=0.5), MIXED_DAY).run()
+                 .interval_records, id="RSC-mixed"),
+    pytest.param(lambda: Simulation(dense_cfg("LUCF"), DIURNAL).run().interval_records,
+                 id="LUCF-dense"),
+])
+def test_interval_rows_are_each_records_views(day):
+    records = day()
+    assert len({tuple(r.pieces) for r in records}) < len(records), "piece lists repeat"
+    assert cli._intervals_csv(records).splitlines() == _rows_by_record(records)
+
+
+def test_records_with_equal_pieces_keep_their_own_counts():
+    hot, calm = _Class(250.5, overloaded=True, errors=2, deactivated=1), _Class(200.0)
+    pieces = [(hot, 2), (calm, 3)]
+    records = [IntervalRecord(t=0, requests=90, active_hosts=5, pieces=list(pieces)),
+               IntervalRecord(t=7, requests=12, active_hosts=3, pieces=list(pieces))]
+    assert cli._intervals_csv(records).splitlines()[1:] == [
+        "0,90,5,1101.000000,2,4,2", "7,12,3,1101.000000,2,4,2"]
+
+
+def test_interval_power_is_read_once_per_distinct_piece_list(monkeypatch):
+    records, reads = sample_day_records("LUCF", 0.7), []
+    total = IntervalRecord.total_power_w
+    monkeypatch.setattr(IntervalRecord, "total_power_w",
+                        property(lambda r: reads.append(r) or total.fget(r)))
+    cli._intervals_csv(records)
+    assert len(reads) == len({tuple(r.pieces) for r in records}) < len(records)
 
 
 def test_half_numeric_first_trace_row_exits_three(workdir, capsys):

@@ -31,7 +31,7 @@ from brownsim.model import (
     validate_config,
     with_values,
 )
-from builders import shop_services
+from builders import response_groups, shop_services
 from reference_engine import place
 
 
@@ -366,7 +366,7 @@ def test_an_interval_record_reads_every_total_from_its_pieces():
     assert record.deactivated_containers == 2 * 3 + 1 * 4
     assert record.total_power_w == math.fsum([0.1] * 3 + [10.0] * 2 + [221.5] * 4)
     assert record.overloaded_hosts == 3
-    assert record.response_groups == [(150.0, 20)] * 3 + [(120.0, 25)] * 4
+    assert response_groups(record) == [(150.0, 20)] * 3 + [(120.0, 25)] * 4
 
 
 def test_per_host_otr_expands_the_runs_by_host_index():
