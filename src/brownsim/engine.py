@@ -15,7 +15,7 @@ neighbours merge, routing's remainder splits one run, and brownout sets each
 run's mask; only RSC's per-host draws, made where a draw can change the
 pick, split a run further.  Each piece's state (its run's key and request
 count) has one class: utilization, power, active-weight fraction, response
-group, errors and deactivated count, derived once per run.
+group, errors and deactivated count, derived when a lookup of it first misses.
 `policies.brownout_step` takes the (run, class) pieces, makes every shed and
 restore decision, and returns each one's (count, mask) segments.  Records
 keep only (class, count) pieces and counts of requests and serving hosts;
@@ -170,17 +170,20 @@ class Simulation:
 
         # 4-5: route and give each run the class of its state.  The first
         # `extra` serving hosts take one request more: routing splits one run.
-        self.runs = runs
+        self.runs, classes = runs, self.classes
         serving = sum([run.count for run in runs if run.mode is ACTIVE])
         share, extra = divmod(rate, serving) if serving else (0, 0)
         pieces = []
         for i, run in enumerate(runs):  # a split inserts the run's rest next
-            n = 0
             if run.mode is ACTIVE:
-                _split(runs, i, extra)
-                n = share + 1 if extra else share
-                extra = max(0, extra - run.count)
-            pieces.append((run, n, self._class(run, n)))
+                n = share
+                if extra:
+                    _split(runs, i, extra)
+                    n, extra = share + 1, max(0, extra - run.count)
+                key = (run.stack, ACTIVE, run.active, n)
+            else:
+                n, key = 0, (run.stack, run.mode, (), 0)
+            pieces.append((run, n, classes.get(key) or self._class(run, key)))
 
         # 6-7: brownout controller (shed or restore).  Each piece's run takes
         # its (count, mask) segments, top one first so that a split (RSC's
@@ -191,13 +194,18 @@ class Simulation:
                                      self.rng_policy)
             cut = []
             for i in range(len(pieces) - 1, -1, -1):
-                run, n, _ = pieces[i]
-                if len(seg := segments[i]) == 1 and seg[0][1] == run.active:  # same run, class
-                    cut.append(pieces[i])
+                run, n, cls = pieces[i]
+                if len(seg := segments[i]) == 1:  # the whole run, in a new class if its mask moved
+                    if (mask := seg[0][1]) != run.active:
+                        run.active = mask
+                        key = (run.stack, run.mode, mask if run.mode is ACTIVE else (), n)
+                        cls = classes.get(key) or self._class(run, key)
+                    cut.append((run, n, cls))
                     continue
                 for count, mask in reversed(seg):
                     (run := _split(runs, i, runs[i].count - count)).active = mask
-                    cut.append((run, n, self._class(run, n)))
+                    key = (run.stack, run.mode, mask if run.mode is ACTIVE else (), n)
+                    cut.append((run, n, classes.get(key) or self._class(run, key)))
             pieces = cut[::-1]
 
         # 8-9: the record, each piece's final class and count; its totals are views.
@@ -246,31 +254,28 @@ class Simulation:
                     run.mode, run.active = SLEEP, (True,) * len(run.containers)
                     drop -= run.count
 
-    def _class(self, host: HostState, assigned: int) -> HostClass:
-        """The class of the host's state with `assigned` requests; the first
-        host in a state this run derives it, the others reuse it."""
-        serving = host.mode is ACTIVE
-        # a host off the serving set is idle whatever its mask
-        mask = host.active if serving else ()
-        cls = self.classes.get(key := (host.stack, host.mode, mask, assigned))
-        if cls is None:
-            pol = self.cfg.policy
-            u_t = pol.overloaded_threshold_u_t
-            demand = assigned / pol.capacity_n_o
-            load = derive_utilization(host, demand)
-            utilization = min(max(load, 0.0), 1.0)
-            power_w = hum(self.profile, host.mode, utilization)
-            response_ms, served, errors = (synthesize_response(
-                load, assigned, self.cfg.base_response_ms) if serving else (0.0, 0, 0))
-            fraction = None
-            if serving:
-                weights = [spec.weight for spec in host.containers]
-                total = sum(weights)
-                fraction = (sum([w for w, on in zip(weights, mask) if on]) / total
-                            if total > 0 else 1.0)
-            cls = self.classes[key] = HostClass(
-                utilization, power_w, demand, serving and over_threshold(utilization, u_t),
-                (response_ms, served), errors, mask.count(False), fraction, None, {})
+    def _class(self, host: HostState, key: tuple) -> HostClass:
+        """Derive and keep the class of `key`, the host's state (stack, mode, mask
+        or () off the serving set, assigned requests): on a miss in `classes`."""
+        _, mode, mask, assigned = key
+        serving = mode is ACTIVE
+        pol = self.cfg.policy
+        demand = assigned / pol.capacity_n_o
+        load = derive_utilization(host, demand)
+        utilization = min(max(load, 0.0), 1.0)
+        power_w = hum(self.profile, mode, utilization)
+        response_ms, served, errors = (synthesize_response(
+            load, assigned, self.cfg.base_response_ms) if serving else (0.0, 0, 0))
+        fraction = None
+        if serving:
+            weights = [spec.weight for spec in host.containers]
+            total = sum(weights)
+            fraction = (sum([w for w, on in zip(weights, mask) if on]) / total
+                        if total > 0 else 1.0)
+        cls = self.classes[key] = HostClass(
+            utilization, power_w, demand,
+            serving and over_threshold(utilization, pol.overloaded_threshold_u_t),
+            (response_ms, served), errors, mask.count(False), fraction, None, {})
         return cls
 
     def _result(self) -> RunResult:

@@ -130,6 +130,7 @@ class Offer(list):
 def group_units(items: list) -> list | tuple:
     """Bundle same-tag items into single units; untagged items stand alone.
 
+    Items are (id, utilization, tag) triples, as an `OptionalItem` unpacks.
     Units come back sorted by ascending utilization, ties by ids (stack
     positions in the controller's offers), which also fixes the order every
     selector sees.  An `Offer` returns its own `units`.
@@ -138,14 +139,13 @@ def group_units(items: list) -> list | tuple:
         return items.units
     by_tag = {}
     singles = []
-    for it in items:
-        if it.connection_tag is None:
-            singles.append(_Unit(ids=(it.id,), utilization=it.utilization))
+    for id_, utilization, tag in items:
+        if tag is None:
+            singles.append(_Unit(utilization, (id_,)))
         else:
-            by_tag.setdefault(it.connection_tag, []).append(it)
+            by_tag.setdefault(tag, []).append((id_, utilization))
     units = singles + [
-        _Unit(ids=tuple(sorted([i.id for i in group])),
-              utilization=sum([i.utilization for i in group]))
+        _Unit(sum([u for _, u in group]), tuple(sorted([i for i, _ in group])))
         for group in by_tag.values()
     ]
     units.sort()
@@ -339,11 +339,13 @@ def restore_mask(host: HostState, utilization: float, demand: float, u_t: float)
     skipped and a smaller one after it may still fit.  If none comes back,
     the host's own mask is returned.
     """
-    units = group_units([OptionalItem(j, spec.weight, spec.connection_tag) for j, (spec, on)
+    # negated weights sum to the negated sums (float addition is sign-symmetric),
+    # so `group_units`' one ascending sort is largest first, ties by positions
+    units = group_units([(j, -spec.weight, spec.connection_tag) for j, (spec, on)
                          in enumerate(zip(host.containers, host.active)) if not on])
     u, back = utilization, set()
-    for unit in sorted(units, key=lambda unit: (-unit.utilization, unit.ids)):
-        delta = demand * unit.utilization
+    for unit in units:
+        delta = demand * -unit.utilization
         if not over_threshold(u + delta, u_t):
             back.update(unit.ids)
             u += delta

@@ -490,12 +490,23 @@ BIG_DAY = load_trace(str(DATA / "diurnal_day.csv"), 12.0, 60.0)  # the day for 1
     pytest.param(shop_cfg(policy=p, hosts=120), BIG_DAY, id=f"{p}-120-hosts")
     for p in ("LUCF", "RSC")
 ])
-def test_run_wide_classes_and_shared_picks_equal_a_per_interval_per_host_run(cfg, trace):
+def test_run_wide_classes_and_shared_picks_equal_a_per_interval_per_host_run(monkeypatch, cfg,
+                                                                            trace):
     # Run-wide classes, kept offers, shared LUCF/MNCF picks and per-class
     # restores must give what the per-host reference derives afresh, host by
-    # host, every interval.
+    # host, every interval.  A step finds each run's class with one lookup on
+    # its state, after routing and after a brownout that moved its mask or
+    # split it, and derives the class only on a miss: once per state and run.
+    derived, real = [], Simulation._class
+
+    def spy(self, host, key):
+        derived.append(key)
+        return real(self, host, key)
+
+    monkeypatch.setattr(Simulation, "_class", spy)
     kept = Simulation(cfg, trace)
     result = kept.run()
+    assert len(derived) == len(set(derived)) == len(kept.classes)
     assert len(kept.classes) < sum(r.active_hosts > 0 for r in result.interval_records), (
         "the run must revisit states")
     assert result_view(result) == result_view(reference_engine.run(cfg, trace))

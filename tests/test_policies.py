@@ -278,6 +278,13 @@ def test_rsc_skips_only_draws_that_cannot_change_its_pick(offer, seed):
 def test_group_units_orders_by_utilization():
     units = group_units([I("big", 0.3), I("a", 0.05, "X"), I("b", 0.04, "X"), I("tiny", 0.01)])
     assert [u.ids for u in units] == [("tiny",), ("a", "b"), ("big",)]
+    # plain (id, utilization, tag) triples group alike; a tag's sum keeps its
+    # rounding (0.1 + 0.2 is not 0.3) and the order it gives
+    items = [I("big", 0.3), I("b", 0.2, "X"), I("a", 0.1, "X"), I("tiny", 0.01)]
+    units = group_units(items)
+    assert units == group_units([tuple(it) for it in items])
+    assert [tuple(u) for u in units] == [(0.01, ("tiny",)), (0.3, ("big",)),
+                                         (0.2 + 0.1, ("a", "b"))]
 
 
 # ---------------------------------------------------------------------------
