@@ -14,8 +14,9 @@ Scaling splits at most one run each way, boots count down per run, equal
 neighbours merge, routing's remainder splits one run, and brownout sets each
 run's mask; only RSC's per-host draws, made where a draw can change the
 pick, split a run further.  Each piece's state (its run's key and request
-count) has one class: utilization, power, active-weight fraction, response
-group, errors and deactivated count, derived when a lookup of it first misses.
+count) has one class: utilization, power, response group and errors, derived
+when a lookup of it first misses, and its (stack, mask)'s `policies.Layout`,
+shared by that pair's classes: weight fraction, deactivated count, units.
 `policies.brownout_step` takes the (run, class) pieces, makes every shed and
 restore decision, and returns each one's (count, mask) segments.  Records
 keep only (class, count) pieces and counts of requests and serving hosts;
@@ -44,7 +45,7 @@ from .model import (
     scaled_services,
     validate_config,
 )
-from .policies import SELECTORS, autoscale, brownout_step, over_threshold
+from .policies import SELECTORS, Layout, autoscale, brownout_step, over_threshold
 from .power import hum
 from .qos import nearest_rank_percentile, overload_ratios, slavr
 from .workload import Trace, predict_rate
@@ -98,20 +99,22 @@ class HostClass:
     n_o, power profile, base response), so a class lasts the run; totals
     count its `power_w` once per member.  `demand` is assigned requests /
     n_o, a container's load per unit of weight; `group` is (response_ms,
-    served), with served 0 off the serving set; `fraction` is the active
-    share of the stack's weight, None off the serving set; `offer` is its
-    `policies.Offer` from its first overload on (None before); `decided`
-    holds the brownout decisions it has made, keyed by dimmer value, its
-    restore mask at 0 (see `policies.brownout_step`), all functions of the
-    class too.  A plain class: a dataclass slows the package import.
+    served), with served 0 off the serving set; `layout` is its run's
+    (stack, mask)'s shared `policies.Layout` (full off the serving set),
+    which gives `deactivated` and `fraction` (None off the serving set);
+    `offer` is its `policies.Offer` from its first overload on (None before);
+    `decided` holds the brownout decisions it has made, keyed by dimmer
+    value, its restore mask at 0 (see `policies.brownout_step`), all
+    functions of the class too.  A plain class: a dataclass slows import.
     """
 
     __slots__ = ("utilization", "power_w", "demand", "overloaded", "group", "errors",
-                 "deactivated", "fraction", "offer", "decided")
+                 "layout", "deactivated", "fraction", "offer", "decided")
 
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            setattr(self, name, value)
+        (self.utilization, self.power_w, self.demand, self.overloaded, self.group, self.errors,
+         self.layout, self.fraction) = values
+        self.deactivated, self.offer, self.decided = self.layout.deactivated, None, {}
 
 
 class Simulation:
@@ -132,6 +135,7 @@ class Simulation:
                                active=(True,) * len(ids))  # the fleet, in host order
                      for i, (count, ids) in enumerate(place_replicas(cfg))]
         self.classes = {}  # state -> HostClass, for the whole run
+        self.layouts = {}  # (stack, mask) -> policies.Layout, for the whole run
 
         self.rng_policy = random.Random(cfg.policy.seed ^ POLICY_RNG_SALT)
         self.records = []  # all a step reads of earlier intervals
@@ -257,7 +261,7 @@ class Simulation:
     def _class(self, host: HostState, key: tuple) -> HostClass:
         """Derive and keep the class of `key`, the host's state (stack, mode, mask
         or () off the serving set, assigned requests): on a miss in `classes`."""
-        _, mode, mask, assigned = key
+        _, mode, _, assigned = key
         serving = mode is ACTIVE
         pol = self.cfg.policy
         demand = assigned / pol.capacity_n_o
@@ -266,16 +270,12 @@ class Simulation:
         power_w = hum(self.profile, mode, utilization)
         response_ms, served, errors = (synthesize_response(
             load, assigned, self.cfg.base_response_ms) if serving else (0.0, 0, 0))
-        fraction = None
-        if serving:
-            weights = [spec.weight for spec in host.containers]
-            total = sum(weights)
-            fraction = (sum([w for w, on in zip(weights, mask) if on]) / total
-                        if total > 0 else 1.0)
+        if (layout := self.layouts.get(at := (host.stack, host.active))) is None:
+            layout = self.layouts[at] = Layout(host.containers, host.active)
         cls = self.classes[key] = HostClass(
             utilization, power_w, demand,
             serving and over_threshold(utilization, pol.overloaded_threshold_u_t),
-            (response_ms, served), errors, mask.count(False), fraction, None, {})
+            (response_ms, served), errors, layout, layout.fraction if serving else None)
         return cls
 
     def _result(self) -> RunResult:

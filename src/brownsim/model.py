@@ -192,6 +192,7 @@ class PolicyConfig:
 
 @dataclass
 class SimConfig:
+    """One run's settings: the policy, the fleet, its stack, the knobs and the trace."""
     policy_name: str = "AUTOS"
     host_count: int = _knob(10, "[1, 100000]", key="hosts.count")
     power_profile: PowerProfile = field(default_factory=PowerProfile)
@@ -267,6 +268,7 @@ class IntervalRecord:
 
 @dataclass
 class RunResult:
+    """What one policy run reports: its energy and QoS totals and its interval records."""
     policy_name: str
     seed: int
     energy_kwh: float

@@ -29,12 +29,12 @@ fleet, cut into runs of consecutive hosts in one class: it sheds while a
 host is overloaded and restores otherwise.  Each run's (count, mask) segments
 come from one LUCF, MNCF or forced RSC pick per overloaded host class and
 dimmer value per run (these depend on the offer alone), else from one RSC
-draw per overloaded host, masked once per distinct pick, or, at dimmer value
-0, from the class's `restore_mask`, made once per class and kept in its memo.
-Optional containers sharing a connection tag on one host only work as a
-group, so `group_units` bundles them into single units for both decisions.
-Hosts of one placement share their stack, so each class keeps one `Offer`
-to its selector for the run, built and grouped once.
+draw per overloaded host, or, at dimmer value 0, from the class's
+`restore_mask`, made once per class and kept in its memo.  Optional
+containers sharing a connection tag on one host only work as a group, so
+`group_units` bundles them into units for both decisions, once per (stack,
+mask) in a run: its `Layout`, shared by its classes, also keeps one mask per
+pick.  Each class keeps one `Offer` to its selector, built from it once.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from itertools import chain, compress, count, groupby, repeat
 from operator import add
 from typing import NamedTuple
 
-from .model import EXACT_SEARCH_LIMIT, HostState, PowerProfile, SimConfig
+from .model import EXACT_SEARCH_LIMIT, PowerProfile, SimConfig
 from .power import hpm
 
 FEAS_EPS = 1e-9  # subset sums near the target must not flip on rounding order
@@ -100,10 +100,8 @@ def expected_reduction(utilization: float, power_w: float, theta: float,
 
 
 class OptionalItem(NamedTuple):
-    """One optional container offered to a brownout decision, `id` its stack
-    position.  Selectors see active containers at their current utilization;
-    `restore_mask` sees deactivated ones at their weight.
-    """
+    """One optional container offered to a selector at its current
+    utilization, `id` its stack position."""
 
     id: int | str
     utilization: float
@@ -116,15 +114,43 @@ class _Unit(NamedTuple):
     ids: tuple
 
 
+class Layout:
+    """What a (stack, mask) decides whatever the load, shared by its classes
+    for a run: `fraction` (its active share of the stack's weight),
+    `deactivated`, `on` (its optional containers on, as (position, weight,
+    tag)) and `plan` (each of their units' positions), `off` (its off units,
+    as `restore_mask` takes them back) and `sheds` (picked positions -> mask)."""
+
+    __slots__ = ("mask", "fraction", "deactivated", "on", "plan", "off", "sheds")
+
+    def __init__(self, containers: tuple, mask: tuple):
+        weights = [spec.weight for spec in containers]
+        self.fraction = sum(compress(weights, mask)) / total if (total := sum(weights)) > 0 else 1.0
+        self.mask, self.deactivated, self.sheds = mask, mask.count(False), {}
+        self.on = [(j, spec.weight, spec.connection_tag)
+                   for j, (spec, on) in enumerate(zip(containers, mask)) if on and spec.optional]
+        self.plan = [unit.ids for unit in group_units(self.on)]
+        # negated weights sum to the negated sums (float addition is sign-symmetric),
+        # so `group_units`' one ascending sort is largest first, ties by positions
+        self.off = group_units([(j, -spec.weight, spec.connection_tag) for j, (spec, on)
+                                in enumerate(zip(containers, mask)) if not on])
+
+    def shed(self, off: tuple) -> tuple:
+        """The mask with `off`'s positions turned off, one `_shed` each (a shed mask is never ())."""
+        return self.sheds.get(off) or self.sheds.setdefault(off, _shed(self.mask, off))
+
+
 class Offer(list):
-    """The OptionalItems a host class offers its selector, kept on the class
-    for the run (see `brownout_step`) with their `group_units` tuple, `units`."""
+    """A host class's OptionalItems for the run (see `brownout_step`), each at
+    demand times weight capped at 1, with `units` as `group_units` returns them:
+    its layout's plan, each unit summed in stack order, sorted once."""
 
     __slots__ = ("units",)
 
-    def __init__(self, items: list):
-        super().__init__(items)
-        self.units = tuple(group_units(items))
+    def __init__(self, layout: Layout, demand: float):
+        load = {j: min(demand * w, 1.0) for j, w, _ in layout.on}
+        super().__init__([OptionalItem(j, load[j], tag) for j, _, tag in layout.on])
+        self.units = tuple(sorted([_Unit(sum([load[j] for j in ids]), ids) for ids in layout.plan]))
 
 
 def group_units(items: list) -> list | tuple:
@@ -282,11 +308,11 @@ def brownout_step(fleet: list, cfg: SimConfig, rng: random.Random | None = None)
     where a draw can change its pick (not `takes_every_unit`); a piece splits
     only where its draws differ, and other pieces keep their mask.  While no
     class is overloaded, theta is 0 and every piece takes its class's
-    `restore_mask`.  A class builds its offer once per run, at its first
-    overload, and keeps it in `cls.offer`.  It keeps its decisions for the
-    run in `cls.decided`: theta -> its restore mask (at 0), its shed mask,
-    or the target RSC draws for; and a drawn pick's positions -> its mask.
-    A class is overloaded in every interval or in none, so it never holds
+    `restore_mask`.  A class builds its offer from `cls.layout` once per run,
+    at its first overload, and keeps it in `cls.offer`, and its decisions in
+    `cls.decided`: theta -> its restore mask (at 0), its shed mask (from the
+    layout's `sheds`, as a drawn pick's), or the target RSC draws for.  A
+    class is overloaded in every interval or in none, so it never holds
     both a restore and a shed entry.
     """
     overloaded = sum([run.count for run, cls in fleet if cls.overloaded])
@@ -294,11 +320,7 @@ def brownout_step(fleet: list, cfg: SimConfig, rng: random.Random | None = None)
     select, out = SELECTORS[cfg.policy_name], []
     for run, cls in fleet:
         if cls.overloaded and cls.offer is None:
-            cls.offer = Offer([
-                OptionalItem(id=j, utilization=min(cls.demand * spec.weight, 1.0),
-                             connection_tag=spec.connection_tag)
-                for j, (spec, on) in enumerate(zip(run.containers, run.active))
-                if on and spec.optional])
+            cls.offer = Offer(cls.layout, cls.demand)
         # an overloaded class with nothing to offer, or a calm one while others shed
         if not (cls.offer if cls.overloaded else not theta):
             out.append([(run.count, run.active)])
@@ -308,45 +330,39 @@ def brownout_step(fleet: list, cfg: SimConfig, rng: random.Random | None = None)
             if theta:
                 target = expected_reduction(cls.utilization, cls.power_w, theta, cfg.power_profile)
                 draws = cfg.policy_name == "RSC" and not takes_every_unit(cls.offer.units, target)
-                memo[theta] = target if draws else _shed(run.active, select(cls.offer, target, rng))
+                memo[theta] = target if draws else cls.layout.shed(
+                    tuple(select(cls.offer, target, rng)))
             else:
-                memo[theta] = restore_mask(run, cls.utilization, cls.demand,
+                memo[theta] = restore_mask(cls.layout, cls.utilization, cls.demand,
                                            cfg.policy.overloaded_threshold_u_t)
         decided = memo[theta]
         if type(decided) is tuple:  # a mask for the whole run
             out.append([(run.count, decided)])
         else:
             picks = [tuple(select(cls.offer, decided, rng)) for _ in range(run.count)]
-            memo.update({off: _shed(run.active, off) for off in set(picks) - memo.keys()})
-            out.append([(len(list(same)), memo[off]) for off, same in groupby(picks)])
+            out.append([(len(list(same)), cls.layout.shed(off)) for off, same in groupby(picks)])
     return out
 
 
-def _shed(active: tuple, off: list) -> tuple:
+def _shed(active: tuple, off: tuple) -> tuple:
     """The mask with the containers at the positions in `off` turned off."""
-    off = set(off)
     return tuple([on and j not in off for j, on in enumerate(active)]) if off else active
 
 
-def restore_mask(host: HostState, utilization: float, demand: float, u_t: float) -> tuple:
-    """The host's mask with the deactivated containers it can take back at
-    `utilization` turned on.
+def restore_mask(layout: Layout, utilization: float, demand: float, u_t: float) -> tuple:
+    """The layout's mask with the deactivated containers a host of it can
+    take back at `utilization` turned on.
 
-    The containers its mask has off are units, named by stack position and
-    weighted by their specs' weights, and a unit brings back demand times
-    its weight.  Units come back largest first, ties by positions, as long
-    as the host stays out of `over_threshold`; a unit that does not fit is
-    skipped and a smaller one after it may still fit.  If none comes back,
-    the host's own mask is returned.
+    Each of the layout's `off` units, by stack positions, brings back demand
+    times its weight.  Units come back largest first, ties by positions, as
+    long as the host stays out of `over_threshold`; a unit that does not fit
+    is skipped and a smaller one after it may still fit.  If none comes
+    back, the layout's own mask is returned.
     """
-    # negated weights sum to the negated sums (float addition is sign-symmetric),
-    # so `group_units`' one ascending sort is largest first, ties by positions
-    units = group_units([(j, -spec.weight, spec.connection_tag) for j, (spec, on)
-                         in enumerate(zip(host.containers, host.active)) if not on])
     u, back = utilization, set()
-    for unit in units:
+    for unit in layout.off:
         delta = demand * -unit.utilization
         if not over_threshold(u + delta, u_t):
             back.update(unit.ids)
             u += delta
-    return tuple([on or j in back for j, on in enumerate(host.active)]) if back else host.active
+    return tuple([on or j in back for j, on in enumerate(layout.mask)]) if back else layout.mask

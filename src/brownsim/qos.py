@@ -57,6 +57,7 @@ def nearest_rank_percentile(groups, k: int) -> float:
 
 @dataclass(frozen=True)
 class ConstraintCheck:
+    """One SLA bound, the run's value for it (None if it has none) and whether it holds."""
     name: str
     bound: float
     actual: float | None
@@ -65,6 +66,7 @@ class ConstraintCheck:
 
 @dataclass
 class QosReport:
+    """A run's `ConstraintCheck`s, in the order `check_constraints` makes them."""
     constraints: list = field(default_factory=list)
 
 

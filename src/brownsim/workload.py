@@ -13,16 +13,12 @@ MAX_REQUESTS = 2 ** 53
 
 @dataclass
 class Trace:
+    """Requests per interval, scaled, and the interval's length in seconds."""
     rates: list  # requests per interval, scaled
     interval_seconds: float = 60.0
 
     def __len__(self):
         return len(self.rates)
-
-
-def _scale_rate(raw: float, scale: float) -> int:
-    # round half up, mirroring how request counts are usually downsampled
-    return int(math.floor(raw * scale + 0.5))
 
 
 def load_trace(path: str, scale: float = 1.0, interval_seconds: float = 60.0) -> Trace:
@@ -36,27 +32,26 @@ def load_trace(path: str, scale: float = 1.0, interval_seconds: float = 60.0) ->
     last, rates = -math.inf, []
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 't,requests', got {line!r}")
-            if lineno == 1 and not (_numeric(parts[0]) or _numeric(parts[1])):
-                continue  # header
-            if not (_numeric(parts[0]) and _numeric(parts[1])):
-                raise ValueError(f"line {lineno}: non-numeric field in {line!r}")
-            t = float(parts[0])
-            r = float(parts[1])
+            try:  # float() ignores the whitespace that strip() takes off
+                t_field, r_field = line.split(",")
+                t, r = float(t_field), float(r_field)
+            except ValueError:  # blank, a header, or malformed: only now is the row looked at again
+                if not (line := line.strip()):
+                    continue
+                if len(parts := line.split(",")) != 2:
+                    raise ValueError(f"line {lineno}: expected 't,requests', got {line!r}") from None
+                if lineno == 1 and not (_numeric(parts[0]) or _numeric(parts[1])):
+                    continue  # header
+                raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
             if r < 0:
                 raise ValueError(f"line {lineno}: negative request count {r}")
             if not (math.isfinite(t) and r * scale <= MAX_REQUESTS):  # NaN fails too
-                raise ValueError(f"line {lineno}: {line!r} at scale {scale} is not finite "
+                raise ValueError(f"line {lineno}: {line.strip()!r} at scale {scale} is not finite "
                                  f"or above 2**53 requests")
             if t <= last:
-                raise ValueError(f"line {lineno}: time {parts[0].strip()} not strictly increasing")
+                raise ValueError(f"line {lineno}: time {t_field.strip()} not strictly increasing")
             last = t
-            rates.append(_scale_rate(r, scale))
+            rates.append(math.floor(r * scale + 0.5))  # round half up, as counts are downsampled
     if not rates:
         raise ValueError(f"trace {path}: no data rows")
     return Trace(rates=rates, interval_seconds=interval_seconds)

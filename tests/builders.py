@@ -2,10 +2,11 @@
 a simulation's fleet read host by host; and the views that interval records
 and run results are compared by."""
 
+import math
 from itertools import chain, count, repeat
 
 from brownsim.model import ContainerSpec, PolicyConfig, SimConfig, host_id
-from brownsim.workload import Trace
+from brownsim.workload import MAX_REQUESTS, Trace
 
 
 def shop_services(replicas):
@@ -80,3 +81,43 @@ def result_view(result) -> tuple:
     compare by identity)."""
     return type(result), {**vars(result), "interval_records": [
         record_view(r) for r in result.interval_records]}
+
+
+def reference_load_trace(path, scale=1.0, interval_seconds=60.0):
+    """`workload.load_trace` as it checked each row in turn: strip, split,
+    test both fields, then convert them.  The oracle the parser's rates and
+    ValueError messages are compared with."""
+    def numeric(s):
+        try:
+            float(s)
+            return True
+        except ValueError:
+            return False
+
+    last, rates = -math.inf, []
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: expected 't,requests', got {line!r}")
+            if lineno == 1 and not (numeric(parts[0]) or numeric(parts[1])):
+                continue  # header
+            if not (numeric(parts[0]) and numeric(parts[1])):
+                raise ValueError(f"line {lineno}: non-numeric field in {line!r}")
+            t = float(parts[0])
+            r = float(parts[1])
+            if r < 0:
+                raise ValueError(f"line {lineno}: negative request count {r}")
+            if not (math.isfinite(t) and r * scale <= MAX_REQUESTS):  # NaN fails too
+                raise ValueError(f"line {lineno}: {line!r} at scale {scale} is not finite "
+                                 f"or above 2**53 requests")
+            if t <= last:
+                raise ValueError(f"line {lineno}: time {parts[0].strip()} not strictly increasing")
+            last = t
+            rates.append(int(math.floor(r * scale + 0.5)))
+    if not rates:
+        raise ValueError(f"trace {path}: no data rows")
+    return Trace(rates=rates, interval_seconds=interval_seconds)

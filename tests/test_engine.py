@@ -610,12 +610,12 @@ def test_lucf_and_mncf_pick_once_per_overloaded_class(monkeypatch, policy):
 ] + [pytest.param("RSC", shop_cfg(policy="RSC", pct=0.5), PARTIAL_DAY, id="RSC-partial")])
 def test_brownout_decides_once_per_class_and_dimmer_value(monkeypatch, policy, cfg, day):
     # Over one run, a target is computed once per (overloaded class with an
-    # offer, dimmer value), and so is a LUCF or MNCF mask, or an RSC mask
-    # for a pick that every draw order makes (all of the dense day's): one
-    # selector call each, a forced RSC one leaving the rng where it was.
-    # RSC draws per host otherwise, and builds one mask per distinct (class,
-    # positions drawn).
-    wanted, picks, forced, theta = set(), set(), [], [None]
+    # offer, dimmer value), and so is a LUCF or MNCF pick, or an RSC pick
+    # that every draw order makes (all of the dense day's): one selector
+    # call each, a forced RSC one leaving the rng where it was.  RSC draws
+    # per host otherwise.  A mask is built once per distinct (layout,
+    # positions picked): classes of one (stack, mask) share their masks.
+    wanted, picks, forced, theta, masked = set(), set(), [], [None], []
     calls = {"reductions": 0, "sheds": 0, "draws": 0}
     real_step, real_select = engine.brownout_step, policies.SELECTORS[policy]
     real_reduction, real_shed = policies.expected_reduction, policies._shed
@@ -643,21 +643,24 @@ def test_brownout_decides_once_per_class_and_dimmer_value(monkeypatch, policy, c
         else:
             picks.add((id(items), tuple(picked)))
         calls["draws"] += 1
+        masked.append((id(items), tuple(picked)))
         return picked
 
     monkeypatch.setattr(engine, "brownout_step", step)
     monkeypatch.setattr(policies, "expected_reduction", counted("reductions", real_reduction))
     monkeypatch.setattr(policies, "_shed", counted("sheds", real_shed))
     monkeypatch.setitem(policies.SELECTORS, policy, select)
-    Simulation(cfg, day).run()
+    (sim := Simulation(cfg, day)).run()
+    layout_of = {id(cls.offer): cls.layout for cls in sim.classes.values() if cls.offer is not None}
     assert calls["reductions"] == len(wanted) > 0
     assert len(set(forced)) == len(forced), "one selector call per forced (class, value)"
+    assert calls["sheds"] == len({(layout_of[offer], off) for offer, off in masked})
+    assert calls["sheds"] < calls["draws"], "classes of one layout must share masks"
     if policy != "RSC":
-        assert calls["sheds"] == calls["draws"] == len(wanted)
+        assert calls["draws"] == len(wanted)
     elif day is DIURNAL:
-        assert calls["sheds"] == calls["draws"] == len(forced) == len(wanted)
+        assert calls["draws"] == len(forced) == len(wanted)
     else:
-        assert calls["sheds"] == len(forced) + len(picks)
         assert 0 < len(forced) < len(wanted) and len(picks) < calls["draws"] - len(forced)
 
 
@@ -732,48 +735,78 @@ def test_forced_rsc_picks_leave_the_rng_and_the_runs_alone(monkeypatch):
     pytest.param("LUCF", dense_cfg("LUCF"), DIURNAL, id="LUCF"),
     pytest.param("RSC", shop_cfg(policy="RSC", pct=0.5), PARTIAL_DAY, id="RSC")])
 def test_each_class_builds_one_offer_per_run(monkeypatch, policy, cfg, day):
-    # An offer lasts the run: the items and their grouping are built once
-    # per class that ever offers, however many evaluations and RSC draws use
+    # An offer lasts the run: the items and their units are built once per
+    # class that ever offers, however many evaluations and RSC draws use
     # them, and every selector call is handed a kept offer.  On the partial
     # day every offer goes to a selector; those of one unit once per dimmer
-    # value, as every draw order takes them whole.  Restores group the units
-    # a host has off, not an offer, so they are not counted.
-    offering, groupings, offered, inside = set(), [], [], []
-    real_step, real_group = engine.brownout_step, policies.group_units
-    real_select, real_restore = policies.SELECTORS[policy], policies.restore_mask
+    # value, as every draw order takes them whole.
+    offering, built, offered = set(), [], []
+    real_step, real_select = engine.brownout_step, policies.SELECTORS[policy]
 
-    def within(flag, fn):
-        def spy(*args):
-            inside.append(flag)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
-        return spy
+    class CountedOffer(policies.Offer):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
 
     def step(fleet, *args):
         offering.update(cls for _, cls in fleet if cls.overloaded)
-        return within(True, real_step)(fleet, *args)
-
-    def group(items):
-        if inside and inside[-1] and type(items) is not policies.Offer:
-            groupings.append(items)
-        return real_group(items)
+        return real_step(fleet, *args)
 
     def select(items, target, rng=None):
         offered.append(items)
         return real_select(items, target, rng)
 
     monkeypatch.setattr(engine, "brownout_step", step)
-    monkeypatch.setattr(policies, "group_units", group)
-    monkeypatch.setattr(policies, "restore_mask", within(False, real_restore))
+    monkeypatch.setattr(policies, "Offer", CountedOffer)
     monkeypatch.setitem(policies.SELECTORS, policy, select)
     sim = Simulation(cfg, day)
     sim.run()
     kept = [cls.offer for cls in sim.classes.values() if cls.offer is not None]
-    assert len(groupings) == len(kept) == len(offering)
+    assert len(built) == len(kept) == len(offering)
+    assert {id(offer) for offer in built} == {id(offer) for offer in kept}
     assert {id(items) for items in offered} == {id(offer) for offer in kept if offer}
     assert len(offered) > 2 * len(offering), "the run must reuse its offers"
+
+
+@pytest.mark.parametrize("cfg, day", [
+    pytest.param(dense_cfg(p), DIURNAL, id=f"{p}-dense") for p in ("LUCF", "MNCF", "RSC")
+] + [pytest.param(sample_day_cfg(p, 0.7), DIURNAL, id=f"{p}-sample") for p in ("LUCF", "RSC")
+     ] + [pytest.param(shop_cfg(policy="RSC", pct=0.5), PARTIAL_DAY, id="RSC-partial")])
+def test_each_layout_is_built_once_per_stack_and_mask_and_sheds_once_per_pick(
+        monkeypatch, cfg, day):
+    # What a mask decides, whatever the load, is derived once per (stack,
+    # mask) per run, and every class of that pair holds the same layout (a
+    # class off the serving set, its run's full mask's).  A shed mask is
+    # made once per (layout, positions picked), whichever class picks it.
+    built, sheds, real_shed = [], [], policies._shed
+
+    class CountedLayout(policies.Layout):
+        __slots__ = ()
+
+        def __init__(self, containers, mask):
+            super().__init__(containers, mask)
+            built.append(self)
+
+    def shed(mask, off):
+        sheds.append((mask, off))
+        return real_shed(mask, off)
+
+    monkeypatch.setattr(engine, "Layout", CountedLayout)
+    monkeypatch.setattr(policies, "_shed", shed)
+    sim = Simulation(cfg, day)
+    sim.run()
+    assert sorted(map(id, built)) == sorted(map(id, sim.layouts.values()))
+    full = {run.stack: (True,) * len(run.containers) for run in sim.runs}
+    for (stack, mode, mask, _), cls in sim.classes.items():
+        layout = sim.layouts[stack, mask if mode is HostMode.ACTIVE else full[stack]]
+        assert cls.layout is layout and layout.mask == (mask or full[stack])
+    assert len(sim.layouts) < len(sim.classes), "classes of one (stack, mask) share a layout"
+    kept = [(layout, off) for layout in sim.layouts.values() for off in layout.sheds]
+    assert len(sheds) == len(kept) > 0
+    shedding = [cls for cls in sim.classes.values() if cls.offer]
+    assert len({cls.layout for cls in shedding}) < len(shedding), "some classes share their masks"
 
 
 def test_offers_die_with_their_run(monkeypatch):
@@ -857,9 +890,9 @@ def _spy_restore_mask(monkeypatch):
     """Record (mask before, mask returned) for every `restore_mask` call."""
     asked, real = [], policies.restore_mask
 
-    def spy(host, *args):
-        mask = real(host, *args)
-        asked.append((host.active, mask))
+    def spy(layout, *args):
+        mask = real(layout, *args)
+        asked.append((layout.mask, mask))
         return mask
 
     monkeypatch.setattr(policies, "restore_mask", spy)
@@ -1017,9 +1050,8 @@ def test_a_class_derives_its_restore_mask_once_in_its_first_calm_interval(monkey
         fleets.append(fleet)
         return real_step(fleet, *args)
 
-    def restore(host, *args):
-        [cls] = [cls for run, cls in fleets[-1] if run is host]
-        derived.append((cls, len(fleets) - 1, host, args, mask := real_restore(host, *args)))
+    def restore(layout, *args):
+        derived.append((len(fleets) - 1, layout, args, mask := real_restore(layout, *args)))
         return mask
 
     monkeypatch.setattr(engine, "brownout_step", step)
@@ -1031,10 +1063,12 @@ def test_a_class_derives_its_restore_mask_once_in_its_first_calm_interval(monkey
             met += len(fleet)
             for _, cls in fleet:
                 first.setdefault(cls, t)
-    assert [(cls, t) for cls, t, *_ in derived] == list(first.items())
+    # the calls come in fleet order, one per class at the first calm interval that meets it
+    assert [t for t, *_ in derived] == list(first.values())
     assert 0 < len(derived) < met, "classes must meet calm intervals more than once"
-    assert any(mask != host.active for *_, host, _, mask in derived), "some class restores"
-    for cls, _, host, args, mask in derived:
+    assert any(mask != layout.mask for _, layout, _, mask in derived), "some class restores"
+    for cls, (_, layout, args, mask) in zip(first, derived):
+        assert layout is cls.layout
         assert args == (cls.utilization, cls.demand, cfg.policy.overloaded_threshold_u_t)
         assert cls.decided == {0.0: mask}
 

@@ -19,6 +19,8 @@ from brownsim.model import (
 )
 from brownsim.policies import (
     FEAS_EPS,
+    Layout,
+    Offer,
     OptionalItem,
     autoscale,
     brownout_step,
@@ -379,16 +381,16 @@ class HostClassStub(SimpleNamespace):
 def make_host(idx, utilization, specs, deactivate=(), demand=None):
     """An active host at `utilization` and its class, as the engine passes
     them to brownout_step: a run of one host whose stack is the specs in
-    order; the class's demand is its utilization unless given, and it has no
-    offer and no decision yet.  A host's id is its position in the fleet
-    (`idx`)."""
+    order; the class's demand is its utilization unless given, it has a
+    layout of its own, and it has no offer and no decision yet.  A host's id
+    is its position in the fleet (`idx`)."""
     host = HostState(1, mode=HostMode.ACTIVE,
                      containers=tuple(specs.values()),
                      active=tuple(spec.id not in deactivate for spec in specs.values()))
     state = HostClassStub(
         utilization=utilization, power_w=hum(PROFILE, HostMode.ACTIVE, utilization),
         demand=utilization if demand is None else demand, overloaded=utilization > 0.8,
-        offer=None, decided={})
+        layout=Layout(host.containers, host.active), offer=None, decided={})
     return host, state
 
 
@@ -491,7 +493,7 @@ def test_brownout_restores_when_no_host_is_overloaded(policy):
     assert rng.getstate() == state, "restoring draws nothing"
     # each class keeps its restore mask under dimmer value 0, and only it
     for host, cls in fleet:
-        assert cls.decided == {0.0: restore_mask(host, cls.utilization, cls.demand, 0.8)}
+        assert cls.decided == {0.0: restore_mask(cls.layout, cls.utilization, cls.demand, 0.8)}
     # one overloaded pair turns the interval into a shed: no restore move
     hot, hot_state = make_host(4, 1.0, SPECS)
     assert list(moves(step(fleet + [(hot, hot_state)], policy, rng))) == ["h04"]
@@ -643,15 +645,81 @@ def test_a_kept_offer_gives_each_pick_its_own_mask():
     assert len(offers) == 1, "the class must keep the offer it built first"
 
 
+def class_items(containers, mask, demand):
+    """The items a class offered before layouts: built from its own stack,
+    mask and demand."""
+    return [I(j, min(demand * spec.weight, 1.0), spec.connection_tag)
+            for j, (spec, on) in enumerate(zip(containers, mask)) if on and spec.optional]
+
+
+def class_restore_mask(containers, mask, utilization, demand, u_t):
+    """`restore_mask` as each class derived it before layouts: its off
+    containers grouped afresh, by negated weight, on every call."""
+    units = group_units([(j, -spec.weight, spec.connection_tag)
+                         for j, (spec, on) in enumerate(zip(containers, mask)) if not on])
+    u, back = utilization, set()
+    for unit in units:
+        delta = demand * -unit.utilization
+        if not policies.over_threshold(u + delta, u_t):
+            back.update(unit.ids)
+            u += delta
+    return tuple([on or j in back for j, on in enumerate(mask)]) if back else mask
+
+
+def class_shed(mask, off):
+    """A shed mask as each class made it before layouts."""
+    off = set(off)
+    return tuple([on and j not in off for j, on in enumerate(mask)]) if off else mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_layout_decides_as_each_class_did_alone(data):
+    # For random stacks (1-6 optional containers among 1-2 mandatory ones),
+    # masks and loads, the layout-built offer, restore mask and shed masks
+    # equal a class's own derivation, float for float and object for object
+    # where the mask is kept.
+    n = data.draw(st.integers(1, 6))
+    weight = st.one_of(st.integers(1, 40).map(lambda k: k / 40), st.floats(1e-3, 0.5))
+    optional = [ContainerSpec(id=f"o{i}", service="s", weight=data.draw(weight), optional=True,
+                              connection_tag=data.draw(st.sampled_from([None, "a", "b"])))
+                for i in range(n)]
+    mandatory = [ContainerSpec(id=f"m{i}", service="s", weight=data.draw(weight))
+                 for i in range(data.draw(st.integers(1, 2)))]
+    containers = tuple(data.draw(st.permutations(optional + mandatory)))
+    mask = tuple(not spec.optional or data.draw(st.booleans()) for spec in containers)
+    demand = data.draw(st.one_of(st.floats(0.0, 4.0), st.integers(0, 100).map(lambda k: k / 25)))
+    layout = Layout(containers, mask)
+    weights = [spec.weight for spec in containers]
+    assert layout.fraction == sum([w for w, on in zip(weights, mask) if on]) / sum(weights)
+    assert layout.deactivated == mask.count(False)
+    items = class_items(containers, mask, demand)
+    offer = Offer(layout, demand)
+    assert list(offer) == items and offer.units == tuple(group_units(items))
+    u_t = data.draw(st.floats(0.5, 1.0))
+    # anywhere, or where taking back some of the off containers lands on u_t
+    off_weights = [spec.weight for spec, on in zip(containers, mask) if not on]
+    utilization = data.draw(st.one_of(st.floats(0.0, 1.0), st.lists(
+        st.sampled_from(off_weights or [0.0]), max_size=3).map(lambda ws: u_t - demand * sum(ws))))
+    back = restore_mask(layout, utilization, demand, u_t)
+    assert back == class_restore_mask(containers, mask, utilization, demand, u_t)
+    assert back != mask or back is mask
+    for _ in range(3):
+        off = tuple(sorted(data.draw(st.sets(st.sampled_from([it.id for it in items]))
+                                     if items else st.just(set()))))
+        shed = layout.shed(off)
+        assert shed == class_shed(mask, off) and layout.shed(off) is shed is layout.sheds[off]
+
+
 def test_restore_mask_returns_the_host_mask_itself_when_nothing_comes_back():
     # rec (0.3) would lift the host past u_t 0.8, ads (0.1) fits; a host
     # that takes nothing back keeps its own mask object, so the engine can
     # see that its piece stays whole
-    host, _ = make_host(0, 0.6, SPECS, deactivate=("rec", "ads"))
-    assert restore_mask(host, 0.6, 1.0, 0.8) == (True, False, True)
-    assert restore_mask(host, 0.75, 1.0, 0.8) is host.active
-    full, _ = make_host(1, 0.6, SPECS)
-    assert restore_mask(full, 0.6, 1.0, 0.8) is full.active
+    host, cls = make_host(0, 0.6, SPECS, deactivate=("rec", "ads"))
+    assert restore_mask(cls.layout, 0.6, 1.0, 0.8) == (True, False, True)
+    assert restore_mask(cls.layout, 0.75, 1.0, 0.8) is host.active
+    full, cls = make_host(1, 0.6, SPECS)
+    assert restore_mask(cls.layout, 0.6, 1.0, 0.8) is full.active
 
 
 def test_the_kept_restore_order_belongs_to_the_placement_not_its_stack_index():
@@ -662,8 +730,7 @@ def test_the_kept_restore_order_belongs_to_the_placement_not_its_stack_index():
     b = (a[0], dataclasses.replace(a[1], weight=0.1), dataclasses.replace(a[2], weight=0.3))
     for containers, back in ((a, (True, False, True)), (b, (True, True, False)),
                              (a, (True, False, True))):
-        host = HostState(stack=0, containers=containers, active=(True, False, False))
-        assert restore_mask(host, 0.6, 1.0, 0.8) == back
+        assert restore_mask(Layout(containers, (True, False, False)), 0.6, 1.0, 0.8) == back
 
 
 def test_ties_break_on_stack_position():

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from brownsim.workload import load_trace, predict_rate, synthetic_diurnal_trace
-from builders import flat_trace, spike_trace, write_trace_csv
+from brownsim.workload import MAX_REQUESTS, load_trace, predict_rate, synthetic_diurnal_trace
+from builders import flat_trace, reference_load_trace, spike_trace, write_trace_csv
 
 
 def write_rows(tmp_path, rows, header="t,requests"):
@@ -11,6 +12,52 @@ def write_rows(tmp_path, rows, header="t,requests"):
     lines = ([header] if header else []) + [f"{t},{r}" for t, r in rows]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def _fault(kind, t, before, r):
+    """A row of the given fault kind at time t, after a row at time `before`."""
+    return {
+        "blank": "  ",
+        "header": "t,requests",
+        "3 fields": f"{t},{r},1",
+        "non-numeric": f"{t},many",
+        "negative": f"{t},-{r + 1}",
+        "nan": f"{t},nan",
+        "inf": f"inf,{r}",
+        "not increasing": f"{before},{r}",
+        "above 2**53": f"{t},{MAX_REQUESTS + 2 ** 11}",
+    }[kind]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_load_trace_matches_the_row_by_row_parser(tmp_path_factory, data):
+    # A trace of valid rows, with or without a header and padded fields, and
+    # one fault at a random row: the rates, or the ValueError's message and
+    # line number, are those of the parser that checked each row in turn.
+    n = data.draw(st.integers(1, 12))
+    times = sorted(data.draw(st.sets(st.integers(0, 50), min_size=n, max_size=n)))
+    pad = st.sampled_from(["", " ", "\t"])
+    rows = [f"{data.draw(pad)}{t}{data.draw(pad)},{data.draw(pad)}{r}{data.draw(pad)}"
+            for t, r in zip(times, data.draw(st.lists(st.integers(0, 500), min_size=n, max_size=n)))]
+    if data.draw(st.booleans()):
+        rows.insert(0, "t,requests")
+    at = data.draw(st.integers(0, len(rows)))
+    kind = data.draw(st.sampled_from(["none", "blank", "header", "3 fields", "non-numeric",
+                                      "negative", "nan", "inf", "not increasing", "above 2**53"]))
+    if kind != "none":
+        rows.insert(at, _fault(kind, 51 + at, times[0], 7))
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    path.write_text("\n".join(rows) + "\n")
+    scale = data.draw(st.sampled_from([0.05, 1.0, 10.0]))
+    outcomes = []
+    for parse in (load_trace, reference_load_trace):
+        try:
+            trace = parse(str(path), scale, 30.0)
+            outcomes.append((trace.rates, trace.interval_seconds))
+        except ValueError as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_load_scales_and_rounds(tmp_path):
