@@ -16,15 +16,17 @@ run's mask; only RSC's per-host draws, made where a draw can change the
 pick, split a run further.  Each piece's state (its run's key and request
 count) has one class: utilization, power, response group and errors, derived
 when a lookup of it first misses, and its (stack, mask)'s `policies.Layout`,
-shared by that pair's classes: weight fraction, deactivated count, units.
-`policies.brownout_step` takes the (run, class) pieces, makes every shed and
-restore decision, and returns each one's (count, mask) segments.  Records
-keep only (class, count) pieces and counts of requests and serving hosts;
-the scaler reads their rates and the last one's pieces and serving count.
+shared by that pair's classes: weight fraction (as exact halves), deactivated
+count, units.  `policies.brownout_step` takes the (run, class) pieces, makes
+every shed and restore decision, and returns each one's (count, mask)
+segments.  Records keep only (class, count) pieces and counts of requests
+and serving hosts; the scaler reads their rates and the last one's pieces
+and serving count, and keeps the count of hosts not asleep as fleet state.
 Every other total is read from the pieces: a record's as a view, the
 result's from one tally, its overload ratios as runs of hosts named by index
-when read.  Every float total is `model.exact_sum`, exactly rounded, so it
-depends on the simulated states alone, not on host order or run cuts.
+when read.  Every float total is exactly rounded (`model.exact_sum`; the
+scaler's mean active share, one fsum of its pieces' halves times counts),
+so it depends on the simulated states alone, not on host order or run cuts.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class HostClass:
     n_o, a container's load per unit of weight; `group` is (response_ms,
     served), with served 0 off the serving set; `layout` is its run's
     (stack, mask)'s shared `policies.Layout` (full off the serving set),
-    which gives `deactivated` and `fraction` (None off the serving set);
+    which gives `deactivated` and `halves` (() off the serving set);
     `offer` is its `policies.Offer` from its first overload on (None before);
     `decided` holds the brownout decisions it has made, keyed by dimmer
     value, its restore mask at 0 (see `policies.brownout_step`), all
@@ -109,11 +111,11 @@ class HostClass:
     """
 
     __slots__ = ("utilization", "power_w", "demand", "overloaded", "group", "errors",
-                 "layout", "deactivated", "fraction", "offer", "decided")
+                 "layout", "deactivated", "halves", "offer", "decided")
 
     def __init__(self, *values):
         (self.utilization, self.power_w, self.demand, self.overloaded, self.group, self.errors,
-         self.layout, self.fraction) = values
+         self.layout, self.halves) = values
         self.deactivated, self.offer, self.decided = self.layout.deactivated, None, {}
 
 
@@ -136,6 +138,7 @@ class Simulation:
                      for i, (count, ids) in enumerate(place_replicas(cfg))]
         self.classes = {}  # state -> HostClass, for the whole run
         self.layouts = {}  # (stack, mask) -> policies.Layout, for the whole run
+        self.committed = cfg.host_count  # hosts not asleep; only _apply_scaling moves it
 
         self.rng_policy = random.Random(cfg.policy.seed ^ POLICY_RNG_SALT)
         self.records = []  # all a step reads of earlier intervals
@@ -226,30 +229,33 @@ class Simulation:
         of utilization; capacity_credit sets how much of that headroom the
         scaler banks on.  Full stacks give exactly 1.  Read from the last
         record's pieces and serving count: no mode or mask changed since.
+        Each half times a count (below 2**26) is exact: this is `exact_sum`.
         """
         last = self.records[-1]
         if not last.active_hosts:
             return 1.0
-        mean_fraction = exact_sum([(cls.fraction, n) for cls, n in last.pieces
-                                   if cls.fraction is not None]) / last.active_hosts
+        mean_fraction = math.fsum([h * n for cls, n in last.pieces
+                                   for h in cls.halves]) / last.active_hosts
         return 1.0 - self.cfg.policy.capacity_credit * (1.0 - mean_fraction)
 
     def _apply_scaling(self, target: int) -> None:
         """Wake sleeping hosts lowest index first or sleep active ones highest
         first; each direction splits at most one run, where it stops."""
         runs, active = self.runs, self.records[-1].active_hosts  # no mode changed since
-        committed = sum([run.count for run in runs if run.mode is not SLEEP])
+        committed = self.committed
         if (wake := target - committed) > 0:
             for i, run in enumerate(runs):
                 if run.mode is SLEEP and wake > 0:
                     _split(runs, i, wake)
                     run.mode, run.boot_remaining = BOOTING, self.cfg.policy.boot_delay
                     wake -= run.count
+            self.committed = target - wake  # wake is left over only when every host is up
         elif target < committed:
             # Booting hosts cannot be put to sleep; keep one server alive in
             # case the in-flight boots do not finish this interval.
             finishing = sum([r.count for r in runs if r.mode is BOOTING and r.boot_remaining <= 1])
             drop = min(committed - target, max(0, active - max(0, 1 - finishing)))
+            self.committed = committed - drop  # at most the active hosts: all of it goes
             for i in range(len(runs) - 1, -1, -1):
                 if runs[i].mode is ACTIVE and drop > 0:
                     run = _split(runs, i, runs[i].count - drop)
@@ -275,7 +281,7 @@ class Simulation:
         cls = self.classes[key] = HostClass(
             utilization, power_w, demand,
             serving and over_threshold(utilization, pol.overloaded_threshold_u_t),
-            (response_ms, served), errors, layout, layout.fraction if serving else None)
+            (response_ms, served), errors, layout, layout.halves if serving else ())
         return cls
 
     def _result(self) -> RunResult:

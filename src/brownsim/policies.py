@@ -116,16 +116,18 @@ class _Unit(NamedTuple):
 
 class Layout:
     """What a (stack, mask) decides whatever the load, shared by its classes
-    for a run: `fraction` (its active share of the stack's weight),
-    `deactivated`, `on` (its optional containers on, as (position, weight,
-    tag)) and `plan` (each of their units' positions), `off` (its off units,
-    as `restore_mask` takes them back) and `sheds` (picked positions -> mask)."""
+    for a run: `halves` (its active share of the stack's weight, split as
+    `model.exact_sum` splits a value), `deactivated`, `on` (its optional
+    containers on, as (position, weight, tag)) and `plan` (each of their
+    units' positions), `off` (its off units, as `restore_mask` takes them
+    back) and `sheds` (picked positions -> mask)."""
 
-    __slots__ = ("mask", "fraction", "deactivated", "on", "plan", "off", "sheds")
+    __slots__ = ("mask", "halves", "deactivated", "on", "plan", "off", "sheds")
 
     def __init__(self, containers: tuple, mask: tuple):
         weights = [spec.weight for spec in containers]
-        self.fraction = sum(compress(weights, mask)) / total if (total := sum(weights)) > 0 else 1.0
+        fraction = sum(compress(weights, mask)) / total if (total := sum(weights)) > 0 else 1.0
+        self.halves = (hi := (c := 134217729.0 * fraction) - (c - fraction), fraction - hi)
         self.mask, self.deactivated, self.sheds = mask, mask.count(False), {}
         self.on = [(j, spec.weight, spec.connection_tag)
                    for j, (spec, on) in enumerate(zip(containers, mask)) if on and spec.optional]

@@ -4,11 +4,12 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from itertools import chain, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from brownsim import engine, policies
 from brownsim.policies import FEAS_EPS
@@ -23,8 +24,10 @@ from brownsim.model import (
     ContainerSpec,
     HostMode,
     HostState,
+    IntervalRecord,
     PolicyConfig,
     SimConfig,
+    exact_sum,
     host_id,
     load_config,
     place_replicas,
@@ -803,6 +806,10 @@ def test_each_layout_is_built_once_per_stack_and_mask_and_sheds_once_per_pick(
         layout = sim.layouts[stack, mask if mode is HostMode.ACTIVE else full[stack]]
         assert cls.layout is layout and layout.mask == (mask or full[stack])
     assert len(sim.layouts) < len(sim.classes), "classes of one (stack, mask) share a layout"
+    stacks = {run.stack: [spec.weight for spec in run.containers] for run in sim.runs}
+    for (stack, mask), layout in sim.layouts.items():
+        hi, lo = layout.halves  # exact halves: they add back to the active share
+        assert hi + lo == sum(compress(stacks[stack], mask)) / sum(stacks[stack])
     kept = [(layout, off) for layout in sim.layouts.values() for off in layout.sheds]
     assert len(sheds) == len(kept) > 0
     shedding = [cls for cls in sim.classes.values() if cls.offer]
@@ -1179,6 +1186,79 @@ def test_a_zero_capacity_factor_asks_for_the_floor():
     for t in range(6, len(trace)):
         sim.step(t, trace.rates[t])
     assert result_view(sim._result()) == result_view(reference_engine.run(cfg, trace))
+
+
+# A calm day with two bursts, read one interval back: the fleet falls to its
+# floor of 2, wakes eight hosts that boot for 3 intervals, then, calm again,
+# may drop only one of its 2 active hosts while none of the boots finishes.
+FLOOR_DAY = flat_trace([0] * 5 + [400] + [0] * 6 + [400] * 3 + [0] * 6)
+
+
+@pytest.mark.parametrize("cfg, trace, reached", [
+    pytest.param(shop_cfg(), spike_trace(), {"wake", "drop"}, id="spike"),
+    pytest.param(shop_cfg(boot_delay=2), spike_trace(), {"wake", "drop", "booting"},
+                 id="spike-boot-2"),
+    pytest.param(shop_cfg(policy="AUTOS", boot_delay=3), spike_trace(),
+                 {"wake", "drop", "booting"}, id="spike-boot-3"),
+    pytest.param(shop_cfg(boot_delay=3, window_size_L_w=1, min_active_hosts=2), FLOOR_DAY,
+                 {"wake", "drop", "booting", "floor", "keep one alive"}, id="floor"),
+])
+def test_the_committed_count_is_the_hosts_not_asleep_after_every_step(cfg, trace, reached):
+    # `committed` is fleet state that only scaling moves; it must equal the
+    # hosts not asleep counted host by host, whichever branch scaled.
+    sim, seen, apply = Simulation(cfg, trace), set(), Simulation._apply_scaling
+
+    def scale(target):
+        hosts = [h for _, h in hosts_of(sim)]
+        active = sum(h.mode is HostMode.ACTIVE for h in hosts)
+        finishing = sum(h.mode is HostMode.BOOTING and h.boot_remaining <= 1 for h in hosts)
+        before = sim.committed
+        apply(sim, target)
+        if sim.committed != before:
+            seen.add("wake" if sim.committed > before else "drop")
+        if before - target >= active > 0 and not finishing:  # dropping every active host is capped
+            seen.add("keep one alive")
+
+    sim._apply_scaling = scale
+    for t in range(len(trace)):
+        sim.step(t, trace.rates[t])
+        modes = [h.mode for _, h in hosts_of(sim)]
+        assert sim.committed == len(modes) - modes.count(HostMode.SLEEP), t
+        if HostMode.BOOTING in modes:  # still booting after its first interval
+            seen.add("booting")
+        if modes.count(HostMode.ACTIVE) == cfg.policy.min_active_hosts:
+            seen.add("floor")
+    assert reached <= seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()),
+                                   min_size=1, max_size=4),
+                          st.integers(1, 100000)), min_size=1, max_size=8))
+@example([([(0.5, False)], 100000), ([(0.25, True)], 1)])  # fractions 0 and 1
+def test_the_capacity_mean_from_layout_halves_is_the_exact_sum(stacks):
+    # 1-8 pieces, each a stack of (weight, on) containers (so an active share
+    # in [0, 1], both ends included) and a count of hosts below 2**26: each
+    # half times a count is exact, so one fsum of those products is
+    # `exact_sum` of the (fraction, count) pairs, bit for bit.
+    pieces, pairs = [], []
+    for containers, n in stacks:
+        weights = [w for w, _ in containers]
+        mask = tuple([on for _, on in containers])
+        total = sum(weights)
+        fraction = sum([w for w, on in containers if on]) / total if total > 0 else 1.0
+        layout = policies.Layout(tuple([ContainerSpec(id=f"c{j}", service="s", weight=w,
+                                                      optional=True)
+                                        for j, w in enumerate(weights)]), mask)
+        hi, lo = layout.halves
+        assert hi + lo == fraction
+        pieces.append((SimpleNamespace(halves=layout.halves), n))
+        pairs.append((fraction, n))
+    assert math.fsum([h * n for cls, n in pieces for h in cls.halves]) == exact_sum(pairs)
+    sim = Simulation(shop_cfg(capacity_credit=1.0), flat_trace([0]))
+    active = sum([n for _, n in pieces])
+    sim.records = [IntervalRecord(0, 0, active, pieces)]
+    assert sim._capacity_factor() == 1.0 - (1.0 - exact_sum(pairs) / active)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 # Byte-identity guard: sha256 digests of the files `brownsim run` writes, for
 # runs whose output must not move when the engine is restructured.
 
+import difflib
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from brownsim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = ROOT / "configs" / "sample.json"
+HEADLINE = ROOT / "results" / "headline.txt"
 
 # 2 mandatory containers plus 16 optional ones of 0.025 (14 untagged and a
 # tagged pair: 15 units), every one on each of the 10 hosts.
@@ -87,3 +90,19 @@ def _run_digests(tmp_path, policy, edit):
 def test_run_output_is_byte_identical(tmp_path, case):
     policy, edit, result_sha, intervals_sha = CASES[case]
     assert _run_digests(tmp_path, policy, edit) == (result_sha, intervals_sha)
+
+
+def test_the_headline_table_is_its_command_s_summary(tmp_path, capsys):
+    # results/headline.txt is "# " and the `brownsim compare` that makes it,
+    # run from the repository root, then that sweep's summary.txt: a
+    # behaviour change shows as the rows it moves
+    command, _, table = HEADLINE.read_bytes().partition(b"\n")
+    args = shlex.split(command.decode().removeprefix("# brownsim "))
+    args[args.index("--config") + 1] = str(ROOT / args[args.index("--config") + 1])
+    args[args.index("--out") + 1] = str(tmp_path)
+    assert main(args) == 0
+    capsys.readouterr()
+    made = (tmp_path / "summary.txt").read_bytes()
+    assert made == table, "\n".join(difflib.unified_diff(
+        table.decode().splitlines(), made.decode().splitlines(), "results/headline.txt",
+        "regenerated", lineterm=""))

@@ -691,7 +691,8 @@ def test_a_layout_decides_as_each_class_did_alone(data):
     demand = data.draw(st.one_of(st.floats(0.0, 4.0), st.integers(0, 100).map(lambda k: k / 25)))
     layout = Layout(containers, mask)
     weights = [spec.weight for spec in containers]
-    assert layout.fraction == sum([w for w, on in zip(weights, mask) if on]) / sum(weights)
+    hi, lo = layout.halves  # exact halves of the active share
+    assert hi + lo == sum([w for w, on in zip(weights, mask) if on]) / sum(weights)
     assert layout.deactivated == mask.count(False)
     items = class_items(containers, mask, demand)
     offer = Offer(layout, demand)
