@@ -11,9 +11,9 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
-from functools import cached_property
 from itertools import chain, count, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 WEIGHT_SUM_TOL = 1e-9
 EXACT_SEARCH_LIMIT = 16  # optional units a placement may carry; LUCF and MNCF search them exactly
@@ -90,14 +90,13 @@ def _field_problem(f, value) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class PowerProfile:
+class PowerProfile(NamedTuple):
     """Piecewise-linear utilization->power curve plus the sleep draw."""
 
     breakpoints: tuple = DEFAULT_BREAKPOINTS
     sleep_power_w: float = DEFAULT_SLEEP_POWER_W
 
-    @cached_property
+    @property  # read once per host class; a profile validate_config rejects still constructs
     def utilizations(self) -> tuple:
         return tuple(u for u, _ in self.breakpoints)
 
@@ -152,19 +151,25 @@ class ContainerSpec:
     replicas: int = _knob(1, "[1, 100000]")
 
 
-@dataclass
 class HostState:
     """A run: `count` consecutive hosts in one mode, boot countdown and active
     mask.  `containers` is their placement's ContainerSpecs, one tuple per
     distinct placement, whose index is `stack`, and `active` one on/off flag
     per container, a tuple the engine replaces.  A container is its position."""
 
-    count: int = field(default=1, compare=False)  # equal runs: hosts in one state
-    mode: HostMode = HostMode.ACTIVE
-    boot_remaining: int = 0
-    stack: int = 0
-    containers: tuple = ()
-    active: tuple = ()
+    __slots__ = ("count", "mode", "boot_remaining", "stack", "containers", "active")
+
+    def __init__(self, count: int = 1, mode: HostMode = HostMode.ACTIVE, boot_remaining: int = 0,
+                 stack: int = 0, containers: tuple = (), active: tuple = ()):
+        self.count, self.mode, self.boot_remaining = count, mode, boot_remaining
+        self.stack, self.containers, self.active = stack, containers, active
+
+    def __eq__(self, other):  # hosts in one state, whatever the counts; no hash: runs change
+        if type(other) is not HostState:
+            return NotImplemented
+        return (self.stack == other.stack and self.mode == other.mode
+                and self.boot_remaining == other.boot_remaining and self.active == other.active
+                and self.containers == other.containers)
 
 
 @dataclass
@@ -241,18 +246,16 @@ class _Total(str):
         return self if rec is None else sum([getattr(cls, self) * n for cls, n in rec.pieces])
 
 
-@dataclass(eq=False)
 class IntervalRecord:
     """One interval's request and serving counts and its fleet as (class,
     count) pieces in host order: the next `count` hosts, by index, ended the
     interval in `class`.  Every total and per-host view reads the classes'
     power_w, overloaded flag, errors and deactivated count; hosts are named
-    by index (`host_id`)."""
+    by index (`host_id`).  Compares by identity; keeps a `__dict__`."""
 
-    t: int
-    requests: int
-    active_hosts: int
-    pieces: list = field(default_factory=list, repr=False)
+    def __init__(self, t: int, requests: int, active_hosts: int, pieces: list | None = None):
+        self.t, self.requests, self.active_hosts = t, requests, active_hosts
+        self.pieces = [] if pieces is None else pieces
 
     def _each(self, attr: str):
         return chain.from_iterable([repeat(getattr(cls, attr), n) for cls, n in self.pieces])
@@ -266,21 +269,20 @@ class IntervalRecord:
     deactivated_containers = _Total("deactivated")
 
 
-@dataclass
 class RunResult:
-    """What one policy run reports: its energy and QoS totals and its interval records."""
-    policy_name: str
-    seed: int
-    energy_kwh: float
-    otr_mean: float
-    avg_response_ms: float
-    p_kth_response_ms: float
-    slavr: float | None  # None marks no requests at all (not zero violations)
-    active_host_series: list
-    interval_records: list
-    otr_runs: list  # overloaded time ratios: maximal (ratio, count) runs of hosts in host order
-    total_requests: int
-    total_errors: int
+    """What one policy run reports: its energy and QoS totals and its interval
+    records.  `slavr` None marks no requests at all (not zero violations);
+    `otr_runs` holds the overloaded time ratios as maximal (ratio, count) runs of
+    hosts in host order.  Compares by identity; `vars()` gives every field."""
+
+    def __init__(self, policy_name, seed, energy_kwh, otr_mean, avg_response_ms,
+                 p_kth_response_ms, slavr, active_host_series, interval_records, otr_runs,
+                 total_requests, total_errors):
+        (self.policy_name, self.seed, self.energy_kwh, self.otr_mean, self.avg_response_ms,
+         self.p_kth_response_ms, self.slavr, self.active_host_series, self.interval_records,
+         self.otr_runs, self.total_requests, self.total_errors) = (
+            policy_name, seed, energy_kwh, otr_mean, avg_response_ms, p_kth_response_ms, slavr,
+            active_host_series, interval_records, otr_runs, total_requests, total_errors)
 
     # the runs expanded to a dict by host id (h100 follows h99) when read
     per_host_otr = property(lambda r: dict(zip(map(host_id, count()), chain.from_iterable(

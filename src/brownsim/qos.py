@@ -9,8 +9,8 @@ total energy is the optimization objective, not a bound, so it has no check.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate, groupby
+from typing import NamedTuple
 
 
 def overload_ratios(interval_records: list) -> list:
@@ -55,8 +55,7 @@ def nearest_rank_percentile(groups, k: int) -> float:
             return value
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
+class ConstraintCheck(NamedTuple):
     """One SLA bound, the run's value for it (None if it has none) and whether it holds."""
     name: str
     bound: float
@@ -64,10 +63,15 @@ class ConstraintCheck:
     passed: bool
 
 
-@dataclass
 class QosReport:
     """A run's `ConstraintCheck`s, in the order `check_constraints` makes them."""
-    constraints: list = field(default_factory=list)
+    __slots__ = ("constraints",)
+
+    def __init__(self, constraints: list | None = None):
+        self.constraints = [] if constraints is None else constraints
+
+    def __eq__(self, other):
+        return self.constraints == other.constraints if type(other) is QosReport else NotImplemented
 
 
 def check_constraints(result, policy) -> QosReport:

@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 # The largest scaled request count a trace row may hold: beyond 2**53 a float
 # no longer holds every integer, and near 1e308 the response model overflows.
 MAX_REQUESTS = 2 ** 53
 
 
-@dataclass
 class Trace:
     """Requests per interval, scaled, and the interval's length in seconds."""
-    rates: list  # requests per interval, scaled
-    interval_seconds: float = 60.0
+    __slots__ = ("rates", "interval_seconds")
+
+    def __init__(self, rates: list, interval_seconds: float = 60.0):
+        self.rates, self.interval_seconds = rates, interval_seconds
+
+    def __eq__(self, other):
+        return ((self.rates, self.interval_seconds) == (other.rates, other.interval_seconds)
+                if type(other) is Trace else NotImplemented)
 
     def __len__(self):
         return len(self.rates)

@@ -1,8 +1,10 @@
 import copy
+import importlib
 import json
 import math
+import pkgutil
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,9 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from brownsim.model import (
     _KNOWN_KEYS,
+    DEFAULT_BREAKPOINTS,
     EXACT_SEARCH_LIMIT,
     SCHEMA,
     ContainerSpec,
+    HostMode,
+    HostState,
     IntervalRecord,
     PolicyConfig,
     PowerProfile,
@@ -31,6 +36,8 @@ from brownsim.model import (
     validate_config,
     with_values,
 )
+from brownsim.qos import ConstraintCheck, QosReport
+from brownsim.workload import Trace
 from builders import response_groups, shop_services
 from reference_engine import place
 
@@ -361,7 +368,7 @@ def test_an_interval_record_reads_every_total_from_its_pieces():
                            deactivated=1)
     record = IntervalRecord(t=4, requests=173, active_hosts=7,
                             pieces=[(hot, 3), (asleep, 2), (calm, 4)])
-    assert [f.name for f in fields(IntervalRecord)] == ["t", "requests", "active_hosts", "pieces"]
+    assert list(vars(record)) == ["t", "requests", "active_hosts", "pieces"]
     assert record.errors == 3 * 3 + 1 * 4
     assert record.deactivated_containers == 2 * 3 + 1 * 4
     assert record.total_power_w == math.fsum([0.1] * 3 + [10.0] * 2 + [221.5] * 4)
@@ -378,6 +385,60 @@ def test_per_host_otr_expands_the_runs_by_host_index():
     ratios = result.per_host_otr
     assert list(ratios) == [host_id(i) for i in range(102)]
     assert [h for h, r in ratios.items() if r] == ["h99", "h100"] and ratios["h100"] == 0.5
+
+
+def test_only_the_config_schema_is_made_of_dataclasses():
+    # The run-time types are plain classes: a dataclass generates its methods
+    # with exec at every import, and every run pays the import.
+    brownsim = importlib.import_module("brownsim")
+    modules = [importlib.import_module(f"brownsim.{m.name}")
+               for m in pkgutil.iter_modules(brownsim.__path__)]
+    assert {name for m in modules for name, obj in vars(m).items() if isinstance(obj, type)
+            and obj.__module__ == m.__name__ and is_dataclass(obj)} == {
+        "SimConfig", "PolicyConfig", "ContainerSpec"}
+
+    # runs are equal when their hosts share one state, whatever their counts
+    run = HostState(3, HostMode.BOOTING, 2, 1, (ContainerSpec("web", "shop", 1.0),), (True,))
+    assert run == HostState(7, HostMode.BOOTING, 2, 1, run.containers, (True,))
+    for other in [HostState(3, HostMode.ACTIVE, 2, 1, run.containers, (True,)),
+                  HostState(3, HostMode.BOOTING, 1, 1, run.containers, (True,)),
+                  HostState(3, HostMode.BOOTING, 2, 0, run.containers, (True,)),
+                  HostState(3, HostMode.BOOTING, 2, 1, (), (True,)),
+                  HostState(3, HostMode.BOOTING, 2, 1, run.containers, (False,)), "run"]:
+        assert run != other
+    with pytest.raises(TypeError):
+        hash(run)
+    fresh = HostState()
+    assert not hasattr(fresh, "__dict__")  # slotted
+    assert (fresh.count, fresh.mode, fresh.boot_remaining, fresh.stack, fresh.containers,
+            fresh.active) == (1, HostMode.ACTIVE, 0, 0, (), ())
+
+    record = IntervalRecord(0, 5, 1, [(SimpleNamespace(deactivated=2), 1)])
+    assert record == record and record != IntervalRecord(0, 5, 1, record.pieces)
+    record.deactivated_containers += 1  # what bench/test_bench.py does to a record
+    assert record.deactivated_containers == 3
+    assert IntervalRecord(0, 5, 1, record.pieces).deactivated_containers == 2
+
+    profile = PowerProfile()
+    assert profile == PowerProfile(DEFAULT_BREAKPOINTS, 10.0) != PowerProfile(sleep_power_w=5.0)
+    assert hash(profile) == hash(PowerProfile(tuple([(u, w) for u, w in DEFAULT_BREAKPOINTS])))
+    assert profile.utilizations == tuple(u for u, _ in DEFAULT_BREAKPOINTS)
+    malformed = PowerProfile(breakpoints=((0.0,),), sleep_power_w=-1.0)  # constructs all the same
+    assert validate_config(sample_config(power_profile=malformed))
+
+    given = dict(policy_name="LUCF", seed=1, energy_kwh=1.0, otr_mean=0.0, avg_response_ms=0.0,
+                 p_kth_response_ms=0.0, slavr=None, active_host_series=[], interval_records=[],
+                 otr_runs=[], total_requests=0, total_errors=0)
+    result = RunResult(**given)
+    assert vars(result) == given and result != RunResult(**given)
+    for wrong in [{k: v for k, v in given.items() if k != "seed"}, {**given, "extra": 1}]:
+        with pytest.raises(TypeError):
+            RunResult(**wrong)
+
+    assert Trace([1, 2], 30.0) == Trace([1, 2], 30.0) != Trace([1, 2]) and len(Trace([1, 2])) == 2
+    check = ConstraintCheck("slavr", 0.02, None, True)
+    assert hash(check) == hash(ConstraintCheck("slavr", 0.02, None, True))
+    assert QosReport([check]) == QosReport([check]) != QosReport()
 
 
 @pytest.mark.parametrize("value", [5e-324, -5e-324, 1e300, -1e300])

@@ -394,6 +394,12 @@ def make_host(idx, utilization, specs, deactivate=(), demand=None):
     return host, state
 
 
+def run_of(host, count):
+    """`count` hosts in the state of the run `host`."""
+    return HostState(count, host.mode, host.boot_remaining, host.stack, host.containers,
+                     host.active)
+
+
 def with_calm(pairs, fleet):
     """The pairs followed by calm hosts up to a fleet of `fleet`."""
     return pairs + [make_host(i, 0.5, SPECS) for i in range(len(pairs), fleet)]
@@ -610,14 +616,14 @@ def test_pieces_of_several_hosts_decide_as_hosts_alone(policy):
     (h0, hot), (h1, _), (h2, warm), (h3, _) = [make_host(i, 1.0, SPECS) for i in range(4)]
     warm.utilization = 0.9
     pairs = [(h0, hot), (h1, hot), (h2, warm), (h3, hot)]
-    pieces = [(dataclasses.replace(h0, count=2), hot), (h2, warm), (h3, hot)]
+    pieces = [(run_of(h0, 2), hot), (h2, warm), (h3, hot)]
     alone, runs = random.Random(9), random.Random(9)
     in_runs = masks_of(pieces, brownout_step(pieces, config(policy), runs))
     assert [mask for *_, mask in in_runs] == [mask for *_, mask in masks_of(*step(
         pairs, policy, alone))]
     assert runs.getstate() == alone.getstate()
     calm = [make_host(i, 0.5, SPECS, deactivate=("rec",)) for i in range(4)]
-    pieces = [(dataclasses.replace(calm[0][0], count=3), calm[0][1]), calm[3]]
+    pieces = [(run_of(calm[0][0], 3), calm[0][1]), calm[3]]
     assert ([mask for *_, mask in masks_of(pieces, brownout_step(pieces, config(policy)))]
             == [mask for *_, mask in masks_of(*step(calm, policy))])
 
