@@ -3,7 +3,8 @@
 Each interval runs a fixed pipeline: predict the request rate, resize the
 active fleet, advance booting hosts, spread requests over active hosts,
 derive host utilization and power, let the brownout controller deactivate
-or restore optional containers, give each serving host one (response_ms,
+or restore optional containers (called only while some class is overloaded
+or has something to restore), give each serving host one (response_ms,
 served) group and its errors, and record the interval.  One run is
 single-threaded and deterministic for a given config, trace, and seed.
 
@@ -159,8 +160,9 @@ class Simulation:
             factor = self._capacity_factor()
             # 0 (credit 1, every serving stack shed) is the limit: any rate fits a host
             capacity = pol.capacity_n_o / factor if factor else math.inf
-            target = autoscale(predicted, capacity, self.cfg.host_count, pol.min_active_hosts)
-            self._apply_scaling(target)
+            if (target := autoscale(predicted, capacity, self.cfg.host_count,
+                                    pol.min_active_hosts)) != self.committed:
+                self._apply_scaling(target)
 
         # 3: advance boots (a run woken this interval with boot_delay 1 serves
         # this interval) and join each run to the one before it in one state.
@@ -180,7 +182,7 @@ class Simulation:
         self.runs, classes = runs, self.classes
         serving = sum([run.count for run in runs if run.mode is ACTIVE])
         share, extra = divmod(rate, serving) if serving else (0, 0)
-        pieces = []
+        pieces, assigned, settled = [], [], True  # (run, class) pieces; their requests
         for i, run in enumerate(runs):  # a split inserts the run's rest next
             if run.mode is ACTIVE:
                 n = share
@@ -190,34 +192,37 @@ class Simulation:
                 key = (run.stack, ACTIVE, run.active, n)
             else:
                 n, key = 0, (run.stack, run.mode, (), 0)
-            pieces.append((run, n, classes.get(key) or self._class(run, key)))
+            pieces.append((run, cls := classes.get(key) or self._class(run, key)))
+            assigned.append(n)
+            settled = settled and cls.decided.get(0.0) is cls.layout.mask
 
-        # 6-7: brownout controller (shed or restore).  Each piece's run takes
+        # 6-7: brownout controller (shed or restore), not called while every class is
+        # calm and restores nothing (θ 0, no mask moves).  Each piece's run takes
         # its (count, mask) segments, top one first so that a split (RSC's
         # differing draws) leaves the runs below in place, and its class again;
         # a piece whose one segment is its own mask keeps its run and class.
-        if self.brownout:
-            segments = brownout_step([(run, cls) for run, _, cls in pieces], self.cfg,
-                                     self.rng_policy)
+        if self.brownout and not settled:
+            segments = brownout_step(pieces, self.cfg, self.rng_policy)
             cut = []
             for i in range(len(pieces) - 1, -1, -1):
-                run, n, cls = pieces[i]
+                run, cls = pieces[i]
                 if len(seg := segments[i]) == 1:  # the whole run, in a new class if its mask moved
                     if (mask := seg[0][1]) != run.active:
                         run.active = mask
-                        key = (run.stack, run.mode, mask if run.mode is ACTIVE else (), n)
+                        key = (run.stack, run.mode, mask if run.mode is ACTIVE else (), assigned[i])
                         cls = classes.get(key) or self._class(run, key)
-                    cut.append((run, n, cls))
+                    cut.append((cls, run.count))
                     continue
                 for count, mask in reversed(seg):
                     (run := _split(runs, i, runs[i].count - count)).active = mask
-                    key = (run.stack, run.mode, mask if run.mode is ACTIVE else (), n)
-                    cut.append((run, n, classes.get(key) or self._class(run, key)))
-            pieces = cut[::-1]
+                    key = (run.stack, run.mode, mask if run.mode is ACTIVE else (), assigned[i])
+                    cut.append((classes.get(key) or self._class(run, key), count))
+            cut.reverse()
+        else:
+            cut = [(cls, run.count) for run, cls in pieces]
 
         # 8-9: the record, each piece's final class and count; its totals are views.
-        record = IntervalRecord(t, rate, serving, [(cls, run.count) for run, _, cls in pieces])
-        self.records.append(record)
+        self.records.append(record := IntervalRecord(t, rate, serving, cut))
         return record
 
     # -- helpers -----------------------------------------------------------

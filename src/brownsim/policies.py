@@ -24,13 +24,13 @@ EXACT_SEARCH_LIMIT units, so the search is exact at every stack size.  Ties
 break on the items' ids alone, which the controller sets to stack positions,
 so a pick is memoised on the utilizations and positions, across classes and runs.
 
-`brownout_step` is the controller, called once per interval on the whole
-fleet, cut into runs of consecutive hosts in one class: it sheds while a
-host is overloaded and restores otherwise.  Each run's (count, mask) segments
-come from one LUCF, MNCF or forced RSC pick per overloaded host class and
-dimmer value per run (these depend on the offer alone), else from one RSC
-draw per overloaded host, or, at dimmer value 0, from the class's
-`restore_mask`, made once per class and kept in its memo.  Optional
+`brownout_step` is the controller, called on the whole fleet, cut into runs of
+consecutive hosts in one class, while a class is overloaded or has something to
+restore: it sheds while a host is overloaded and restores otherwise.  Each
+run's (count, mask) segments come from one LUCF, MNCF or forced RSC pick per
+overloaded host class and dimmer value per run (these depend on the offer
+alone), else from one RSC draw per overloaded host, or, at dimmer value 0, from
+the class's `restore_mask`, made once per class and kept in its memo.  Optional
 containers sharing a connection tag on one host only work as a group, so
 `group_units` bundles them into units for both decisions, once per (stack,
 mask) in a run: its `Layout`, shared by its classes, also keeps one mask per

@@ -313,7 +313,7 @@ def test_overloaded_flag_matches_threshold():
 def test_brownout_is_offered_exactly_the_overloaded_serving_hosts(monkeypatch):
     # the overload test lives in the host classes; brownout_step trusts it
     sim = Simulation(shop_cfg(ut=0.7), DIURNAL)
-    offered, real = [], engine.brownout_step
+    offered, restored, real = [], [], engine.brownout_step
 
     def spy(fleet, *args):
         assert [id(run) for run, _ in fleet] == [id(run) for run in sim.runs], (
@@ -331,11 +331,24 @@ def test_brownout_is_offered_exactly_the_overloaded_serving_hosts(monkeypatch):
                 if h.mode is HostMode.ACTIVE and state_of[hid].utilization > 0.7]
         assert [hid for hid, _ in hosts if state_of[hid].overloaded] == want
         offered.append(len(want))
-        return real(fleet, *args)
+        segments = real(fleet, *args)
+        if not want and any(seg != [(run.count, run.active)]
+                            for (run, _), seg in zip(fleet, segments)):
+            restored.append(len(sim.records))  # a calm interval that brings containers back
+        return segments
 
     monkeypatch.setattr(engine, "brownout_step", spy)
-    sim.run()
-    assert len(offered) == len(DIURNAL)
+    skipped = []
+    for t, rate in enumerate(DIURNAL.rates):
+        calls = len(offered)
+        record = sim.step(t, rate)
+        if len(offered) == calls:
+            # a settled fleet: every class calm, and its restore mask its layout's own
+            skipped.append(t)
+            assert not any(cls.overloaded for cls, _ in record.pieces), t
+            assert all(cls.decided.get(0.0) is cls.layout.mask for cls, _ in record.pieces), t
+    assert len(offered) + len(skipped) == len(DIURNAL)
+    assert skipped and restored, "settled intervals, and calm ones that still restore"
     assert 0 < sum(n > 0 for n in offered) < len(offered), "calm and overloaded intervals"
     assert any(0 < n < sim.cfg.host_count for n in offered), (
         "some intervals overload part of the fleet")

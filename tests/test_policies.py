@@ -729,6 +729,19 @@ def test_restore_mask_returns_the_host_mask_itself_when_nothing_comes_back():
     assert restore_mask(cls.layout, 0.6, 1.0, 0.8) is full.active
 
 
+def test_restore_mask_is_the_layout_mask_exactly_when_no_off_unit_fits():
+    # the engine skips the controller while every class's restore mask `is`
+    # its layout's mask, so a restore that brings nothing back must return
+    # that very object, and one that brings a unit back a new tuple
+    specs = tuple(SPECS.values())  # web 0.6, rec 0.3, ads 0.1
+    for mask in ((True, True, True), (True, False, False)):
+        layout = Layout(specs, mask)
+        assert restore_mask(layout, 0.75, 1.0, 0.8) is layout.mask  # ads would pass u_t
+    layout = Layout(specs, (True, False, False))
+    back = restore_mask(layout, 0.6, 1.0, 0.8)
+    assert back == (True, False, True) and back is not layout.mask
+
+
 def test_the_kept_restore_order_belongs_to_the_placement_not_its_stack_index():
     # Each run numbers its placements from 0, so two runs' stack 0 may hold
     # different specs under one mask; each takes back what its own weights
